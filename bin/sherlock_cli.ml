@@ -308,13 +308,14 @@ let run_cmd =
         (fun (r : Orchestrator.round_result) ->
           Printf.printf
             "round %d: %d windows, %d variables, %d delayed ops, %d verdicts, \
-             %d LP solves / %d pivots%s%s%s\n"
+             %d LP solves / %d pivots%s, encode %.1f ms + lp %.1f ms%s%s\n"
             r.round r.stats.num_windows r.stats.num_vars r.delayed_ops
             (List.length r.verdicts) r.stats.lp.lp_solves r.stats.lp.lp_pivots
             (if r.stats.lp.lp_pivots_saved > 0 then
                Printf.sprintf " (%d saved by warm start)"
                  r.stats.lp.lp_pivots_saved
              else "")
+            (1e3 *. r.stats.encode_s) (1e3 *. r.stats.lp_s)
             (let failed = Orchestrator.failed_runs r.run_reports in
              if failed > 0 then Printf.sprintf ", %d failed runs" failed else "")
             (if r.stats.degraded then " [degraded LP]" else ""))
@@ -871,8 +872,13 @@ let render_stats ppf (p : Telemetry.Snapshot.point) =
            (float_of_int (c "trace.windows") /. extract_s)
        else "");
     if c "trace.races" > 0 then pr "    races          %d@." (c "trace.races");
-    pr "    run / extract / solve   %.3fs / %.3fs / %.3fs@.@." run_s extract_s
-      solve_s
+    pr "    run / extract / solve   %.3fs / %.3fs / %.3fs@." run_s extract_s
+      solve_s;
+    (* The solve stage split into LP assembly and simplex time. *)
+    if h "encoder.lp_s" <> None then
+      pr "    solve: encode / lp      %.3fs / %.3fs@." (hist_sum "encoder.encode_s")
+        (hist_sum "encoder.lp_s");
+    pr "@."
   end;
   (* Cache effectiveness and extraction sharding. *)
   let hits = c "windows.span_cache.hit" in

@@ -82,7 +82,10 @@ type t = {
   mutable nconstrs : int;
   mutable ub_rows : int array; (* growable; per var, its ub row or -1 *)
   mutable ubs : float array; (* growable; per var, its cap or infinity *)
-  mutable objective : Linexpr.t;
+  mutable obj : float array;
+      (* growable; per var, its objective coefficient (0 = no term), so
+         accumulating a term is O(1) however large the objective is *)
+  mutable obj_const : float;
   mutable engine : engine;
   mutable use_presolve : bool;
   mutable istate : istate option;
@@ -101,7 +104,8 @@ let create () =
     nconstrs = 0;
     ub_rows = Array.make 16 (-1);
     ubs = Array.make 16 infinity;
-    objective = Linexpr.zero;
+    obj = Array.make 16 0.0;
+    obj_const = 0.0;
     engine = Sparse;
     use_presolve = true;
     istate = None;
@@ -144,10 +148,10 @@ let add_constr ?(tag = "") ?(bound = -1) t expr relation rhs =
       c_bound = bound;
     }
 
-let grow_float a n =
+let grow_float fill a n =
   if Array.length a >= n then a
   else begin
-    let b = Array.make (max n (2 * Array.length a)) infinity in
+    let b = Array.make (max n (2 * Array.length a)) fill in
     Array.blit a 0 b 0 (Array.length a);
     b
   end
@@ -158,7 +162,7 @@ let add_var t ?ub name =
   t.names <- name :: t.names;
   t.ub_rows <- grow_int t.ub_rows (v + 1);
   t.ub_rows.(v) <- -1;
-  t.ubs <- grow_float t.ubs (v + 1);
+  t.ubs <- grow_float infinity t.ubs (v + 1);
   t.ubs.(v) <- infinity;
   (match ub with
   | Some u ->
@@ -202,9 +206,30 @@ let set_row_rhs t id rhs =
     Simplex.set_rhs s.sx s.row_ids.(id) rhs
   | _ -> ()
 
-let add_objective t e = t.objective <- Linexpr.add t.objective e
+let add_objective_term t v c =
+  t.obj <- grow_float 0.0 t.obj (v + 1);
+  t.obj.(v) <- t.obj.(v) +. c
 
-let set_objective t e = t.objective <- e
+let add_objective t e =
+  t.obj_const <- t.obj_const +. Linexpr.constant e;
+  List.iter (fun (v, c) -> add_objective_term t v c) (Linexpr.terms e)
+
+let set_objective t e =
+  Array.fill t.obj 0 (Array.length t.obj) 0.0;
+  t.obj_const <- 0.0;
+  add_objective t e
+
+(* Ascending variable order with zero coefficients dropped — exactly
+   [Linexpr.terms] of the same terms summed with [Linexpr.add]. *)
+let objective_terms t =
+  let acc = ref [] in
+  for v = Array.length t.obj - 1 downto 0 do
+    let c = t.obj.(v) in
+    if c <> 0.0 then acc := (v, c) :: !acc
+  done;
+  !acc
+
+let objective_constant t = t.obj_const
 
 let hinge t ~weight nm e =
   let h = add_var t nm in
@@ -288,7 +313,7 @@ let finish t info outcome =
   record_info info;
   match outcome with
   | Simplex.Optimal { objective = obj; solution } ->
-    let obj = obj +. Linexpr.constant t.objective in
+    let obj = obj +. t.obj_const in
     ( Solved obj,
       fun v ->
         if v >= 0 && v < Array.length solution then solution.(v) else 0.0 )
@@ -383,7 +408,7 @@ let solve t =
   match !fault with
   | Some s -> (s, fun _ -> 0.0)
   | None -> (
-    let objective = Linexpr.terms t.objective in
+    let objective = objective_terms t in
     match t.engine with
     | Dense ->
       let constrs = constr_list t in
@@ -494,7 +519,7 @@ let solve_incremental t =
       if s.row_ids.(i) < 0 then incr saved
     done;
     Simplex.set_objective s.sx
-      (List.map (fun (v, k) -> (s.col_of_var.(v), k)) (Linexpr.terms t.objective));
+      (List.map (fun (v, k) -> (s.col_of_var.(v), k)) (objective_terms t));
     match Simplex.reoptimize s.sx with
     | exception Simplex.Iteration_limit ->
       (* The solver invalidated itself; the warm state stays usable for
@@ -517,7 +542,7 @@ let solve_incremental t =
         capture_sparse t s.sx
           ~row_map:(fun i -> s.row_ids.(i))
           ~var_map:(fun v -> s.col_of_var.(v));
-      let obj = obj +. Linexpr.constant t.objective in
+      let obj = obj +. t.obj_const in
       (* Snapshot: the solver state stays live inside [t] (later rhs
          edits move its basic solution), but the assignment handed out
          must keep describing THIS solve. *)

@@ -117,11 +117,24 @@ val set_row_rhs : t -> row_id -> float -> unit
     folded out of the expression at creation stays folded). *)
 
 val add_objective : t -> Linexpr.t -> unit
-(** Accumulate a term into the minimization objective. *)
+(** Accumulate a term into the minimization objective.  The objective is
+    kept as one coefficient per variable plus a constant, so adding a
+    term costs O(terms of [e]), not O(size of the objective). *)
+
+val add_objective_term : t -> var -> float -> unit
+(** [add_objective_term t v c] is [add_objective t (Linexpr.var ~coeff:c v)]
+    without building the expression. *)
 
 val set_objective : t -> Linexpr.t -> unit
-(** Replace the whole objective (incremental encoders rebuild it each
-    round with recomputed weights). *)
+(** Replace the whole objective, constant included (incremental encoders
+    rebuild it each round with recomputed weights). *)
+
+val objective_terms : t -> (var * float) list
+(** The objective's variable terms in increasing variable order, zero
+    coefficients omitted — what {!Linexpr.terms} gives for the same
+    terms summed with {!Linexpr.add}, coefficient for coefficient. *)
+
+val objective_constant : t -> float
 
 val hinge : t -> weight:float -> string -> Linexpr.t -> var
 (** [hinge t ~weight name e] adds a fresh variable [h >= max(0, e)] and the

@@ -57,6 +57,8 @@ type solve_stats = {
   num_windows : int;
   objective : float;
   solve_s : float;
+  encode_s : float;
+  lp_s : float;
   degraded : bool;
   lp : lp_stats;
   trace : Metrics.t;
@@ -94,20 +96,33 @@ let tie_cost op role =
   let h = Hashtbl.hash (Opid.to_string op ^ role_suffix role) in
   1e-6 *. (1.0 +. (float_of_int h /. 1073741824.0))
 
+(* A candidate's probability variable with its tie-break cost, which
+   depends only on the operation's identity and so is hashed once, when
+   the variable is created. *)
+type cand = {
+  var : Problem.var;
+  tie : float;
+}
+
 type vars = {
   problem : Problem.t;
-  table : (Opid.t * role, Problem.var) Hashtbl.t;
+  table : (Opid.t * role, cand) Hashtbl.t;
 }
+
+let find_var table op role =
+  match Hashtbl.find_opt table (op, role) with
+  | Some c -> Some c.var
+  | None -> None
 
 let var_of vars op role =
   match Hashtbl.find_opt vars.table (op, role) with
-  | Some v -> v
+  | Some c -> c.var
   | None ->
-    let v =
+    let var =
       Problem.add_var vars.problem ~ub:1.0 (Opid.to_string op ^ role_suffix role)
     in
-    Hashtbl.add vars.table (op, role) v;
-    v
+    Hashtbl.add vars.table (op, role) { var; tie = tie_cost op role };
+    var
 
 (* Sum of role variables over the distinct ops of a window side (each op
    subtracted once regardless of its dynamic occurrence count — paper
@@ -137,7 +152,7 @@ let side_key config vars side role =
 let pick_pin (config : Config.t) table assignment =
   let cands = ref [] in
   Hashtbl.iter
-    (fun (op, role) v ->
+    (fun (op, role) { var = v; _ } ->
       let p = assignment v in
       if p > 0.15 && p < config.threshold then
         cands := (Opid.to_string op ^ role_suffix role, p, v) :: !cands)
@@ -157,7 +172,7 @@ let pick_pin (config : Config.t) table assignment =
 
 let extract_verdicts (config : Config.t) table assignment =
   Hashtbl.fold
-    (fun (op, role) v acc ->
+    (fun (op, role) { var = v; _ } acc ->
       let p = assignment v in
       if p >= config.threshold then { Verdict.op; role; probability = p } :: acc
       else acc)
@@ -191,7 +206,7 @@ let capture_evidence (config : Config.t) obs problem table verdicts assignment
   in
   List.iter
     (fun (v : Verdict.t) ->
-      match Hashtbl.find_opt table (v.op, v.role) with
+      match find_var table v.op v.role with
       | Some var ->
         if not (Hashtbl.mem verdict_vars var) then
           Hashtbl.add verdict_vars var (ref [])
@@ -271,7 +286,7 @@ let capture_evidence (config : Config.t) obs problem table verdicts assignment
   in
   List.filter_map
     (fun (v : Verdict.t) ->
-      match Hashtbl.find_opt table (v.op, v.role) with
+      match find_var table v.op v.role with
       | None -> None
       | Some var ->
         let margin =
@@ -293,10 +308,47 @@ let capture_evidence (config : Config.t) obs problem table verdicts assignment
           })
     verdicts
 
-(* Shared tail of both solve paths: verdicts, stats, telemetry. *)
+module Tspan = Sherlock_telemetry.Span
+
+(* The [objective_terms] attribute of the innermost span: the objective's
+   nonzero terms, listed only when a collector will record them. *)
+let note_objective problem =
+  if Tspan.current_collector () <> None then
+    Tspan.add_attr "objective_terms"
+      (Tspan.Int (List.length (Problem.objective_terms problem)))
+
+(* The LP relaxation occasionally leaves a tie split fractionally (for
+   example 0.5/0.5 across a Single-Role pair), which the paper's
+   "variables assigned 1" reading would silently drop.  Round by
+   repeatedly pinning the largest fractional variable to 1 and
+   re-solving — a cheap branch-free integrality repair.  [solve] and
+   [pin] are the calling path's LP entry points. *)
+let solve_rounded config problem table ~solve ~pin =
+  Tspan.with_span ~name:"lp" @@ fun () ->
+  let lp = ref (zero_lp (Problem.engine problem)) in
+  let rec go budget =
+    let status, assignment = solve problem in
+    lp := fold_lp !lp (Problem.last_info problem);
+    let solved = match status with Problem.Solved _ -> true | _ -> false in
+    if budget = 0 || not solved then (status, assignment)
+    else
+      match pick_pin config table assignment with
+      | None -> (status, assignment)
+      | Some (v, _) ->
+        pin v;
+        go (budget - 1)
+  in
+  let status, assignment = go 25 in
+  Tspan.add_attr "solves" (Tspan.Int !lp.lp_solves);
+  Tspan.add_attr "pivots" (Tspan.Int !lp.lp_pivots);
+  (status, assignment, !lp)
+
+(* Shared tail of both solve paths: verdicts, stats, telemetry.  The
+   round's wall-clock splits at [t_encoded] (LP built) and [t_solved]
+   (rounded solve done). *)
 let finish (config : Config.t) obs problem table ~num_windows ~lp ~previous
-    ~t_start status assignment =
-  let module Tspan = Sherlock_telemetry.Span in
+    ~t_start ~t_encoded ~t_solved status assignment =
+  let module Tm = Sherlock_telemetry.Metrics in
   let objective = match status with Problem.Solved obj -> obj | _ -> nan in
   let degraded = match status with Problem.Solved _ -> false | _ -> true in
   let verdicts =
@@ -314,8 +366,13 @@ let finish (config : Config.t) obs problem table ~num_windows ~lp ~previous
     else []
   in
   let solve_s = Unix.gettimeofday () -. t_start in
+  let encode_s = t_encoded -. t_start and lp_s = t_solved -. t_encoded in
   let acc = Observations.metrics obs in
   acc.solve_s <- acc.solve_s +. solve_s;
+  if Tm.enabled () then begin
+    Tm.Histogram.observe (Tm.histogram "encoder.encode_s") encode_s;
+    Tm.Histogram.observe (Tm.histogram "encoder.lp_s") lp_s
+  end;
   Tspan.add_attr "vars" (Tspan.Int (Problem.num_vars problem));
   Tspan.add_attr "windows" (Tspan.Int num_windows);
   Tspan.add_attr "verdicts" (Tspan.Int (List.length verdicts));
@@ -328,17 +385,50 @@ let finish (config : Config.t) obs problem table ~num_windows ~lp ~previous
       num_windows;
       objective;
       solve_s;
+      encode_s;
+      lp_s;
       degraded;
       lp;
       trace = Metrics.copy acc;
       evidence;
     } )
 
+(* The data-driven objective costs of every candidate variable, shared
+   by both solve paths.  Each variable receives its terms in a fixed
+   order — the tie-break, then Synchronizations are Rare (Equations 3
+   and 4), then Acquisition-Time Mostly Varies (Equation 5: penalize
+   begin^acq of methods whose duration varies little compared to the
+   others) — so its summed coefficient has the same bits on either path.
+   Occurrence averages and duration percentiles are tabulated once per
+   call, keeping the whole pass linear in the observations. *)
+let add_data_costs (config : Config.t) obs table add =
+  let lambda = config.lambda in
+  let avg_occurrence =
+    if config.use_rare then Observations.avg_occurrences obs else fun _ -> 0.0
+  in
+  let cv_percentile =
+    if config.use_variation then
+      Durations.cv_percentiles (Observations.durations obs)
+    else fun _ -> 0.0
+  in
+  Hashtbl.iter
+    (fun ((op : Opid.t), role) { var; tie } ->
+      add var tie;
+      if config.use_rare then begin
+        let rare = config.rare_coeff *. avg_occurrence op in
+        add var (lambda *. (1.0 +. rare))
+      end;
+      if config.use_variation && role = Acquire && op.kind = Opid.Begin then begin
+        let coeff = lambda *. (1.0 -. cv_percentile (Opid.method_key op)) in
+        if coeff > 0.0 then add var coeff
+      end)
+    table
+
 (* ------------------------------------------------------------------ *)
 (* One-shot path: rebuild the whole LP from the observations.  Used
    when warm starts are off and as the reference for equivalence tests. *)
 
-let solve_oneshot (config : Config.t) obs previous t_start =
+let encode_oneshot (config : Config.t) obs =
   let problem = Problem.create () in
   Problem.set_engine problem config.lp_engine;
   Problem.set_capture_duals problem config.provenance;
@@ -377,36 +467,13 @@ let solve_oneshot (config : Config.t) obs previous t_start =
         term Acquire w.acq "acq")
       windows;
   let lambda = config.lambda in
-  Hashtbl.iter
-    (fun (op, role) v ->
-      Problem.add_objective problem (Linexpr.var ~coeff:(tie_cost op role) v))
-    vars.table;
-  (* Synchronizations are Rare (Equations 3 and 4). *)
-  if config.use_rare then
-    Hashtbl.iter
-      (fun (op, _role) v ->
-        let rare = config.rare_coeff *. Observations.avg_occurrence obs op in
-        Problem.add_objective problem (Linexpr.var ~coeff:(lambda *. (1.0 +. rare)) v))
-      vars.table;
-  (* Acquisition-Time Mostly Varies (Equation 5): penalize begin^acq of
-     methods whose duration varies little compared to the others. *)
-  if config.use_variation then begin
-    let durs = Observations.durations obs in
-    Hashtbl.iter
-      (fun ((op : Opid.t), role) v ->
-        if role = Acquire && op.kind = Opid.Begin then begin
-          let pct = Durations.cv_percentile durs (Opid.method_key op) in
-          let coeff = lambda *. (1.0 -. pct) in
-          if coeff > 0.0 then Problem.add_objective problem (Linexpr.var ~coeff v)
-        end)
-      vars.table
-  end;
+  add_data_costs config obs vars.table (Problem.add_objective_term problem);
   (* Mostly Paired (Equations 6 and 7). *)
   if config.use_paired then begin
     (* Per-class method balance. *)
     let by_class : (string, Linexpr.t ref) Hashtbl.t = Hashtbl.create 16 in
     Hashtbl.iter
-      (fun ((op : Opid.t), role) v ->
+      (fun ((op : Opid.t), role) { var = v; _ } ->
         if Opid.is_frame op then begin
           let signed =
             match role with
@@ -433,7 +500,7 @@ let solve_oneshot (config : Config.t) obs previous t_start =
       (fun read_op ->
         let write_op = { read_op with kind = Opid.Write } in
         let term op role sign =
-          match Hashtbl.find_opt vars.table (op, role) with
+          match find_var vars.table op role with
           | Some v -> Linexpr.var ~coeff:sign v
           | None -> Linexpr.zero
         in
@@ -458,8 +525,7 @@ let solve_oneshot (config : Config.t) obs previous t_start =
       (fun begin_op ->
         let end_op = { begin_op with kind = Opid.End } in
         match
-          ( Hashtbl.find_opt vars.table (begin_op, Acquire),
-            Hashtbl.find_opt vars.table (end_op, Release) )
+          (find_var vars.table begin_op Acquire, find_var vars.table end_op Release)
         with
         | Some b, Some e ->
           let sum = Linexpr.add (Linexpr.var b) (Linexpr.var e) in
@@ -475,27 +541,21 @@ let solve_oneshot (config : Config.t) obs previous t_start =
         | _ -> ())
       !methods
   end;
-  (* The LP relaxation occasionally leaves a tie split fractionally (for
-     example 0.5/0.5 across a Single-Role pair), which the paper's
-     "variables assigned 1" reading would silently drop.  Round by
-     repeatedly pinning the largest fractional variable to 1 and
-     re-solving — a cheap branch-free integrality repair. *)
-  let lp = ref (zero_lp (Problem.engine problem)) in
-  let rec solve_rounded budget =
-    let status, assignment = Problem.solve problem in
-    lp := fold_lp !lp (Problem.last_info problem);
-    let solved = match status with Problem.Solved _ -> true | _ -> false in
-    if budget = 0 || not solved then (status, assignment)
-    else
-      match pick_pin config vars.table assignment with
-      | None -> (status, assignment)
-      | Some (v, _) ->
-        Problem.add_ge ~tag:"pin" problem (Linexpr.var v) 1.0;
-        solve_rounded (budget - 1)
+  note_objective problem;
+  (vars, List.length windows)
+
+let solve_oneshot (config : Config.t) obs previous t_start =
+  let vars, num_windows =
+    Tspan.with_span ~name:"encode" (fun () -> encode_oneshot config obs)
   in
-  let status, assignment = solve_rounded 25 in
-  finish config obs problem vars.table ~num_windows:(List.length windows)
-    ~lp:!lp ~previous ~t_start status assignment
+  let problem = vars.problem in
+  let t_encoded = Unix.gettimeofday () in
+  let status, assignment, lp =
+    solve_rounded config problem vars.table ~solve:Problem.solve
+      ~pin:(fun v -> Problem.add_ge ~tag:"pin" problem (Linexpr.var v) 1.0)
+  in
+  finish config obs problem vars.table ~num_windows ~lp ~previous ~t_start
+    ~t_encoded ~t_solved:(Unix.gettimeofday ()) status assignment
 
 (* ------------------------------------------------------------------ *)
 (* Incremental path: a [state] keeps the LP, the variable table, and
@@ -527,11 +587,12 @@ type state = {
       (* window id -> (release hinge, acquire hinge) *)
   mutable s_nwin : int;  (* windows encoded so far (watermark) *)
   mutable s_merged : int;
-  mutable s_class_abs : (string, string * Problem.var) Hashtbl.t;
-      (* class -> (term signature, abs var); a new method variable
-         changes the signature and allocates a fresh abs var — the old
-         one keeps its rows but drops out of the objective *)
-  mutable s_field_abs : (string, string * Problem.var) Hashtbl.t;
+  mutable s_class_abs : (string, (Problem.var * float) list * Problem.var) Hashtbl.t;
+      (* class -> (sorted balance terms, abs var); a new method variable
+         changes the terms and allocates a fresh abs var — the old one
+         keeps its rows but drops out of the objective *)
+  mutable s_field_abs :
+    (string, (Problem.var * float) list * Problem.var) Hashtbl.t;
   mutable s_single : (string, Problem.var option) Hashtbl.t;
       (* method key -> soft-mode hinge ([None] = hard constraint added) *)
 }
@@ -639,12 +700,8 @@ let sync_paired st =
   let { problem; table } = st.s_vars in
   let refresh cache name terms =
     let terms = List.sort compare terms in
-    let sigstr =
-      String.concat ";"
-        (List.map (fun (v, s) -> Printf.sprintf "%d:%g" v s) terms)
-    in
     match Hashtbl.find_opt cache name with
-    | Some (old_sig, _) when String.equal old_sig sigstr -> ()
+    | Some (old_terms, _) when old_terms = terms -> ()
     | _ ->
       let expr =
         List.fold_left
@@ -652,14 +709,14 @@ let sync_paired st =
           Linexpr.zero terms
       in
       let a = Problem.abs_var problem name expr in
-      Hashtbl.replace cache name (sigstr, a)
+      Hashtbl.replace cache name (terms, a)
   in
   (* Per-class method balance. *)
   let by_class : (string, (Problem.var * float) list ref) Hashtbl.t =
     Hashtbl.create 16
   in
   Hashtbl.iter
-    (fun ((op : Opid.t), role) v ->
+    (fun ((op : Opid.t), role) { var = v; _ } ->
       if Opid.is_frame op then begin
         let signed = (v, match role with Acquire -> 1.0 | Release -> -1.0) in
         match Hashtbl.find_opt by_class op.cls with
@@ -681,7 +738,7 @@ let sync_paired st =
     (fun read_op ->
       let write_op = { read_op with kind = Opid.Write } in
       let term op role sign acc =
-        match Hashtbl.find_opt table (op, role) with
+        match find_var table op role with
         | Some v -> (v, sign) :: acc
         | None -> acc
       in
@@ -704,10 +761,7 @@ let sync_single st (config : Config.t) =
       let key = Opid.method_key begin_op in
       if not (Hashtbl.mem st.s_single key) then begin
         let end_op = { begin_op with kind = Opid.End } in
-        match
-          ( Hashtbl.find_opt table (begin_op, Acquire),
-            Hashtbl.find_opt table (end_op, Release) )
-        with
+        match (find_var table begin_op Acquire, find_var table end_op Release) with
         | Some b, Some e ->
           let sum = Linexpr.add (Linexpr.var b) (Linexpr.var e) in
           if config.single_role_soft then begin
@@ -733,38 +787,23 @@ let sync_single st (config : Config.t) =
 let build_objective st (config : Config.t) obs wt =
   let { problem; table } = st.s_vars in
   let lambda = config.lambda in
-  let acc = ref Linexpr.zero in
-  let addv ?coeff v = acc := Linexpr.add !acc (Linexpr.var ?coeff v) in
-  Hashtbl.iter (fun h w -> if w > 0.0 then addv ~coeff:w h) wt;
-  Hashtbl.iter (fun (op, role) v -> addv ~coeff:(tie_cost op role) v) table;
-  if config.use_rare then
-    Hashtbl.iter
-      (fun (op, _role) v ->
-        let rare = config.rare_coeff *. Observations.avg_occurrence obs op in
-        addv ~coeff:(lambda *. (1.0 +. rare)) v)
-      table;
-  if config.use_variation then begin
-    let durs = Observations.durations obs in
-    Hashtbl.iter
-      (fun ((op : Opid.t), role) v ->
-        if role = Acquire && op.kind = Opid.Begin then begin
-          let pct = Durations.cv_percentile durs (Opid.method_key op) in
-          let coeff = lambda *. (1.0 -. pct) in
-          if coeff > 0.0 then addv ~coeff v
-        end)
-      table
-  end;
+  let add = Problem.add_objective_term problem in
+  Problem.set_objective problem Linexpr.zero;
+  Hashtbl.iter (fun h w -> if w > 0.0 then add h w) wt;
+  add_data_costs config obs table add;
   if config.use_paired then begin
-    Hashtbl.iter (fun _ (_, a) -> addv ~coeff:lambda a) st.s_class_abs;
-    Hashtbl.iter (fun _ (_, a) -> addv ~coeff:lambda a) st.s_field_abs
+    Hashtbl.iter (fun _ (_, a) -> add a lambda) st.s_class_abs;
+    Hashtbl.iter (fun _ (_, a) -> add a lambda) st.s_field_abs
   end;
   if config.use_single_role && config.single_role_soft then
     Hashtbl.iter
-      (fun _ h -> match h with Some h -> addv ~coeff:lambda h | None -> ())
-      st.s_single;
-  Problem.set_objective problem !acc
+      (fun _ h -> match h with Some h -> add h lambda | None -> ())
+      st.s_single
 
-let solve_warm st (config : Config.t) obs previous t_start =
+(* Bring the live LP up to date with the observations: new windows,
+   balance terms, single-role rows, and this round's objective.  Returns
+   the active (non-racy) window count. *)
+let encode_warm st (config : Config.t) obs =
   (match st.s_obs with
   | Some o when o == obs -> ()
   | _ ->
@@ -772,38 +811,36 @@ let solve_warm st (config : Config.t) obs previous t_start =
        encoding describes different data — start over. *)
     reset_state st config;
     st.s_obs <- Some obs);
-  let problem = st.s_vars.problem in
-  let table = st.s_vars.table in
-  Problem.set_capture_duals problem config.provenance;
+  Problem.set_capture_duals st.s_vars.problem config.provenance;
   sync_windows st config obs;
   if config.use_paired then sync_paired st;
   if config.use_single_role then sync_single st config;
   let wt, num_windows = hinge_weights st config obs in
   build_objective st config obs wt;
-  let lp = ref { (zero_lp (Problem.engine problem)) with lp_merged_sides = st.s_merged } in
-  let pins = ref [] in
-  let rec solve_rounded budget =
-    let status, assignment = Problem.solve_incremental problem in
-    lp := fold_lp !lp (Problem.last_info problem);
-    let solved = match status with Problem.Solved _ -> true | _ -> false in
-    if budget = 0 || not solved then (status, assignment)
-    else
-      match pick_pin config table assignment with
-      | None -> (status, assignment)
-      | Some (v, _) ->
-        let row = Problem.add_ge_row ~tag:"pin" problem (Linexpr.var v) 1.0 in
-        pins := row :: !pins;
-        solve_rounded (budget - 1)
+  note_objective st.s_vars.problem;
+  num_windows
+
+let solve_warm st (config : Config.t) obs previous t_start =
+  let num_windows =
+    Tspan.with_span ~name:"encode" (fun () -> encode_warm st config obs)
   in
-  let status, assignment = solve_rounded 25 in
+  let { problem; table } = st.s_vars in
+  let t_encoded = Unix.gettimeofday () in
+  let pins = ref [] in
+  let status, assignment, lp =
+    solve_rounded config problem table ~solve:Problem.solve_incremental
+      ~pin:(fun v ->
+        pins := Problem.add_ge_row ~tag:"pin" problem (Linexpr.var v) 1.0 :: !pins)
+  in
   (* Pins are one round's integrality repair, not evidence: relax them to
      the vacuous [x >= 0] so they never constrain later rounds. *)
   List.iter (fun row -> Problem.set_row_rhs problem row 0.0) !pins;
-  finish config obs problem table ~num_windows ~lp:!lp ~previous ~t_start
-    status assignment
+  finish config obs problem table ~num_windows
+    ~lp:{ lp with lp_merged_sides = st.s_merged }
+    ~previous ~t_start ~t_encoded ~t_solved:(Unix.gettimeofday ()) status
+    assignment
 
 let solve ?state ?(previous = []) (config : Config.t) obs =
-  let module Tspan = Sherlock_telemetry.Span in
   Tspan.with_span ~name:"solve" @@ fun () ->
   let t_start = Unix.gettimeofday () in
   match state with

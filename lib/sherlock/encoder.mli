@@ -25,7 +25,15 @@
     across calls: round k+1 appends only the windows added since round k
     (hinge rows for already-seen sides are shared, with weights summed),
     rebuilds the objective with recomputed weights, and warm-starts the
-    simplex from round k's optimal basis. *)
+    simplex from round k's optimal basis.  Both paths assemble the
+    objective in time linear in the observations (see DESIGN.md,
+    "Per-round objective assembly").
+
+    Telemetry: each call is a [solve] span with two children, [encode]
+    (carrying [objective_terms]) and [lp] (carrying [solves] and
+    [pivots]); with the metrics registry enabled, their wall-clocks are
+    also observed as the [encoder.encode_s] and [encoder.lp_s]
+    histograms. *)
 
 (** LP-engine counters aggregated over one round's simplex calls (the
     base solve plus each rounding-pin re-solve). *)
@@ -58,6 +66,12 @@ type solve_stats = {
   num_windows : int;
   objective : float;  (** [nan] when degraded *)
   solve_s : float;  (** wall-clock of this LP build + solve *)
+  encode_s : float;
+      (** the part of [solve_s] spent building or updating the LP and
+          its objective *)
+  lp_s : float;
+      (** the part of [solve_s] spent in the simplex, rounding re-solves
+          included *)
   degraded : bool;
       (** the LP came back infeasible / unbounded / aborted and the
           returned verdicts are the carried-over [previous] ones *)

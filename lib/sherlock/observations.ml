@@ -153,20 +153,33 @@ let runs t = t.nruns
 
 let metrics t = t.metrics
 
-let avg_occurrence t op =
-  let total, count =
-    Hashtbl.fold
-      (fun _ r (total, count) ->
-        let w = !r in
-        let tally side (total, count) =
-          match Opid.Map.find_opt op side with
-          | Some n -> (total + (n * w.weight), count + w.weight)
-          | None -> (total, count)
-        in
-        tally w.rel (tally w.acq (total, count)))
-      t.merged (0, 0)
-  in
-  if count = 0 then 0.0 else float_of_int total /. float_of_int count
+type tally = {
+  mutable total : int;
+  mutable count : int;
+}
+
+(* One pass over the merged windows tabulates every op's dynamic-instance
+   total and window count, so a round's rare terms cost O(window sides)
+   instead of one full fold per candidate op.  Integer sums, so the
+   averages do not depend on visiting order. *)
+let avg_occurrences t =
+  let tallies : (Opid.t, tally) Hashtbl.t = Hashtbl.create 64 in
+  for i = 0 to t.nmerged - 1 do
+    let w = !(t.order.(i)) in
+    let bump op n =
+      match Hashtbl.find_opt tallies op with
+      | Some c ->
+        c.total <- c.total + (n * w.weight);
+        c.count <- c.count + w.weight
+      | None -> Hashtbl.add tallies op { total = n * w.weight; count = w.weight }
+    in
+    Opid.Map.iter bump w.rel;
+    Opid.Map.iter bump w.acq
+  done;
+  fun op ->
+    match Hashtbl.find_opt tallies op with
+    | Some c when c.count > 0 -> float_of_int c.total /. float_of_int c.count
+    | _ -> 0.0
 
 let candidate_count t =
   let ops = ref Opid.Set.empty in

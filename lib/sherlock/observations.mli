@@ -83,9 +83,13 @@ val metrics : t -> Metrics.t
 (** Accumulated trace/extraction counters over every log folded in.
     Mutable: callers wanting a snapshot should {!Metrics.copy} it. *)
 
-val avg_occurrence : t -> Opid.t -> float
-(** Average number of dynamic instances of the op per window in which it
-    appears (on either side) — the input to the rare term (Equation 4). *)
+val avg_occurrences : t -> Opid.t -> float
+(** [avg_occurrences t] tabulates the current windows once and returns
+    the lookup: the average number of dynamic instances of an op per
+    window in which it appears (on either side, weighted by window
+    multiplicity; 0 for an op in no window) — the input to the rare
+    term (Equation 4).  The table is a snapshot: windows added later are
+    not reflected. *)
 
 val candidate_count : t -> int
 (** Distinct candidate operations across all windows. *)

@@ -62,6 +62,14 @@ let cv t key = Sherlock_util.Stats.coefficient_of_variation (samples t key)
 
 let methods t = Hashtbl.fold (fun k _ acc -> k :: acc) t.samples []
 
-let cv_percentile t key =
-  let all = List.map (fun k -> cv t k) (methods t) in
-  Sherlock_util.Stats.percentile_rank all (cv t key)
+(* Every method's CV is computed once per call, not once per ranked key. *)
+let cv_percentiles t =
+  let cvs = Hashtbl.create (Hashtbl.length t.samples) in
+  Hashtbl.iter
+    (fun k r ->
+      Hashtbl.replace cvs k (Sherlock_util.Stats.coefficient_of_variation !r))
+    t.samples;
+  let all = Hashtbl.fold (fun _ c acc -> c :: acc) cvs [] in
+  fun key ->
+    let c = match Hashtbl.find_opt cvs key with Some c -> c | None -> cv t key in
+    Sherlock_util.Stats.percentile_rank all c

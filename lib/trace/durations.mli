@@ -29,9 +29,11 @@ val samples : t -> string -> float list
 val cv : t -> string -> float
 (** Coefficient of variation of the method's durations; 0 if unseen. *)
 
-val cv_percentile : t -> string -> float
-(** Percentile rank of this method's CV among all methods seen, in
-    [\[0,1\]] — the paper's [percentile(CV(duration(m)))]. *)
+val cv_percentiles : t -> string -> float
+(** [cv_percentiles t] computes every method's CV once and returns the
+    lookup: the percentile rank of a method's CV among all methods seen,
+    in [\[0,1\]] — the paper's [percentile(CV(duration(m)))].  The CVs
+    are a snapshot: samples added later are not reflected. *)
 
 val methods : t -> string list
 (** All method keys with at least one complete sample. *)

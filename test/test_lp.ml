@@ -281,6 +281,98 @@ let prop_linexpr_add_commutes =
       let assign v = float_of_int (v + 1) in
       abs_float (Linexpr.eval assign a -. Linexpr.eval assign b) < 1e-9)
 
+(* --- Objective accumulation --- *)
+
+(* The problem keeps its objective as one coefficient per variable; it
+   must match [Linexpr.sum] of the same terms bit for bit. *)
+let bits_terms terms = List.map (fun (v, c) -> (v, Int64.bits_of_float c)) terms
+
+let objective_bits p =
+  (bits_terms (Problem.objective_terms p), Int64.bits_of_float (Problem.objective_constant p))
+
+let linexpr_bits e =
+  (bits_terms (Linexpr.terms e), Int64.bits_of_float (Linexpr.constant e))
+
+let check_objective msg e p =
+  check
+    Alcotest.(pair (list (pair int int64)) int64)
+    msg (linexpr_bits e) (objective_bits p)
+
+let test_objective_set_resets () =
+  let p = Problem.create () in
+  Problem.add_objective p Linexpr.(add (var ~coeff:2.0 0) (const 5.0));
+  Problem.add_objective p (Linexpr.var ~coeff:3.0 7);
+  let e = Linexpr.(add (var ~coeff:0.5 3) (const 1.0)) in
+  Problem.set_objective p e;
+  check_objective "terms and constant replaced" e p
+
+let test_objective_add_after_set () =
+  let p = Problem.create () in
+  Problem.add_objective p (Linexpr.var ~coeff:9.0 1);
+  Problem.set_objective p Linexpr.(add (var 0) (const 2.0));
+  Problem.add_objective p Linexpr.(add (var ~coeff:0.25 0) (var 4));
+  Problem.add_objective_term p 2 1.5;
+  check_objective "accumulated"
+    Linexpr.(
+      sum [ add (var 0) (const 2.0); add (var ~coeff:0.25 0) (var 4); var ~coeff:1.5 2 ])
+    p
+
+let test_objective_zero_dropped () =
+  let p = Problem.create () in
+  Problem.add_objective_term p 3 0.1;
+  Problem.add_objective_term p 5 1.0;
+  Problem.add_objective_term p 3 (-0.1);
+  check Alcotest.(list int) "cancelled var dropped" [ 5 ]
+    (List.map fst (Problem.objective_terms p))
+
+let test_objective_grows () =
+  let p = Problem.create () in
+  Problem.add_objective_term p 1000 2.0;
+  Problem.add_objective_term p 17 1.0;
+  check Alcotest.(list (pair int (float 0.0))) "far ids kept"
+    [ (17, 1.0); (1000, 2.0) ]
+    (Problem.objective_terms p)
+
+let test_objective_ascending () =
+  let p = Problem.create () in
+  List.iter (fun v -> Problem.add_objective_term p v 1.0) [ 9; 2; 5; 0 ];
+  check Alcotest.(list int) "ascending" [ 0; 2; 5; 9 ]
+    (List.map fst (Problem.objective_terms p))
+
+(* Random term lists, including exact cancellations, ids past the initial
+   capacity, and a reset part-way through. *)
+let prop_objective_matches_linexpr =
+  let gen_expr =
+    QCheck.Gen.(
+      let* terms =
+        list_size (int_range 0 4)
+          (pair
+             (oneof [ int_range 0 10; int_range 0 100 ])
+             (oneof [ float_range (-3.) 3.; oneofl [ 1.0; -1.0; 0.1; 0.0 ] ]))
+      in
+      let* c = oneof [ float_range (-2.) 2.; return 0.0 ] in
+      return (terms, c))
+  in
+  let to_expr (terms, c) =
+    List.fold_left
+      (fun acc (v, k) -> Linexpr.add acc (Linexpr.var ~coeff:k v))
+      (Linexpr.const c) terms
+  in
+  QCheck.Test.make ~name:"array objective matches Linexpr.sum" ~count:300
+    (QCheck.make
+       QCheck.Gen.(
+         triple
+           (list_size (int_range 0 12) gen_expr)
+           (list_size (int_range 0 12) gen_expr)
+           bool))
+    (fun (before, after, reset) ->
+      let p = Problem.create () in
+      List.iter (fun e -> Problem.add_objective p (to_expr e)) before;
+      if reset then Problem.set_objective p Linexpr.zero;
+      List.iter (fun e -> Problem.add_objective p (to_expr e)) after;
+      let exprs = List.map to_expr ((if reset then [] else before) @ after) in
+      linexpr_bits (Linexpr.sum exprs) = objective_bits p)
+
 (* --- Presolve --- *)
 
 let test_presolve_duplicate_hinge () =
@@ -840,6 +932,13 @@ let () =
           Alcotest.test_case "names" `Quick test_problem_names;
           Alcotest.test_case "equality" `Quick test_problem_eq;
           Alcotest.test_case "constant folding" `Quick test_problem_constant_folding;
+          Alcotest.test_case "objective set resets" `Quick test_objective_set_resets;
+          Alcotest.test_case "objective add after set" `Quick
+            test_objective_add_after_set;
+          Alcotest.test_case "objective zero dropped" `Quick
+            test_objective_zero_dropped;
+          Alcotest.test_case "objective grows" `Quick test_objective_grows;
+          Alcotest.test_case "objective ascending" `Quick test_objective_ascending;
         ] );
       ( "presolve",
         [
@@ -884,6 +983,6 @@ let () =
           [
             prop_solution_feasible; prop_zero_optimum; prop_hinge_exact;
             prop_abs_exact; prop_linexpr_add_commutes; prop_engines_agree;
-            prop_warm_matches_oneshot;
+            prop_warm_matches_oneshot; prop_objective_matches_linexpr;
           ] );
     ]

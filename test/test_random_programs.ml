@@ -152,6 +152,20 @@ let prop_inference_respects_roles =
           | _ -> false)
         result.final)
 
+let prop_tables_match_oracles =
+  QCheck.Test.make
+    ~name:"occurrence and CV-rank tables match oracles on random programs"
+    ~count:25 arb_spec
+    (fun spec ->
+      let subject =
+        {
+          Orchestrator.subject_name = "random";
+          tests = [ ("t", interpret ~locked:true spec) ];
+        }
+      in
+      let result = Orchestrator.infer ~config:Config.default subject in
+      fst (Oracles.table_mismatches result.observations) = [])
+
 let prop_windows_total_on_real_traces =
   QCheck.Test.make ~name:"window extraction sides are explicable on real traces"
     ~count:60 arb_spec
@@ -175,6 +189,7 @@ let () =
             prop_manual_model_silent_on_locked;
             prop_detector_finds_planted_race;
             prop_inference_respects_roles;
+            prop_tables_match_oracles;
             prop_windows_total_on_real_traces;
           ] );
     ]

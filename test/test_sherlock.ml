@@ -48,7 +48,22 @@ let test_observations_avg_occurrence () =
   let log = mklog [ ev 10 0 wf; ev 20 1 rf; ev 30 1 rf ] in
   let obs = obs_of_logs [ log ] in
   (* Window 1 (ends @20): rf x1; window 2 (ends @30): rf x2. *)
-  check (Alcotest.float 1e-9) "avg" 1.5 (Observations.avg_occurrence obs rf)
+  check (Alcotest.float 1e-9) "avg" 1.5 (Observations.avg_occurrences obs rf);
+  check (Alcotest.float 0.0) "oracle" (Oracles.avg_occurrence obs rf)
+    (Observations.avg_occurrences obs rf)
+
+(* The per-round occurrence and CV-rank tables agree bit for bit with the
+   naive per-op / per-key oracles on every corpus app's observations
+   after the default three rounds. *)
+let test_tables_match_oracles_corpus () =
+  List.iter
+    (fun (app : Sherlock_corpus.App.t) ->
+      let config = { Config.default with parallelism = 1 } in
+      let r = Orchestrator.infer ~config (Sherlock_corpus.App.subject app) in
+      let bad, compared = Oracles.table_mismatches r.observations in
+      check Alcotest.(list string) (app.id ^ ": mismatches") [] bad;
+      check Alcotest.bool (app.id ^ ": compared some") true (compared > 2))
+    (Sherlock_corpus.Registry.all ())
 
 let test_observations_candidate_count () =
   let log = mklog [ ev 10 0 wf; ev 50 1 rf ] in
@@ -704,6 +719,8 @@ let () =
           Alcotest.test_case "merge identical windows" `Quick test_observations_merge;
           Alcotest.test_case "races accumulate" `Quick test_observations_race_accumulates;
           Alcotest.test_case "avg occurrence" `Quick test_observations_avg_occurrence;
+          Alcotest.test_case "tables match oracles on corpus" `Quick
+            test_tables_match_oracles_corpus;
           Alcotest.test_case "candidate count" `Quick test_observations_candidate_count;
         ] );
       ( "encoder",

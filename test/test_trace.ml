@@ -176,8 +176,29 @@ let test_durations_cv_percentile () =
   Durations.record_log d (mk "C" "flat" [ (0, 10); (100, 110); (200, 210) ]);
   Durations.record_log d (mk "C" "vary" [ (0, 10); (300, 500); (1000, 1002) ]);
   check Alcotest.bool "vary has higher cv" true (Durations.cv d "C::vary" > Durations.cv d "C::flat");
-  check Alcotest.bool "vary top percentile" true
-    (Durations.cv_percentile d "C::vary" > Durations.cv_percentile d "C::flat")
+  let pct = Durations.cv_percentiles d in
+  check Alcotest.bool "vary top percentile" true (pct "C::vary" > pct "C::flat")
+
+(* Per-round CV ranks agree bit for bit with the per-key oracle, over
+   random sample sets (ties, zero-mean methods, singletons included) and
+   for a method with no samples. *)
+let prop_cv_percentiles_match_oracle =
+  QCheck.Test.make ~name:"cv percentiles match per-key oracle" ~count:200
+    (QCheck.make
+       QCheck.Gen.(
+         list_size (int_range 0 12)
+           (pair (int_range 0 6)
+              (oneof [ float_range 0.0 500.0; oneofl [ 0.0; 10.0; 20.0 ] ]))))
+    (fun samples ->
+      let d = Durations.create () in
+      Durations.add_samples d
+        (List.map (fun (m, x) -> (Printf.sprintf "C::m%d" m, x)) samples);
+      let pct = Durations.cv_percentiles d in
+      List.for_all
+        (fun key ->
+          Int64.bits_of_float (pct key)
+          = Int64.bits_of_float (Oracles.cv_percentile d key))
+        (Oracles.unseen_method :: Durations.methods d))
 
 (* --- Windows --- *)
 
@@ -1040,6 +1061,7 @@ let () =
           Alcotest.test_case "delayed frames skipped" `Quick
             test_durations_skip_delayed_frames;
           Alcotest.test_case "cv percentile" `Quick test_durations_cv_percentile;
+          QCheck_alcotest.to_alcotest prop_cv_percentiles_match_oracle;
         ] );
       ( "windows",
         [
