@@ -1294,7 +1294,7 @@ let extract_par () =
   let cache_rate =
     if hits + misses = 0 then 0.0 else float hits /. float (hits + misses)
   in
-  let side_eq a b = Opid.Map.bindings a = Opid.Map.bindings b in
+  let side_eq a b = Windows.Side.bindings a = Windows.Side.bindings b in
   let window_eq (a : Windows.t) (b : Windows.t) =
     a.pair = b.pair && a.field = b.field && side_eq a.rel b.rel
     && side_eq a.acq b.acq && a.coord = b.coord

@@ -129,7 +129,7 @@ let var_of vars op role =
    §4.2, "we always only subtract its corresponding probability variable
    once"). *)
 let side_sum config vars side role =
-  Opid.Map.fold
+  Windows.Side.fold
     (fun op _count acc ->
       if role_ok config op role then Linexpr.add acc (Linexpr.var (var_of vars op role))
       else acc)
@@ -138,7 +138,7 @@ let side_sum config vars side role =
 (* The variable set of a side's sum (all coefficients are 1), used to
    recognize two window sides that produce the identical hinge row. *)
 let side_key config vars side role =
-  Opid.Map.fold
+  Windows.Side.fold
     (fun op _count acc ->
       if role_ok config op role then var_of vars op role :: acc else acc)
     side []
@@ -238,7 +238,7 @@ let capture_evidence (config : Config.t) obs problem table verdicts assignment
         not (config.use_race_removal && Observations.is_racy_pair obs w.pair)
       then begin
         let side = match role with Release -> w.rel | Acquire -> w.acq in
-        match Opid.Map.find_opt op side with
+        match Windows.Side.find_opt op side with
         | Some count ->
           acc :=
             {
@@ -445,8 +445,8 @@ let encode_oneshot (config : Config.t) obs =
   let candidates = ref Opid.Set.empty in
   List.iter
     (fun (w : Observations.merged_window) ->
-      Opid.Map.iter (fun op _ -> candidates := Opid.Set.add op !candidates) w.rel;
-      Opid.Map.iter (fun op _ -> candidates := Opid.Set.add op !candidates) w.acq)
+      Windows.Side.iter (fun op _ -> candidates := Opid.Set.add op !candidates) w.rel;
+      Windows.Side.iter (fun op _ -> candidates := Opid.Set.add op !candidates) w.acq)
     windows;
   Opid.Set.iter
     (fun op -> List.iter (fun role -> ignore (var_of vars op role)) (feasible_roles config op))
@@ -624,7 +624,7 @@ let reset_state st (config : Config.t) =
 
 let register_candidates config vars (w : Observations.merged_window) =
   let reg side =
-    Opid.Map.iter
+    Windows.Side.iter
       (fun op _ ->
         List.iter (fun role -> ignore (var_of vars op role)) (feasible_roles config op))
       side

@@ -13,11 +13,14 @@ type merged_window = {
 
 let max_coords = 8
 
+(* Merge identity: the pair and both sides themselves.  Sides are
+   canonical sorted arrays, so structural equality and [Hashtbl.hash] on
+   them are multiset equality and a consistent hash — no per-window copy
+   into binding lists. *)
 module Key = struct
-  type t = (Opid.t * Opid.t) * (Opid.t * int) list * (Opid.t * int) list
+  type t = (Opid.t * Opid.t) * Windows.side * Windows.side
 
-  let of_window (w : Windows.t) =
-    (w.pair, Opid.Map.bindings w.rel, Opid.Map.bindings w.acq)
+  let of_window (w : Windows.t) = (w.pair, w.rel, w.acq)
 end
 
 type t = {
@@ -54,8 +57,8 @@ let create () =
             {
               pair = (z, z);
               field = "";
-              rel = Opid.Map.empty;
-              acq = Opid.Map.empty;
+              rel = Windows.Side.empty;
+              acq = Windows.Side.empty;
               weight = 0;
               coords = [];
             }));
@@ -173,8 +176,8 @@ let avg_occurrences t =
         c.count <- c.count + w.weight
       | None -> Hashtbl.add tallies op { total = n * w.weight; count = w.weight }
     in
-    Opid.Map.iter bump w.rel;
-    Opid.Map.iter bump w.acq
+    Windows.Side.iter bump w.rel;
+    Windows.Side.iter bump w.acq
   done;
   fun op ->
     match Hashtbl.find_opt tallies op with
@@ -186,7 +189,7 @@ let candidate_count t =
   Hashtbl.iter
     (fun _ r ->
       let w = !r in
-      Opid.Map.iter (fun op _ -> ops := Opid.Set.add op !ops) w.rel;
-      Opid.Map.iter (fun op _ -> ops := Opid.Set.add op !ops) w.acq)
+      Windows.Side.iter (fun op _ -> ops := Opid.Set.add op !ops) w.rel;
+      Windows.Side.iter (fun op _ -> ops := Opid.Set.add op !ops) w.acq)
     t.merged;
   Opid.Set.cardinal !ops

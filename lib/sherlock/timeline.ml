@@ -36,51 +36,18 @@ let thread_meta ~pid (t : test_timeline) =
       ])
     names
 
-(* Method frames, replayed from the Begin/End events with the same
-   per-thread stack discipline as [Windows.frame_spans]; frames still open
-   at the end of the log are closed at its duration. *)
+(* Method frames as matched by {!Log.fold_frames}; frames still open at the
+   end of the log are closed at its duration. *)
 let frame_events ~pid (t : test_timeline) =
-  let stacks : (int, (Opid.t * int) list ref) Hashtbl.t = Hashtbl.create 8 in
-  let slot tid =
-    match Hashtbl.find_opt stacks tid with
-    | Some s -> s
-    | None ->
-      let s = ref [] in
-      Hashtbl.add stacks tid s;
-      s
+  let emit events (f : Log.frame) ~t1 =
+    P.complete ~cat:"frame" ~name:(Opid.method_key f.op) ~ts:f.t_begin
+      ~dur:(t1 - f.t_begin) ~pid ~tid:(frames_track f.tid) ()
+    :: events
   in
-  let events = ref [] in
-  let emit ~tid ~op ~t0 ~t1 =
-    events :=
-      P.complete ~cat:"frame" ~name:(Opid.method_key op) ~ts:t0 ~dur:(t1 - t0)
-        ~pid ~tid:(frames_track tid) ()
-      :: !events
+  let events, still_open =
+    Log.fold_frames t.log ~init:[] ~f:(fun events f -> emit events f ~t1:f.t_end)
   in
-  Log.iter
-    (fun (e : Event.t) ->
-      match e.op.kind with
-      | Opid.Begin -> (slot e.tid) := (e.op, e.time) :: !(slot e.tid)
-      | Opid.End ->
-        let key = Opid.method_key e.op in
-        let s = slot e.tid in
-        let rec pop acc = function
-          | [] -> None
-          | ((op : Opid.t), t0) :: rest when Opid.method_key op = key ->
-            Some ((op, t0), List.rev_append acc rest)
-          | frame :: rest -> pop (frame :: acc) rest
-        in
-        (match pop [] !s with
-        | Some ((op, t0), rest) ->
-          s := rest;
-          emit ~tid:e.tid ~op ~t0 ~t1:e.time
-        | None -> ())
-      | Opid.Read | Opid.Write -> ())
-    t.log;
-  Hashtbl.iter
-    (fun tid s ->
-      List.iter (fun (op, t0) -> emit ~tid ~op ~t0 ~t1:t.log.duration) !s)
-    stacks;
-  !events
+  List.fold_left (fun events f -> emit events f ~t1:t.log.duration) events still_open
 
 (* Delay injections realized in the trace ([delayed_by > 0]): an instant
    marker on the frame track and a slice covering the injected interval on

@@ -7,49 +7,19 @@ let add t key d =
   | Some r -> r := d :: !r
   | None -> Hashtbl.add t.samples key (ref [ d ])
 
+(* One sample per closed method frame (see {!Log.fold_frames}), in End order.
+   Frames containing an injected Perturber delay are excluded: the
+   artificial 100 ms would swamp the method's natural duration variation.
+   The delay test is a binary search over the log's delayed-event index. *)
 let samples_of_log log =
-  (* Per-thread stacks of open frames; an End pops the nearest matching
-     Begin, skipping mismatches defensively (a filtered-out frame can leave
-     an unmatched Begin behind).  Frames containing an injected Perturber
-     delay are excluded: the artificial 100 ms would swamp the method's
-     natural duration variation.  The delay test is a binary search over
-     the log's delayed-event index. *)
-  let contains_delay tid t0 t1 =
-    t1 > t0 && Log.has_delayed_in log ~tid ~lo:(t0 + 1) ~hi:t1
+  let out, _ =
+    Log.fold_frames log ~init:[] ~f:(fun acc (f : Log.frame) ->
+        if f.t_end > f.t_begin
+           && Log.has_delayed_in log ~tid:f.tid ~lo:(f.t_begin + 1) ~hi:f.t_end
+        then acc
+        else (Opid.method_key f.op, float_of_int (f.t_end - f.t_begin)) :: acc)
   in
-  let stacks : (int, (string * int) list ref) Hashtbl.t = Hashtbl.create 16 in
-  let stack tid =
-    match Hashtbl.find_opt stacks tid with
-    | Some s -> s
-    | None ->
-      let s = ref [] in
-      Hashtbl.add stacks tid s;
-      s
-  in
-  let out = ref [] in
-  Log.iter
-    (fun (e : Event.t) ->
-      match e.op.kind with
-      | Opid.Begin ->
-        let s = stack e.tid in
-        s := (Opid.method_key e.op, e.time) :: !s
-      | Opid.End ->
-        let key = Opid.method_key e.op in
-        let s = stack e.tid in
-        let rec pop acc = function
-          | [] -> None
-          | (k, t0) :: rest when k = key -> Some (t0, List.rev_append acc rest)
-          | frame :: rest -> pop (frame :: acc) rest
-        in
-        (match pop [] !s with
-        | Some (t0, rest) ->
-          s := rest;
-          if not (contains_delay e.tid t0 e.time) then
-            out := (key, float_of_int (e.time - t0)) :: !out
-        | None -> ())
-      | Opid.Read | Opid.Write -> ())
-    log;
-  List.rev !out
+  List.rev out
 
 let add_samples t pairs = List.iter (fun (key, d) -> add t key d) pairs
 

@@ -336,17 +336,6 @@ let thread t tid =
   | Some pt -> pt
   | None -> empty_thread
 
-(* Events of [tid] with [lo <= time <= hi], folded in time order. *)
-let fold_thread_in t (events : Event.t array) ~tid ~lo ~hi ~init ~f =
-  let pt = thread t tid in
-  let i = lower_bound pt.times lo in
-  let j = upper_bound pt.times hi in
-  let acc = ref init in
-  for k = i to j - 1 do
-    acc := f !acc events.(pt.positions.(k))
-  done;
-  !acc
-
 (* Number of non-Read ("progress") events of [tid] with [lo <= time <= hi]. *)
 let progress_count t ~tid ~lo ~hi =
   let pt = thread t tid in

@@ -107,15 +107,73 @@ let thread_active_in t ~tid ~lo ~hi =
   let i = Index.lower_bound pt.times lo in
   i < Array.length pt.times && pt.times.(i) <= hi
 
-let fold_thread_in t ~tid ~lo ~hi ~init ~f =
-  Index.fold_thread_in t.index t.events ~tid ~lo ~hi ~init ~f
-
 let progress_count t ~tid ~lo ~hi = Index.progress_count t.index ~tid ~lo ~hi
 
 let first_delayed_in t ~tid ~lo ~hi =
   Index.first_delayed_in t.index t.events ~tid ~lo ~hi
 
 let has_delayed_in t ~tid ~lo ~hi = Index.has_delayed_in t.index ~tid ~lo ~hi
+
+type frame = {
+  tid : int;
+  op : Opid.t;
+  t_begin : int;
+  t_end : int;
+}
+
+(* Frames match on the rendered [Opid.method_key], compared as strings:
+   the key is not injective when names contain ':', and every consumer
+   has always matched on it.  Equal names imply equal keys, so the common
+   case allocates nothing. *)
+let same_method (a : Opid.t) (b : Opid.t) =
+  (String.equal a.member b.member && String.equal a.cls b.cls)
+  || String.equal (Opid.method_key a) (Opid.method_key b)
+
+(* The one per-thread frame matcher behind window open-frame candidates,
+   method durations, and the timeline's frame slices.  Closed frames are
+   handed to [on_close] as they close rather than collected, so a long
+   log's frames are never all live at once. *)
+let fold_frames t ~init ~f:on_close =
+  let stacks : (int, (Opid.t * int) list ref) Hashtbl.t = Hashtbl.create 8 in
+  let slot tid =
+    match Hashtbl.find_opt stacks tid with
+    | Some s -> s
+    | None ->
+      let s = ref [] in
+      Hashtbl.add stacks tid s;
+      s
+  in
+  let acc = ref init in
+  Array.iter
+    (fun (e : Event.t) ->
+      match e.op.kind with
+      | Opid.Begin ->
+        let s = slot e.tid in
+        s := (e.op, e.time) :: !s
+      | Opid.End ->
+        let s = slot e.tid in
+        let rec pop skipped = function
+          | [] -> None
+          | ((op, _) as frame) :: rest when same_method op e.op ->
+            Some (frame, List.rev_append skipped rest)
+          | frame :: rest -> pop (frame :: skipped) rest
+        in
+        (match pop [] !s with
+        | Some ((op, t_begin), rest) ->
+          s := rest;
+          acc := on_close !acc { tid = e.tid; op; t_begin; t_end = e.time }
+        | None -> ())
+      | Opid.Read | Opid.Write -> ())
+    t.events;
+  let still_open = ref [] in
+  Hashtbl.iter
+    (fun tid s ->
+      List.iter
+        (fun (op, t_begin) ->
+          still_open := { tid; op; t_begin; t_end = max_int } :: !still_open)
+        !s)
+    stacks;
+  (!acc, List.rev !still_open)
 
 let distinct_addrs t = Index.distinct_addrs t.index
 

@@ -70,10 +70,6 @@ val thread_active_in : t -> tid:int -> lo:int -> hi:int -> bool
 (** Whether thread [tid] completed any operation in the window —
     the delay-propagation test of paper §3 (Figure 2 b/c). *)
 
-val fold_thread_in :
-  t -> tid:int -> lo:int -> hi:int -> init:'a -> f:('a -> Event.t -> 'a) -> 'a
-(** Fold over the events of [tid] with [lo <= time <= hi] in time order. *)
-
 val progress_count : t -> tid:int -> lo:int -> hi:int -> int
 (** Number of non-[Read] events of [tid] with [lo <= time <= hi]; reads
     are excluded because a spin-waiting thread still reads (paper §3). *)
@@ -83,6 +79,25 @@ val first_delayed_in : t -> tid:int -> lo:int -> hi:int -> Event.t option
     [lo <= time <= hi]. *)
 
 val has_delayed_in : t -> tid:int -> lo:int -> hi:int -> bool
+
+type frame = {
+  tid : int;
+  op : Opid.t;      (** the frame's [Begin] op *)
+  t_begin : int;
+  t_end : int;      (** time of the matching [End]; [max_int] while open *)
+}
+(** One method frame: a [Begin] and the [End] that closed it. *)
+
+val fold_frames : t -> init:'a -> f:('a -> frame -> 'a) -> 'a * frame list
+(** [fold_frames log ~init ~f] replays every thread's Begin/End events
+    against a per-thread stack.  An [End] closes the nearest open frame
+    of its thread whose {!Opid.method_key} equals its own — string
+    equality, so [("A:", ":B")] and [("A", "::B")] match — skipping
+    mismatches (a filtered-out frame can leave an unmatched [Begin]
+    behind); an [End] with no match is ignored.  Folds [f] over the
+    closed frames in [End] order and returns the result with the frames
+    still open at the end of the log ([t_end = max_int]): innermost first
+    within a thread, threads in an order fixed by the log. *)
 
 val distinct_addrs : t -> int
 (** Number of distinct traced addresses (size hint for per-address state,

@@ -1,7 +1,83 @@
 module Tm = Sherlock_telemetry.Metrics
 module Tspan = Sherlock_telemetry.Span
 
-type side = int Opid.Map.t
+module Side = struct
+  (* Two parallel immutable arrays: the distinct ops in [Opid.compare]
+     order and their occurrence counts (all >= 1).  The representation is
+     canonical — equal multisets give structurally equal values — so
+     sides can key a polymorphic hash table directly. *)
+  type t = { ops : Opid.t array; counts : int array }
+
+  let empty = { ops = [||]; counts = [||] }
+
+  let is_empty s = Array.length s.ops = 0
+
+  let cardinal s = Array.length s.ops
+
+  (* Index of [op] in [s.ops], or [-(i + 1)] for its insertion point [i]. *)
+  let search op s =
+    let rec go lo hi =
+      if lo >= hi then -(lo + 1)
+      else
+        let mid = (lo + hi) lsr 1 in
+        let c = Opid.compare op s.ops.(mid) in
+        if c = 0 then mid else if c < 0 then go lo mid else go (mid + 1) hi
+    in
+    go 0 (Array.length s.ops)
+
+  let mem op s = search op s >= 0
+
+  let find_opt op s =
+    let i = search op s in
+    if i >= 0 then Some s.counts.(i) else None
+
+  let iter f s = Array.iteri (fun i op -> f op s.counts.(i)) s.ops
+
+  let fold f s init =
+    let acc = ref init in
+    Array.iteri (fun i op -> acc := f op s.counts.(i) !acc) s.ops;
+    !acc
+
+  let exists p s =
+    let rec go i =
+      i < Array.length s.ops && (p s.ops.(i) s.counts.(i) || go (i + 1))
+    in
+    go 0
+
+  let for_all p s = not (exists (fun op n -> not (p op n)) s)
+
+  let bindings s = List.init (cardinal s) (fun i -> (s.ops.(i), s.counts.(i)))
+
+  let with_count s i n =
+    let counts = Array.copy s.counts in
+    counts.(i) <- n;
+    { s with counts }
+
+  let add_one op s =
+    let i = search op s in
+    if i >= 0 then with_count s i (s.counts.(i) + 1)
+    else begin
+      let i = -(i + 1) and n = cardinal s in
+      let ops = Array.make (n + 1) op and counts = Array.make (n + 1) 1 in
+      Array.blit s.ops 0 ops 0 i;
+      Array.blit s.ops i ops (i + 1) (n - i);
+      Array.blit s.counts 0 counts 0 i;
+      Array.blit s.counts i counts (i + 1) (n - i);
+      { ops; counts }
+    end
+
+  let remove_one op s =
+    let i = search op s in
+    if i < 0 then s
+    else if s.counts.(i) > 1 then with_count s i (s.counts.(i) - 1)
+    else begin
+      let n = cardinal s in
+      let drop a = Array.init (n - 1) (fun j -> if j < i then a.(j) else a.(j + 1)) in
+      { ops = drop s.ops; counts = drop s.counts }
+    end
+end
+
+type side = Side.t
 
 type coord = {
   first_time : int;
@@ -27,68 +103,153 @@ let default_near = 1_000_000
 
 let default_cap = 15
 
-let add_occurrence side op =
-  Opid.Map.update op (function None -> Some 1 | Some n -> Some (n + 1)) side
+(* Per-extraction op ranks: the log's distinct ops sorted by
+   [Opid.compare], and every event's rank in that order.  A span then
+   folds to small ints — a counter bump per event — and a side comes out
+   already in [Side] order once its touched ranks are sorted.  Built at
+   the start of each [extract] and shared read-only by its shards; it
+   dies with the call, so no log outlives its extraction. *)
+type ranks = {
+  rank : int array;       (* event position -> rank *)
+  op_of_rank : Opid.t array;
+}
+
+let rank_ops (log : Log.t) =
+  let ids : (Opid.t, int) Hashtbl.t = Hashtbl.create 256 in
+  let distinct = ref [] in
+  let id_of (op : Opid.t) =
+    match Hashtbl.find_opt ids op with
+    | Some i -> i
+    | None ->
+      let i = Hashtbl.length ids in
+      Hashtbl.add ids op i;
+      distinct := op :: !distinct;
+      i
+  in
+  let rank = Array.map (fun (e : Event.t) -> id_of e.op) log.events in
+  let by_id = Array.of_list (List.rev !distinct) in
+  let order = Array.init (Array.length by_id) Fun.id in
+  Array.sort (fun a b -> Opid.compare by_id.(a) by_id.(b)) order;
+  let rank_of_id = Array.make (Array.length by_id) 0 in
+  Array.iteri (fun r id -> rank_of_id.(id) <- r) order;
+  Array.iteri (fun k id -> rank.(k) <- rank_of_id.(id)) rank;
+  { rank; op_of_rank = Array.map (fun id -> by_id.(id)) order }
+
+(* Ascending in-place sort of the distinct ints [a.(lo .. hi-1)]:
+   insertion sort for short runs, median-of-three quicksort above.  Most
+   sides touch a dozen ranks, but a long span touches a couple of
+   hundred; a closure-free sort keeps either case cheap. *)
+let rec sort_ranks (a : int array) lo hi =
+  if hi - lo <= 16 then
+    for i = lo + 1 to hi - 1 do
+      let x = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= lo && a.(!j) > x do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done
+  else begin
+    let x = a.(lo) and y = a.(lo + ((hi - lo) / 2)) and z = a.(hi - 1) in
+    let pivot =
+      if x < y then if y < z then y else if x < z then z else x
+      else if x < z then x
+      else if y < z then z
+      else y
+    in
+    let i = ref lo and j = ref (hi - 1) in
+    while !i <= !j do
+      while a.(!i) < pivot do incr i done;
+      while a.(!j) > pivot do decr j done;
+      if !i <= !j then begin
+        let t = a.(!i) in
+        a.(!i) <- a.(!j);
+        a.(!j) <- t;
+        incr i;
+        decr j
+      end
+    done;
+    sort_ranks a lo (!j + 1);
+    sort_ranks a !i hi
+  end
+
+(* Per-domain scratch for [side_of_span]: a count per rank (all zero
+   between calls) and the ranks the current span touched, plus the
+   work counters behind [windows.span.{folded,entries}]. *)
+type scratch = {
+  counts : int array;
+  touched : int array;
+  mutable folded : int;
+  mutable entries : int;
+}
+
+let scratch_create ranks =
+  let d = Array.length ranks.op_of_rank in
+  { counts = Array.make d 0; touched = Array.make d 0; folded = 0; entries = 0 }
 
 (* Candidate ops of thread [tid] with lo <= time <= hi, resolved over the
-   per-thread index. *)
-let side_of_span log ~tid ~lo ~hi =
-  Log.fold_thread_in log ~tid ~lo ~hi ~init:Opid.Map.empty
-    ~f:(fun acc (e : Event.t) -> add_occurrence acc e.op)
+   per-thread index and counted by rank. *)
+let side_of_span (log : Log.t) ranks sc ~tid ~lo ~hi =
+  let pt = Index.thread (Log.index log) tid in
+  let i = Index.lower_bound pt.times lo and j = Index.upper_bound pt.times hi in
+  let k = ref 0 in
+  for p = i to j - 1 do
+    let r = ranks.rank.(pt.positions.(p)) in
+    let c = sc.counts.(r) in
+    if c = 0 then begin
+      sc.touched.(!k) <- r;
+      incr k
+    end;
+    sc.counts.(r) <- c + 1
+  done;
+  let k = !k in
+  sc.folded <- sc.folded + max 0 (j - i);
+  sc.entries <- sc.entries + k;
+  sort_ranks sc.touched 0 k;
+  if k = 0 then Side.empty
+  else begin
+    let ops = Array.make k ranks.op_of_rank.(0) and counts = Array.make k 0 in
+    for x = 0 to k - 1 do
+      let r = sc.touched.(x) in
+      ops.(x) <- ranks.op_of_rank.(r);
+      counts.(x) <- sc.counts.(r);
+      sc.counts.(r) <- 0
+    done;
+    { Side.ops; counts }
+  end
+
+let span_sides log =
+  let ranks = rank_ops log in
+  let sc = scratch_create ranks in
+  fun ~tid ~lo ~hi -> side_of_span log ranks sc ~tid ~lo ~hi
 
 let all_kinds_are side kind =
-  Opid.Map.for_all (fun (op : Opid.t) _ -> op.kind = kind) side
+  Side.for_all (fun (op : Opid.t) _ -> op.kind = kind) side
 
-(* Method-frame spans per thread: arrays of (begin_op, t_begin, t_end)
-   sorted by [t_end], with [t_end = max_int] for frames still open at the
-   end of the log (e.g. a thread blocked forever inside an acquire).
-   Sorting by the end time lets [add_open_frames] binary-search away every
-   frame that closed before the window starts. *)
+(* Method frames per thread, sorted by [t_end], with [t_end = max_int]
+   for frames still open at the end of the log (e.g. a thread blocked
+   forever inside an acquire), plus the array of those end times.
+   [Log.fold_frames] closes frames in End order — the log is time-sorted,
+   so that is [t_end] order — and open ones come last, so appending per
+   thread keeps every array sorted.  The end-time order lets
+   [add_open_frames] binary-search away every frame that closed before
+   the window starts. *)
 let frame_spans (log : Log.t) =
-  let stacks : (int, (Opid.t * int) list ref) Hashtbl.t = Hashtbl.create 16 in
-  let spans : (int, (Opid.t * int * int) list ref) Hashtbl.t = Hashtbl.create 16 in
-  let slot tbl tid =
-    match Hashtbl.find_opt tbl tid with
-    | Some s -> s
-    | None ->
-      let s = ref [] in
-      Hashtbl.add tbl tid s;
-      s
+  let per_tid : (int, Log.frame list ref) Hashtbl.t = Hashtbl.create 16 in
+  let push () (f : Log.frame) =
+    match Hashtbl.find_opt per_tid f.tid with
+    | Some l -> l := f :: !l
+    | None -> Hashtbl.add per_tid f.tid (ref [ f ])
   in
-  Log.iter
-    (fun (e : Event.t) ->
-      match e.op.kind with
-      | Opid.Begin -> (slot stacks e.tid) := (e.op, e.time) :: !(slot stacks e.tid)
-      | Opid.End ->
-        let key = Opid.method_key e.op in
-        let s = slot stacks e.tid in
-        let rec pop acc = function
-          | [] -> None
-          | ((op : Opid.t), t0) :: rest when Opid.method_key op = key ->
-            Some ((op, t0), List.rev_append acc rest)
-          | frame :: rest -> pop (frame :: acc) rest
-        in
-        (match pop [] !s with
-        | Some ((op, t0), rest) ->
-          s := rest;
-          (slot spans e.tid) := (op, t0, e.time) :: !(slot spans e.tid)
-        | None -> ())
-      | Opid.Read | Opid.Write -> ())
-    log;
-  Hashtbl.iter
-    (fun tid s ->
-      List.iter
-        (fun (op, t0) -> (slot spans tid) := (op, t0, max_int) :: !(slot spans tid))
-        !s)
-    stacks;
+  let (), still_open = Log.fold_frames log ~init:() ~f:push in
+  List.iter (push ()) still_open;
   let sorted = Hashtbl.create 16 in
   Hashtbl.iter
-    (fun tid s ->
-      let arr = Array.of_list !s in
-      Array.sort (fun (_, _, a) (_, _, b) -> Int.compare a b) arr;
-      let ends = Array.map (fun (_, _, t1) -> t1) arr in
-      Hashtbl.add sorted tid (arr, ends))
-    spans;
+    (fun tid l ->
+      let arr = Array.of_list (List.rev !l) in
+      Hashtbl.add sorted tid (arr, Array.map (fun (f : Log.frame) -> f.t_end) arr))
+    per_tid;
   sorted
 
 (* Any progress event of [tid] strictly inside (lo, hi)? *)
@@ -107,9 +268,9 @@ let add_open_frames log spans side ~tid ~lo =
   | Some (arr, ends) ->
     let acc = ref side in
     for i = Index.lower_bound ends lo to Array.length arr - 1 do
-      let op, t0, _ = arr.(i) in
-      if t0 < lo && not (progressed log ~tid ~lo:t0 ~hi:lo) then
-        acc := add_occurrence !acc op
+      let { Log.op; t_begin; _ } = arr.(i) in
+      if t_begin < lo && not (progressed log ~tid ~lo:t_begin ~hi:lo) then
+        acc := Side.add_one op !acc
     done;
     !acc
 
@@ -131,6 +292,10 @@ let c_cache_hit = Tm.counter "windows.span_cache.hit"
 
 let c_cache_miss = Tm.counter "windows.span_cache.miss"
 
+let c_span_folded = Tm.counter "windows.span.folded"
+
+let c_span_entries = Tm.counter "windows.span.entries"
+
 (* Memoized [side_of_span].  Candidate pairs share span endpoints
    whenever several accesses to one address carry the same timestamp
    (contended bursts under a coarse clock): every pair [(a_i, b)] with
@@ -138,17 +303,27 @@ let c_cache_miss = Tm.counter "windows.span_cache.miss"
    and the refine path recomputes the same [(b.tid, r.time, b.time)] span
    across pairs hitting one delay — so hot logs rebuild the same
    [(tid, lo, hi)] span many times per extraction.  The function is pure
-   and the resulting maps are immutable, so a cache is observationally
-   invisible.  One cache per domain: sequential extraction keeps a single
-   cache, each shard worker owns its own (no cross-domain sharing, no
-   locks). *)
+   and the resulting sides are immutable, so a cache is observationally
+   invisible.  One cache per domain, owning its [side_of_span] scratch:
+   sequential extraction keeps a single cache, each shard worker owns its
+   own (no cross-domain sharing, no locks); the rank table is shared
+   read-only. *)
 type span_cache = {
+  ranks : ranks;
+  scratch : scratch;
   tbl : (int * int * int, side) Hashtbl.t;
   mutable hits : int;
   mutable misses : int;
 }
 
-let cache_create () = { tbl = Hashtbl.create 256; hits = 0; misses = 0 }
+let cache_create ranks =
+  {
+    ranks;
+    scratch = scratch_create ranks;
+    tbl = Hashtbl.create 256;
+    hits = 0;
+    misses = 0;
+  }
 
 let cached_side log cache ~tid ~lo ~hi =
   let key = (tid, lo, hi) in
@@ -158,9 +333,17 @@ let cached_side log cache ~tid ~lo ~hi =
     s
   | None ->
     cache.misses <- cache.misses + 1;
-    let s = side_of_span log ~tid ~lo ~hi in
+    let s = side_of_span log cache.ranks cache.scratch ~tid ~lo ~hi in
     Hashtbl.add cache.tbl key s;
     s
+
+(* A cache's work counts, added to the registry once its domain is done
+   with the extraction. *)
+let publish_cache_counts cache =
+  Tm.Counter.incr ~by:cache.hits c_cache_hit;
+  Tm.Counter.incr ~by:cache.misses c_cache_miss;
+  Tm.Counter.incr ~by:cache.scratch.folded c_span_folded;
+  Tm.Counter.incr ~by:cache.scratch.entries c_span_entries
 
 (* One accepted conflicting-access candidate, fully analyzed.  In
    sequential mode candidates are dispatched as they are produced; in
@@ -201,16 +384,13 @@ let consider_one log spans cache ~refine (a : Event.t) (b : Event.t) =
            instances of the same operation inside the window (e.g.
            later lock releases in a loop) remain candidates, so only
            one occurrence is discounted. *)
-        rel :=
-          Opid.Map.update r.op
-            (function None | Some 1 -> None | Some n -> Some (n - 1))
-            !rel
+        rel := Side.remove_one r.op !rel
     | None -> ()
   end;
   let rel = !rel and acq = !acq in
   let field = Opid.field_key a.op in
-  let rel_impossible = Opid.Map.is_empty rel || all_kinds_are rel Opid.Read in
-  let acq_impossible = Opid.Map.is_empty acq || all_kinds_are acq Opid.Write in
+  let rel_impossible = Side.is_empty rel || all_kinds_are rel Opid.Read in
+  let acq_impossible = Side.is_empty acq || all_kinds_are acq Opid.Write in
   let out =
     if rel_impossible || acq_impossible then
       Race_out { race_pair = (a.op, b.op); race_field = field }
@@ -326,6 +506,7 @@ let extract ?(near = default_near) ?(cap = default_cap) ?(refine = true)
     if tm_on then Some (Tm.histogram "windows.pairs_per_location") else None
   in
   let spans = frame_spans log in
+  let ranks = rank_ops log in
   let windows = ref [] in
   let races = ref [] in
   let nwindows = ref 0 and nraces = ref 0 in
@@ -359,7 +540,7 @@ let extract ?(near = default_near) ?(cap = default_cap) ?(refine = true)
     (* Sequential path: global cap counters applied during the scan,
        candidates dispatched as they are produced. *)
     let pair_counts : (Opid.t * Opid.t, int ref) Hashtbl.t = Hashtbl.create 64 in
-    let cache = cache_create () in
+    let cache = cache_create ranks in
     Log.iter_addr_accesses log (fun _addr accesses ->
         if Array.length accesses > 1 then begin
           let before = !considered in
@@ -369,8 +550,7 @@ let extract ?(near = default_near) ?(cap = default_cap) ?(refine = true)
             accesses;
           observe_pairs_per_loc (!considered - before)
         end);
-    Tm.Counter.incr ~by:cache.hits c_cache_hit;
-    Tm.Counter.incr ~by:cache.misses c_cache_miss
+    publish_cache_counts cache
   end
   else begin
     (* Parallel path: shard the canonical address order into contiguous
@@ -391,8 +571,8 @@ let extract ?(near = default_near) ?(cap = default_cap) ?(refine = true)
        must not burn cap budget that canonically-earlier candidates
        (from a chunk another worker owns) are entitled to.
 
-       [frame_spans] is computed once above and shared read-only; each
-       worker owns a private span cache. *)
+       [frame_spans] and the rank table are computed once above and
+       shared read-only; each worker owns a private span cache. *)
     let nchunks = min naddrs (jobs * 4) in
     let chunk_lo i = i * naddrs / nchunks in
     (* Per chunk, per scanned address (in chunk order): the emitted
@@ -406,7 +586,6 @@ let extract ?(near = default_near) ?(cap = default_cap) ?(refine = true)
     Tm.Gauge.set g_chunks_done 0;
     let next = Atomic.make 0 in
     let failure = Atomic.make None in
-    let total_hits = Atomic.make 0 and total_misses = Atomic.make 0 in
     let process_chunk cache ci =
       let local_counts : (Opid.t * Opid.t, int ref) Hashtbl.t =
         Hashtbl.create 64
@@ -426,7 +605,7 @@ let extract ?(near = default_near) ?(cap = default_cap) ?(refine = true)
       chunk_out.(ci) <- List.rev !out
     in
     let work () =
-      let cache = cache_create () in
+      let cache = cache_create ranks in
       let rec loop () =
         let ci = Atomic.fetch_and_add next 1 in
         if ci < nchunks && Option.is_none (Atomic.get failure) then begin
@@ -439,8 +618,7 @@ let extract ?(near = default_near) ?(cap = default_cap) ?(refine = true)
         end
       in
       loop ();
-      ignore (Atomic.fetch_and_add total_hits cache.hits);
-      ignore (Atomic.fetch_and_add total_misses cache.misses)
+      publish_cache_counts cache
     in
     let workers = min jobs nchunks - 1 in
     (match pool with
@@ -480,9 +658,7 @@ let extract ?(near = default_near) ?(cap = default_cap) ?(refine = true)
             observe_pairs_per_loc (!considered - before))
           addr_results)
       chunk_out;
-    Tm.Counter.incr ~by:nchunks c_shards;
-    Tm.Counter.incr ~by:(Atomic.get total_hits) c_cache_hit;
-    Tm.Counter.incr ~by:(Atomic.get total_misses) c_cache_miss
+    Tm.Counter.incr ~by:nchunks c_shards
   end;
   (match metrics with
   | None -> ()

@@ -20,9 +20,50 @@
       only reads (or is empty), or whose acquire side contains only writes
       (or is empty), cannot be protected and is reported as a race. *)
 
-type side = int Opid.Map.t
 (** Candidate operations on one side of a window, with their number of
-    dynamic occurrences inside this window. *)
+    dynamic occurrences inside this window: a finite map from op to a
+    positive count, iterated in {!Opid.compare} order.  Backed by two
+    parallel sorted arrays; the representation is canonical, so two sides
+    holding the same multiset are structurally equal (and hash equally
+    under [Hashtbl.hash]). *)
+module Side : sig
+  type t
+
+  val empty : t
+
+  val is_empty : t -> bool
+
+  val cardinal : t -> int
+  (** Number of distinct ops. *)
+
+  val mem : Opid.t -> t -> bool
+
+  val find_opt : Opid.t -> t -> int option
+  (** The op's occurrence count, if it is on the side. *)
+
+  val iter : (Opid.t -> int -> unit) -> t -> unit
+  (** In {!Opid.compare} order, with each op's count. *)
+
+  val fold : (Opid.t -> int -> 'a -> 'a) -> t -> 'a -> 'a
+
+  val exists : (Opid.t -> int -> bool) -> t -> bool
+
+  val for_all : (Opid.t -> int -> bool) -> t -> bool
+
+  val bindings : t -> (Opid.t * int) list
+  (** [(op, count)] pairs in {!Opid.compare} order. *)
+
+  val add_one : Opid.t -> t -> t
+  (** One more occurrence of the op: its count goes up by one, or it is
+      inserted in order with count 1. *)
+
+  val remove_one : Opid.t -> t -> t
+  (** One occurrence fewer: the count goes down by one, and the op
+      leaves the side when it reaches zero.  An absent op leaves the side
+      unchanged. *)
+end
+
+type side = Side.t
 
 type coord = {
   first_time : int;   (** virtual time of the first conflicting access *)
@@ -62,11 +103,21 @@ val extract :
 (** [extract log] returns the windows and the observed races of one run.
     [refine] (default true) applies delay-based window refinement.
     [metrics], when given, is bumped in place with the events/pairs/
-    windows/races counters and the extraction wall-clock.
+    windows/races counters and the extraction wall-clock.  The registry
+    counters [windows.span_cache.{hit,miss}] and
+    [windows.span.{folded,entries}] (events folded into computed sides,
+    and side entries those folds produced) are bumped once per
+    extraction.
+
+    Sides are built by counting per-extraction op ranks: the log's
+    distinct ops are sorted once per call, each event's rank is recorded,
+    and a span folds into a per-rank count array whose touched ranks,
+    sorted as ints, give the side in {!Side} order.  This state is local
+    to the call.
 
     All span, progress, and delay queries resolve by binary search over
-    the log's construction-time indices ({!Log.fold_thread_in},
-    {!Log.progress_count}, {!Log.first_delayed_in},
+    the log's construction-time indices (the per-thread {!Index.thread}
+    offsets, {!Log.progress_count}, {!Log.first_delayed_in},
     {!Log.iter_addr_accesses}), making extraction
     O(events log events + pairs x window size) instead of the naive
     O(pairs x events) full rescans.
@@ -84,3 +135,9 @@ val extract :
     particular, do not pass a pool from inside one of its own batch
     thunks).  Without [pool] a private pool is spawned and retired
     around the call. *)
+
+val span_sides : Log.t -> tid:int -> lo:int -> hi:int -> Side.t
+(** [span_sides log] ranks [log]'s ops once and returns the side query
+    {!extract} answers spans with, uncached and without the open-frame
+    and refinement rules: the events of [tid] with [lo <= time <= hi].
+    The query owns scratch arrays, so keep it on one domain. *)

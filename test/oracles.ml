@@ -2,7 +2,8 @@
    builds its objective from, and a checker comparing the two bit for
    bit.  The library computes each table in one pass per round; these
    oracles recompute every entry from scratch, the way the encoder once
-   did per candidate variable. *)
+   did per candidate variable.  Also a per-event [Opid.Map] fold of a
+   thread's events, the reference for [Windows]' rank-counted sides. *)
 
 open Sherlock_trace
 open Sherlock_core
@@ -13,7 +14,7 @@ let avg_occurrence obs op =
     List.fold_left
       (fun (total, count) (w : Observations.merged_window) ->
         let tally side (total, count) =
-          match Opid.Map.find_opt op side with
+          match Windows.Side.find_opt op side with
           | Some n -> (total + (n * w.weight), count + w.weight)
           | None -> (total, count)
         in
@@ -40,7 +41,9 @@ let table_mismatches obs =
   let ops =
     List.fold_left
       (fun acc (w : Observations.merged_window) ->
-        let add side acc = Opid.Map.fold (fun op _ acc -> Opid.Set.add op acc) side acc in
+        let add side acc =
+          Windows.Side.fold (fun op _ acc -> Opid.Set.add op acc) side acc
+        in
         add w.rel (add w.acq acc))
       (Opid.Set.singleton unseen_op) (Observations.windows obs)
   in
@@ -57,3 +60,24 @@ let table_mismatches obs =
     List.filter (fun m -> bits (pct m) <> bits (cv_percentile durs m)) methods
   in
   (bad_ops @ bad_methods, Opid.Set.cardinal ops + List.length methods)
+
+(* Window side of thread [tid] over [lo, hi]: the thread's events
+   scanned in full and folded into an [Opid.Map], one update per
+   occurrence. *)
+let side_of_span log ~tid ~lo ~hi =
+  List.fold_left
+    (fun acc (e : Event.t) ->
+      if e.time < lo || e.time > hi then acc
+      else
+        Opid.Map.update e.op (function None -> Some 1 | Some n -> Some (n + 1)) acc)
+    Opid.Map.empty (Log.events_of_thread log tid)
+
+(* The spans of [spans] whose [Windows.span_sides] bindings differ from
+   the map fold's. *)
+let side_mismatches log spans =
+  let query = Windows.span_sides log in
+  List.filter
+    (fun (tid, lo, hi) ->
+      Windows.Side.bindings (query ~tid ~lo ~hi)
+      <> Opid.Map.bindings (side_of_span log ~tid ~lo ~hi))
+    spans

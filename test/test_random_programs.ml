@@ -174,9 +174,26 @@ let prop_windows_total_on_real_traces =
       let windows, _ = Windows.extract log in
       List.for_all
         (fun (w : Windows.t) ->
-          Opid.Map.exists (fun (o : Opid.t) _ -> o.kind <> Opid.Read) w.rel
-          && Opid.Map.exists (fun (o : Opid.t) _ -> o.kind <> Opid.Write) w.acq)
+          Windows.Side.exists (fun (o : Opid.t) _ -> o.kind <> Opid.Read) w.rel
+          && Windows.Side.exists (fun (o : Opid.t) _ -> o.kind <> Opid.Write) w.acq)
         windows)
+
+(* Spans drawn as fractions of the run, so they land on real events;
+   [lo > hi] and unknown thread ids are in range too. *)
+let arb_spec_spans =
+  QCheck.(
+    pair arb_spec
+      (list_of_size Gen.(int_range 1 12)
+         (triple (int_range 0 4) (int_range 0 100) (int_range 0 100))))
+
+let prop_sides_match_map_fold =
+  QCheck.Test.make ~name:"rank-counted sides match the map fold on real traces"
+    ~count:40 arb_spec_spans
+    (fun (spec, fracs) ->
+      let log = run_spec ~locked:true spec in
+      let at pct = log.duration * pct / 100 in
+      let spans = List.map (fun (tid, a, b) -> (tid, at a, at b)) fracs in
+      Oracles.side_mismatches log spans = [])
 
 let () =
   Alcotest.run "random-programs"
@@ -191,5 +208,6 @@ let () =
             prop_inference_respects_roles;
             prop_tables_match_oracles;
             prop_windows_total_on_real_traces;
+            prop_sides_match_map_fold;
           ] );
     ]

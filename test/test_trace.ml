@@ -213,8 +213,24 @@ let test_window_basic () =
   check Alcotest.int "one window" 1 (List.length windows);
   check Alcotest.int "no race" 0 (List.length races);
   let w = List.hd windows in
-  check Alcotest.bool "rel contains write" true (Opid.Map.mem wf w.rel);
-  check Alcotest.bool "acq contains read" true (Opid.Map.mem rf w.acq)
+  check Alcotest.bool "rel contains write" true (Windows.Side.mem wf w.rel);
+  check Alcotest.bool "acq contains read" true (Windows.Side.mem rf w.acq)
+
+(* The fold counters count events folded into computed sides and the
+   entries those sides hold, bumped once per extraction. *)
+let test_window_fold_counters () =
+  let rg = Opid.read ~cls:"C" "g" in
+  let log =
+    mklog [ ev 10 0 wf; ev ~target:2 20 1 rg; ev ~target:2 25 1 rg; ev 30 1 rf ]
+  in
+  let value name = Sherlock_telemetry.Metrics.(Counter.value (counter name)) in
+  let folded0 = value "windows.span.folded" in
+  let entries0 = value "windows.span.entries" in
+  let windows, _ = Windows.extract log in
+  check Alcotest.int "one window" 1 (List.length windows);
+  (* rel: T0's write (1 event, 1 op); acq: T1's g, g, f (3 events, 2 ops) *)
+  check Alcotest.int "events folded" 4 (value "windows.span.folded" - folded0);
+  check Alcotest.int "side entries" 3 (value "windows.span.entries" - entries0)
 
 let test_window_near_filter () =
   let log = mklog [ ev 10 0 wf; ev 5_000_000 1 rf ] in
@@ -272,7 +288,7 @@ let test_window_open_frame_acquire () =
   let log = mklog [ ev 5 1 bm; ev 10 0 wf; ev 60 1 em; ev 80 1 rf ] in
   let windows, _ = Windows.extract log in
   let w = List.hd windows in
-  check Alcotest.bool "spanning begin included" true (Opid.Map.mem bm w.acq)
+  check Alcotest.bool "spanning begin included" true (Windows.Side.mem bm w.acq)
 
 let test_window_progressed_frame_excluded () =
   (* Thread 1's frame made progress (a write) before the window: its
@@ -282,7 +298,7 @@ let test_window_progressed_frame_excluded () =
   let log = mklog [ ev 5 1 bm; ev ~target:2 8 1 wg; ev 10 0 wf; ev 80 1 rf ] in
   let windows, _ = Windows.extract log in
   let w = List.hd windows in
-  check Alcotest.bool "progressed begin excluded" false (Opid.Map.mem bm w.acq)
+  check Alcotest.bool "progressed begin excluded" false (Windows.Side.mem bm w.acq)
 
 let test_window_occurrence_counts () =
   let log = mklog [ ev 10 0 wf; ev 20 1 rf; ev 30 1 rf; ev 40 1 rf ] in
@@ -291,7 +307,7 @@ let test_window_occurrence_counts () =
   let max_count =
     List.fold_left
       (fun acc (w : Windows.t) ->
-        max acc (Option.value ~default:0 (Opid.Map.find_opt rf w.acq)))
+        max acc (Option.value ~default:0 (Windows.Side.find_opt rf w.acq)))
       0 windows
   in
   check Alcotest.int "occurrences counted" 3 max_count
@@ -315,8 +331,8 @@ let test_refinement_propagated () =
   in
   (* The early read of g (before the delay) is refined away. *)
   check Alcotest.bool "early acq candidate dropped" false
-    (Opid.Map.mem (Opid.read ~cls:"C" "g") w.acq);
-  check Alcotest.bool "endpoint kept" true (Opid.Map.mem rf w.acq)
+    (Windows.Side.mem (Opid.read ~cls:"C" "g") w.acq);
+  check Alcotest.bool "endpoint kept" true (Windows.Side.mem rf w.acq)
 
 let test_refinement_not_propagated () =
   (* The other thread kept making progress during the delay: that instance
@@ -337,8 +353,9 @@ let test_refinement_not_propagated () =
   let w =
     List.find (fun (w : Windows.t) -> Opid.equal (fst w.pair) wf) windows
   in
-  check Alcotest.bool "refuted release instance removed" false (Opid.Map.mem wg w.rel);
-  check Alcotest.bool "original write kept" true (Opid.Map.mem wf w.rel)
+  check Alcotest.bool "refuted release instance removed" false
+    (Windows.Side.mem wg w.rel);
+  check Alcotest.bool "original write kept" true (Windows.Side.mem wf w.rel)
 
 let test_refinement_off () =
   let wg = Opid.write ~cls:"C" "g" in
@@ -355,7 +372,7 @@ let test_refinement_off () =
   let w =
     List.find (fun (w : Windows.t) -> Opid.equal (fst w.pair) wf) windows
   in
-  check Alcotest.bool "kept without refinement" true (Opid.Map.mem wg w.rel)
+  check Alcotest.bool "kept without refinement" true (Windows.Side.mem wg w.rel)
 
 let gen_ops_for_io =
   QCheck.Gen.(
@@ -651,6 +668,16 @@ module Naive = struct
   let all_kinds_are side kind =
     Opid.Map.for_all (fun (op : Opid.t) _ -> op.kind = kind) side
 
+  (* The map as a [Windows.Side.t], one occurrence at a time. *)
+  let to_side m =
+    Opid.Map.fold
+      (fun op n side ->
+        let rec go side k =
+          if k = 0 then side else go (Windows.Side.add_one op side) (k - 1)
+        in
+        go side n)
+      m Windows.Side.empty
+
   let frame_spans (log : Log.t) =
     let stacks : (int, (Opid.t * int) list ref) Hashtbl.t = Hashtbl.create 8 in
     let spans : (int, (Opid.t * int * int) list ref) Hashtbl.t =
@@ -773,7 +800,14 @@ module Naive = struct
           }
         in
         windows :=
-          { Windows.pair = (a.op, b.op); field; rel; acq; coord } :: !windows
+          {
+            Windows.pair = (a.op, b.op);
+            field;
+            rel = to_side rel;
+            acq = to_side acq;
+            coord;
+          }
+          :: !windows
       end
     in
     let addrs = ref [] in
@@ -816,7 +850,7 @@ module Naive = struct
 end
 
 let side_bindings side =
-  List.map (fun ((o : Opid.t), n) -> (Opid.to_string o, n)) (Opid.Map.bindings side)
+  List.map (fun ((o : Opid.t), n) -> (Opid.to_string o, n)) (Windows.Side.bindings side)
 
 let window_eq (a : Windows.t) (b : Windows.t) =
   Opid.equal (fst a.pair) (fst b.pair)
@@ -1015,10 +1049,10 @@ let prop_window_sides_nonempty =
       let windows, _ = Windows.extract log in
       List.for_all
         (fun (w : Windows.t) ->
-          (not (Opid.Map.is_empty w.rel))
-          && (not (Opid.Map.is_empty w.acq))
-          && Opid.Map.exists (fun (o : Opid.t) _ -> o.kind <> Opid.Read) w.rel
-          && Opid.Map.exists (fun (o : Opid.t) _ -> o.kind <> Opid.Write) w.acq)
+          (not (Windows.Side.is_empty w.rel))
+          && (not (Windows.Side.is_empty w.acq))
+          && Windows.Side.exists (fun (o : Opid.t) _ -> o.kind <> Opid.Read) w.rel
+          && Windows.Side.exists (fun (o : Opid.t) _ -> o.kind <> Opid.Write) w.acq)
         windows)
 
 let prop_log_sorted =
@@ -1031,6 +1065,126 @@ let prop_log_sorted =
           if i > 0 && log.events.(i - 1).time > e.time then ok := false)
         log.events;
       !ok)
+
+(* --- Window sides --- *)
+
+let side_strings side =
+  List.map (fun ((o : Opid.t), n) -> (Opid.to_string o, n)) (Windows.Side.bindings side)
+
+let side_of ops =
+  List.fold_left (fun s op -> Windows.Side.add_one op s) Windows.Side.empty ops
+
+let op_b = Opid.read ~cls:"S" "b"
+let op_d = Opid.read ~cls:"S" "d"
+
+let check_side msg expected side =
+  check Alcotest.(list (pair string int)) msg expected (side_strings side)
+
+let test_side_add_one () =
+  let base = side_of [ op_d; op_b; op_d ] in
+  check_side "built in order" [ ("Read-S::b", 1); ("Read-S::d", 2) ] base;
+  check_side "front"
+    [ ("Read-S::a", 1); ("Read-S::b", 1); ("Read-S::d", 2) ]
+    (Windows.Side.add_one (Opid.read ~cls:"S" "a") base);
+  check_side "middle"
+    [ ("Read-S::b", 1); ("Read-S::c", 1); ("Read-S::d", 2) ]
+    (Windows.Side.add_one (Opid.read ~cls:"S" "c") base);
+  check_side "end"
+    [ ("Read-S::b", 1); ("Read-S::d", 2); ("Read-S::e", 1) ]
+    (Windows.Side.add_one (Opid.read ~cls:"S" "e") base);
+  check_side "existing op" [ ("Read-S::b", 1); ("Read-S::d", 3) ]
+    (Windows.Side.add_one op_d base);
+  check_side "into empty" [ ("Read-S::b", 1) ]
+    (Windows.Side.add_one op_b Windows.Side.empty);
+  check_side "base untouched" [ ("Read-S::b", 1); ("Read-S::d", 2) ] base
+
+let test_side_remove_one () =
+  let base = side_of [ op_b; op_d; op_d ] in
+  check_side "n -> n-1" [ ("Read-S::b", 1); ("Read-S::d", 1) ]
+    (Windows.Side.remove_one op_d base);
+  check_side "1 -> removed" [ ("Read-S::d", 2) ] (Windows.Side.remove_one op_b base);
+  check_side "absent op unchanged" [ ("Read-S::b", 1); ("Read-S::d", 2) ]
+    (Windows.Side.remove_one (Opid.read ~cls:"S" "c") base);
+  check Alcotest.bool "last one leaves it empty" true
+    (Windows.Side.is_empty (Windows.Side.remove_one op_b (side_of [ op_b ])));
+  check_side "base untouched" [ ("Read-S::b", 1); ("Read-S::d", 2) ] base
+
+let test_side_queries () =
+  let side = side_of [ op_d; op_b; op_d ] in
+  check Alcotest.int "cardinal" 2 (Windows.Side.cardinal side);
+  check Alcotest.(option int) "find count" (Some 2) (Windows.Side.find_opt op_d side);
+  check Alcotest.(option int) "find absent" None
+    (Windows.Side.find_opt (Opid.write ~cls:"S" "d") side);
+  check Alcotest.int "fold in order" 3
+    (Windows.Side.fold (fun _ n acc -> acc + n) side 0);
+  check Alcotest.bool "for_all" true
+    (Windows.Side.for_all (fun o _ -> o.kind = Opid.Read) side);
+  (* Equal multisets built in different orders are structurally equal,
+     which is what lets [Observations] key its merge on sides. *)
+  check Alcotest.bool "canonical" true
+    (side_of [ op_b; op_d; op_d ] = side_of [ op_d; op_d; op_b ]
+     && Hashtbl.hash (side_of [ op_b; op_d; op_d ]) = Hashtbl.hash side)
+
+(* --- Frame matching --- *)
+
+let frames log =
+  let closed, still_open = Log.fold_frames log ~init:[] ~f:(fun acc f -> f :: acc) in
+  (List.rev closed, still_open)
+
+let frame_rows =
+  List.map (fun (f : Log.frame) ->
+      (f.tid, (Opid.method_key f.op, (f.t_begin, f.t_end))))
+
+let test_frames_matching () =
+  let b = Opid.enter ~cls:"C" "m" and e = Opid.exit ~cls:"C" "m" in
+  let bi = Opid.enter ~cls:"C" "inner" and ei = Opid.exit ~cls:"C" "inner" in
+  let bo = Opid.enter ~cls:"C" "open" in
+  let log =
+    mklog [ ev 10 0 b; ev 15 1 bo; ev 20 0 bi; ev 30 0 ei; ev 50 0 e; ev 60 1 ei ]
+  in
+  let closed, still_open = frames log in
+  let rows = Alcotest.(list (pair int (pair string (pair int int)))) in
+  check rows "closed in End order"
+    [ (0, ("C::inner", (20, 30))); (0, ("C::m", (10, 50))) ]
+    (frame_rows closed);
+  check rows "still open, unmatched End ignored"
+    [ (1, ("C::open", (15, max_int))) ]
+    (frame_rows still_open)
+
+(* [method_key] is not injective when names contain ':'; frames have
+   always matched on the rendered key, so these two close each other. *)
+let test_frames_match_on_key () =
+  let b = Opid.enter ~cls:"A:" ":B" and e = Opid.exit ~cls:"A" "::B" in
+  let closed, still_open = frames (mklog [ ev 10 0 b; ev 25 0 e ]) in
+  check Alcotest.int "one closed" 1 (List.length closed);
+  check Alcotest.int "none open" 0 (List.length still_open);
+  check Alcotest.bool "Begin op kept" true (Opid.equal b (List.hd closed).op)
+
+let gen_synth_spans =
+  QCheck.Gen.(
+    let* seed = int_range 1 1_000 in
+    let* addrs = int_range 1 24 in
+    let* threads = int_range 1 6 in
+    let* events = int_range 0 3_000 in
+    let* spans =
+      list_size (int_range 1 16)
+        (triple (int_range 0 (threads + 1)) (int_range 0 100) (int_range 0 100))
+    in
+    return (seed, addrs, threads, events, spans))
+
+let prop_synth_sides_match_map_fold =
+  QCheck.Test.make ~name:"rank-counted sides match the map fold on synth logs"
+    ~count:60
+    (QCheck.make
+       ~print:(fun (seed, addrs, threads, events, _) ->
+         Printf.sprintf "seed %d, %d addrs, %d threads, %d events" seed addrs threads
+           events)
+       gen_synth_spans)
+    (fun (seed, addrs, threads, events, fracs) ->
+      let log = Sherlock_trace.Synth.log ~seed ~addrs ~threads ~events () in
+      let at pct = log.duration * pct / 100 in
+      let spans = List.map (fun (tid, a, b) -> (tid, at a, at b)) fracs in
+      Oracles.side_mismatches log spans = [])
 
 let qcheck = List.map QCheck_alcotest.to_alcotest
 
@@ -1054,6 +1208,17 @@ let () =
           Alcotest.test_case "first delay earliest" `Quick test_first_delay_earliest;
           Alcotest.test_case "first delay bounds" `Quick test_first_delay_bounds;
         ] );
+      ( "frames",
+        [
+          Alcotest.test_case "matching" `Quick test_frames_matching;
+          Alcotest.test_case "match on rendered key" `Quick test_frames_match_on_key;
+        ] );
+      ( "side",
+        [
+          Alcotest.test_case "add_one" `Quick test_side_add_one;
+          Alcotest.test_case "remove_one" `Quick test_side_remove_one;
+          Alcotest.test_case "queries" `Quick test_side_queries;
+        ] );
       ( "durations",
         [
           Alcotest.test_case "pairing" `Quick test_durations_pairing;
@@ -1066,6 +1231,7 @@ let () =
       ( "windows",
         [
           Alcotest.test_case "basic" `Quick test_window_basic;
+          Alcotest.test_case "fold counters" `Quick test_window_fold_counters;
           Alcotest.test_case "near filter" `Quick test_window_near_filter;
           Alcotest.test_case "same thread" `Quick test_window_same_thread_excluded;
           Alcotest.test_case "read/read" `Quick test_window_read_read_excluded;
@@ -1111,5 +1277,6 @@ let () =
         qcheck
           [ prop_windows_no_crash; prop_window_sides_nonempty; prop_log_sorted;
             prop_trace_io_roundtrip; prop_trace_formats_roundtrip;
-            prop_extract_matches_reference; prop_parallel_extract_identical ] );
+            prop_extract_matches_reference; prop_parallel_extract_identical;
+            prop_synth_sides_match_map_fold ] );
     ]

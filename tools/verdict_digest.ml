@@ -6,12 +6,22 @@
    hashes every round's verdicts, the exact bits of their probabilities,
    and the exact bits of the round's LP objective; the provenance
    configuration also hashes each final verdict's confidence margin.
-   Two builds that print the same three lines made the same decisions
-   with the same floating-point values everywhere.
+   Two builds that print the same first three lines made the same
+   decisions with the same floating-point values everywhere.
+
+   A fourth line, [extract], hashes window extraction itself: every
+   window (pair, field, both sides' ops with their counts, coordinates)
+   and every race of three synthetic 20k-event logs with refinement on,
+   extracted sequentially and at [jobs = 2].  Verdicts only see merged
+   windows through the LP, so this is the line that shows window
+   contents are identical; the tool exits 1 if the two job counts
+   disagree.
 
      dune exec tools/verdict_digest.exe -- [--seeds N]   (default 30) *)
 
 open Sherlock_core
+module Windows = Sherlock_trace.Windows
+module Opid = Sherlock_trace.Opid
 
 let bits b f = Buffer.add_string b (Int64.to_string (Int64.bits_of_float f))
 
@@ -50,6 +60,51 @@ let digest ~seeds (config : Config.t) =
   done;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
+let add_side b side =
+  List.iter
+    (fun (op, n) -> Printf.bprintf b "%s*%d," (Opid.to_string op) n)
+    (Windows.Side.bindings side)
+
+(* Everything one extraction produced, in output order. *)
+let extraction_text ~jobs log =
+  let b = Buffer.create (1 lsl 16) in
+  let windows, races =
+    Windows.extract ~near:400 ~cap:Windows.default_cap ~refine:true ~jobs log
+  in
+  List.iter
+    (fun (w : Windows.t) ->
+      let c = w.coord in
+      Printf.bprintf b "w %s %s %s|" (Opid.to_string (fst w.pair))
+        (Opid.to_string (snd w.pair)) w.field;
+      add_side b w.rel;
+      Buffer.add_char b '|';
+      add_side b w.acq;
+      Printf.bprintf b "|%d,%d,%d,%d\n" c.first_time c.first_tid c.second_time
+        c.second_tid)
+    windows;
+  List.iter
+    (fun (r : Windows.race) ->
+      Printf.bprintf b "r %s %s %s\n" (Opid.to_string (fst r.race_pair))
+        (Opid.to_string (snd r.race_pair)) r.race_field)
+    races;
+  Buffer.contents b
+
+let extract_digest () =
+  let b = Buffer.create (1 lsl 20) in
+  for seed = 1 to 3 do
+    let log = Sherlock_trace.Synth.log ~seed ~addrs:256 ~threads:8 ~events:20_000 () in
+    let seq = extraction_text ~jobs:1 log in
+    let par = extraction_text ~jobs:2 log in
+    if seq <> par then begin
+      Printf.eprintf
+        "verdict_digest: seed %d: jobs=2 extraction differs from jobs=1\n" seed;
+      exit 1
+    end;
+    Buffer.add_string b seq;
+    Buffer.add_string b par
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
 let () =
   let seeds = ref 30 in
   Arg.parse
@@ -65,6 +120,7 @@ let () =
       ("one-shot", { base with use_warm_start = false });
       ("provenance", { base with provenance = true });
     ];
+  Printf.printf "%-10s %s\n%!" "extract" (extract_digest ());
   Printf.printf "(%d seeds x %d apps, %d rounds each)\n" !seeds
     (List.length (Sherlock_corpus.Registry.all ()))
     base.rounds
