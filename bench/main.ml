@@ -452,33 +452,6 @@ let ablation_extras () =
 
 (* ------------------------------------------------------------------ *)
 
-(* Stress workload for the perf target: several worker threads hammering
-   a small set of lock-protected fields, plus unprotected flag traffic —
-   enough conflicting-access pairs to expose any O(pairs x events)
-   rescanning in window extraction.  Its trace (~17k events) is an order
-   of magnitude larger than any corpus test's. *)
-let stress ~workers ~iters () =
-  let open Sherlock_sim in
-  let cls = "Stress.Data" in
-  let fields =
-    Array.init 8 (fun i -> Heap.cell ~cls ~field:(Printf.sprintf "f%d" i) 0)
-  in
-  let flag = Heap.cell ~cls ~field:"flag" 0 in
-  let lock = Monitor.create () in
-  let threads =
-    List.init workers (fun w ->
-        Threadlib.create ~delegate:(cls, Printf.sprintf "Worker%d" w) (fun () ->
-            for i = 1 to iters do
-              let f = (i + w) mod Array.length fields in
-              Monitor.with_lock lock (fun () ->
-                  let v = Heap.read fields.(f) in
-                  Heap.write fields.(f) (v + 1));
-              if i mod 7 = 0 then Heap.write flag i else ignore (Heap.read flag)
-            done))
-  in
-  List.iter Threadlib.start threads;
-  List.iter Threadlib.join threads
-
 (* BENCH_trace.json is one top-level JSON object with one section per
    line, so independent artifacts (perf, robustness) can each rewrite
    their own keys while preserving the others from earlier runs. *)
@@ -606,7 +579,7 @@ let perf () =
   let stress_log =
     Sherlock_sim.Runtime.run ~seed:7
       ~instrument:(Sherlock_sim.Runtime.tracing ())
-      (stress ~workers:6 ~iters:400)
+      (Sherlock_corpus.Workload.stress ~workers:6 ~iters:400)
   in
   let largest_s = time_extract ~reps:50 largest in
   let stress_s = time_extract ~reps:10 stress_log in
@@ -865,7 +838,7 @@ let format_gate () =
   let stress_log =
     Sherlock_sim.Runtime.run ~seed:7
       ~instrument:(Sherlock_sim.Runtime.tracing ())
-      (stress ~workers:6 ~iters:3000)
+      (Sherlock_corpus.Workload.stress ~workers:6 ~iters:3000)
   in
   let events = Log.length stress_log in
   let text_file = Filename.temp_file "sherlock_bench" ".trace" in
@@ -1061,7 +1034,7 @@ let robustness () =
       Sherlock_sim.Runtime.run ~seed:7
         ~instrument:(Sherlock_sim.Runtime.tracing ())
         ~max_steps:2_000
-        (stress ~workers:6 ~iters:400)
+        (Sherlock_corpus.Workload.stress ~workers:6 ~iters:400)
     with
     | _ -> false
     | exception Sherlock_sim.Runtime.Stalled _ -> true

@@ -18,3 +18,24 @@ let chores ~cls n =
     let meth = if i mod 2 = 0 then "FormatValue" else "Validate" in
     Runtime.frame ~cls ~meth (fun () -> Runtime.sleep 9)
   done
+
+let stress ~workers ~iters () =
+  let cls = "Stress.Data" in
+  let fields =
+    Array.init 8 (fun i -> Heap.cell ~cls ~field:(Printf.sprintf "f%d" i) 0)
+  in
+  let flag = Heap.cell ~cls ~field:"flag" 0 in
+  let lock = Monitor.create () in
+  let threads =
+    List.init workers (fun w ->
+        Threadlib.create ~delegate:(cls, Printf.sprintf "Worker%d" w) (fun () ->
+            for i = 1 to iters do
+              let f = (i + w) mod Array.length fields in
+              Monitor.with_lock lock (fun () ->
+                  let v = Heap.read fields.(f) in
+                  Heap.write fields.(f) (v + 1));
+              if i mod 7 = 0 then Heap.write flag i else ignore (Heap.read flag)
+            done))
+  in
+  List.iter Threadlib.start threads;
+  List.iter Threadlib.join threads

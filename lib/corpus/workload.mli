@@ -18,3 +18,10 @@ val chores : cls:string -> int -> unit
     ([cls::FormatValue] / [cls::Validate]).  Real applications are full of
     such helpers; they anchor the bottom of the duration-CV distribution
     that the Acquisition-Time-Mostly-Varies percentile ranks against. *)
+
+val stress : workers:int -> iters:int -> unit -> unit
+(** The lock-contention stress program: [workers] threads, each doing
+    [iters] iterations of a read-modify-write of one of 8 lock-protected
+    fields plus unprotected flag traffic.  Its log (~7 events per
+    iteration per worker) dwarfs any corpus test's, and its threads
+    interleave on every lock hand-off. *)

@@ -1,3 +1,5 @@
+module Tm = Sherlock_telemetry.Metrics
+
 type t = {
   events : Event.t array;
   duration : int;
@@ -6,35 +8,151 @@ type t = {
   index : Index.t;
 }
 
-(* The simulator emits events as threads execute, which is not globally
-   time-sorted (thread-local clocks drift); analyses want time order.
-   [arr] is taken by ownership and sorted in place. *)
-let of_unsorted_array arr ~duration ~threads ~volatile_addrs =
-  let stable = Array.mapi (fun i e -> (i, e)) arr in
-  Array.sort
-    (fun (i, (a : Event.t)) (j, b) ->
-      match Int.compare a.time b.time with 0 -> Int.compare i j | c -> c)
-    stable;
-  let events = Array.map snd stable in
+let c_runs = Tm.counter "log.order.runs"
+
+(* The first [n] events of [buf] in (time, position in [buf]) order, and
+   the number of sorted runs merged to get there (0 when they were in
+   order already).
+
+   The simulator emits events as threads execute, so emission order is
+   not time order; but a thread's clock never goes backwards, so each
+   thread's own events arrive time-sorted.  Rather than sort, one pass
+   checks whether the whole prefix is in order — deserialized and
+   synthetic logs are, and are used as they are.  Otherwise the events
+   are bucketed by tid (stably), each bucket is cut wherever its time
+   descends, and the resulting runs are merged on the key
+   (time, position) with a binary heap of run heads.  The key strictly
+   increases along every run, so the merge reproduces a stable sort by
+   time exactly, whatever the input. *)
+let time_order buf n =
+  let time i = (Array.unsafe_get buf i).Event.time in
+  let k = ref 1 in
+  while !k < n && time (!k - 1) <= time !k do
+    incr k
+  done;
+  if !k >= n then ((if n = Array.length buf then buf else Array.sub buf 0 n), 0)
+  else begin
+    (* [bucket.(i)]: event [i]'s tid, numbered in first-seen order.  The
+       simulator's tids are small and non-negative and index an array;
+       any other tid goes through a table. *)
+    let small = Array.make (min n 1024) (-1) in
+    let large = Hashtbl.create 16 in
+    let buckets = ref 0 in
+    let fresh () =
+      incr buckets;
+      !buckets - 1
+    in
+    let bucket =
+      Array.init n (fun i ->
+          let tid = (Array.unsafe_get buf i).tid in
+          if tid >= 0 && tid < Array.length small then begin
+            if small.(tid) < 0 then small.(tid) <- fresh ();
+            small.(tid)
+          end
+          else
+            match Hashtbl.find_opt large tid with
+            | Some b -> b
+            | None ->
+              let b = fresh () in
+              Hashtbl.add large tid b;
+              b)
+    in
+    let buckets = !buckets in
+    (* [pos]: event positions grouped by bucket, ascending within one,
+       cut into runs at bucket starts and at time descents: [starts]
+       marks each run's first slot. *)
+    let fill = Array.make buckets 0 in
+    Array.iter (fun b -> fill.(b) <- fill.(b) + 1) bucket;
+    let starts = Bytes.make n '\000' in
+    let total = ref 0 in
+    for b = 0 to buckets - 1 do
+      let size = fill.(b) in
+      fill.(b) <- !total;
+      Bytes.set starts !total '\001';
+      total := !total + size
+    done;
+    let pos = Array.make n 0 in
+    let last = Array.make buckets min_int in
+    let runs = ref buckets in
+    for i = 0 to n - 1 do
+      let b = bucket.(i) and t = time i in
+      let slot = fill.(b) in
+      pos.(slot) <- i;
+      fill.(b) <- slot + 1;
+      if t < last.(b) then begin
+        Bytes.set starts slot '\001';
+        incr runs
+      end;
+      last.(b) <- t
+    done;
+    (* Run [r] covers slots [cur.(r)] up to [stop.(r)]; its head event
+       is at position [head_pos.(r)], with time [head_time.(r)]. *)
+    let runs = !runs in
+    let cur = Array.make runs 0 and stop = Array.make runs n in
+    let r = ref 0 in
+    for k = 0 to n - 1 do
+      if Bytes.get starts k = '\001' then begin
+        if !r > 0 then stop.(!r - 1) <- k;
+        cur.(!r) <- k;
+        incr r
+      end
+    done;
+    let head_pos = Array.make runs 0 and head_time = Array.make runs 0 in
+    let load r =
+      let p = pos.(cur.(r)) in
+      head_pos.(r) <- p;
+      head_time.(r) <- time p
+    in
+    for r = 0 to runs - 1 do
+      load r
+    done;
+    (* Min-heap of the live runs, keyed on their heads' (time, position). *)
+    let before a b =
+      head_time.(a) < head_time.(b)
+      || (head_time.(a) = head_time.(b) && head_pos.(a) < head_pos.(b))
+    in
+    let heap = Array.init runs Fun.id in
+    let live = ref runs in
+    let rec sift_down h =
+      let l = (2 * h) + 1 in
+      if l < !live then begin
+        let c = if l + 1 < !live && before heap.(l + 1) heap.(l) then l + 1 else l in
+        if before heap.(c) heap.(h) then begin
+          let top = heap.(h) in
+          heap.(h) <- heap.(c);
+          heap.(c) <- top;
+          sift_down c
+        end
+      end
+    in
+    for h = (runs / 2) - 1 downto 0 do
+      sift_down h
+    done;
+    let out = Array.make n buf.(0) in
+    for k = 0 to n - 1 do
+      let r = heap.(0) in
+      out.(k) <- buf.(head_pos.(r));
+      cur.(r) <- cur.(r) + 1;
+      if cur.(r) = stop.(r) then begin
+        decr live;
+        heap.(0) <- heap.(!live)
+      end
+      else load r;
+      sift_down 0
+    done;
+    (out, runs)
+  end
+
+(* The one constructor: every log — simulated, parsed, decoded — is put
+   in time order here.  [buf] is taken by ownership. *)
+let of_prefix buf n ~duration ~threads ~volatile_addrs =
+  let events, runs = time_order buf n in
+  Tm.Counter.incr ~by:runs c_runs;
   { events; duration; threads; volatile_addrs; index = Index.build events }
 
-let create ~events ~duration ~threads ~volatile_addrs =
-  of_unsorted_array (Array.of_list events) ~duration ~threads ~volatile_addrs
+let of_array arr = of_prefix arr (Array.length arr)
 
-(* Deserializers hand back the event array in the order it was written —
-   the binary format stores the time-sorted array verbatim — so the sort
-   is redundant there.  The claim is verified in one linear pass; if a
-   hand-edited or corrupt file breaks it, we fall back to sorting rather
-   than hand the analyses an out-of-order log.  [arr] is taken by
-   ownership either way. *)
-let of_sorted_array arr ~duration ~threads ~volatile_addrs =
-  let sorted = ref true in
-  for i = 1 to Array.length arr - 1 do
-    if (Array.unsafe_get arr (i - 1)).Event.time > (Array.unsafe_get arr i).Event.time
-    then sorted := false
-  done;
-  if not !sorted then of_unsorted_array arr ~duration ~threads ~volatile_addrs
-  else { events = arr; duration; threads; volatile_addrs; index = Index.build arr }
+let create ~events = of_array (Array.of_list events)
 
 (* A fresh value every call: the volatile-address table is mutable, so a
    shared [empty] would leak one caller's mutations into another's log. *)
@@ -68,12 +186,16 @@ module Builder = struct
     b.buf.(b.len) <- e;
     b.len <- b.len + 1
 
+  (* A full buffer already in order becomes the log's array; a later
+     [add] would grow into a fresh buffer and leave it untouched. *)
   let finish b ~duration ~threads ~volatile_addrs =
-    of_unsorted_array (Array.sub b.buf 0 b.len) ~duration ~threads
-      ~volatile_addrs
+    of_prefix b.buf b.len ~duration ~threads ~volatile_addrs
 end
 
 let length t = Array.length t.events
+
+let volatile_list t =
+  List.sort Int.compare (Hashtbl.fold (fun a () acc -> a :: acc) t.volatile_addrs [])
 
 let iter f t = Array.iter f t.events
 

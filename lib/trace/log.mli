@@ -16,20 +16,22 @@ type t = {
       (** addresses of fields declared volatile in the program under test.
           SherLock never reads this; only the Manual_dr annotation-based
           race detector does (paper §5.4). *)
-  index : Index.t;            (** query indices, built by [create]/[Builder.finish] *)
+  index : Index.t;            (** query indices, built by the constructors *)
 }
 
 val create : events:Event.t list -> duration:int -> threads:int ->
   volatile_addrs:(int, unit) Hashtbl.t -> t
-(** Sorts the events by timestamp (stably) and builds the indices. *)
+(** [of_array] of the list's events. *)
 
-val of_sorted_array : Event.t array -> duration:int -> threads:int ->
+val of_array : Event.t array -> duration:int -> threads:int ->
   volatile_addrs:(int, unit) Hashtbl.t -> t
-(** Like {!create} for an array that is already time-sorted — the
-    deserializers' path: the binary trace format stores the sorted event
-    array verbatim, so only the indices need building.  Sortedness is
-    verified in one pass (with a fallback sort if it does not hold), and
-    the array is taken by ownership. *)
+(** The log of [events], put in time order — by [time], ties by position
+    in the array — and indexed.  An array already in that order (a
+    parsed or decoded trace, a synthetic log) is checked in one pass and
+    used as it is; otherwise each thread's events are cut into
+    time-sorted runs and the runs are merged, and the registry counter
+    [log.order.runs] grows by the number of runs merged.  The array is
+    taken by ownership. *)
 
 val empty : unit -> t
 (** A fresh empty log.  This is a function: the embedded volatile-address
@@ -38,7 +40,8 @@ val empty : unit -> t
 
 (** Incremental construction for the simulator's emit path: events are
     appended into a growable buffer as threads execute, and [finish]
-    sorts once and builds the indexed store — no intermediate list. *)
+    orders them as {!of_array} does and builds the indexed store — no
+    intermediate list. *)
 module Builder : sig
   type log := t
 
@@ -55,6 +58,10 @@ module Builder : sig
 end
 
 val length : t -> int
+
+val volatile_list : t -> int list
+(** The volatile addresses in ascending order: the order both trace
+    formats write them in, so that saving a log is deterministic. *)
 
 val iter : (Event.t -> unit) -> t -> unit
 

@@ -132,10 +132,7 @@ let write_with (log : Log.t) ~buf ~flush =
   add_i64 buf log.duration;
   add_i64 buf log.threads;
   add_i64 buf (Hashtbl.length log.volatile_addrs);
-  (* Ascending order makes the encoding canonical: the same log always
-     produces the same bytes, whatever the hashtable's iteration order. *)
-  let addrs = Hashtbl.fold (fun a () acc -> a :: acc) log.volatile_addrs [] in
-  List.iter (fun a -> add_i64 buf a) (List.sort compare addrs)
+  List.iter (fun a -> add_i64 buf a) (Log.volatile_list log)
 
 let save log path =
   let oc = open_out_bin path in
@@ -252,7 +249,7 @@ let bad_op_index ~path ~events_offset ~num_ops ~n i k =
 (* Decode-loop bookkeeping, accumulated per event while the records are
    materialized so [finish] can skip whole re-scan passes over the
    (multi-MB, cache-cold) record array: sortedness lets it bypass the
-   sort/verify of [Log.of_sorted_array], and the [Index.Dense_builder]
+   order check of [Log.of_array], and the [Index.Dense_builder]
    counts let the index build run its fill pass only. *)
 type stats = {
   mutable prev_time : int;
@@ -273,7 +270,7 @@ let finish st events ~duration ~threads ~volatile_addrs =
     if st.sorted then Index.Dense_builder.finish st.builder events else None
   with
   | Some index -> { Log.events; duration; threads; volatile_addrs; index }
-  | None -> Log.of_sorted_array events ~duration ~threads ~volatile_addrs
+  | None -> Log.of_array events ~duration ~threads ~volatile_addrs
 
 (* The mmap-backed load: columns become Bigarray views over the mapped
    pages — no intermediate strings, no record parsing — and the event

@@ -37,12 +37,12 @@ let to_buffer (log : Log.t) =
   Buffer.add_string buf "threads ";
   add_int buf log.threads;
   Buffer.add_char buf '\n';
-  Hashtbl.iter
-    (fun addr () ->
+  List.iter
+    (fun addr ->
       Buffer.add_string buf "volatile ";
       add_int buf addr;
       Buffer.add_char buf '\n')
-    log.volatile_addrs;
+    (Log.volatile_list log);
   Array.iter
     (fun (e : Event.t) ->
       (* Re-checked here even though the constructors validate: [Opid.t]

@@ -3,7 +3,8 @@
    bit.  The library computes each table in one pass per round; these
    oracles recompute every entry from scratch, the way the encoder once
    did per candidate variable.  Also a per-event [Opid.Map] fold of a
-   thread's events, the reference for [Windows]' rank-counted sides. *)
+   thread's events, the reference for [Windows]' rank-counted sides, and
+   a stable sort by time, the reference for [Log]'s run merge. *)
 
 open Sherlock_trace
 open Sherlock_core
@@ -81,3 +82,14 @@ let side_mismatches log spans =
       Windows.Side.bindings (query ~tid ~lo ~hi)
       <> Opid.Map.bindings (side_of_span log ~tid ~lo ~hi))
     spans
+
+(* Log order: every event paired with its position, heap-sorted on
+   (time, position), and unpaired — the stable sort by time that the
+   log constructors once ran on every array. *)
+let time_sort arr =
+  let stable = Array.mapi (fun i e -> (i, e)) arr in
+  Array.sort
+    (fun (i, (a : Event.t)) (j, b) ->
+      match Int.compare a.time b.time with 0 -> Int.compare i j | c -> c)
+    stable;
+  Array.map snd stable

@@ -137,6 +137,129 @@ let test_first_delay_bounds () =
   check Alcotest.bool "has_delayed hit" true
     (Log.has_delayed_in log ~tid:0 ~lo:40 ~hi:40)
 
+(* --- Log order --- *)
+
+let runs_counter = Sherlock_telemetry.Metrics.counter "log.order.runs"
+
+(* [f ()] and how much it grew [log.order.runs]. *)
+let with_runs f =
+  let before = Sherlock_telemetry.Metrics.Counter.value runs_counter in
+  let x = f () in
+  (x, Sherlock_telemetry.Metrics.Counter.value runs_counter - before)
+
+let of_events arr =
+  Log.of_array arr ~duration:1_000 ~threads:4 ~volatile_addrs:(Hashtbl.create 1)
+
+(* Slot by slot, the very same event records. *)
+let same_slots a b = Array.length a = Array.length b && Array.for_all2 ( == ) a b
+
+let test_log_order_edges () =
+  let o = Opid.read ~cls:"C" "f" in
+  let log, runs = with_runs (fun () -> of_events [||]) in
+  check Alcotest.int "empty: no events" 0 (Log.length log);
+  check Alcotest.int "empty: no runs" 0 runs;
+  let one = [| ev 5 3 o |] in
+  let log, runs = with_runs (fun () -> of_events (Array.copy one)) in
+  check Alcotest.bool "one event" true (same_slots one log.events);
+  check Alcotest.int "one event: no runs" 0 runs;
+  let equal = Array.init 12 (fun i -> ev 7 (i mod 3) o) in
+  let log, runs = with_runs (fun () -> of_events (Array.copy equal)) in
+  check Alcotest.bool "equal times keep emission order" true
+    (same_slots equal log.events);
+  check Alcotest.int "equal times: no runs" 0 runs;
+  let sorted = [| ev 1 2 o; ev 1 0 o; ev 4 2 o; ev 9 1 o |] in
+  let log, runs = with_runs (fun () -> of_events sorted) in
+  check Alcotest.bool "sorted input used without a copy" true (log.events == sorted);
+  check Alcotest.int "sorted: no runs" 0 runs;
+  let descending = Array.init 5 (fun i -> ev (50 - i) 0 o) in
+  let log, runs = with_runs (fun () -> of_events (Array.copy descending)) in
+  check Alcotest.bool "one tid descending is reversed" true
+    (same_slots (Oracles.time_sort descending) log.events);
+  check Alcotest.(list int) "ascending times" [ 46; 47; 48; 49; 50 ]
+    (Array.to_list (Array.map (fun (e : Event.t) -> e.time) log.events));
+  check Alcotest.int "one run per descent" 5 runs
+
+(* Random arrays built for the run merge's corner cases: times drawn
+   from a narrow range (many ties, within and across tids), or from
+   per-tid clocks that mostly advance but sometimes jump back (tid
+   subsequences that are not monotone); tids negative, sparse and huge. *)
+let gen_order_input =
+  QCheck.Gen.(
+    let tids = [| -1_000_000; -3; 0; 1; 2; 57; 1 lsl 40 |] in
+    let* clocked = bool in
+    let* steps =
+      list_size (int_range 0 300)
+        (triple (int_range 0 (Array.length tids - 1)) (int_range 0 12) (int_range 0 9))
+    in
+    let clocks = Array.make (Array.length tids) 0 in
+    let o = Opid.write ~cls:"C" "f" in
+    return
+      (Array.of_list
+         (List.map
+            (fun (t, step, jump) ->
+              let time =
+                if not clocked then step
+                else begin
+                  clocks.(t) <- (if jump = 0 then clocks.(t) - step else clocks.(t) + step);
+                  clocks.(t)
+                end
+              in
+              ev time tids.(t) o)
+            steps)))
+
+let prop_log_order_matches_oracle =
+  QCheck.Test.make ~name:"log order is the stable time sort" ~count:500
+    (QCheck.make
+       ~print:(fun a ->
+         String.concat " "
+           (Array.to_list
+              (Array.map (fun (e : Event.t) -> Printf.sprintf "%d@%d" e.tid e.time) a)))
+       gen_order_input)
+    (fun arr ->
+      let expected = Oracles.time_sort arr in
+      let b = Log.Builder.create () in
+      Array.iter (Log.Builder.add b) arr;
+      let built =
+        Log.Builder.finish b ~duration:1_000 ~threads:4
+          ~volatile_addrs:(Hashtbl.create 1)
+      in
+      same_slots expected (of_events (Array.copy arr)).events
+      && same_slots expected built.events)
+
+(* [log.order.runs] counts merged runs: none for logs that arrive in
+   order (synthetic ones, reloaded text traces), some for a simulated
+   run of contending threads. *)
+let test_log_order_runs_counter () =
+  let synth, runs =
+    with_runs (fun () -> Synth.log ~seed:3 ~addrs:16 ~threads:4 ~events:2_000 ())
+  in
+  check Alcotest.int "synth log" 0 runs;
+  let _, runs = with_runs (fun () -> Trace_io.of_string (Trace_io.to_string synth)) in
+  check Alcotest.int "reloaded text trace" 0 runs;
+  let open Sherlock_sim in
+  let program () =
+    let cell = Heap.cell ~cls:"Stress.Data" ~field:"f" 0 in
+    let lock = Monitor.create () in
+    let workers =
+      List.init 4 (fun w ->
+          Threadlib.create ~delegate:("Stress.Data", Printf.sprintf "Worker%d" w)
+            (fun () ->
+              for _ = 1 to 50 do
+                Monitor.with_lock lock (fun () -> Heap.write cell (Heap.read cell + 1))
+              done))
+    in
+    List.iter Threadlib.start workers;
+    List.iter Threadlib.join workers
+  in
+  let log, runs =
+    with_runs (fun () -> Runtime.run ~seed:1 ~instrument:(Runtime.tracing ()) program)
+  in
+  check Alcotest.bool "simulated stress log merges runs" true (runs > 0);
+  let times = Array.map (fun (e : Event.t) -> e.time) log.events in
+  check Alcotest.bool "and comes out in order" true
+    (Array.for_all2 ( <= ) (Array.sub times 0 (Array.length times - 1))
+       (Array.sub times 1 (Array.length times - 1)))
+
 (* --- Durations --- *)
 
 let test_durations_pairing () =
@@ -426,6 +549,29 @@ let test_trace_io_file () =
       Trace_io.save log path;
       let log' = Trace_io.load path in
       check Alcotest.int "events" 2 (Log.length log'))
+
+(* Regression: the volatile lines were written in hashtable order, so a
+   reload (a table of another size) could reorder them and save -> load
+   -> save changed the bytes. *)
+let test_trace_io_canonical () =
+  let volatile_addrs = Hashtbl.create 1 in
+  for a = 1 to 10 do
+    Hashtbl.replace volatile_addrs a ()
+  done;
+  let log =
+    Log.create ~events:[ ev 10 0 wf; ev 50 1 rf ] ~duration:99 ~threads:2
+      ~volatile_addrs
+  in
+  let once = Trace_io.to_string log in
+  let twice = Trace_io.to_string (Trace_io.of_string once) in
+  check Alcotest.string "save . load . save" once twice;
+  let volatiles =
+    List.filter_map
+      (fun line -> Scanf.sscanf_opt line "volatile %d%!" Fun.id)
+      (String.split_on_char '\n' once)
+  in
+  check Alcotest.(list int) "ascending addresses"
+    (List.init 10 succ) volatiles
 
 let test_trace_io_bad_magic () =
   Alcotest.check_raises "bad magic" (Failure "<string>:1: Trace_io: bad magic")
@@ -1207,6 +1353,9 @@ let () =
           Alcotest.test_case "empty is fresh" `Quick test_log_empty_fresh;
           Alcotest.test_case "first delay earliest" `Quick test_first_delay_earliest;
           Alcotest.test_case "first delay bounds" `Quick test_first_delay_bounds;
+          Alcotest.test_case "order edge cases" `Quick test_log_order_edges;
+          Alcotest.test_case "order runs counter" `Quick test_log_order_runs_counter;
+          QCheck_alcotest.to_alcotest prop_log_order_matches_oracle;
         ] );
       ( "frames",
         [
@@ -1252,6 +1401,7 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_trace_io_roundtrip;
           Alcotest.test_case "file save/load" `Quick test_trace_io_file;
+          Alcotest.test_case "canonical text" `Quick test_trace_io_canonical;
           Alcotest.test_case "bad magic" `Quick test_trace_io_bad_magic;
           Alcotest.test_case "malformed line position" `Quick
             test_trace_io_malformed_line_position;

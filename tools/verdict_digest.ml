@@ -17,6 +17,13 @@
    contents are identical; the tool exits 1 if the two job counts
    disagree.
 
+   A fifth line, [log], hashes the simulator's logs as the analyses see
+   them: every event (time, tid, op, target, delay) in log order, for
+   every test of every corpus app and for the lock-contention stress
+   program (6 workers x 150 iterations), at simulator seeds 1..3, each
+   run once without delays and once under a fixed delay plan.  It is the
+   line that shows log construction orders events identically.
+
      dune exec tools/verdict_digest.exe -- [--seeds N]   (default 30) *)
 
 open Sherlock_core
@@ -105,6 +112,49 @@ let extract_digest () =
   done;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
+let add_log b (log : Sherlock_trace.Log.t) =
+  Array.iter
+    (fun (e : Sherlock_trace.Event.t) ->
+      Printf.bprintf b "%d %d %s %d %d\n" e.time e.tid (Opid.to_string e.op)
+        e.target e.delayed_by)
+    log.events;
+  Buffer.add_string b "--\n"
+
+(* The fixed delay plan: 100 ms before every write and 10 ms before the
+   end of every system method (lock exits, signals, task completions). *)
+let fixed_delay (op : Opid.t) =
+  match op.kind with
+  | Opid.Write -> 100_000
+  | Opid.End when Opid.is_system op -> 10_000
+  | _ -> 0
+
+let log_digest () =
+  let module Runtime = Sherlock_sim.Runtime in
+  let b = Buffer.create (1 lsl 20) in
+  let tests =
+    List.concat_map
+      (fun (app : Sherlock_corpus.App.t) ->
+        List.map (fun (name, body) -> (app.id ^ "/" ^ name, body)) app.tests)
+      (Sherlock_corpus.Registry.all ())
+    @ [ ("stress", Sherlock_corpus.Workload.stress ~workers:6 ~iters:150) ]
+  in
+  List.iter
+    (fun (name, body) ->
+      for seed = 1 to 3 do
+        List.iter
+          (fun (plan, instrument) ->
+            Printf.bprintf b "%s %d %s\n" name seed plan;
+            match Runtime.run ~seed ~instrument body with
+            | log -> add_log b log
+            | exception e -> Printf.bprintf b "! %s\n" (Printexc.to_string e))
+          [
+            ("none", Runtime.tracing ());
+            ("fixed", Runtime.tracing ~delay_before:fixed_delay ());
+          ]
+      done)
+    tests;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
 let () =
   let seeds = ref 30 in
   Arg.parse
@@ -121,6 +171,7 @@ let () =
       ("provenance", { base with provenance = true });
     ];
   Printf.printf "%-10s %s\n%!" "extract" (extract_digest ());
+  Printf.printf "%-10s %s\n%!" "log" (log_digest ());
   Printf.printf "(%d seeds x %d apps, %d rounds each)\n" !seeds
     (List.length (Sherlock_corpus.Registry.all ()))
     base.rounds
