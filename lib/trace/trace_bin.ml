@@ -53,20 +53,26 @@ let kind_char = function
 (* Writer *)
 
 (* One table entry per distinct [Opid.t], numbered in first-appearance
-   order; events store the 32-bit index. *)
+   order; events store the 32-bit index.  Returns the op column with
+   the table, both built in one pass of one lookup per event. *)
 let intern (log : Log.t) =
   let tbl : (Opid.t, int) Hashtbl.t = Hashtbl.create 64 in
   let rev = ref [] in
   let count = ref 0 in
-  Array.iter
-    (fun (e : Event.t) ->
-      if not (Hashtbl.mem tbl e.op) then begin
-        Hashtbl.add tbl e.op !count;
-        rev := e.op :: !rev;
-        incr count
-      end)
-    log.events;
-  (tbl, Array.of_list (List.rev !rev))
+  let column =
+    Array.map
+      (fun (e : Event.t) ->
+        match Hashtbl.find tbl e.op with
+        | k -> k
+        | exception Not_found ->
+          let k = !count in
+          Hashtbl.add tbl e.op k;
+          rev := e.op :: !rev;
+          incr count;
+          k)
+      log.events
+  in
+  (column, Array.of_list (List.rev !rev))
 
 let op_entry_bytes (o : Opid.t) = 5 + String.length o.cls + String.length o.member
 
@@ -91,7 +97,7 @@ let add_pad buf n =
 let chunk_bytes = 1 lsl 16
 
 let write_with (log : Log.t) ~buf ~flush =
-  let tbl, ops = intern log in
+  let opix, ops = intern log in
   let n = Array.length log.events in
   let op_table_bytes = Array.fold_left (fun a o -> a + op_entry_bytes o) 0 ops in
   let events_offset = align8 (header_bytes + op_table_bytes) in
@@ -126,7 +132,11 @@ let write_with (log : Log.t) ~buf ~flush =
   column (fun (e : Event.t) -> add_i64 buf e.time);
   column (fun (e : Event.t) -> add_i64 buf e.target);
   column (fun (e : Event.t) -> add_i32 buf e.tid);
-  column (fun (e : Event.t) -> add_i32 buf (Hashtbl.find tbl e.op));
+  Array.iter
+    (fun k ->
+      add_i32 buf k;
+      maybe_flush ())
+    opix;
   column (fun (e : Event.t) -> add_i32 buf e.delayed_by);
   add_pad buf (footer_offset - (events_offset + (event_bytes * n)));
   add_i64 buf log.duration;

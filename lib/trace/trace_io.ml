@@ -13,22 +13,49 @@ let kind_char = function
   | Opid.Begin -> 'b'
   | Opid.End -> 'e'
 
-let kind_of_char = function
-  | 'r' -> Opid.Read
-  | 'w' -> Opid.Write
-  | 'b' -> Opid.Begin
-  | 'e' -> Opid.End
-  | c -> failwith (Printf.sprintf "Trace_io: bad kind %C" c)
+(* ------------------------------------------------------------------ *)
+(* Text writer *)
 
-(* Serialization appends fields straight into the buffer (no per-field
-   [Printf.sprintf] round-trips): a large trace is dominated by its event
-   lines, and format interpretation plus the intermediate strings showed
-   up in profiles. *)
+(* Decimal digits of [-n] for [n <= 0], written straight into the
+   buffer: [string_of_int] goes through a C [sprintf] and a fresh string
+   per field.  Working on the non-positive side covers [min_int]. *)
+let rec add_digits buf n =
+  if n <= -10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 - (n mod 10)))
+
 let add_int buf n =
-  Buffer.add_string buf (string_of_int n)
+  if n < 0 then begin
+    Buffer.add_char buf '-';
+    add_digits buf n
+  end
+  else add_digits buf (-n)
+
+(* [Opid.t] is a concrete record, so hand-built values can bypass the
+   constructors' name check, and a name with a space would shear an
+   event line into extra fields: the writer re-checks every name it
+   emits.  A direct-mapped cache of names already checked in this write
+   makes that once per distinct name; a slot compares by [String.equal],
+   which is O(1) on the physically shared names logs carry, and a
+   collision only costs a re-check. *)
+let name_checker () =
+  let checked = Array.make 256 "" in
+  fun name ->
+    let n = String.length name in
+    let slot =
+      if n = 0 then 0
+      else
+        ((n * 31) + Char.code (String.unsafe_get name (n - 1))
+        + (7 * Char.code (String.unsafe_get name (n / 2))))
+        land 255
+    in
+    if not (String.equal (Array.unsafe_get checked slot) name) then begin
+      Opid.check_name name;
+      Array.unsafe_set checked slot name
+    end
 
 let to_buffer (log : Log.t) =
   let buf = Buffer.create (256 + (Array.length log.events * 48)) in
+  let check = name_checker () in
   Buffer.add_string buf magic;
   Buffer.add_char buf '\n';
   Buffer.add_string buf "duration ";
@@ -45,12 +72,8 @@ let to_buffer (log : Log.t) =
     (Log.volatile_list log);
   Array.iter
     (fun (e : Event.t) ->
-      (* Re-checked here even though the constructors validate: [Opid.t]
-         is a concrete record, so hand-built values can bypass them, and
-         a name with a space would shear the event line into extra
-         fields. *)
-      Opid.check_name e.op.cls;
-      Opid.check_name e.op.member;
+      check e.op.cls;
+      check e.op.member;
       Buffer.add_string buf "e ";
       add_int buf e.time;
       Buffer.add_char buf ' ';
@@ -69,47 +92,203 @@ let to_buffer (log : Log.t) =
     log.events;
   buf
 
-let of_string_text ?(path = "<string>") s =
-  let lines = String.split_on_char '\n' s in
-  (* Parse errors carry file:line (1-based, counting the magic line) so a
-     truncated or garbled trace file points straight at the bad spot. *)
-  let malformed lineno line =
-    failwith (Printf.sprintf "%s:%d: Trace_io: malformed line: %s" path lineno line)
+(* ------------------------------------------------------------------ *)
+(* Text reader *)
+
+(* Raised inside the reader and turned into a positioned [Failure] at
+   the line that caused it. *)
+exception Malformed
+
+exception Bad_name of string
+
+(* Per-load op interning: one [Opid.t] per distinct (kind, cls, member),
+   as the binary decoder shares its op table.  The key is never built:
+   an open-addressed table hashes the kind and the line's "cls member"
+   bytes in place and compares candidates against those bytes, so a
+   repeated op costs one hash and one comparison, and only a new op
+   allocates its two names. *)
+type interner = {
+  mutable slots : Opid.t array;  (* [none] marks an empty slot *)
+  mutable hashes : int array;
+  mutable count : int;
+}
+
+let none = { Opid.cls = ""; member = ""; kind = Opid.Read }
+
+let interner () =
+  { slots = Array.make 64 none; hashes = Array.make 64 0; count = 0 }
+
+(* [s.[a, b)] is "cls member": the two names and the one space between. *)
+let span_hash s kind a b =
+  let h = ref (Char.code (kind_char kind)) in
+  for i = a to b - 1 do
+    h := (!h lxor Char.code (String.unsafe_get s i)) * 0x100000001b3
+  done;
+  (!h lxor (!h lsr 29)) land max_int
+
+let same_bytes name s a =
+  let n = String.length name in
+  let rec go i =
+    i = n || (String.unsafe_get name i = String.unsafe_get s (a + i) && go (i + 1))
   in
-  match lines with
-  | first :: rest when first = magic ->
-    let duration = ref 0 in
-    let threads = ref 0 in
-    let volatile_addrs = Hashtbl.create 8 in
-    let events = ref [] in
-    let parse_line lineno line =
-      match String.split_on_char ' ' line with
-        | [ "" ] | [] -> ()
-        | [ "duration"; d ] -> duration := int_of_string d
-        | [ "threads"; n ] -> threads := int_of_string n
-        | [ "volatile"; a ] -> Hashtbl.replace volatile_addrs (int_of_string a) ()
-        | [ "e"; time; tid; kind; target; delayed_by; cls; member ] ->
-          let op = { Opid.cls; member; kind = kind_of_char kind.[0] } in
-          events :=
-            Event.make ~time:(int_of_string time) ~tid:(int_of_string tid) ~op
-              ~target:(int_of_string target)
-              ~delayed_by:(int_of_string delayed_by)
-              ()
-            :: !events
-      | _ -> malformed lineno line
+  go 0
+
+let rec probe t h mask i kind s c0 c1 m0 m1 =
+  let op = Array.unsafe_get t.slots i in
+  if op == none then -1 - i
+  else if
+    Array.unsafe_get t.hashes i = h
+    && op.kind = kind
+    && String.length op.cls = c1 - c0
+    && String.length op.member = m1 - m0
+    && same_bytes op.cls s c0
+    && same_bytes op.member s m0
+  then i
+  else probe t h mask ((i + 1) land mask) kind s c0 c1 m0 m1
+
+let grow t =
+  let cap = 2 * Array.length t.slots in
+  let slots = Array.make cap none and hashes = Array.make cap 0 in
+  Array.iteri
+    (fun i op ->
+      if op != none then begin
+        let h = t.hashes.(i) in
+        let j = ref (h land (cap - 1)) in
+        while slots.(!j) != none do
+          j := (!j + 1) land (cap - 1)
+        done;
+        slots.(!j) <- op;
+        hashes.(!j) <- h
+      end)
+    t.slots;
+  t.slots <- slots;
+  t.hashes <- hashes
+
+(* The op named by [kind], [s.[c0, c1)] and [s.[m0, m1)]; a new one is
+   built by the checking constructor, so each distinct name is
+   validated once per load.  Raises [Bad_name] on a bad name. *)
+let intern t kind s c0 c1 m0 m1 =
+  let h = span_hash s kind c0 m1 in
+  let mask = Array.length t.slots - 1 in
+  let i = probe t h mask (h land mask) kind s c0 c1 m0 m1 in
+  if i >= 0 then Array.unsafe_get t.slots i
+  else begin
+    let cls = String.sub s c0 (c1 - c0) and member = String.sub s m0 (m1 - m0) in
+    let make =
+      match kind with
+      | Opid.Read -> Opid.read
+      | Write -> Opid.write
+      | Begin -> Opid.enter
+      | End -> Opid.exit
     in
-    List.iteri
-      (fun i line ->
-        let lineno = i + 2 in
-        try parse_line lineno line
-        with Failure msg
-          when msg = "int_of_string"
-               || (String.length msg >= 14 && String.sub msg 0 14 = "Trace_io: bad ") ->
-          malformed lineno line)
-      rest;
-    Log.create ~events:(List.rev !events) ~duration:!duration ~threads:!threads
-      ~volatile_addrs
-  | _ -> failwith (Printf.sprintf "%s:1: Trace_io: bad magic" path)
+    let op =
+      try make ~cls member with Invalid_argument msg -> raise (Bad_name msg)
+    in
+    let i = -1 - i in
+    t.slots.(i) <- op;
+    t.hashes.(i) <- h;
+    t.count <- t.count + 1;
+    if 2 * t.count > Array.length t.slots then grow t;
+    op
+  end
+
+(* Longest digit run that cannot overflow a 63-bit int. *)
+let max_fast_digits = 18
+
+(* The int of [s.[a, b)].  Plain decimal — an optional '-' and at most
+   [max_fast_digits] digits — is read in place; anything else goes to
+   [int_of_string_opt], so exactly the inputs [int_of_string] accepts
+   are accepted. *)
+let parse_int s a b =
+  let d0 = if a < b && String.unsafe_get s a = '-' then a + 1 else a in
+  let rec digits i n =
+    if i = b then n
+    else
+      let c = Char.code (String.unsafe_get s i) - 48 in
+      if c < 0 || c > 9 then -1 else digits (i + 1) ((n * 10) + c)
+  in
+  let n = if d0 < b && b - d0 <= max_fast_digits then digits d0 0 else -1 in
+  if n >= 0 then if d0 > a then -n else n
+  else
+    match int_of_string_opt (String.sub s a (b - a)) with
+    | Some n -> n
+    | None -> raise_notrace Malformed
+
+let kind_of_char = function
+  | 'r' -> Opid.Read
+  | 'w' -> Opid.Write
+  | 'b' -> Opid.Begin
+  | 'e' -> Opid.End
+  | _ -> raise_notrace Malformed
+
+(* One pass over the string by index.  Each line's fields are located in
+   place — single spaces separate them, so doubled, leading or trailing
+   spaces make empty fields — and a line is accepted only in one of the
+   documented shapes.  Errors carry file:line (1-based, counting the
+   magic line) so a truncated or garbled trace points straight at the
+   bad spot. *)
+let of_string_text ?(path = "<string>") s =
+  let len = String.length s in
+  let ml = String.length magic in
+  if not (String.starts_with ~prefix:magic s && (len = ml || s.[ml] = '\n')) then
+    failwith (Printf.sprintf "%s:1: Trace_io: bad magic" path);
+  let duration = ref 0 in
+  let threads = ref 0 in
+  let volatile_addrs = Hashtbl.create 8 in
+  let events = Log.Builder.create () in
+  let ops = interner () in
+  (* Field [k] of the current line is [s.[starts.(k), stops.(k))]; a
+     ninth field means the line has too many. *)
+  let starts = Array.make 9 0 and stops = Array.make 9 0 in
+  let int_field k = parse_int s starts.(k) stops.(k) in
+  let field_is k lit =
+    let a = starts.(k) in
+    stops.(k) - a = String.length lit && same_bytes lit s a
+  in
+  let parse_line nf =
+    if nf = 8 && field_is 0 "e" then begin
+      if stops.(3) = starts.(3) then raise_notrace Malformed;
+      let kind = kind_of_char (String.unsafe_get s starts.(3)) in
+      let time = int_field 1 in
+      let tid = int_field 2 in
+      let target = int_field 4 in
+      let delayed_by = int_field 5 in
+      let op = intern ops kind s starts.(6) stops.(6) starts.(7) stops.(7) in
+      Log.Builder.add events { Event.time; tid; op; target; delayed_by }
+    end
+    else if nf = 1 && stops.(0) = starts.(0) then ()
+    else if nf = 2 && field_is 0 "duration" then duration := int_field 1
+    else if nf = 2 && field_is 0 "threads" then threads := int_field 1
+    else if nf = 2 && field_is 0 "volatile" then
+      Hashtbl.replace volatile_addrs (int_field 1) ()
+    else raise_notrace Malformed
+  in
+  let rec line a lineno =
+    (* Scan to the end of the line, cutting fields at spaces. *)
+    starts.(0) <- a;
+    let nf = ref 1 and i = ref a in
+    while !i < len && String.unsafe_get s !i <> '\n' do
+      if String.unsafe_get s !i = ' ' && !nf < 9 then begin
+        stops.(!nf - 1) <- !i;
+        starts.(!nf) <- !i + 1;
+        incr nf
+      end;
+      incr i
+    done;
+    let b = !i in
+    stops.(!nf - 1) <- b;
+    (match parse_line !nf with
+    | () -> ()
+    | exception Malformed ->
+      failwith
+        (Printf.sprintf "%s:%d: Trace_io: malformed line: %s" path lineno
+           (String.sub s a (b - a)))
+    | exception Bad_name msg ->
+      failwith (Printf.sprintf "%s:%d: Trace_io: %s" path lineno msg));
+    if b < len then line (b + 1) (lineno + 1)
+  in
+  if ml < len then line (ml + 1) 2;
+  Log.Builder.finish events ~duration:!duration ~threads:!threads ~volatile_addrs
 
 (* ------------------------------------------------------------------ *)
 (* Dispatch *)

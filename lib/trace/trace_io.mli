@@ -15,7 +15,8 @@
       e <time> <tid> <kind> <target> <delayed_by> <cls> <member>
       v}
       where [kind] is one of [r w b e].  Class and member names must not
-      contain whitespace (C# qualified names never do).
+      contain whitespace or control characters (C# qualified names never
+      do); the writer checks them and the reader rejects them.
     - {b Binary} — the framed, interned, mmap-backed format of
       {!Trace_bin}, for large logs.
 
@@ -40,7 +41,10 @@ val save : ?format:format -> Log.t -> string -> unit
 val load : string -> Log.t
 (** Read a log back, auto-detecting the format.  Raises [Failure] on
     malformed input; the message starts with ["file:line:"] (text) or
-    ["file: byte N:"] (binary) pointing at the offending input. *)
+    ["file: byte N:"] (binary) pointing at the offending input.  Both
+    readers validate each distinct operation name as {!Opid.check_name}
+    does, failing at the input that introduced a bad one, and share one
+    [Opid.t] among all events of the same operation. *)
 
 val to_string : ?format:format -> Log.t -> string
 

@@ -3,8 +3,10 @@
    bit.  The library computes each table in one pass per round; these
    oracles recompute every entry from scratch, the way the encoder once
    did per candidate variable.  Also a per-event [Opid.Map] fold of a
-   thread's events, the reference for [Windows]' rank-counted sides, and
-   a stable sort by time, the reference for [Log]'s run merge. *)
+   thread's events, the reference for [Windows]' rank-counted sides, a
+   stable sort by time, the reference for [Log]'s run merge, and the
+   split-based text trace codec, the reference for [Trace_io]'s
+   one-pass one. *)
 
 open Sherlock_trace
 open Sherlock_core
@@ -93,3 +95,101 @@ let time_sort arr =
       match Int.compare a.time b.time with 0 -> Int.compare i j | c -> c)
     stable;
   Array.map snd stable
+
+(* Text trace codec: every field through [string_of_int], every line
+   split on spaces into fresh strings.  The reader builds each op record
+   from its fields as they are, unchecked, and takes only the first
+   character of the kind field. *)
+let text_magic = "sherlock-trace 1"
+
+let text_kind_char = function
+  | Opid.Read -> 'r'
+  | Opid.Write -> 'w'
+  | Opid.Begin -> 'b'
+  | Opid.End -> 'e'
+
+let text_kind_of_char = function
+  | 'r' -> Opid.Read
+  | 'w' -> Opid.Write
+  | 'b' -> Opid.Begin
+  | 'e' -> Opid.End
+  | c -> failwith (Printf.sprintf "Trace_io: bad kind %C" c)
+
+let text_of_log (log : Log.t) =
+  let buf = Buffer.create (256 + (Array.length log.events * 48)) in
+  let add_int n = Buffer.add_string buf (string_of_int n) in
+  Buffer.add_string buf text_magic;
+  Buffer.add_char buf '\n';
+  Buffer.add_string buf "duration ";
+  add_int log.duration;
+  Buffer.add_char buf '\n';
+  Buffer.add_string buf "threads ";
+  add_int log.threads;
+  Buffer.add_char buf '\n';
+  List.iter
+    (fun addr ->
+      Buffer.add_string buf "volatile ";
+      add_int addr;
+      Buffer.add_char buf '\n')
+    (Log.volatile_list log);
+  Array.iter
+    (fun (e : Event.t) ->
+      Opid.check_name e.op.cls;
+      Opid.check_name e.op.member;
+      Buffer.add_string buf "e ";
+      add_int e.time;
+      Buffer.add_char buf ' ';
+      add_int e.tid;
+      Buffer.add_char buf ' ';
+      Buffer.add_char buf (text_kind_char e.op.kind);
+      Buffer.add_char buf ' ';
+      add_int e.target;
+      Buffer.add_char buf ' ';
+      add_int e.delayed_by;
+      Buffer.add_char buf ' ';
+      Buffer.add_string buf e.op.cls;
+      Buffer.add_char buf ' ';
+      Buffer.add_string buf e.op.member;
+      Buffer.add_char buf '\n')
+    log.events;
+  Buffer.contents buf
+
+let log_of_text ?(path = "<string>") s =
+  let lines = String.split_on_char '\n' s in
+  let malformed lineno line =
+    failwith (Printf.sprintf "%s:%d: Trace_io: malformed line: %s" path lineno line)
+  in
+  match lines with
+  | first :: rest when first = text_magic ->
+    let duration = ref 0 in
+    let threads = ref 0 in
+    let volatile_addrs = Hashtbl.create 8 in
+    let events = ref [] in
+    let parse_line lineno line =
+      match String.split_on_char ' ' line with
+      | [ "" ] | [] -> ()
+      | [ "duration"; d ] -> duration := int_of_string d
+      | [ "threads"; n ] -> threads := int_of_string n
+      | [ "volatile"; a ] -> Hashtbl.replace volatile_addrs (int_of_string a) ()
+      | [ "e"; time; tid; kind; target; delayed_by; cls; member ] ->
+        let op = { Opid.cls; member; kind = text_kind_of_char kind.[0] } in
+        events :=
+          Event.make ~time:(int_of_string time) ~tid:(int_of_string tid) ~op
+            ~target:(int_of_string target)
+            ~delayed_by:(int_of_string delayed_by)
+            ()
+          :: !events
+      | _ -> malformed lineno line
+    in
+    List.iteri
+      (fun i line ->
+        let lineno = i + 2 in
+        try parse_line lineno line
+        with Failure msg
+          when msg = "int_of_string"
+               || (String.length msg >= 14 && String.sub msg 0 14 = "Trace_io: bad ") ->
+          malformed lineno line)
+      rest;
+    Log.create ~events:(List.rev !events) ~duration:!duration ~threads:!threads
+      ~volatile_addrs
+  | _ -> failwith (Printf.sprintf "%s:1: Trace_io: bad magic" path)

@@ -608,7 +608,11 @@ let test_trace_io_malformed_line_position () =
   expect_failure_at ~path:"t.trace" 4 (garble 4);
   expect_failure_at ~path:"t.trace" 6 (garble 6);
   (* A truncated record (fields missing) is positioned too. *)
-  expect_failure_at ~path:"<string>" 2 (List.hd lines ^ "\ne 10 0\n")
+  expect_failure_at ~path:"<string>" 2 (List.hd lines ^ "\ne 10 0\n");
+  (* Regression: an empty kind field escaped as [Invalid_argument] from
+     indexing its first character. *)
+  expect_failure_at ~path:"t.trace" 3
+    (List.hd lines ^ "\nthreads 2\ne 1 0  5 0 A B\n")
 
 let test_trace_io_rejects_spaces () =
   (* The constructors reject bad names up front ([test_opid_name_validation]);
@@ -623,7 +627,205 @@ let test_trace_io_rejects_spaces () =
         (Invalid_argument
            "Opid: invalid character ' ' in operation name \"Bad Name\"")
         (fun () -> ignore (Trace_io.to_string ~format log)))
-    [ Trace_io.Text; Trace_io.Binary ]
+    [ Trace_io.Text; Trace_io.Binary ];
+  (* Regression: the text loader built op records as they came, so a
+     name no writer accepts loaded and only failed, unpositioned, on the
+     next save.  It is rejected on load, at its line. *)
+  Alcotest.check_raises "control character in a loaded name"
+    (Failure
+       "t.trace:3: Trace_io: Opid: invalid character '\\t' in operation name \"A\\tX\"")
+    (fun () ->
+      ignore
+        (Trace_io.of_string ~path:"t.trace"
+           "sherlock-trace 1\ne 1 0 r 5 0 A B\ne 2 0 r 5 0 A\tX B\n"))
+
+(* Every event of a loaded text log shares the one [Opid.t] of its
+   (kind, cls, member), as binary loads share their op table. *)
+let test_trace_io_shares_ops () =
+  let log = mklog [ ev 10 0 wf; ev 20 1 rf; ev 30 0 wf; ev 40 1 rf; ev 50 2 wf ] in
+  let log' = Trace_io.of_string (Trace_io.to_string log) in
+  let distinct =
+    Array.fold_left
+      (fun acc (e : Event.t) -> if List.memq e.op acc then acc else e.op :: acc)
+      [] log'.events
+  in
+  check Alcotest.int "one record per distinct op" 2 (List.length distinct)
+
+(* Logs for the oracle comparisons: integers across the whole range
+   (negative, near [max_int] and [min_int]), odd but valid names. *)
+let gen_wide_int =
+  QCheck.Gen.(
+    oneof
+      [
+        int_range (-1000) 1000;
+        map (fun k -> max_int - k) (int_bound 3);
+        map (fun k -> min_int + k) (int_bound 3);
+        int;
+      ])
+
+let gen_wide_log =
+  QCheck.Gen.(
+    let name =
+      oneofl [ ""; "f"; "P.C"; "A::b"; "get_x"; "\xc3\xa9t\xc3\xa9"; "x~!" ]
+    in
+    let* events =
+      list_size (int_range 0 12)
+        (let* time = gen_wide_int and* tid = gen_wide_int and* kind = int_bound 3 in
+         let* cls = name and* member = name in
+         let* target = gen_wide_int and* delayed_by = gen_wide_int in
+         let kind = [| Opid.Read; Write; Begin; End |].(kind) in
+         let op = { Opid.cls; member; kind } in
+         return (Event.make ~time ~tid ~op ~target ~delayed_by ()))
+    in
+    let* volatiles = list_size (int_range 0 3) gen_wide_int in
+    let* duration = gen_wide_int and* threads = gen_wide_int in
+    let volatile_addrs = Hashtbl.create 4 in
+    List.iter (fun a -> Hashtbl.replace volatile_addrs a ()) volatiles;
+    return (Log.create ~events ~duration ~threads ~volatile_addrs))
+
+let same_log (a : Log.t) (b : Log.t) =
+  a.duration = b.duration && a.threads = b.threads
+  && Log.volatile_list a = Log.volatile_list b
+  && Log.length a = Log.length b
+  && Array.for_all2
+       (fun (x : Event.t) (y : Event.t) ->
+         Opid.equal x.op y.op && x.time = y.time && x.tid = y.tid
+         && x.target = y.target && x.delayed_by = y.delayed_by)
+       a.events b.events
+
+let prop_text_codec_matches_oracle =
+  QCheck.Test.make ~name:"text codec matches the split-based oracle" ~count:300
+    (QCheck.make ~print:Oracles.text_of_log gen_wide_log)
+    (fun log ->
+      let text = Trace_io.to_string log in
+      text = Oracles.text_of_log log
+      && same_log log (Trace_io.of_string text)
+      && same_log log (Oracles.log_of_text text))
+
+(* Line mutations for the loader comparison, each applied to the
+   space-separated fields of one line: [(what, line, arg)]. *)
+let int_spellings =
+  [| "0x1f"; "0X1F"; "1_000"; "_1"; "+5"; "-0"; "007"; "-"; "+"; "0x"; "1e3";
+     "4611686018427387903"; "4611686018427387904"; "-4611686018427387904";
+     "-4611686018427387905"; "9999999999999999999"; "-9999999999999999999";
+     "99999999999999999999"; "999999999999999999";
+     "-999999999999999999"; "0b101"; "0o17"; "0u42"; "0x7fffffffffffffff";
+     "12a"; "--1" |]
+
+let kind_spellings = [| ""; "x"; "R"; "rw"; "read"; "e\r"; "b"; "w"; "ee" |]
+
+let mutate_fields what arg fields =
+  let j = arg mod (List.length fields + 1) in
+  let insert x =
+    List.filteri (fun i _ -> i < j) fields @ (x :: List.filteri (fun i _ -> i >= j) fields)
+  in
+  let replace x = List.mapi (fun i f -> if i = j then x else f) fields in
+  let append suffix = replace (Option.value ~default:"" (List.nth_opt fields j) ^ suffix) in
+  let pick a = a.(arg mod Array.length a) in
+  match what with
+  | 0 -> List.filteri (fun i _ -> i <> j) fields (* dropped field *)
+  | 1 -> insert (if arg land 1 = 0 then "7" else "x") (* extra field *)
+  | 2 -> replace "" (* empty field *)
+  | 3 -> insert "" (* doubled space *)
+  | 4 -> replace (pick int_spellings)
+  | 5 -> List.mapi (fun i f -> if i = 3 then pick kind_spellings else f) fields
+  | 6 -> append "\r"
+  | _ -> append "\tX" (* a control character in a name *)
+
+let mutate_text text mutations =
+  let lines = Array.of_list (String.split_on_char '\n' text) in
+  List.iter
+    (fun (what, line, arg) ->
+      let k = line mod Array.length lines in
+      lines.(k) <-
+        String.concat " " (mutate_fields what arg (String.split_on_char ' ' lines.(k))))
+    mutations;
+  String.concat "\n" (Array.to_list lines)
+
+(* The two inputs the oracle mishandles: an event line with an empty
+   kind (it raises [Invalid_argument]) or with a name no writer accepts
+   (it loads it).  The first such line, if any. *)
+let first_bug_line lines =
+  let bad name =
+    match Opid.check_name name with () -> false | exception Invalid_argument _ -> true
+  in
+  let is_bug line =
+    match String.split_on_char ' ' line with
+    | [ "e"; _; _; kind; _; _; cls; member ] ->
+      kind = "" || (String.contains "rwbe" kind.[0] && (bad cls || bad member))
+    | _ -> false
+  in
+  List.find_index is_bug lines
+
+(* Whether the loader decides [text] as the oracle does: the same log or
+   the same [Failure].  On the oracle's two bug inputs, the lines before
+   the first one decide as in the oracle, and the bug line itself is a
+   positioned failure. *)
+let loader_agrees_with_oracle text =
+  let outcome load =
+    match load text with
+    | log -> Ok log
+    | exception Failure msg -> Error msg
+  in
+  let got = outcome (Trace_io.of_string ~path:"m.trace") in
+  let lines = String.split_on_char '\n' text in
+  match first_bug_line lines with
+  | Some k when k > 0 -> (
+    let before = String.concat "\n" (List.filteri (fun i _ -> i < k) lines) in
+    match (Oracles.log_of_text ~path:"m.trace" before, got) with
+    | _, Ok _ -> false
+    | exception Failure msg -> got = Error msg
+    | _, Error msg ->
+      String.starts_with ~prefix:(Printf.sprintf "m.trace:%d: Trace_io: " (k + 1)) msg)
+  | _ -> (
+    match (outcome (Oracles.log_of_text ~path:"m.trace"), got) with
+    | Ok a, Ok b -> same_log a b
+    | Error a, Error b -> a = b
+    | _ -> false)
+
+let prop_text_loader_matches_oracle =
+  QCheck.Test.make ~name:"text loader matches the oracle on mutated lines" ~count:1000
+    (QCheck.make
+       ~print:(fun (log, m) -> String.escaped (mutate_text (Oracles.text_of_log log) m))
+       QCheck.Gen.(
+         pair gen_wide_log
+           (list_size (int_range 1 3)
+              (triple (int_bound 7) (int_bound 1000) (int_bound 1000)))))
+    (fun (log, mutations) ->
+      loader_agrees_with_oracle (mutate_text (Trace_io.to_string log) mutations))
+
+(* Every integer and kind spelling in every field that takes one: the
+   random mutations above reach each combination only now and then. *)
+let test_trace_io_spellings_match_oracle () =
+  let lines =
+    [| "sherlock-trace 1"; "duration 5"; "threads 2"; "volatile 3"; "e 1 0 r 5 0 A B" |]
+  in
+  let fields =
+    [ (1, 1, int_spellings); (2, 1, int_spellings); (3, 1, int_spellings) ]
+    @ List.map (fun f -> (4, f, int_spellings)) [ 1; 2; 4; 5 ]
+    @ [ (4, 3, kind_spellings) ]
+  in
+  List.iter
+    (fun (line, field, spellings) ->
+      Array.iter
+        (fun spelling ->
+          let text =
+            String.concat "\n"
+              (Array.to_list
+                 (Array.mapi
+                    (fun i l ->
+                      if i <> line then l
+                      else
+                        String.concat " "
+                          (List.mapi
+                             (fun j f -> if j = field then spelling else f)
+                             (String.split_on_char ' ' l)))
+                    lines))
+          in
+          if not (loader_agrees_with_oracle text) then
+            Alcotest.failf "loader and oracle disagree on %S" text)
+        spellings)
+    fields
 
 (* --- Trace_bin --- *)
 
@@ -772,21 +974,7 @@ let prop_trace_formats_roundtrip =
       let via_bin = via Trace_io.Binary log in
       let via_text = via Trace_io.Text via_bin in
       let back = via Trace_io.Binary via_text in
-      let vols (l : Log.t) =
-        List.sort compare
-          (Hashtbl.fold (fun k () acc -> k :: acc) l.volatile_addrs [])
-      in
-      let same (a : Log.t) (b : Log.t) =
-        a.duration = b.duration && a.threads = b.threads
-        && Log.length a = Log.length b
-        && Array.for_all2
-             (fun (x : Event.t) (y : Event.t) ->
-               Opid.equal x.op y.op && x.time = y.time && x.tid = y.tid
-               && x.target = y.target && x.delayed_by = y.delayed_by)
-             a.events b.events
-        && vols a = vols b
-      in
-      same log via_bin && same log via_text && same log back
+      same_log log via_bin && same_log log via_text && same_log log back
       (* The binary encoding is canonical (interning in first-appearance
          order, volatile addresses sorted): re-encoding a log that made
          it through both formats is byte-identical. *)
@@ -1406,6 +1594,11 @@ let () =
           Alcotest.test_case "malformed line position" `Quick
             test_trace_io_malformed_line_position;
           Alcotest.test_case "rejects spaces" `Quick test_trace_io_rejects_spaces;
+          Alcotest.test_case "shares ops" `Quick test_trace_io_shares_ops;
+          QCheck_alcotest.to_alcotest prop_text_codec_matches_oracle;
+          QCheck_alcotest.to_alcotest prop_text_loader_matches_oracle;
+          Alcotest.test_case "spellings match the oracle" `Quick
+            test_trace_io_spellings_match_oracle;
         ] );
       ( "trace_bin",
         [

@@ -24,6 +24,10 @@
    run once without delays and once under a fixed delay plan.  It is the
    line that shows log construction orders events identically.
 
+   A sixth line, [codec], hashes the trace codecs over the same logs:
+   each log's text and binary encodings, and the events decoded back
+   from each, so it shows both formats write and read identically.
+
      dune exec tools/verdict_digest.exe -- [--seeds N]   (default 30) *)
 
 open Sherlock_core
@@ -128,9 +132,23 @@ let fixed_delay (op : Opid.t) =
   | Opid.End when Opid.is_system op -> 10_000
   | _ -> 0
 
-let log_digest () =
+(* Digests of both encodings of [log] and of the events each decodes
+   back to. *)
+let add_codec b log =
+  let module Trace_io = Sherlock_trace.Trace_io in
+  List.iter
+    (fun format ->
+      let encoded = Trace_io.to_string ~format log in
+      let decoded = Buffer.create 4096 in
+      add_log decoded (Trace_io.of_string encoded);
+      Buffer.add_string b (Digest.string encoded);
+      Buffer.add_string b (Digest.string (Buffer.contents decoded)))
+    [ Trace_io.Text; Trace_io.Binary ]
+
+let log_and_codec_digests () =
   let module Runtime = Sherlock_sim.Runtime in
   let b = Buffer.create (1 lsl 20) in
+  let codec = Buffer.create (1 lsl 16) in
   let tests =
     List.concat_map
       (fun (app : Sherlock_corpus.App.t) ->
@@ -145,7 +163,9 @@ let log_digest () =
           (fun (plan, instrument) ->
             Printf.bprintf b "%s %d %s\n" name seed plan;
             match Runtime.run ~seed ~instrument body with
-            | log -> add_log b log
+            | log ->
+              add_log b log;
+              add_codec codec log
             | exception e -> Printf.bprintf b "! %s\n" (Printexc.to_string e))
           [
             ("none", Runtime.tracing ());
@@ -153,7 +173,8 @@ let log_digest () =
           ]
       done)
     tests;
-  Digest.to_hex (Digest.string (Buffer.contents b))
+  let hex buf = Digest.to_hex (Digest.string (Buffer.contents buf)) in
+  (hex b, hex codec)
 
 let () =
   let seeds = ref 30 in
@@ -171,7 +192,9 @@ let () =
       ("provenance", { base with provenance = true });
     ];
   Printf.printf "%-10s %s\n%!" "extract" (extract_digest ());
-  Printf.printf "%-10s %s\n%!" "log" (log_digest ());
+  let log, codec = log_and_codec_digests () in
+  Printf.printf "%-10s %s\n%!" "log" log;
+  Printf.printf "%-10s %s\n%!" "codec" codec;
   Printf.printf "(%d seeds x %d apps, %d rounds each)\n" !seeds
     (List.length (Sherlock_corpus.Registry.all ()))
     base.rounds
