@@ -192,10 +192,10 @@ val last_duals : t -> duals option
 val set_fault : status option -> unit
 (** Fault-injection seam: while [Some s] is installed, {!solve} and
     {!solve_incremental} skip the simplex entirely and report [s] with
-    the all-zero assignment.  Used by tests and the bench robustness
-    gate to exercise the pipeline's graceful-degradation path (an
-    organically infeasible program cannot arise from the SherLock
-    encoding, whose constraints are all satisfiable at zero).
+    the all-zero assignment.  Used by tests to exercise the pipeline's
+    graceful-degradation path (an organically infeasible program cannot
+    arise from the SherLock encoding, whose constraints are all
+    satisfiable at zero).
     [set_fault None] restores normal solving.  Global, not domain-local:
     install only around single-domain runs. *)
 

@@ -114,8 +114,8 @@ let run_and_extract (config : Config.t) ~round ~plan ?(extract_jobs = 1) ?pool
     test_index (name, body) =
   (* Total plan sites fired across all attempts of this test: an app whose
      count stays 0 everywhere was provably untouched by the plan (the
-     lookup consumes no scheduler randomness), which is what the bench
-     robustness gate's baseline-identity check keys on. *)
+     lookup consumes no scheduler randomness), which is what the
+     baseline-identity checks under a fault plan key on. *)
   let injected = ref 0 in
   let hooks =
     {

@@ -94,7 +94,7 @@ val randomized :
   max_op:int ->
   unit ->
   plan
-(** A deterministic pseudo-random plan (used by the bench robustness
-    gate): [crashes]/[hangs]/[wakeups] sites (default 1 each) with
+(** A deterministic pseudo-random plan (the robustness artifact of
+    [tools/reproduce.exe] uses one): [crashes]/[hangs]/[wakeups] sites (default 1 each) with
     thread ids in [\[1, max_tid\]] and operation indices in
     [\[1, max_op\]]. *)

@@ -132,7 +132,8 @@ val samples : ?registry:registry -> unit -> sample list
 (** All snapshots in chronological order. *)
 
 val reset : registry -> unit
-(** Drop every counter, gauge, histogram, and sample (bench reruns). *)
+(** Drop every counter, gauge, histogram, and sample (between runs in
+    one process). *)
 
 val pp_summary : Format.formatter -> registry -> unit
 (** Text summary: one line per counter, one per histogram with

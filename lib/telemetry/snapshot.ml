@@ -38,8 +38,7 @@ type ring = {
   mutable seq : int;  (* total snapshots ever taken *)
   mutable busy_s : float;
       (* cumulative seconds spent inside [take] — capture plus the
-         [on_snapshot] callback — the plane's direct cost, which the
-         bench stats gate divides by wall-clock *)
+         [on_snapshot] callback — the plane's direct cost *)
 }
 
 let create ?(capacity = 64) ?(registry = Tm.default) ?on_snapshot () =

@@ -55,7 +55,7 @@ val points : ring -> point list
 val busy_seconds : ring -> float
 (** Cumulative wall-clock seconds spent inside {!take} on this ring —
     registry capture plus the [on_snapshot] callback.  The plane's
-    direct cost: the bench stats gate divides it by run wall-clock. *)
+    direct cost, as a share of run wall-clock when divided by it. *)
 
 val latest : ring -> point option
 

@@ -14,7 +14,7 @@
      the refinement path.
 
    Everything derives from one splitmix64 stream, so the same parameters
-   always produce the same log — bench runs are reproducible and the
+   always produce the same log — benchmark runs are reproducible and the
    parallel-vs-sequential identity checks compare meaningful output. *)
 
 let log ?(seed = 1) ~addrs ~threads ~events () =

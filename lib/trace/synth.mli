@@ -6,7 +6,7 @@
     shared timestamps (span-cache hits), method frames (some left open),
     and occasional injected delays (refinement path).  Same parameters
     and seed always yield the same log; nothing is written to disk —
-    bench targets build their million-event inputs on the fly. *)
+    benchmarks and tests build their large inputs on the fly. *)
 
 val log : ?seed:int -> addrs:int -> threads:int -> events:int -> unit -> Log.t
 (** [log ~addrs ~threads ~events ()] generates an indexed log of

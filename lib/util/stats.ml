@@ -29,3 +29,12 @@ let median = function
     Array.sort compare a;
     let n = Array.length a in
     if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
+
+let quantile p = function
+  | [] -> 0.0
+  | xs ->
+    let a = Array.of_list xs in
+    Array.sort compare a;
+    let n = Array.length a in
+    let rank = int_of_float (Float.ceil (p *. float_of_int n)) in
+    a.(max 0 (min (n - 1) (rank - 1)))

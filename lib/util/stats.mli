@@ -26,3 +26,8 @@ val median : float list -> float
 
 val sum : float list -> float
 (** Sum; 0 on the empty list. *)
+
+val quantile : float -> float list -> float
+(** [quantile p xs] is the nearest-rank [p]-quantile: the smallest
+    element with at least a fraction [p] of [xs] at or below it, for
+    [p] in [\[0, 1\]].  0 on the empty list. *)

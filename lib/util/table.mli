@@ -1,8 +1,7 @@
-(** ASCII table rendering for the benchmark harness.
+(** ASCII table rendering for the command-line reports.
 
-    Every table and figure of the paper is regenerated as text by
-    [bench/main.exe]; this module renders aligned tables in the style of
-    the paper so that the output can be compared against it at a glance. *)
+    The CLI's application list and per-round metrics are printed
+    through this module, as aligned tables in the style of the paper. *)
 
 type t
 

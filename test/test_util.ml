@@ -123,6 +123,15 @@ let test_median () =
   check feq "even" 2.5 (Stats.median [ 4.0; 1.0; 2.0; 3.0 ]);
   check feq "empty" 0.0 (Stats.median [])
 
+let test_quantile () =
+  let xs = [ 5.0; 1.0; 4.0; 2.0; 3.0 ] in
+  check feq "q1 nearest rank" 2.0 (Stats.quantile 0.25 xs);
+  check feq "q3 nearest rank" 4.0 (Stats.quantile 0.75 xs);
+  check feq "p = 0 is the minimum" 1.0 (Stats.quantile 0.0 xs);
+  check feq "p = 1 is the maximum" 5.0 (Stats.quantile 1.0 xs);
+  check feq "even count" 2.0 (Stats.quantile 0.5 [ 4.0; 1.0; 2.0; 3.0 ]);
+  check feq "empty" 0.0 (Stats.quantile 0.5 [])
+
 let test_sum () = check feq "sum" 6.0 (Stats.sum [ 1.0; 2.0; 3.0 ])
 
 (* --- Table --- *)
@@ -263,6 +272,7 @@ let () =
           Alcotest.test_case "cv" `Quick test_cv;
           Alcotest.test_case "percentile rank" `Quick test_percentile_rank;
           Alcotest.test_case "median" `Quick test_median;
+          Alcotest.test_case "quantile" `Quick test_quantile;
           Alcotest.test_case "sum" `Quick test_sum;
         ] );
       ( "table",
