@@ -318,7 +318,10 @@ let run_cmd =
             (1e3 *. r.stats.encode_s) (1e3 *. r.stats.lp_s)
             (let failed = Orchestrator.failed_runs r.run_reports in
              if failed > 0 then Printf.sprintf ", %d failed runs" failed else "")
-            (if r.stats.degraded then " [degraded LP]" else ""))
+            (if r.stats.degraded then
+               Printf.sprintf " [degraded LP: %s]"
+                 (Sherlock_lp.Problem.status_name r.stats.status)
+             else ""))
         result.rounds;
       Report.print_round_metrics Format.std_formatter result.rounds;
       Report.print_extraction_summary Format.std_formatter ();
@@ -512,21 +515,8 @@ let solve_trace_cmd =
           ~refine:config.use_refinement log)
       paths;
     let verdicts, stats = Encoder.solve config obs in
-    Printf.printf "%d traces, %d windows, %d variables
-" (List.length paths)
-      stats.num_windows stats.num_vars;
-    print_endline "Releasing sites:";
-    List.iter
-      (fun (v : Verdict.t) ->
-        Printf.printf "  %s
-" (Sherlock_trace.Opid.to_string v.op))
-      (Verdict.releases verdicts);
-    print_endline "Acquire sites:";
-    List.iter
-      (fun (v : Verdict.t) ->
-        Printf.printf "  %s
-" (Sherlock_trace.Opid.to_string v.op))
-      (Verdict.acquires verdicts)
+    Report.print_solve Format.std_formatter ~traces:(List.length paths) verdicts
+      stats
   in
   let paths =
     Arg.(non_empty & pos_all file [] & info [] ~docv:"TRACE" ~doc:"Trace files.")
@@ -911,12 +901,16 @@ let render_stats ppf (p : Telemetry.Snapshot.point) =
   (* LP health. *)
   if c "lp.solves" > 0 then begin
     pr "  lp@.";
-    pr "    solves         %d (%d warm%s), aborted %d@." (c "lp.solves")
-      (c "lp.warm_start.hits")
+    pr "    solves         %d (%d warm%s), aborted %d, numerical %d@."
+      (c "lp.solves") (c "lp.warm_start.hits")
       (if c "lp.warm_start.pivots_saved" > 0 then
          Printf.sprintf ", saving %d pivots" (c "lp.warm_start.pivots_saved")
        else "")
-      (c "lp.aborted");
+      (c "lp.aborted") (c "lp.numerical");
+    pr "    cold restarts  %d residual, %d dual repair, %d pivot cap@."
+      (c "lp.cold_restart.residual")
+      (c "lp.cold_restart.dual_repair")
+      (c "lp.cold_restart.pivot_cap");
     (match h "lp.pivots" with
     | Some ph when ph.h_count > 0 ->
       pr "    pivots         %d total, per solve p50<=%.0f p95<=%.0f@."

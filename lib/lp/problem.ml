@@ -7,37 +7,24 @@ type status =
   | Infeasible
   | Unbounded
   | Aborted
+  | Numerical
 
-type engine =
-  | Dense
-  | Sparse
+let status_name = function
+  | Solved _ -> "solved"
+  | Infeasible -> "infeasible"
+  | Unbounded -> "unbounded"
+  | Aborted -> "pivot cap"
+  | Numerical -> "numerical failure"
 
 type solve_info = {
-  engine : engine;
   pivots : int;
   warm : bool;
   pivots_saved : int;
-  presolve_removed_rows : int;
-  presolve_fixed_vars : int;
-  cold_restarts : int;
+  cold_restart : Simplex.restart option;
   refactors : int;
   eta_len : int;
   bound_rows_saved : int;
 }
-
-let no_info engine =
-  {
-    engine;
-    pivots = 0;
-    warm = false;
-    pivots_saved = 0;
-    presolve_removed_rows = 0;
-    presolve_fixed_vars = 0;
-    cold_restarts = 0;
-    refactors = 0;
-    eta_len = 0;
-    bound_rows_saved = 0;
-  }
 
 type crow = {
   c_row : (int * float) list;
@@ -46,9 +33,9 @@ type crow = {
   c_tag : string;
   c_bound : var;
       (* >= 0: virtual upper-bound row of that variable.  Kept in the
-         row list so ids, row_info and provenance stay stable and the
-         Dense oracle still sees a real constraint, but sparse engines
-         get a column bound instead of a row. *)
+         row list so ids, row_info and provenance stay stable (and a
+         reference solver reading row_info sees a real constraint), but
+         the simplex gets a column bound instead of a row. *)
 }
 
 type row_info = {
@@ -63,18 +50,6 @@ type duals = {
   d_vars : float array;
 }
 
-(* Incremental-solve state: a live {!Simplex.t} plus watermarks tracking
-   which of the problem's variables and rows have been pushed into it.
-   Sync is lazy — [solve_incremental] pushes whatever accumulated since
-   the previous call and reoptimizes from the existing basis. *)
-type istate = {
-  sx : Simplex.t;
-  mutable vars_pushed : int;
-  mutable rows_pushed : int;
-  mutable col_of_var : int array;
-  mutable row_ids : int array;
-}
-
 type t = {
   mutable names : string list; (* reversed *)
   mutable count : int;
@@ -86,9 +61,15 @@ type t = {
       (* growable; per var, its objective coefficient (0 = no term), so
          accumulating a term is O(1) however large the objective is *)
   mutable obj_const : float;
-  mutable engine : engine;
-  mutable use_presolve : bool;
-  mutable istate : istate option;
+  (* The live solver plus watermarks tracking which variables and rows
+     have been pushed into it.  Sync is lazy: [solve] pushes whatever
+     accumulated since the previous call and reoptimizes from the
+     existing basis. *)
+  sx : Simplex.t;
+  mutable vars_pushed : int;
+  mutable rows_pushed : int;
+  mutable col_of_var : int array; (* per var, its simplex column *)
+  mutable row_ids : int array; (* per row, its simplex row or -1 *)
   mutable info : solve_info;
   mutable capture_duals : bool;
   mutable duals : duals option;
@@ -106,19 +87,24 @@ let create () =
     ubs = Array.make 16 infinity;
     obj = Array.make 16 0.0;
     obj_const = 0.0;
-    engine = Sparse;
-    use_presolve = true;
-    istate = None;
-    info = no_info Sparse;
+    sx = Simplex.create ();
+    vars_pushed = 0;
+    rows_pushed = 0;
+    col_of_var = Array.make 64 (-1);
+    row_ids = Array.make 64 (-1);
+    info =
+      {
+        pivots = 0;
+        warm = false;
+        pivots_saved = 0;
+        cold_restart = None;
+        refactors = 0;
+        eta_len = 0;
+        bound_rows_saved = 0;
+      };
     capture_duals = false;
     duals = None;
   }
-
-let set_engine t e = t.engine <- e
-
-let engine t = t.engine
-
-let set_presolve t b = t.use_presolve <- b
 
 let grow_int a n =
   if Array.length a >= n then a
@@ -201,10 +187,8 @@ let add_ge_row ?tag t e rhs = add_constr ?tag t e Simplex.Ge rhs
 
 let set_row_rhs t id rhs =
   t.rows.(id).c_rhs <- rhs;
-  match t.istate with
-  | Some s when id < s.rows_pushed && s.row_ids.(id) >= 0 ->
-    Simplex.set_rhs s.sx s.row_ids.(id) rhs
-  | _ -> ()
+  if id < t.rows_pushed && t.row_ids.(id) >= 0 then
+    Simplex.set_rhs t.sx t.row_ids.(id) rhs
 
 let add_objective_term t v c =
   t.obj <- grow_float 0.0 t.obj (v + 1);
@@ -231,29 +215,13 @@ let objective_terms t =
 
 let objective_constant t = t.obj_const
 
-let hinge t ~weight nm e =
+let hinge t nm e =
   let h = add_var t nm in
   (* h >= e, i.e. e - h <= 0; h >= 0 is implicit. *)
   add_le ~tag:nm t (Linexpr.sub e (Linexpr.var h)) 0.0;
-  add_objective t (Linexpr.var ~coeff:weight h);
   h
 
-let hinge_var t nm e =
-  (* The constraint shape of {!hinge} without the objective term — for
-     callers (the incremental encoder) that rebuild the objective each
-     round with recomputed weights. *)
-  let h = add_var t nm in
-  add_le ~tag:nm t (Linexpr.sub e (Linexpr.var h)) 0.0;
-  h
-
-let abs t ~weight nm e =
-  let a = add_var t nm in
-  add_le ~tag:nm t (Linexpr.sub e (Linexpr.var a)) 0.0;
-  add_le ~tag:nm t (Linexpr.sub (Linexpr.neg e) (Linexpr.var a)) 0.0;
-  add_objective t (Linexpr.var ~coeff:weight a);
-  a
-
-let abs_var t nm e =
+let abs t nm e =
   let a = add_var t nm in
   add_le ~tag:nm t (Linexpr.sub e (Linexpr.var a)) 0.0;
   add_le ~tag:nm t (Linexpr.sub (Linexpr.neg e) (Linexpr.var a)) 0.0;
@@ -269,6 +237,11 @@ let set_capture_duals t b = t.capture_duals <- b
 
 let last_duals t = t.duals
 
+let restart_counter = function
+  | Simplex.Residual -> "lp.cold_restart.residual"
+  | Simplex.Dual_repair -> "lp.cold_restart.dual_repair"
+  | Simplex.Pivot_cap -> "lp.cold_restart.pivot_cap"
+
 let record_info info =
   let module Tm = Sherlock_telemetry.Metrics in
   if Tm.enabled () then begin
@@ -278,15 +251,11 @@ let record_info info =
        plane can derive pivots/second between any two points. *)
     if info.pivots > 0 then
       Tm.Counter.incr ~by:info.pivots (Tm.counter "lp.pivots.total");
-    if info.presolve_removed_rows > 0 then
-      Tm.Counter.incr
-        ~by:info.presolve_removed_rows
-        (Tm.counter "lp.presolve.removed_rows");
-    if info.presolve_fixed_vars > 0 then
-      Tm.Counter.incr ~by:info.presolve_fixed_vars
-        (Tm.counter "lp.presolve.fixed_vars");
     if info.refactors > 0 then
       Tm.Counter.incr ~by:info.refactors (Tm.counter "lp.refactors");
+    Option.iter
+      (fun cause -> Tm.Counter.incr (Tm.counter (restart_counter cause)))
+      info.cold_restart;
     if info.warm then begin
       Tm.Counter.incr (Tm.counter "lp.warm_start.hits");
       if info.pivots_saved > 0 then
@@ -295,264 +264,116 @@ let record_info info =
     end
   end
 
-let record_abort () =
-  let module Tm = Sherlock_telemetry.Metrics in
-  if Tm.enabled () then Tm.Counter.incr (Tm.counter "lp.aborted")
-
-
-let constr_list t =
-  let acc = ref [] in
-  for i = t.nconstrs - 1 downto 0 do
-    let r = t.rows.(i) in
-    acc := { Simplex.row = r.c_row; relation = r.c_rel; rhs = r.c_rhs } :: !acc
-  done;
-  !acc
-
-let finish t info outcome =
-  t.info <- info;
-  record_info info;
-  match outcome with
-  | Simplex.Optimal { objective = obj; solution } ->
-    let obj = obj +. t.obj_const in
-    ( Solved obj,
-      fun v ->
-        if v >= 0 && v < Array.length solution then solution.(v) else 0.0 )
-  | Simplex.Infeasible -> (Infeasible, fun _ -> 0.0)
-  | Simplex.Unbounded -> (Unbounded, fun _ -> 0.0)
-
-(* Sparse engines never see the virtual bound rows: split them out,
-   remembering where each surviving constraint landed ([spos], -1 for
-   bound rows) and how many rows the bounds saved. *)
-let sparse_parts t =
-  let n = t.nconstrs in
-  let spos = Array.make (max 1 n) (-1) in
-  let next = ref 0 in
-  for i = 0 to n - 1 do
-    if t.rows.(i).c_bound < 0 then begin
-      spos.(i) <- !next;
-      incr next
-    end
-  done;
-  let acc = ref [] in
-  for i = n - 1 downto 0 do
-    let r = t.rows.(i) in
-    if r.c_bound < 0 then
-      acc := { Simplex.row = r.c_row; relation = r.c_rel; rhs = r.c_rhs } :: !acc
-  done;
-  (!acc, spos, n - !next)
-
-let ub_array t = Array.sub t.ubs 0 (max 1 t.count)
-
-(* Duals of a sparse solve, read off the live solver state and mapped
-   back to problem coordinates.  [row_map]/[var_map] translate original
-   row/variable indices to solver ids (-1: removed).  A virtual bound
-   row has no simplex row; its dual is synthesized from the bounded
-   column exactly as the explicit cap row would have carried it — the
-   variable's reduced cost when it sits at its upper bound (the cap
-   binding, rc <= 0), 0 otherwise — and the variable's own reduced cost
-   is reported 0 in that case, matching the basic variable of the
-   explicit-row formulation. *)
-let capture_sparse t sx ~row_map ~var_map =
-  let rd = Simplex.row_duals sx in
-  let rc = Simplex.reduced_costs sx in
-  let ncols = Simplex.num_cols sx in
-  let at_upper v =
-    let c = var_map v in
-    c >= 0 && c < ncols && Simplex.is_at_upper sx c
-  in
-  let rc_of v =
-    let c = var_map v in
-    if c >= 0 && c < Array.length rc then rc.(c) else 0.0
-  in
+(* Duals of the last optimum, read off the live solver state and mapped
+   back to problem coordinates through the row/column watermark maps.
+   A virtual bound row has no simplex row; its dual is synthesized from
+   the bounded column exactly as the explicit cap row would have carried
+   it — the variable's reduced cost when it sits at its upper bound (the
+   cap binding, rc <= 0), 0 otherwise — and the variable's own reduced
+   cost is reported 0 in that case, matching the basic variable of the
+   explicit-row formulation.  Reading them never perturbs the basis, so
+   verdicts are bitwise identical with capture on or off. *)
+let capture_duals_of t =
+  let rd = Simplex.row_duals t.sx in
+  let rc = Simplex.reduced_costs t.sx in
+  let at_upper v = Simplex.is_at_upper t.sx t.col_of_var.(v) in
+  let rc_of v = rc.(t.col_of_var.(v)) in
   let d_rows =
     Array.init t.nconstrs (fun i ->
         let b = t.rows.(i).c_bound in
         if b >= 0 then if at_upper b then rc_of b else 0.0
-        else begin
-          let m = row_map i in
-          if m >= 0 && m < Array.length rd then rd.(m) else 0.0
-        end)
+        else rd.(t.row_ids.(i)))
   in
   let d_vars =
     Array.init t.count (fun v -> if at_upper v then 0.0 else rc_of v)
   in
   t.duals <- Some { d_rows; d_vars }
 
-let aborted t info =
-  t.info <- info;
-  record_info info;
-  record_abort ();
+(* The simplex gave up: the pivot cap ([Aborted]) or a numerical
+   breakdown ([Numerical]).  It invalidated itself, so the state stays
+   usable for later solves (the next reoptimize starts cold). *)
+let gave_up t status event info =
+  let module Tm = Sherlock_telemetry.Metrics in
+  if Tm.enabled () then Tm.Counter.incr (Tm.counter event);
   (let module L = Sherlock_telemetry.Log in
-   L.warn "lp.aborted"
+   L.warn event
      [
        ("pivots", L.Int info.pivots);
        ("refactors", L.Int info.refactors);
        ("vars", L.Int t.count);
        ("constraints", L.Int t.nconstrs);
      ]);
-  (Aborted, fun _ -> 0.0)
+  (status, fun _ -> 0.0)
 
-let stat_info base (st : Simplex.stats) =
-  {
-    base with
-    pivots = st.pivots;
-    warm = st.warm;
-    pivots_saved = st.reused_basis;
-    cold_restarts = st.cold_restarts;
-    refactors = st.refactors;
-    eta_len = st.eta_len;
-  }
+(* Push whatever accumulated since the previous solve.  Virtual bound
+   rows are skipped — their variable's column carries the cap directly.
+   Returns how many rows the bounds kept out of the matrix. *)
+let sync t =
+  t.col_of_var <- grow_int t.col_of_var t.count;
+  for v = t.vars_pushed to t.count - 1 do
+    t.col_of_var.(v) <- Simplex.add_col ~ub:t.ubs.(v) t.sx
+  done;
+  t.vars_pushed <- t.count;
+  t.row_ids <- grow_int t.row_ids t.nconstrs;
+  for i = t.rows_pushed to t.nconstrs - 1 do
+    let r = t.rows.(i) in
+    if r.c_bound >= 0 then t.row_ids.(i) <- -1
+    else begin
+      let entries = List.map (fun (v, k) -> (t.col_of_var.(v), k)) r.c_row in
+      t.row_ids.(i) <- Simplex.add_row t.sx entries r.c_rel r.c_rhs
+    end
+  done;
+  t.rows_pushed <- t.nconstrs;
+  Simplex.set_objective t.sx
+    (List.map (fun (v, k) -> (t.col_of_var.(v), k)) (objective_terms t));
+  let saved = ref 0 in
+  for i = 0 to t.nconstrs - 1 do
+    if t.row_ids.(i) < 0 then incr saved
+  done;
+  !saved
 
 let solve t =
   t.duals <- None;
   match !fault with
   | Some s -> (s, fun _ -> 0.0)
   | None -> (
-    let objective = objective_terms t in
-    match t.engine with
-    | Dense ->
-      let constrs = constr_list t in
-      let outcome, pivots =
-        Dense.solve_counted ~num_vars:t.count ~objective constrs
-      in
-      finish t { (no_info Dense) with pivots } outcome
-    | Sparse -> (
-      let constrs, spos, saved = sparse_parts t in
-      let ub = ub_array t in
-      let base = { (no_info Sparse) with bound_rows_saved = saved } in
-      if not t.use_presolve then begin
-        match Simplex.solve_tableau ~ub ~num_vars:t.count ~objective constrs with
-        | exception Simplex.Iteration_limit -> aborted t base
-        | outcome, st, sx ->
-          if t.capture_duals then
-            (match outcome with
-            | Simplex.Optimal _ ->
-              capture_sparse t sx
-                ~row_map:(fun i -> spos.(i))
-                ~var_map:(fun v -> v)
-            | _ -> ());
-          finish t (stat_info base st) outcome
-      end
-      else begin
-        let r = Presolve.run ~num_vars:t.count ~objective ~ub constrs in
-        let base =
-          {
-            base with
-            presolve_removed_rows = r.Presolve.r_stats.removed_rows;
-            presolve_fixed_vars = r.Presolve.r_stats.fixed_vars;
-          }
-        in
-        if r.Presolve.r_infeasible then finish t base Simplex.Infeasible
-        else begin
-          match
-            Simplex.solve_tableau ~ub ~num_vars:t.count
-              ~objective:r.Presolve.r_objective r.Presolve.r_constrs
-          with
-          | exception Simplex.Iteration_limit -> aborted t base
-          | outcome, st, sx -> (
-            if t.capture_duals then
-              (match outcome with
-              | Simplex.Optimal _ ->
-                capture_sparse t sx
-                  ~row_map:(fun i ->
-                    if spos.(i) < 0 then -1
-                    else r.Presolve.r_row_map.(spos.(i)))
-                  ~var_map:(fun v -> r.Presolve.r_var_map.(v))
-              | _ -> ());
-            let base = stat_info base st in
-            match outcome with
-            | Simplex.Optimal { objective = obj; solution } ->
-              let restore =
-                r.Presolve.r_restore (fun v ->
-                    if v >= 0 && v < Array.length solution then solution.(v)
-                    else 0.0)
-              in
-              let full = Array.init t.count restore in
-              finish t base
-                (Simplex.Optimal
-                   { objective = obj +. r.Presolve.r_offset; solution = full })
-            | o -> finish t base o)
-        end
-      end))
-
-let solve_incremental t =
-  t.duals <- None;
-  match !fault with
-  | Some s -> (s, fun _ -> 0.0)
-  | None ->
-    let s =
-      match t.istate with
-      | Some s -> s
-      | None ->
-        let s =
-          {
-            sx = Simplex.create ();
-            vars_pushed = 0;
-            rows_pushed = 0;
-            col_of_var = Array.make 64 (-1);
-            row_ids = Array.make 64 (-1);
-          }
-        in
-        t.istate <- Some s;
-        s
+    let bound_rows_saved = sync t in
+    let result =
+      match Simplex.reoptimize t.sx with
+      | r -> Ok r
+      | exception Simplex.Iteration_limit -> Error (Aborted, "lp.aborted")
+      | exception Simplex.Numerical_trouble ->
+        Error (Numerical, "lp.numerical")
     in
-    (* Push whatever accumulated since the previous solve.  Virtual
-       bound rows are skipped — their variable's column carries the cap
-       directly. *)
-    s.col_of_var <- grow_int s.col_of_var t.count;
-    for v = s.vars_pushed to t.count - 1 do
-      s.col_of_var.(v) <- Simplex.add_col ~ub:t.ubs.(v) s.sx
-    done;
-    s.vars_pushed <- t.count;
-    s.row_ids <- grow_int s.row_ids t.nconstrs;
-    let saved = ref 0 in
-    for i = s.rows_pushed to t.nconstrs - 1 do
-      let r = t.rows.(i) in
-      if r.c_bound >= 0 then s.row_ids.(i) <- -1
-      else begin
-        let entries = List.map (fun (v, k) -> (s.col_of_var.(v), k)) r.c_row in
-        s.row_ids.(i) <- Simplex.add_row s.sx entries r.c_rel r.c_rhs
-      end
-    done;
-    s.rows_pushed <- t.nconstrs;
-    for i = 0 to t.nconstrs - 1 do
-      if s.row_ids.(i) < 0 then incr saved
-    done;
-    Simplex.set_objective s.sx
-      (List.map (fun (v, k) -> (s.col_of_var.(v), k)) (objective_terms t));
-    match Simplex.reoptimize s.sx with
-    | exception Simplex.Iteration_limit ->
-      (* The solver invalidated itself; the warm state stays usable for
-         later rounds (the next reoptimize starts cold). *)
-      aborted t { (no_info Sparse) with bound_rows_saved = !saved }
-    | result ->
-    let st = Simplex.last_stats s.sx in
+    (* The counts cover the whole attempt, a given-up one included. *)
+    let st = Simplex.last_stats t.sx in
     let info =
-      stat_info { (no_info Sparse) with bound_rows_saved = !saved } st
+      {
+        pivots = st.pivots;
+        warm = st.warm;
+        pivots_saved = st.reused_basis;
+        cold_restart = st.cold_restart;
+        refactors = st.refactors;
+        eta_len = st.eta_len;
+        bound_rows_saved;
+      }
     in
     t.info <- info;
     record_info info;
-    (match result with
-    | `Optimal obj ->
-      if t.capture_duals then
-        (* Exact multipliers of the live state: [row_ids]/[col_of_var]
-           translate problem row/var indices to solver ids.  Reading
-           them never perturbs the basis, so verdicts are bitwise
-           identical with capture on or off. *)
-        capture_sparse t s.sx
-          ~row_map:(fun i -> s.row_ids.(i))
-          ~var_map:(fun v -> s.col_of_var.(v));
-      let obj = obj +. t.obj_const in
+    match result with
+    | Error (status, event) -> gave_up t status event info
+    | Ok (`Optimal obj) ->
+      if t.capture_duals then capture_duals_of t;
       (* Snapshot: the solver state stays live inside [t] (later rhs
          edits move its basic solution), but the assignment handed out
          must keep describing THIS solve. *)
       let snap =
-        Array.init t.count (fun v -> Simplex.value s.sx s.col_of_var.(v))
+        Array.init t.count (fun v -> Simplex.value t.sx t.col_of_var.(v))
       in
-      ( Solved obj,
+      ( Solved (obj +. t.obj_const),
         fun v -> if v >= 0 && v < Array.length snap then snap.(v) else 0.0 )
-    | `Infeasible -> (Infeasible, fun _ -> 0.0)
-    | `Unbounded -> (Unbounded, fun _ -> 0.0))
+    | Ok `Infeasible -> (Infeasible, fun _ -> 0.0)
+    | Ok `Unbounded -> (Unbounded, fun _ -> 0.0))
 
 let pp_stats ppf t =
   Format.fprintf ppf "lp: %d vars, %d constraints" t.count t.nconstrs

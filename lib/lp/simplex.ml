@@ -9,16 +9,16 @@ type constr = {
   rhs : float;
 }
 
-type outcome =
-  | Optimal of { objective : float; solution : float array }
-  | Unbounded
-  | Infeasible
+type restart =
+  | Residual
+  | Dual_repair
+  | Pivot_cap
 
 type stats = {
   pivots : int;
   warm : bool;
   reused_basis : int;
-  cold_restarts : int;
+  cold_restart : restart option;
   refactors : int;
   eta_len : int;
 }
@@ -54,7 +54,7 @@ type mstats = {
   mutable m_pivots : int;
   mutable m_warm : bool;
   mutable m_reused : int;
-  mutable m_colds : int;
+  mutable m_cold : restart option;
   mutable m_refactors : int;
   mutable m_eta_max : int;
 }
@@ -135,7 +135,7 @@ let create () =
         m_pivots = 0;
         m_warm = false;
         m_reused = 0;
-        m_colds = 0;
+        m_cold = None;
         m_refactors = 0;
         m_eta_max = 0;
       };
@@ -210,9 +210,9 @@ let col_ub t ~phase1 j =
 
 exception Iteration_limit
 
-(* Internal: the factorization (or a pivot on it) went numerically bad.
-   Warm paths fall back to a cold rebuild; a cold rebuild that still
-   trips it gives up as {!Iteration_limit}. *)
+(* The factorization (or a pivot on it) went numerically bad.  Warm
+   paths fall back to a cold rebuild; a cold rebuild that still trips it
+   gives up and lets it escape. *)
 exception Numerical_trouble
 
 let get_factor t =
@@ -689,7 +689,10 @@ let cold_solve t =
         if t.kind.(c) = Artificial && not t.dead.(c) then cost1.(c) <- 1.0
       done;
       match primal t ~cost:cost1 ~phase1:true with
-      | None -> assert false (* phase-1 objective is bounded below by 0 *)
+      | None ->
+        (* The phase-1 objective is bounded below by 0, so an unbounded
+           ray can only come from a numerically broken basis. *)
+        raise Numerical_trouble
       | Some v when v > 1e-6 -> false
       | Some _ ->
         expel_artificials t;
@@ -715,11 +718,11 @@ let reoptimize t =
   s.m_pivots <- 0;
   s.m_warm <- false;
   s.m_reused <- 0;
-  s.m_colds <- 0;
+  s.m_cold <- None;
   s.m_refactors <- 0;
   s.m_eta_max <- 0;
-  let go_cold () =
-    s.m_colds <- s.m_colds + 1;
+  let go_cold cause =
+    s.m_cold <- Some cause;
     s.m_warm <- false;
     s.m_reused <- 0;
     cold_solve t
@@ -735,38 +738,38 @@ let reoptimize t =
               s.m_warm <- true;
               s.m_reused <- count_reused t;
               match primal t ~cost:t.cost ~phase1:false with
-              | None -> Some `Unbounded
-              | Some obj -> Some (`Optimal obj)
+              | None -> Ok `Unbounded
+              | Some obj -> Ok (`Optimal obj)
             end
             else if t.have_opt then begin
               s.m_warm <- true;
               s.m_reused <- count_reused t;
               if dual_simplex t && primal_feasible t then begin
                 match primal t ~cost:t.cost ~phase1:false with
-                | None -> Some `Unbounded
-                | Some obj -> Some (`Optimal obj)
+                | None -> Ok `Unbounded
+                | Some obj -> Ok (`Optimal obj)
               end
-              else None
+              else Error Dual_repair
             end
-            else None
+            else Error Dual_repair
           with
           | r -> r
-          | exception Numerical_trouble -> None
-          | exception Iteration_limit -> None
+          | exception Numerical_trouble -> Error Dual_repair
+          | exception Iteration_limit -> Error Pivot_cap
         in
         match warm_result with
-        | Some (`Optimal obj) when residuals_ok t -> `Optimal obj
-        | Some (`Optimal _) -> go_cold ()
-        | Some `Unbounded -> `Unbounded
-        | None -> go_cold ()
+        | Ok (`Optimal obj) when residuals_ok t -> `Optimal obj
+        | Ok (`Optimal _) -> go_cold Residual
+        | Ok `Unbounded -> `Unbounded
+        | Error cause -> go_cold cause
       end
-    with Iteration_limit | Numerical_trouble ->
+    with (Iteration_limit | Numerical_trouble) as e ->
       (* the cold path gave up: leave nothing half-built behind, the
          next solve must start from scratch *)
       t.have_basis <- false;
       t.have_opt <- false;
       t.factor <- None;
-      raise Iteration_limit
+      raise e
   in
   (match result with
   | `Optimal _ ->
@@ -784,7 +787,7 @@ let last_stats t =
     pivots = t.stats.m_pivots;
     warm = t.stats.m_warm;
     reused_basis = t.stats.m_reused;
-    cold_restarts = t.stats.m_colds;
+    cold_restart = t.stats.m_cold;
     refactors = t.stats.m_refactors;
     eta_len = t.stats.m_eta_max;
   }
@@ -828,28 +831,3 @@ let dual_feasible t =
     !ok
   end
 
-let solve_tableau ?ub ~num_vars ~objective constrs =
-  let t = create () in
-  for v = 0 to num_vars - 1 do
-    let u =
-      match ub with Some a when v < Array.length a -> a.(v) | _ -> infinity
-    in
-    ignore (add_col ~ub:u t)
-  done;
-  List.iter (fun c -> ignore (add_row t c.row c.relation c.rhs)) constrs;
-  set_objective t objective;
-  let outcome =
-    match reoptimize t with
-    | `Optimal objective ->
-      Optimal { objective; solution = Array.init num_vars (value t) }
-    | `Unbounded -> Unbounded
-    | `Infeasible -> Infeasible
-  in
-  (outcome, last_stats t, t)
-
-let solve_counted ?ub ~num_vars ~objective constrs =
-  let outcome, stats, _ = solve_tableau ?ub ~num_vars ~objective constrs in
-  (outcome, stats)
-
-let solve ?ub ~num_vars ~objective constrs =
-  fst (solve_counted ?ub ~num_vars ~objective constrs)

@@ -12,16 +12,15 @@
     uses Dantzig's rule with a permanent switch to Bland's anti-cycling
     rule after a long degenerate streak.
 
-    Beyond the one-shot {!solve} (the drop-in replacement for the seed
-    dense tableau in {!Dense}), the module exposes an incremental state:
-    columns and rows append over time (an appended row's slack or
-    artificial joins the basis and the factorization is rebuilt lazily),
-    right-hand sides may be edited in place, and {!reoptimize} restarts
-    from the previous optimal basis — primal if it is still feasible, a
-    bounded-variable dual simplex under the last proven-optimal cost
-    vector if not, and a cold two-phase rebuild as the fallback of last
-    resort.  This is what cross-round warm starts in the encoder ride
-    on. *)
+    The module is an incremental state: columns and rows append over
+    time (an appended row's slack or artificial joins the basis and the
+    factorization is rebuilt lazily), right-hand sides may be edited in
+    place, and {!reoptimize} restarts from the previous optimal basis —
+    primal if it is still feasible, a bounded-variable dual simplex
+    under the last proven-optimal cost vector if not, and a cold
+    two-phase rebuild as the fallback of last resort.  A first solve is
+    that cold rebuild from an empty basis.  This is what cross-round
+    warm starts in the encoder ride on. *)
 
 type relation =
   | Le
@@ -34,28 +33,26 @@ type constr = {
   rhs : float;
 }
 
-type outcome =
-  | Optimal of { objective : float; solution : float array }
-  | Unbounded
-  | Infeasible
-
 exception Iteration_limit
-(** Raised by solves (and {!reoptimize}) when a pivot sequence exceeds
-    the limit — see {!set_pivot_limit}.  The state invalidates itself
-    first, so the next solve starts cold.  Callers ({!Problem.solve})
+(** Raised by {!reoptimize} when a pivot sequence exceeds the limit —
+    see {!set_pivot_limit}.  The state invalidates itself first, so the
+    next solve starts cold.  Callers ({!Problem.solve})
     map it to a non-[Solved] status rather than letting it escape. *)
 
-val solve :
-  ?ub:float array ->
-  num_vars:int ->
-  objective:(int * float) list ->
-  constr list ->
-  outcome
-(** [solve ~num_vars ~objective constrs] minimizes over variables
-    [0 .. num_vars - 1], all implicitly bounded below by 0.  [ub.(v)],
-    when given and finite, is an upper bound on variable [v] enforced
-    without a constraint row.  The returned [solution] has length
-    [num_vars]. *)
+exception Numerical_trouble
+(** Raised by {!reoptimize} when the cold path breaks down numerically:
+    the basis turns out singular at a refactorization, or phase 1 finds
+    an unbounded ray its objective cannot have.  The state invalidates
+    itself first, as for {!Iteration_limit}. *)
+
+(** Why a warm {!reoptimize} fell back to a cold rebuild. *)
+type restart =
+  | Residual  (** the warm optimum failed the residual check *)
+  | Dual_repair
+      (** the basis could not be repaired: primal infeasible without a
+          dual certificate, a dual-simplex dead end, or a numerically
+          failed factorization *)
+  | Pivot_cap  (** the warm attempt hit the pivot cap *)
 
 type stats = {
   pivots : int;  (** pivots performed by the last {!reoptimize} *)
@@ -63,19 +60,12 @@ type stats = {
   reused_basis : int;
       (** structural columns inherited in the starting basis — the work
           a cold start would have had to redo *)
-  cold_restarts : int;  (** cold rebuilds the last solve fell back to *)
+  cold_restart : restart option;
+      (** why the last solve fell back to a cold rebuild, if it did *)
   refactors : int;  (** basis refactorizations during the last solve *)
   eta_len : int;
       (** longest product-form eta file reached before a rebuild *)
 }
-
-val solve_counted :
-  ?ub:float array ->
-  num_vars:int ->
-  objective:(int * float) list ->
-  constr list ->
-  outcome * stats
-(** {!solve} plus the solve statistics. *)
 
 (** {1 Incremental state} *)
 
@@ -106,7 +96,8 @@ val reoptimize : t -> [ `Optimal of float | `Unbounded | `Infeasible ]
 (** Solve the current program, reusing the previous basis when one
     exists.  A restricted warm path that reaches a dead end falls back
     to a cold rebuild — it is never reported as [`Infeasible].  Raises
-    {!Iteration_limit} when even the cold path exceeds the pivot cap. *)
+    {!Iteration_limit} when even the cold path exceeds the pivot cap,
+    and {!Numerical_trouble} when it breaks down numerically. *)
 
 val value : t -> int -> float
 (** Value of a column at the last optimum (0 when nonbasic at its lower
@@ -142,17 +133,6 @@ val last_stats : t -> stats
 val num_rows : t -> int
 
 val num_cols : t -> int
-
-val solve_tableau :
-  ?ub:float array ->
-  num_vars:int ->
-  objective:(int * float) list ->
-  constr list ->
-  outcome * stats * t
-(** {!solve_counted}, additionally returning the solver state the
-    optimum was computed on, so callers can read {!row_duals} and
-    {!reduced_costs} off it.  Row [i] of the state is [List.nth constrs i]
-    (rows are pushed in list order). *)
 
 (** {1 Engine knobs (test hooks)}
 

@@ -4,7 +4,7 @@
     append.  This is the storage behind the revised simplex in {!Simplex}:
     pricing walks column occurrence lists ([col_dot]) against the dense
     working quantities, ratio tests walk them against the basis inverse,
-    and presolve walks rows.  Rows and columns are append-only, matching
+    and the residual check walks rows.  Rows and columns are append-only, matching
     the incremental LP lifecycle (the encoding only ever gains variables
     and constraints across rounds). *)
 

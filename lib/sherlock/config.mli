@@ -55,16 +55,6 @@ type t = {
   fault_plan : Sherlock_sim.Fault.plan;
       (** deterministic fault plan applied to every simulated run;
           [Fault.empty] (the default) injects nothing *)
-  (* LP engine. *)
-  lp_engine : Sherlock_lp.Problem.engine;
-      (** [Sparse] (default): revised simplex over the sparse matrix;
-          [Dense]: the seed dense tableau, kept for reference runs and
-          equivalence tests *)
-  use_warm_start : bool;
-      (** reuse the encoder's LP across rounds: round k+1 re-encodes
-          only new observations and restarts the simplex from round k's
-          basis.  Off forces a from-scratch encode + solve per round
-          (verdicts are intended to be identical either way). *)
   provenance : bool;
       (** capture per-verdict evidence (windows, LP rows with duals,
           delay plans, stabilization rounds) for the provenance sidecar

@@ -4,13 +4,11 @@ open Sherlock_lp
 (* LP-engine counters aggregated over every simplex call of one round
    (the base solve plus each rounding-pin re-solve). *)
 type lp_stats = {
-  lp_engine : Problem.engine;
   lp_solves : int;
   lp_pivots : int;
   lp_warm_solves : int;  (* solves that started from a previous basis *)
+  lp_base_warm : bool;  (* the round's first (base) solve did *)
   lp_pivots_saved : int;
-  lp_presolve_rows : int;
-  lp_presolve_vars : int;
   lp_merged_sides : int;
       (* window sides mapped onto an existing hinge by the incremental
          encoder (cumulative over the state's lifetime) *)
@@ -21,15 +19,13 @@ type lp_stats = {
       (* cap rows the bounded-variable encoding kept out of the matrix *)
 }
 
-let zero_lp engine =
+let zero_lp =
   {
-    lp_engine = engine;
     lp_solves = 0;
     lp_pivots = 0;
     lp_warm_solves = 0;
+    lp_base_warm = false;
     lp_pivots_saved = 0;
-    lp_presolve_rows = 0;
-    lp_presolve_vars = 0;
     lp_merged_sides = 0;
     lp_cold_restarts = 0;
     lp_refactors = 0;
@@ -43,10 +39,10 @@ let fold_lp acc (i : Problem.solve_info) =
     lp_solves = acc.lp_solves + 1;
     lp_pivots = acc.lp_pivots + i.pivots;
     lp_warm_solves = (acc.lp_warm_solves + if i.warm then 1 else 0);
+    lp_base_warm = (if acc.lp_solves = 0 then i.warm else acc.lp_base_warm);
     lp_pivots_saved = acc.lp_pivots_saved + i.pivots_saved;
-    lp_presolve_rows = acc.lp_presolve_rows + i.presolve_removed_rows;
-    lp_presolve_vars = acc.lp_presolve_vars + i.presolve_fixed_vars;
-    lp_cold_restarts = acc.lp_cold_restarts + i.cold_restarts;
+    lp_cold_restarts =
+      (acc.lp_cold_restarts + if i.cold_restart = None then 0 else 1);
     lp_refactors = acc.lp_refactors + i.refactors;
     lp_eta_len = max acc.lp_eta_len i.eta_len;
     lp_bound_rows_saved = max acc.lp_bound_rows_saved i.bound_rows_saved;
@@ -60,6 +56,7 @@ type solve_stats = {
   encode_s : float;
   lp_s : float;
   degraded : bool;
+  status : Problem.status;
   lp : lp_stats;
   trace : Metrics.t;
   evidence : Sherlock_provenance.Provenance.verdict_evidence list;
@@ -86,12 +83,12 @@ let role_suffix = function Acquire -> "^acq" | Release -> "^rel"
 (* Deterministic symmetry breaking.  The encoding regularly has multiple
    optimal vertices (two candidates covering the same windows at the same
    cost); which one a simplex run lands on depends on pivot order, which
-   differs between engines and between the one-shot and incremental
-   paths.  A tiny per-variable cost keyed on the operation's identity
-   (not its variable id, which is path-dependent) makes the optimum
-   generically unique, so every path reports the same verdicts.  The
-   magnitude — at most 2e-6 per variable — is far above the solver's
-   1e-9 tolerance and far below any data-driven cost difference. *)
+   differs between a cold solve and a warm one.  A tiny per-variable cost
+   keyed on the operation's identity (not its variable id) makes the
+   optimum generically unique, so warm and cold solves report the same
+   verdicts.  The magnitude — at most 2e-6 per variable — is far above
+   the solver's 1e-9 tolerance and far below any data-driven cost
+   difference. *)
 let tie_cost op role =
   let h = Hashtbl.hash (Opid.to_string op ^ role_suffix role) in
   1e-6 *. (1.0 +. (float_of_int h /. 1073741824.0))
@@ -147,7 +144,7 @@ let side_key config vars side role =
 (* Largest fractional variable to pin to 1 during rounding.  Values
    within 1e-6 of the maximum count as tied (different pivot sequences
    leave different last-bit noise on the same vertex), and ties break on
-   the operation's name — stable across solve paths and engines, unlike
+   the operation's name — stable across cold and warm solves, unlike
    variable ids or hash-table iteration order. *)
 let pick_pin (config : Config.t) table assignment =
   let cands = ref [] in
@@ -321,13 +318,13 @@ let note_objective problem =
    example 0.5/0.5 across a Single-Role pair), which the paper's
    "variables assigned 1" reading would silently drop.  Round by
    repeatedly pinning the largest fractional variable to 1 and
-   re-solving — a cheap branch-free integrality repair.  [solve] and
-   [pin] are the calling path's LP entry points. *)
-let solve_rounded config problem table ~solve ~pin =
+   re-solving — a cheap branch-free integrality repair.  [pin] adds one
+   pin row. *)
+let solve_rounded config problem table ~pin =
   Tspan.with_span ~name:"lp" @@ fun () ->
-  let lp = ref (zero_lp (Problem.engine problem)) in
+  let lp = ref zero_lp in
   let rec go budget =
-    let status, assignment = solve problem in
+    let status, assignment = Problem.solve problem in
     lp := fold_lp !lp (Problem.last_info problem);
     let solved = match status with Problem.Solved _ -> true | _ -> false in
     if budget = 0 || not solved then (status, assignment)
@@ -343,9 +340,9 @@ let solve_rounded config problem table ~solve ~pin =
   Tspan.add_attr "pivots" (Tspan.Int !lp.lp_pivots);
   (status, assignment, !lp)
 
-(* Shared tail of both solve paths: verdicts, stats, telemetry.  The
-   round's wall-clock splits at [t_encoded] (LP built) and [t_solved]
-   (rounded solve done). *)
+(* Verdicts, stats and telemetry of one solve.  The round's wall-clock
+   splits at [t_encoded] (LP built) and [t_solved] (rounded solve
+   done). *)
 let finish (config : Config.t) obs problem table ~num_windows ~lp ~previous
     ~t_start ~t_encoded ~t_solved status assignment =
   let module Tm = Sherlock_telemetry.Metrics in
@@ -388,18 +385,19 @@ let finish (config : Config.t) obs problem table ~num_windows ~lp ~previous
       encode_s;
       lp_s;
       degraded;
+      status;
       lp;
       trace = Metrics.copy acc;
       evidence;
     } )
 
-(* The data-driven objective costs of every candidate variable, shared
-   by both solve paths.  Each variable receives its terms in a fixed
-   order — the tie-break, then Synchronizations are Rare (Equations 3
-   and 4), then Acquisition-Time Mostly Varies (Equation 5: penalize
-   begin^acq of methods whose duration varies little compared to the
-   others) — so its summed coefficient has the same bits on either path.
-   Occurrence averages and duration percentiles are tabulated once per
+(* The data-driven objective costs of every candidate variable.  Each
+   variable receives its terms in a fixed order — the tie-break, then
+   Synchronizations are Rare (Equations 3 and 4), then Acquisition-Time
+   Mostly Varies (Equation 5: penalize begin^acq of methods whose
+   duration varies little compared to the others) — so its summed
+   coefficient's bits depend only on the observations.  Occurrence
+   averages and duration percentiles are tabulated once per
    call, keeping the whole pass linear in the observations. *)
 let add_data_costs (config : Config.t) obs table add =
   let lambda = config.lambda in
@@ -425,144 +423,12 @@ let add_data_costs (config : Config.t) obs table add =
     table
 
 (* ------------------------------------------------------------------ *)
-(* One-shot path: rebuild the whole LP from the observations.  Used
-   when warm starts are off and as the reference for equivalence tests. *)
-
-let encode_oneshot (config : Config.t) obs =
-  let problem = Problem.create () in
-  Problem.set_engine problem config.lp_engine;
-  Problem.set_capture_duals problem config.provenance;
-  let vars = { problem; table = Hashtbl.create 64 } in
-  let windows =
-    List.filter
-      (fun (w : Observations.merged_window) ->
-        not (config.use_race_removal && Observations.is_racy_pair obs w.pair))
-      (Observations.windows obs)
-  in
-  (* Instantiate variables for every candidate op so that the rare /
-     paired / variation terms see them even when the protected hypothesis
-     is ablated. *)
-  let candidates = ref Opid.Set.empty in
-  List.iter
-    (fun (w : Observations.merged_window) ->
-      Windows.Side.iter (fun op _ -> candidates := Opid.Set.add op !candidates) w.rel;
-      Windows.Side.iter (fun op _ -> candidates := Opid.Set.add op !candidates) w.acq)
-    windows;
-  Opid.Set.iter
-    (fun op -> List.iter (fun role -> ignore (var_of vars op role)) (feasible_roles config op))
-    !candidates;
-  (* Mostly Protected (Equation 2). *)
-  if config.use_protected then
-    List.iteri
-      (fun i (w : Observations.merged_window) ->
-        let weight = float_of_int w.weight in
-        let term role side tag =
-          let sum = side_sum config vars side role in
-          ignore
-            (Problem.hinge vars.problem ~weight
-               (Printf.sprintf "%s(w%d)" tag i)
-               (Linexpr.sub (Linexpr.const 1.0) sum))
-        in
-        term Release w.rel "rel";
-        term Acquire w.acq "acq")
-      windows;
-  let lambda = config.lambda in
-  add_data_costs config obs vars.table (Problem.add_objective_term problem);
-  (* Mostly Paired (Equations 6 and 7). *)
-  if config.use_paired then begin
-    (* Per-class method balance. *)
-    let by_class : (string, Linexpr.t ref) Hashtbl.t = Hashtbl.create 16 in
-    Hashtbl.iter
-      (fun ((op : Opid.t), role) { var = v; _ } ->
-        if Opid.is_frame op then begin
-          let signed =
-            match role with
-            | Acquire -> Linexpr.var v
-            | Release -> Linexpr.var ~coeff:(-1.0) v
-          in
-          match Hashtbl.find_opt by_class op.cls with
-          | Some r -> r := Linexpr.add !r signed
-          | None -> Hashtbl.add by_class op.cls (ref signed)
-        end)
-      vars.table;
-    Hashtbl.iter
-      (fun cls expr ->
-        ignore (Problem.abs problem ~weight:lambda ("pair_c(" ^ cls ^ ")") !expr))
-      by_class;
-    (* Per-field read-acquire / write-release balance. *)
-    let fields = ref Opid.Set.empty in
-    Hashtbl.iter
-      (fun ((op : Opid.t), _) _ ->
-        if Opid.is_access op then
-          fields := Opid.Set.add { op with kind = Opid.Read } !fields)
-      vars.table;
-    Opid.Set.iter
-      (fun read_op ->
-        let write_op = { read_op with kind = Opid.Write } in
-        let term op role sign =
-          match find_var vars.table op role with
-          | Some v -> Linexpr.var ~coeff:sign v
-          | None -> Linexpr.zero
-        in
-        let expr =
-          Linexpr.add (term read_op Acquire 1.0) (term write_op Release (-1.0))
-        in
-        ignore
-          (Problem.abs problem ~weight:lambda
-             ("pair_f(" ^ Opid.field_key read_op ^ ")")
-             expr))
-      !fields
-  end;
-  (* Single Role for library APIs. *)
-  if config.use_single_role then begin
-    let methods = ref Opid.Set.empty in
-    Hashtbl.iter
-      (fun ((op : Opid.t), _) _ ->
-        if Opid.is_frame op && Opid.is_system op then
-          methods := Opid.Set.add { op with kind = Opid.Begin } !methods)
-      vars.table;
-    Opid.Set.iter
-      (fun begin_op ->
-        let end_op = { begin_op with kind = Opid.End } in
-        match
-          (find_var vars.table begin_op Acquire, find_var vars.table end_op Release)
-        with
-        | Some b, Some e ->
-          let sum = Linexpr.add (Linexpr.var b) (Linexpr.var e) in
-          if config.single_role_soft then
-            (* Extension (paper §5.5): penalize the violation rather than
-               forbid it, so APIs like UpgradeToWriterLock can keep both
-               roles when the windows demand it. *)
-            ignore
-              (Problem.hinge problem ~weight:lambda
-                 ("single_role(" ^ Opid.method_key begin_op ^ ")")
-                 (Linexpr.sub sum (Linexpr.const 1.0)))
-          else Problem.add_le problem sum 1.0
-        | _ -> ())
-      !methods
-  end;
-  note_objective problem;
-  (vars, List.length windows)
-
-let solve_oneshot (config : Config.t) obs previous t_start =
-  let vars, num_windows =
-    Tspan.with_span ~name:"encode" (fun () -> encode_oneshot config obs)
-  in
-  let problem = vars.problem in
-  let t_encoded = Unix.gettimeofday () in
-  let status, assignment, lp =
-    solve_rounded config problem vars.table ~solve:Problem.solve
-      ~pin:(fun v -> Problem.add_ge ~tag:"pin" problem (Linexpr.var v) 1.0)
-  in
-  finish config obs problem vars.table ~num_windows ~lp ~previous ~t_start
-    ~t_encoded ~t_solved:(Unix.gettimeofday ()) status assignment
-
-(* ------------------------------------------------------------------ *)
-(* Incremental path: a [state] keeps the LP, the variable table, and
-   per-window hinge cells alive across rounds.  Each round encodes only
-   the window suffix added since the previous round (Observations ids
-   are stable), recomputes the data-dependent weights, and reoptimizes
-   the live simplex from the previous basis.
+(* A [state] keeps the LP, the variable table, and per-window hinge
+   cells alive across rounds.  Each round encodes only the window suffix
+   added since the previous round (Observations ids are stable),
+   recomputes the data-dependent weights, and reoptimizes the live
+   simplex from the previous basis.  A solve without a state is a solve
+   through a fresh one: the same encoding, solved cold.
 
    Invariants making this sound (see DESIGN.md):
    - window identity never changes, only its weight grows, and weights
@@ -581,8 +447,7 @@ type state = {
   mutable s_hinges : (Problem.var list, Problem.var) Hashtbl.t;
       (* side variable-set -> its hinge; distinct window sides with the
          same candidate variables share one hinge row (their weights
-         add), mirroring what Presolve's duplicate-row merge does for
-         the one-shot path *)
+         add) *)
   mutable s_whinges : (Problem.var option * Problem.var option) array;
       (* window id -> (release hinge, acquire hinge) *)
   mutable s_nwin : int;  (* windows encoded so far (watermark) *)
@@ -610,10 +475,8 @@ let create_state () =
     s_single = Hashtbl.create 16;
   }
 
-let reset_state st (config : Config.t) =
-  let problem = Problem.create () in
-  Problem.set_engine problem config.lp_engine;
-  st.s_vars <- { problem; table = Hashtbl.create 64 };
+let reset_state st =
+  st.s_vars <- { problem = Problem.create (); table = Hashtbl.create 64 };
   st.s_hinges <- Hashtbl.create 64;
   st.s_whinges <- [||];
   st.s_nwin <- 0;
@@ -654,7 +517,7 @@ let sync_windows st (config : Config.t) obs =
         | None ->
           let sum = side_sum config st.s_vars side role in
           let h =
-            Problem.hinge_var st.s_vars.problem
+            Problem.hinge st.s_vars.problem
               (Printf.sprintf "%s(w%d)" tag i)
               (Linexpr.sub (Linexpr.const 1.0) sum)
           in
@@ -670,7 +533,7 @@ let sync_windows st (config : Config.t) obs =
 
 (* Recompute every hinge's weight from the full window set, skipping
    windows whose pair has raced.  Also counts the active (non-racy)
-   windows — the [num_windows] the one-shot path reports. *)
+   windows, the [num_windows] a solve reports. *)
 let hinge_weights st (config : Config.t) obs =
   let wt : (Problem.var, float) Hashtbl.t = Hashtbl.create 256 in
   let active = ref 0 in
@@ -708,7 +571,7 @@ let sync_paired st =
           (fun acc (v, s) -> Linexpr.add acc (Linexpr.var ~coeff:s v))
           Linexpr.zero terms
       in
-      let a = Problem.abs_var problem name expr in
+      let a = Problem.abs problem name expr in
       Hashtbl.replace cache name (terms, a)
   in
   (* Per-class method balance. *)
@@ -766,7 +629,7 @@ let sync_single st (config : Config.t) =
           let sum = Linexpr.add (Linexpr.var b) (Linexpr.var e) in
           if config.single_role_soft then begin
             let h =
-              Problem.hinge_var problem
+              Problem.hinge problem
                 ("single_role(" ^ key ^ ")")
                 (Linexpr.sub sum (Linexpr.const 1.0))
             in
@@ -803,13 +666,13 @@ let build_objective st (config : Config.t) obs wt =
 (* Bring the live LP up to date with the observations: new windows,
    balance terms, single-role rows, and this round's objective.  Returns
    the active (non-racy) window count. *)
-let encode_warm st (config : Config.t) obs =
+let encode st (config : Config.t) obs =
   (match st.s_obs with
   | Some o when o == obs -> ()
   | _ ->
     (* Fresh observations (new inference, or accumulate off): the cached
        encoding describes different data — start over. *)
-    reset_state st config;
+    reset_state st;
     st.s_obs <- Some obs);
   Problem.set_capture_duals st.s_vars.problem config.provenance;
   sync_windows st config obs;
@@ -820,15 +683,17 @@ let encode_warm st (config : Config.t) obs =
   note_objective st.s_vars.problem;
   num_windows
 
-let solve_warm st (config : Config.t) obs previous t_start =
+let solve ?(state = create_state ()) ?(previous = []) (config : Config.t) obs =
+  Tspan.with_span ~name:"solve" @@ fun () ->
+  let t_start = Unix.gettimeofday () in
   let num_windows =
-    Tspan.with_span ~name:"encode" (fun () -> encode_warm st config obs)
+    Tspan.with_span ~name:"encode" (fun () -> encode state config obs)
   in
-  let { problem; table } = st.s_vars in
+  let { problem; table } = state.s_vars in
   let t_encoded = Unix.gettimeofday () in
   let pins = ref [] in
   let status, assignment, lp =
-    solve_rounded config problem table ~solve:Problem.solve_incremental
+    solve_rounded config problem table
       ~pin:(fun v ->
         pins := Problem.add_ge_row ~tag:"pin" problem (Linexpr.var v) 1.0 :: !pins)
   in
@@ -836,15 +701,6 @@ let solve_warm st (config : Config.t) obs previous t_start =
      the vacuous [x >= 0] so they never constrain later rounds. *)
   List.iter (fun row -> Problem.set_row_rhs problem row 0.0) !pins;
   finish config obs problem table ~num_windows
-    ~lp:{ lp with lp_merged_sides = st.s_merged }
+    ~lp:{ lp with lp_merged_sides = state.s_merged }
     ~previous ~t_start ~t_encoded ~t_solved:(Unix.gettimeofday ()) status
     assignment
-
-let solve ?state ?(previous = []) (config : Config.t) obs =
-  Tspan.with_span ~name:"solve" @@ fun () ->
-  let t_start = Unix.gettimeofday () in
-  match state with
-  | Some st ->
-    Tspan.add_attr "warm" (Tspan.Bool true);
-    solve_warm st config obs previous t_start
-  | None -> solve_oneshot config obs previous t_start

@@ -20,13 +20,13 @@
 
     All non-protected terms are scaled by [lambda] (Equation 8).
 
-    Two equivalent solve paths.  Without [?state], each call builds the
-    LP from scratch and solves it one-shot.  With [?state], the LP lives
-    across calls: round k+1 appends only the windows added since round k
-    (hinge rows for already-seen sides are shared, with weights summed),
-    rebuilds the objective with recomputed weights, and warm-starts the
-    simplex from round k's optimal basis.  Both paths assemble the
-    objective in time linear in the observations (see DESIGN.md,
+    One solve path.  The LP lives in a {!state} across calls: round k+1
+    appends only the windows added since round k (hinge rows for
+    already-seen sides are shared, with weights summed), rebuilds the
+    objective with recomputed weights, and warm-starts the simplex from
+    round k's optimal basis.  A call without [?state] solves through a
+    fresh state, that is, the same encoding solved cold.  The objective
+    is assembled in time linear in the observations (see DESIGN.md,
     "Per-round objective assembly").
 
     Telemetry: each call is a [solve] span with two children, [encode]
@@ -38,20 +38,24 @@
 (** LP-engine counters aggregated over one round's simplex calls (the
     base solve plus each rounding-pin re-solve). *)
 type lp_stats = {
-  lp_engine : Sherlock_lp.Problem.engine;
   lp_solves : int;
   lp_pivots : int;
   lp_warm_solves : int;
-      (** solves that started from a previous round's basis *)
+      (** solves that started from a previous basis (a rounding-pin
+          re-solve always does) *)
+  lp_base_warm : bool;
+      (** the round's first (base) solve started from the previous
+          round's basis *)
   lp_pivots_saved : int;
       (** structural basis columns inherited at warm starts *)
-  lp_presolve_rows : int;  (** rows removed by presolve (one-shot path) *)
-  lp_presolve_vars : int;  (** variables fixed by presolve *)
   lp_merged_sides : int;
       (** window sides the incremental encoder mapped onto an existing
           hinge row (cumulative over the state's lifetime) *)
   lp_cold_restarts : int;
-      (** warm attempts that fell back to a from-scratch basis *)
+      (** warm attempts that fell back to a from-scratch basis (the
+          telemetry registry splits them by cause, as
+          [lp.cold_restart.residual], [lp.cold_restart.dual_repair] and
+          [lp.cold_restart.pivot_cap]) *)
   lp_refactors : int;  (** basis refactorizations across the solves *)
   lp_eta_len : int;
       (** longest product-form eta file any solve reached before a
@@ -73,8 +77,12 @@ type solve_stats = {
       (** the part of [solve_s] spent in the simplex, rounding re-solves
           included *)
   degraded : bool;
-      (** the LP came back infeasible / unbounded / aborted and the
-          returned verdicts are the carried-over [previous] ones *)
+      (** the LP came back infeasible, unbounded, aborted at the pivot
+          cap, or numerically failed, and the returned verdicts are the
+          carried-over [previous] ones *)
+  status : Sherlock_lp.Problem.status;
+      (** the LP's final status: [Solved] unless [degraded], and
+          otherwise the cause *)
   lp : lp_stats;
   trace : Sherlock_trace.Metrics.t;
       (** snapshot of the cumulative trace metrics (runs, extraction,
@@ -94,7 +102,8 @@ type state
     basis), the operation-variable table, and per-window hinge cells.
     A state follows one [Observations.t]: passing a physically different
     observations value resets it transparently (so [accumulate = false],
-    which rebuilds observations per round, degrades to cold solves). *)
+    which rebuilds observations per round, gets a cold solve per
+    round). *)
 
 val create_state : unit -> state
 
@@ -111,9 +120,9 @@ val solve :
 
     With [?state], the encode is incremental and the solve warm-starts
     from the previous call's basis (same optimal objective; the verdict
-    set is intended to be identical and is checked by the equivalence
-    suite).
+    set is intended to be identical to a cold solve's and is checked by
+    the equivalence suite).  Without it the call solves cold.
 
-    If the LP comes back infeasible or unbounded the solve does not
-    raise: it returns [previous] (default [\[\]] — typically the prior
-    round's verdicts) and flags the round [degraded] in the stats. *)
+    If the LP does not come back [Solved] the solve does not raise: it
+    returns [previous] (default [\[\]] — typically the prior round's
+    verdicts) and records the status as [degraded] in the stats. *)

@@ -223,9 +223,7 @@ let infer ?(config = Config.default) subject =
   let prov_rounds = ref [] in
   (* One encoder state for the whole inference: round k+1's LP solve
      warm-starts from round k's basis and re-encodes only new windows. *)
-  let enc_state =
-    if config.use_warm_start then Some (Encoder.create_state ()) else None
-  in
+  let state = Encoder.create_state () in
   let tests = Array.of_list subject.tests in
   (* Never oversubscribe the host: on OCaml 5 every live domain takes
      part in each stop-the-world minor collection, so running more
@@ -290,7 +288,7 @@ let infer ?(config = Config.default) subject =
     let previous =
       match !rounds with r :: _ -> r.verdicts | [] -> []
     in
-    let verdicts, stats = Encoder.solve ?state:enc_state ~previous config !obs in
+    let verdicts, stats = Encoder.solve ~state ~previous config !obs in
     if stats.degraded then begin
       Tm.Counter.incr c_degraded;
       Tlog.warn "orch.lp.degraded"

@@ -82,7 +82,7 @@ let print_round_metrics ppf (rounds : Orchestrator.round_result list) =
       ~header:
         [
           "Round"; "Events"; "Pairs"; "Capped"; "Windows"; "Races"; "Inj";
-          "Failed"; "Lost"; "LP"; "Pivots"; "Presolve"; "Run s"; "Extract s";
+          "Failed"; "Lost"; "LP"; "Pivots"; "Bound rows"; "Run s"; "Extract s";
           "Solve s";
         ]
   in
@@ -90,13 +90,10 @@ let print_round_metrics ppf (rounds : Orchestrator.round_result list) =
   let sec_cell cum prev = Printf.sprintf "%.3f (+%.3f)" cum (cum -. prev) in
   (* The LP cells are per-round, not cumulative: each round's
      [stats.lp] already covers just that round's solve sequence. *)
-  let lp_cell (l : Encoder.lp_stats) =
-    let engine =
-      match l.lp_engine with
-      | Sherlock_lp.Problem.Dense -> "dense"
-      | Sherlock_lp.Problem.Sparse -> "sparse"
-    in
-    if l.lp_warm_solves > 0 then engine ^ "+warm" else engine
+  let lp_cell (s : Encoder.solve_stats) =
+    if s.degraded then "degraded"
+    else if s.lp.lp_base_warm then "warm"
+    else "cold"
   in
   let pivots_cell (l : Encoder.lp_stats) =
     let base =
@@ -107,10 +104,6 @@ let print_round_metrics ppf (rounds : Orchestrator.round_result list) =
     if l.lp_refactors > 0 then
       Printf.sprintf "%s f%d e%d" base l.lp_refactors l.lp_eta_len
     else base
-  in
-  let presolve_cell (l : Encoder.lp_stats) =
-    Printf.sprintf "r%d v%d b%d" l.lp_presolve_rows l.lp_presolve_vars
-      l.lp_bound_rows_saved
   in
   let prev = ref (Metrics.create ()) in
   List.iter
@@ -127,9 +120,9 @@ let print_round_metrics ppf (rounds : Orchestrator.round_result list) =
           string_of_int (Orchestrator.injected_faults r.run_reports);
           string_of_int (Orchestrator.failed_runs r.run_reports);
           string_of_int (Orchestrator.incomplete_runs r.run_reports);
-          (if r.stats.degraded then "degraded" else lp_cell r.stats.lp);
+          lp_cell r.stats;
           pivots_cell r.stats.lp;
-          presolve_cell r.stats.lp;
+          string_of_int r.stats.lp.lp_bound_rows_saved;
           sec_cell m.run_s p.run_s;
           sec_cell m.extract_s p.extract_s;
           sec_cell m.solve_s p.solve_s;
@@ -203,3 +196,21 @@ let print_sites ppf ~app verdicts gt =
   List.iter
     (fun v -> Format.fprintf ppf "  %s@." (describe v))
     (Verdict.acquires verdicts)
+
+(* The [solve-trace] report: sizes, the cause when the solve degraded
+   (its verdicts are then the empty carried-over list, not a finding),
+   and the inferred sites. *)
+let print_solve ppf ~traces verdicts (stats : Encoder.solve_stats) =
+  Format.fprintf ppf "%d traces, %d windows, %d variables@." traces
+    stats.num_windows stats.num_vars;
+  if stats.degraded then
+    Format.fprintf ppf "degraded: %s@."
+      (Sherlock_lp.Problem.status_name stats.status);
+  let sites title vs =
+    Format.fprintf ppf "%s:@." title;
+    List.iter
+      (fun (v : Verdict.t) -> Format.fprintf ppf "  %s@." (Opid.to_string v.op))
+      vs
+  in
+  sites "Releasing sites" (Verdict.releases verdicts);
+  sites "Acquire sites" (Verdict.acquires verdicts)

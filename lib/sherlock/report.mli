@@ -43,7 +43,9 @@ val print_round_metrics : Format.formatter -> Orchestrator.round_result list -> 
     clocks), each cell annotated with its delta against the previous
     round.  Also shows the round's injected fault-plan sites ("Inj"),
     failed run attempts ("Failed"), tests dropped after exhausting
-    retries ("Lost"), and whether the LP solved or degraded. *)
+    retries ("Lost"), whether the round's base LP solve started warm
+    or cold, or degraded ("LP"), its pivots, and the cap rows its column bounds kept out of
+    the matrix ("Bound rows"). *)
 
 val print_extraction_summary : Format.formatter -> unit -> unit
 (** Window-extraction cache effectiveness from the default metrics
@@ -60,3 +62,10 @@ val print_run_failures : Format.formatter -> Orchestrator.round_result list -> u
 val print_sites : Format.formatter -> app:string -> Verdict.t list -> Ground_truth.t -> unit
 (** Render the artifact's result format: "Releasing sites: ... Acquire
     sites: ...", with Tables 8/9-style descriptions where known. *)
+
+val print_solve :
+  Format.formatter -> traces:int -> Verdict.t list -> Encoder.solve_stats -> unit
+(** The [solve-trace] report: trace, window and variable counts, a
+    ["degraded: CAUSE"] line when the LP did not solve (CAUSE is
+    {!Sherlock_lp.Problem.status_name} of its status), then the
+    releasing and acquire sites. *)

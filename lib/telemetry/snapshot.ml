@@ -32,6 +32,10 @@ type ring = {
   capacity : int;
   on_snapshot : (point -> unit) option;
   mutex : Mutex.t;
+  export : Mutex.t;
+      (* held around [on_snapshot]: the ticker and an event-driven
+         [take] may snapshot at once, and two overlapping exporter
+         rewrites of one file would race on its temp file *)
   slots : point option array;
   mutable len : int;
   mutable head : int;  (* next write slot *)
@@ -48,6 +52,7 @@ let create ?(capacity = 64) ?(registry = Tm.default) ?on_snapshot () =
     capacity;
     on_snapshot;
     mutex = Mutex.create ();
+    export = Mutex.create ();
     slots = Array.make capacity None;
     len = 0;
     head = 0;
@@ -108,7 +113,9 @@ let take ?(label = "") r =
   r.head <- (r.head + 1) mod r.capacity;
   if r.len < r.capacity then r.len <- r.len + 1;
   Mutex.unlock r.mutex;
-  (match r.on_snapshot with None -> () | Some f -> f p);
+  (match r.on_snapshot with
+  | None -> ()
+  | Some f -> Mutex.protect r.export (fun () -> f p));
   Mutex.lock r.mutex;
   r.busy_s <- r.busy_s +. (Unix.gettimeofday () -. t0);
   Mutex.unlock r.mutex;

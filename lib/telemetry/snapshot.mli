@@ -38,7 +38,8 @@ val create :
   ring
 (** [capacity] (default 64) bounds retained points — older snapshots
     are evicted FIFO.  [on_snapshot] runs on the snapshotting thread
-    after each {!take}, outside the ring's lock. *)
+    after each {!take}, outside the ring's lock; calls on one ring never
+    overlap, so a callback that rewrites a file needs no locking. *)
 
 val capacity : ring -> int
 

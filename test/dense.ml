@@ -1,9 +1,13 @@
-(* The seed dense two-phase tableau simplex, kept verbatim as the
-   reference engine: the sparse revised-simplex path in {!Simplex} is
-   qcheck-tested for outcome equivalence against this implementation, and
-   [Problem.set_engine p Dense] routes a whole inference through it. *)
+(* The seed dense two-phase tableau simplex, kept as the reference
+   oracle: the revised simplex behind [Problem.solve] is qcheck-tested
+   for outcome and objective equivalence against it. *)
 
-open Simplex
+open Sherlock_lp.Simplex
+
+type outcome =
+  | Optimal of { objective : float; solution : float array }
+  | Unbounded
+  | Infeasible
 
 let eps = 1e-9
 
@@ -17,7 +21,6 @@ type tableau = {
   basis : int array;
   ncols : int;
   first_artificial : int;     (* columns >= this are artificial *)
-  mutable pivots : int;       (* pivot operations performed, for telemetry *)
 }
 
 let build num_vars constrs =
@@ -66,10 +69,9 @@ let build num_vars constrs =
         basis.(i) <- !next_art;
         incr next_art))
     normalized;
-  { t; basis; ncols; first_artificial = num_vars + num_slack; pivots = 0 }
+  { t; basis; ncols; first_artificial = num_vars + num_slack }
 
 let pivot tab ~row ~col =
-  tab.pivots <- tab.pivots + 1;
   let t = tab.t in
   let m = Array.length t in
   let width = tab.ncols + 1 in
@@ -203,24 +205,18 @@ let phase2 tab num_vars objective =
       tab.basis;
     Optimal { objective; solution }
 
-let solve_counted ~num_vars ~objective constrs =
-  let tab = build num_vars constrs in
-  let outcome =
-    if tab.first_artificial = tab.ncols then phase2 tab num_vars objective
-    else begin
-      let cost1 = Array.make tab.ncols 0.0 in
-      for j = tab.first_artificial to tab.ncols - 1 do
-        cost1.(j) <- 1.0
-      done;
-      match optimize tab cost1 ~allow:(fun _ -> true) with
-      | None -> assert false (* phase-1 objective is bounded below by 0 *)
-      | Some v when v > 1e-6 -> Infeasible
-      | Some _ ->
-        expel_artificials tab;
-        phase2 tab num_vars objective
-    end
-  in
-  (outcome, tab.pivots)
-
 let solve ~num_vars ~objective constrs =
-  fst (solve_counted ~num_vars ~objective constrs)
+  let tab = build num_vars constrs in
+  if tab.first_artificial = tab.ncols then phase2 tab num_vars objective
+  else begin
+    let cost1 = Array.make tab.ncols 0.0 in
+    for j = tab.first_artificial to tab.ncols - 1 do
+      cost1.(j) <- 1.0
+    done;
+    match optimize tab cost1 ~allow:(fun _ -> true) with
+    | None -> assert false (* phase-1 objective is bounded below by 0 *)
+    | Some v when v > 1e-6 -> Infeasible
+    | Some _ ->
+      expel_artificials tab;
+      phase2 tab num_vars objective
+  end

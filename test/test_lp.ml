@@ -35,19 +35,54 @@ let test_linexpr_zero_coeff () =
   check Alcotest.int "zero coeff var is zero" 0
     (List.length (Linexpr.terms (Linexpr.var ~coeff:0.0 3)))
 
+(* The encoding's two shapes with an objective weight. *)
+let hinge p ~weight nm e =
+  let h = Problem.hinge p nm e in
+  Problem.add_objective_term p h weight;
+  h
+
+let abs p ~weight nm e =
+  let a = Problem.abs p nm e in
+  Problem.add_objective_term p a weight;
+  a
+
 (* --- Simplex on known programs --- *)
+
+(* A simplex state built from [constrs] and solved once, for tests that
+   then edit it. *)
+let solved_state ?(ub = [||]) ~num_vars ~objective constrs =
+  let s = Simplex.create () in
+  for v = 0 to num_vars - 1 do
+    ignore
+      (Simplex.add_col ~ub:(if v < Array.length ub then ub.(v) else infinity) s)
+  done;
+  List.iter
+    (fun (c : Simplex.constr) -> ignore (Simplex.add_row s c.row c.relation c.rhs))
+    constrs;
+  Simplex.set_objective s objective;
+  (Simplex.reoptimize s, s)
+
+(* A one-shot solve through [solved_state], in the dense oracle's terms:
+   the optimum with the values of variables [0 .. num_vars - 1]. *)
+let simplex_solve ~num_vars ~objective constrs =
+  match solved_state ~num_vars ~objective constrs with
+  | `Optimal objective, s ->
+    Dense.Optimal
+      { objective; solution = Array.init num_vars (Simplex.value s) }
+  | `Unbounded, _ -> Dense.Unbounded
+  | `Infeasible, _ -> Dense.Infeasible
 
 let solve_simple () =
   (* min -x - y s.t. x + 2y <= 4; 3x + y <= 6 => x=1.6 y=1.2 obj=-2.8 *)
   match
-    Simplex.solve ~num_vars:2
+    simplex_solve ~num_vars:2
       ~objective:[ (0, -1.0); (1, -1.0) ]
       [
         { Simplex.row = [ (0, 1.0); (1, 2.0) ]; relation = Simplex.Le; rhs = 4.0 };
         { Simplex.row = [ (0, 3.0); (1, 1.0) ]; relation = Simplex.Le; rhs = 6.0 };
       ]
   with
-  | Simplex.Optimal { objective; solution } ->
+  | Dense.Optimal { objective; solution } ->
     check feq "objective" (-2.8) objective;
     check feq "x" 1.6 solution.(0);
     check feq "y" 1.2 solution.(1)
@@ -56,44 +91,44 @@ let solve_simple () =
 let solve_equality () =
   (* min x s.t. x + y = 3, y <= 2 => x = 1 *)
   match
-    Simplex.solve ~num_vars:2 ~objective:[ (0, 1.0) ]
+    simplex_solve ~num_vars:2 ~objective:[ (0, 1.0) ]
       [
         { Simplex.row = [ (0, 1.0); (1, 1.0) ]; relation = Simplex.Eq; rhs = 3.0 };
         { Simplex.row = [ (1, 1.0) ]; relation = Simplex.Le; rhs = 2.0 };
       ]
   with
-  | Simplex.Optimal { objective; _ } -> check feq "objective" 1.0 objective
+  | Dense.Optimal { objective; _ } -> check feq "objective" 1.0 objective
   | _ -> Alcotest.fail "expected optimum"
 
 let solve_infeasible () =
   match
-    Simplex.solve ~num_vars:1 ~objective:[ (0, 1.0) ]
+    simplex_solve ~num_vars:1 ~objective:[ (0, 1.0) ]
       [
         { Simplex.row = [ (0, 1.0) ]; relation = Simplex.Ge; rhs = 5.0 };
         { Simplex.row = [ (0, 1.0) ]; relation = Simplex.Le; rhs = 1.0 };
       ]
   with
-  | Simplex.Infeasible -> ()
+  | Dense.Infeasible -> ()
   | _ -> Alcotest.fail "expected infeasible"
 
 let solve_unbounded () =
-  match Simplex.solve ~num_vars:1 ~objective:[ (0, -1.0) ] [] with
-  | Simplex.Unbounded -> ()
+  match simplex_solve ~num_vars:1 ~objective:[ (0, -1.0) ] [] with
+  | Dense.Unbounded -> ()
   | _ -> Alcotest.fail "expected unbounded"
 
 let solve_negative_rhs () =
   (* min x s.t. -x <= -2 (i.e. x >= 2) *)
   match
-    Simplex.solve ~num_vars:1 ~objective:[ (0, 1.0) ]
+    simplex_solve ~num_vars:1 ~objective:[ (0, 1.0) ]
       [ { Simplex.row = [ (0, -1.0) ]; relation = Simplex.Le; rhs = -2.0 } ]
   with
-  | Simplex.Optimal { objective; _ } -> check feq "objective" 2.0 objective
+  | Dense.Optimal { objective; _ } -> check feq "objective" 2.0 objective
   | _ -> Alcotest.fail "expected optimum"
 
 let solve_degenerate () =
   (* Redundant constraints must not cycle (Bland's rule). *)
   match
-    Simplex.solve ~num_vars:2
+    simplex_solve ~num_vars:2
       ~objective:[ (0, -1.0) ]
       [
         { Simplex.row = [ (0, 1.0) ]; relation = Simplex.Le; rhs = 1.0 };
@@ -101,7 +136,7 @@ let solve_degenerate () =
         { Simplex.row = [ (0, 1.0); (1, 1.0) ]; relation = Simplex.Le; rhs = 1.0 };
       ]
   with
-  | Simplex.Optimal { objective; _ } -> check feq "objective" (-1.0) objective
+  | Dense.Optimal { objective; _ } -> check feq "objective" (-1.0) objective
   | _ -> Alcotest.fail "expected optimum"
 
 (* --- Problem builder --- *)
@@ -110,7 +145,7 @@ let test_problem_hinge () =
   (* min h, h >= 1 - a, a <= 0.3 => h = 0.7 *)
   let p = Problem.create () in
   let a = Problem.add_var p ~ub:0.3 "a" in
-  let _ = Problem.hinge p ~weight:1.0 "h" Linexpr.(sub (const 1.0) (var a)) in
+  let _ = hinge p ~weight:1.0 "h" Linexpr.(sub (const 1.0) (var a)) in
   match Problem.solve p with
   | Problem.Solved obj, v ->
     check feq "objective" 0.7 obj;
@@ -122,7 +157,7 @@ let test_problem_hinge_slack () =
   let p = Problem.create () in
   let a = Problem.add_var p ~ub:2.0 "a" in
   Problem.add_ge p (Linexpr.var a) 2.0;
-  let _ = Problem.hinge p ~weight:1.0 "h" Linexpr.(sub (const 1.0) (var a)) in
+  let _ = hinge p ~weight:1.0 "h" Linexpr.(sub (const 1.0) (var a)) in
   match Problem.solve p with
   | Problem.Solved obj, _ -> check feq "objective" 0.0 obj
   | _ -> Alcotest.fail "expected solution"
@@ -131,7 +166,7 @@ let test_problem_abs () =
   (* min |x - 2| + 0.1 x over x in [0, 5] => x = 2 *)
   let p = Problem.create () in
   let x = Problem.add_var p ~ub:5.0 "x" in
-  let _ = Problem.abs p ~weight:1.0 "t" Linexpr.(sub (var x) (const 2.0)) in
+  let _ = abs p ~weight:1.0 "t" Linexpr.(sub (var x) (const 2.0)) in
   Problem.add_objective p (Linexpr.var ~coeff:0.1 x);
   match Problem.solve p with
   | Problem.Solved obj, v ->
@@ -144,7 +179,7 @@ let test_problem_abs_negative_side () =
   let p = Problem.create () in
   let x = Problem.add_var p ~ub:10.0 "x" in
   Problem.add_ge p (Linexpr.var x) 3.0;
-  let t = Problem.abs p ~weight:1.0 "t" Linexpr.(sub (var x) (const 2.0)) in
+  let t = abs p ~weight:1.0 "t" Linexpr.(sub (var x) (const 2.0)) in
   match Problem.solve p with
   | Problem.Solved _, v -> check feq "abs value" 1.0 (v t)
   | _ -> Alcotest.fail "expected solution"
@@ -210,8 +245,8 @@ let prop_solution_feasible =
           rows
       in
       let objective = List.mapi (fun i c -> (i, c)) obj in
-      match Simplex.solve ~num_vars:nvars ~objective constrs with
-      | Simplex.Optimal { solution; _ } ->
+      match simplex_solve ~num_vars:nvars ~objective constrs with
+      | Dense.Optimal { solution; _ } ->
         List.for_all
           (fun (coeffs, rhs) ->
             let lhs =
@@ -221,7 +256,7 @@ let prop_solution_feasible =
             lhs <= rhs +. 1e-6)
           rows
         && Array.for_all (fun x -> x >= -1e-9) solution
-      | Simplex.Infeasible | Simplex.Unbounded -> false)
+      | Dense.Infeasible | Dense.Unbounded -> false)
 
 (* A minimized non-negative objective over Le constraints with rhs >= 0 is
    zero (x = 0 is optimal). *)
@@ -230,8 +265,8 @@ let prop_zero_optimum =
     QCheck.(pair (int_range 1 4) (list_of_size (QCheck.Gen.int_range 1 4) (float_range 0.0 5.0)))
     (fun (nvars, obj) ->
       let objective = List.mapi (fun i c -> (i, c)) (List.filteri (fun i _ -> i < nvars) obj) in
-      match Simplex.solve ~num_vars:nvars ~objective [] with
-      | Simplex.Optimal { objective = v; _ } -> abs_float v < 1e-9
+      match simplex_solve ~num_vars:nvars ~objective [] with
+      | Dense.Optimal { objective = v; _ } -> abs_float v < 1e-9
       | _ -> false)
 
 (* hinge computes max(0, c - x) at the optimum for fixed x. *)
@@ -242,7 +277,7 @@ let prop_hinge_exact =
       let p = Problem.create () in
       let x = Problem.add_var p ~ub:5.0 "x" in
       Problem.add_eq p (Linexpr.var x) xval;
-      let h = Problem.hinge p ~weight:1.0 "h" Linexpr.(sub (const c) (var x)) in
+      let h = hinge p ~weight:1.0 "h" Linexpr.(sub (const c) (var x)) in
       match Problem.solve p with
       | Problem.Solved _, v -> abs_float (v h -. Float.max 0.0 (c -. xval)) < 1e-6
       | _ -> false)
@@ -257,7 +292,7 @@ let prop_abs_exact =
       let y = Problem.add_var p ~ub:10.0 "y" in
       Problem.add_eq p (Linexpr.var x) a;
       Problem.add_eq p (Linexpr.var y) b;
-      let t = Problem.abs p ~weight:1.0 "t" Linexpr.(sub (var x) (var y)) in
+      let t = abs p ~weight:1.0 "t" Linexpr.(sub (var x) (var y)) in
       match Problem.solve p with
       | Problem.Solved _, v -> abs_float (v t -. abs_float (a -. b)) < 1e-6
       | _ -> false)
@@ -373,56 +408,6 @@ let prop_objective_matches_linexpr =
       let exprs = List.map to_expr ((if reset then [] else before) @ after) in
       linexpr_bits (Linexpr.sum exprs) = objective_bits p)
 
-(* --- Presolve --- *)
-
-let test_presolve_duplicate_hinge () =
-  (* Two hinges with identical bodies merge into one row whose penalty
-     column carries the summed weight; the optimum is unchanged. *)
-  let p = Problem.create () in
-  let x = Problem.add_var p ~ub:1.0 "x" in
-  let _ = Problem.hinge p ~weight:1.0 "h1" Linexpr.(sub (const 1.0) (var x)) in
-  let _ = Problem.hinge p ~weight:2.0 "h2" Linexpr.(sub (const 1.0) (var x)) in
-  Problem.add_objective p (Linexpr.var ~coeff:10.0 x);
-  match Problem.solve p with
-  | Problem.Solved obj, _ ->
-    check feq "objective" 3.0 obj;
-    check Alcotest.bool "rows merged" true
-      ((Problem.last_info p).presolve_removed_rows > 0)
-  | _ -> Alcotest.fail "expected solution"
-
-let test_presolve_forced_fix () =
-  (* A singleton equality pins x; presolve substitutes it out and the
-     restored assignment still reports the forced value. *)
-  let p = Problem.create () in
-  let x = Problem.add_var p "x" in
-  let y = Problem.add_var p ~ub:4.0 "y" in
-  Problem.add_eq p (Linexpr.var x) 2.0;
-  Problem.add_ge p Linexpr.(add (var x) (var y)) 5.0;
-  Problem.add_objective p Linexpr.(add (var x) (var y));
-  match Problem.solve p with
-  | Problem.Solved obj, v ->
-    check feq "objective" 5.0 obj;
-    check feq "x" 2.0 (v x);
-    check feq "y" 3.0 (v y);
-    check Alcotest.bool "var fixed" true
-      ((Problem.last_info p).presolve_fixed_vars > 0)
-  | _ -> Alcotest.fail "expected solution"
-
-let test_presolve_empty_rows () =
-  let run rhs =
-    Presolve.run ~num_vars:1 ~objective:[ (0, 1.0) ]
-      [
-        { Simplex.row = []; relation = Simplex.Le; rhs };
-        { Simplex.row = [ (0, 1.0) ]; relation = Simplex.Le; rhs = 3.0 };
-      ]
-  in
-  let ok = run 5.0 in
-  check Alcotest.bool "vacuous empty row dropped" true
-    (ok.Presolve.r_stats.removed_rows >= 1 && not ok.Presolve.r_infeasible);
-  let bad = run (-1.0) in
-  check Alcotest.bool "violated empty row is infeasible" true
-    bad.Presolve.r_infeasible
-
 (* --- LU factorization --- *)
 
 (* Dense reference basis: [cols.(k).(row)] is the column at position k. *)
@@ -532,6 +517,23 @@ let prop_lu_roundtrip =
 
 (* --- Engine behavior: refactorization, pivot cap, dual repair --- *)
 
+(* The program as [Problem.row_info] shows it, cap rows as real rows,
+   solved by the dense reference oracle. *)
+let dense_solve p =
+  let constrs =
+    List.init (Problem.num_rows p) (fun i ->
+        let ri = Problem.row_info p i in
+        { Simplex.row = ri.ri_terms; relation = ri.ri_rel; rhs = ri.ri_rhs })
+  in
+  match
+    Dense.solve ~num_vars:(Problem.num_vars p)
+      ~objective:(Problem.objective_terms p) constrs
+  with
+  | Dense.Optimal { objective; solution } ->
+    (Problem.Solved (objective +. Problem.objective_constant p), solution)
+  | Dense.Infeasible -> (Problem.Infeasible, [||])
+  | Dense.Unbounded -> (Problem.Unbounded, [||])
+
 (* min -sum x_i over a 6-cycle of pairwise caps: needs a handful of
    pivots under any pricing order, with optimum -3 (alternate 1, 0). *)
 let pivoty_lp () =
@@ -554,8 +556,6 @@ let test_refactor_threshold () =
     (fun () ->
       Simplex.set_refactor_interval 1;
       let p = pivoty_lp () in
-      Problem.set_engine p Problem.Sparse;
-      Problem.set_presolve p false;
       match Problem.solve p with
       | Problem.Solved obj, _ ->
         check feq "optimum unchanged by refactorization" (-3.0) obj;
@@ -567,8 +567,8 @@ let test_refactor_threshold () =
       | _ -> Alcotest.fail "expected solution")
 
 (* The pivot cap surfaces as a non-raising [Aborted] status, and lifting
-   the cap fully recovers — including on a state whose warm basis was
-   invalidated by the abort. *)
+   the cap fully recovers — on the same problem, whose solver state the
+   abort invalidated, as on a fresh one. *)
 let test_pivot_cap_aborts_and_recovers () =
   Fun.protect
     ~finally:(fun () -> Simplex.set_pivot_limit Simplex.default_pivot_limit)
@@ -578,24 +578,115 @@ let test_pivot_cap_aborts_and_recovers () =
       (match Problem.solve p with
       | Problem.Aborted, v -> check feq "aborted assignment is zero" 0.0 (v 0)
       | _ -> Alcotest.fail "expected Aborted under a 1-pivot cap");
-      let q = pivoty_lp () in
-      (match Problem.solve_incremental q with
-      | Problem.Aborted, _ -> ()
-      | _ -> Alcotest.fail "expected Aborted (incremental)");
+      check Alcotest.bool "the cap's pivots are counted" true
+        ((Problem.last_info p).Problem.pivots >= 1);
       Simplex.set_pivot_limit Simplex.default_pivot_limit;
-      (match Problem.solve_incremental q with
-      | Problem.Solved obj, _ -> check feq "warm state recovered" (-3.0) obj
+      (match Problem.solve p with
+      | Problem.Solved obj, _ -> check feq "state recovered" (-3.0) obj
       | _ -> Alcotest.fail "expected recovery after lifting the cap");
       match Problem.solve (pivoty_lp ()) with
-      | Problem.Solved obj, _ -> check feq "one-shot recovered" (-3.0) obj
-      | _ -> Alcotest.fail "expected one-shot recovery")
+      | Problem.Solved obj, _ -> check feq "fresh problem solves" (-3.0) obj
+      | _ -> Alcotest.fail "expected a fresh solve")
+
+(* A warm attempt that cannot finish falls back to a cold rebuild, and
+   the solve records why: a row over a column the dual simplex may not
+   enter (added after the certified optimum) is a dual-repair dead end,
+   and a re-optimization past the pivot cap is a pivot-cap restart.
+   Each cause has its own registry counter. *)
+let test_cold_restart_causes () =
+  let module Tm = Sherlock_telemetry.Metrics in
+  let was_enabled = Tm.enabled () in
+  Fun.protect
+    ~finally:(fun () ->
+      Tm.set_enabled was_enabled;
+      Simplex.set_pivot_limit Simplex.default_pivot_limit)
+    (fun () ->
+      Tm.set_enabled true;
+      let counter cause = Tm.Counter.value (Tm.counter ("lp.cold_restart." ^ cause)) in
+      let cause p = (Problem.last_info p).Problem.cold_restart in
+      let dual = counter "dual_repair" and cap = counter "pivot_cap" in
+      let p = Problem.create () in
+      let x = Problem.add_var p ~ub:1.0 "x" in
+      Problem.add_objective p (Linexpr.var ~coeff:(-1.0) x);
+      ignore (Problem.solve p);
+      let y = Problem.add_var p "y" in
+      Problem.add_ge p (Linexpr.var y) 1.0;
+      Problem.add_objective p (Linexpr.var y);
+      (match Problem.solve p with
+      | Problem.Solved obj, _ -> check feq "objective after the restart" 0.0 obj
+      | _ -> Alcotest.fail "expected solution");
+      check Alcotest.bool "dual-repair cause" true
+        (cause p = Some Simplex.Dual_repair);
+      check Alcotest.int "lp.cold_restart.dual_repair counted" (dual + 1)
+        (counter "dual_repair");
+      (* Flip the objective of the 6-cycle so that every variable at 1
+         should drop to 0 and the other way round. *)
+      let q = pivoty_lp () in
+      let v = match Problem.solve q with _, v -> v in
+      Problem.set_objective q
+        (Linexpr.sum
+           (List.init 6 (fun i -> Linexpr.var ~coeff:(v i -. 1.0) i)));
+      Simplex.set_pivot_limit 1;
+      (match Problem.solve q with
+      | Problem.Aborted, _ -> ()
+      | s, _ -> Alcotest.failf "expected Aborted, got %s" (Problem.status_name s));
+      check Alcotest.bool "pivot-cap cause" true (cause q = Some Simplex.Pivot_cap);
+      check Alcotest.int "lp.cold_restart.pivot_cap counted" (cap + 1)
+        (counter "pivot_cap"))
+
+(* A pivot the ratio test accepts (|w| = 1.5e-9 > 1e-9) leaves a basis
+   the factorization rejects: refactorizing [[0.05, 0.01], [1, 0.2 +
+   1.5e-9]] pivots on the 1 and leaves a 7.5e-11 residual, under its
+   1e-10 singularity bound.  Refactorizing after every pivot makes the
+   cold solve hit it, and it must come back as its own status, not as
+   the pivot cap; with the default interval the same program solves. *)
+let test_numerical_failure_status () =
+  let module Tm = Sherlock_telemetry.Metrics in
+  let make () =
+    let p = Problem.create () in
+    let x1 = Problem.add_var p "x1" and x2 = Problem.add_var p "x2" in
+    Problem.add_le p Linexpr.(add (var ~coeff:0.05 x1) (var ~coeff:0.01 x2)) 0.01;
+    Problem.add_le p
+      Linexpr.(add (var x1) (var ~coeff:(0.2 +. 1.5e-9) x2))
+      0.2;
+    Problem.add_objective p
+      Linexpr.(add (var ~coeff:(-1.0) x1) (var ~coeff:(-0.5) x2));
+    p
+  in
+  let was_enabled = Tm.enabled () in
+  Fun.protect
+    ~finally:(fun () ->
+      Tm.set_enabled was_enabled;
+      Simplex.set_refactor_interval Simplex.default_refactor_interval)
+    (fun () ->
+      Tm.set_enabled true;
+      let counter name = Tm.Counter.value (Tm.counter name) in
+      let numerical = counter "lp.numerical" and aborted = counter "lp.aborted" in
+      Simplex.set_refactor_interval 1;
+      let p = make () in
+      (match Problem.solve p with
+      | Problem.Numerical, v -> check feq "assignment is zero" 0.0 (v 0)
+      | s, _ ->
+        Alcotest.failf "expected Numerical, got %s" (Problem.status_name s));
+      check Alcotest.bool "the failed attempt's pivots are counted" true
+        ((Problem.last_info p).Problem.pivots >= 1);
+      check Alcotest.int "lp.numerical counted" (numerical + 1)
+        (counter "lp.numerical");
+      check Alcotest.int "not counted as a pivot-cap hit" aborted
+        (counter "lp.aborted");
+      Simplex.set_refactor_interval Simplex.default_refactor_interval;
+      match Problem.solve (make ()) with
+      | Problem.Solved _, _ -> ()
+      | s, _ ->
+        Alcotest.failf "expected a solve at the default interval, got %s"
+          (Problem.status_name s))
 
 (* Appending a cut that chops off the optimum exercises the dual-simplex
    repair: the reoptimize must stay warm (no cold restart) and leave the
    basis dual-feasible under the certified cost vector. *)
 let test_dual_repair_after_cut () =
-  let outcome, _, s =
-    Simplex.solve_tableau ~num_vars:2
+  let outcome, s =
+    solved_state ~num_vars:2
       ~objective:[ (0, -1.0); (1, -1.0) ]
       [
         { Simplex.row = [ (0, 1.0); (1, 2.0) ]; relation = Simplex.Le; rhs = 4.0 };
@@ -603,7 +694,7 @@ let test_dual_repair_after_cut () =
       ]
   in
   (match outcome with
-  | Simplex.Optimal { objective; _ } -> check feq "initial optimum" (-2.8) objective
+  | `Optimal objective -> check feq "initial optimum" (-2.8) objective
   | _ -> Alcotest.fail "expected optimum");
   ignore (Simplex.add_row s [ (0, 1.0); (1, 1.0) ] Simplex.Le 2.0);
   (match Simplex.reoptimize s with
@@ -611,22 +702,22 @@ let test_dual_repair_after_cut () =
   | _ -> Alcotest.fail "expected optimum after the cut");
   let st = Simplex.last_stats s in
   check Alcotest.bool "solved warm" true st.Simplex.warm;
-  check Alcotest.int "no cold restart" 0 st.Simplex.cold_restarts;
+  check Alcotest.bool "no cold restart" true (st.Simplex.cold_restart = None);
   check Alcotest.bool "dual feasible under the certified costs" true
     (Simplex.dual_feasible s)
 
 let test_dual_repair_with_bounds () =
-  let outcome, _, s =
-    Simplex.solve_tableau
+  let outcome, s =
+    solved_state
       ~ub:[| 1.0; infinity |]
       ~num_vars:2
       ~objective:[ (0, -2.0); (1, -1.0) ]
       [ { Simplex.row = [ (0, 1.0); (1, 1.0) ]; relation = Simplex.Le; rhs = 1.5 } ]
   in
   (match outcome with
-  | Simplex.Optimal { objective; solution } ->
+  | `Optimal objective ->
     check feq "initial optimum" (-2.5) objective;
-    check feq "x at its bound" 1.0 solution.(0)
+    check feq "x at its bound" 1.0 (Simplex.value s 0)
   | _ -> Alcotest.fail "expected optimum");
   ignore (Simplex.add_row s [ (0, 1.0); (1, 1.0) ] Simplex.Le 1.2);
   (match Simplex.reoptimize s with
@@ -637,31 +728,22 @@ let test_dual_repair_with_bounds () =
   check feq "x still at its bound" 1.0 (Simplex.value s 0);
   check Alcotest.bool "x flagged at upper" true (Simplex.is_at_upper s 0)
 
-(* A capped variable and no other rows: the sparse engines solve it with
-   a bound flip on an empty basis; the dense oracle still sees the cap
-   as an explicit row. *)
+(* A capped variable and no other rows: the simplex solves it with a
+   bound flip on an empty basis; the dense oracle sees the cap as an
+   explicit row. *)
 let test_bound_only_program () =
-  let make () =
-    let p = Problem.create () in
-    let x = Problem.add_var p ~ub:2.0 "x" in
-    Problem.add_objective p (Linexpr.var ~coeff:(-1.0) x);
-    (p, x)
-  in
-  List.iter
-    (fun engine ->
-      let p, x = make () in
-      Problem.set_engine p engine;
-      match Problem.solve p with
-      | Problem.Solved obj, v ->
-        check feq "objective" (-2.0) obj;
-        check feq "x at cap" 2.0 (v x)
-      | _ -> Alcotest.fail "expected solution")
-    [ Problem.Dense; Problem.Sparse ];
-  let p, x = make () in
-  match Problem.solve_incremental p with
+  let p = Problem.create () in
+  let x = Problem.add_var p ~ub:2.0 "x" in
+  Problem.add_objective p (Linexpr.var ~coeff:(-1.0) x);
+  (match dense_solve p with
   | Problem.Solved obj, v ->
-    check feq "objective (incremental)" (-2.0) obj;
-    check feq "x at cap (incremental)" 2.0 (v x)
+    check feq "objective (dense)" (-2.0) obj;
+    check feq "x at cap (dense)" 2.0 v.(x)
+  | _ -> Alcotest.fail "expected solution (dense)");
+  match Problem.solve p with
+  | Problem.Solved obj, v ->
+    check feq "objective" (-2.0) obj;
+    check feq "x at cap" 2.0 (v x)
   | _ -> Alcotest.fail "expected solution"
 
 let test_bound_rows_saved () =
@@ -704,7 +786,9 @@ let gen_lp =
     let* obj = list_repeat nvars (float_range 0.0 2.0) in
     return (nvars, ubs, rows, obj))
 
-let build_problem (nvars, ubs, rows, obj) =
+(* [~solve_after:k] solves once after the first [k] rows, so the final
+   solve is a warm one on a grown program. *)
+let build_problem ?(solve_after = -1) (nvars, ubs, rows, obj) =
   let p = Problem.create () in
   let ubs = Array.of_list ubs in
   let xs =
@@ -713,8 +797,11 @@ let build_problem (nvars, ubs, rows, obj) =
         if Float.is_finite ubs.(i) then Problem.add_var p ~ub:ubs.(i) name
         else Problem.add_var p name)
   in
-  List.iter
-    (fun (coeffs, rel, rhs) ->
+  Problem.add_objective p
+    (Linexpr.sum (List.mapi (fun i c -> Linexpr.var ~coeff:c xs.(i)) obj));
+  List.iteri
+    (fun i (coeffs, rel, rhs) ->
+      if i = solve_after then ignore (Problem.solve p);
       let e =
         Linexpr.sum (List.mapi (fun i c -> Linexpr.var ~coeff:c xs.(i)) coeffs)
       in
@@ -723,35 +810,92 @@ let build_problem (nvars, ubs, rows, obj) =
       | `Ge -> Problem.add_ge p e rhs
       | `Eq -> Problem.add_eq p e rhs)
     rows;
-  Problem.add_objective p
-    (Linexpr.sum (List.mapi (fun i c -> Linexpr.var ~coeff:c xs.(i)) obj));
   p
 
-let same_status a b =
+(* Same outcome, with objectives within 1e-6 of each other — or, under
+   [~close], within whatever that predicate accepts. *)
+let same_status ?(close = fun x y -> abs_float (x -. y) < 1e-6) a b =
   match (a, b) with
-  | Problem.Solved x, Problem.Solved y -> abs_float (x -. y) < 1e-6
+  | Problem.Solved x, Problem.Solved y -> close x y
   | Problem.Infeasible, Problem.Infeasible -> true
   | Problem.Unbounded, Problem.Unbounded -> true
   | _ -> false
 
-(* The dense seed engine, the sparse engine (with presolve), and the
-   incremental revised simplex agree on outcome and objective. *)
+(* The dense oracle, a cold solve, and a warm solve of the same program
+   grown from its first half agree on outcome and objective. *)
 let prop_engines_agree =
   QCheck.Test.make ~name:"dense, sparse, and incremental engines agree"
     ~count:300 (QCheck.make gen_lp) (fun lp ->
-      let solve_with engine =
-        let p = build_problem lp in
-        Problem.set_engine p engine;
-        fst (Problem.solve p)
+      let _, _, rows, _ = lp in
+      let dense = fst (dense_solve (build_problem lp)) in
+      let cold = fst (Problem.solve (build_problem lp)) in
+      let warm =
+        Problem.solve (build_problem ~solve_after:(List.length rows / 2) lp)
       in
-      let dense = solve_with Problem.Dense in
-      let sparse = solve_with Problem.Sparse in
-      let incr = fst (Problem.solve_incremental (build_problem lp)) in
-      same_status dense sparse && same_status dense incr)
+      same_status dense cold && same_status dense (fst warm))
+
+(* Programs of the encoder's shapes: probability variables capped at 1
+   with small positive costs, weighted hinges [max(0, 1 - sum)] over
+   window sides, weighted [|p_a - p_b|] balance terms, Single-Role rows
+   [p_a + p_b <= 1], and a rounding pin [p >= 1] that is added and then
+   relaxed to [p >= 0].  After each step the solve, warm from the
+   previous one, agrees with the dense oracle to 1e-9 relative to the
+   objective. *)
+let gen_encoder_lp =
+  QCheck.Gen.(
+    let* n = int_range 2 6 in
+    let var = int_range 0 (n - 1) in
+    let* costs = list_repeat n (float_range 0.01 0.5) in
+    let* hinges =
+      list_size (int_range 1 6)
+        (pair (float_range 0.5 5.0) (list_size (int_range 1 3) var))
+    in
+    let* balances = list_size (int_range 0 3) (pair var var) in
+    let* single = list_size (int_range 0 2) (pair var var) in
+    let* pin = var in
+    return (n, costs, hinges, balances, single, pin))
+
+let prop_encoder_shapes_agree =
+  QCheck.Test.make ~name:"dense and solve agree on encoder shapes to 1e-9"
+    ~count:300 (QCheck.make gen_encoder_lp)
+    (fun (n, costs, hinges, balances, single, pin) ->
+      let p = Problem.create () in
+      let ps =
+        Array.init n (fun i -> Problem.add_var p ~ub:1.0 (Printf.sprintf "p%d" i))
+      in
+      List.iteri (fun i c -> Problem.add_objective_term p ps.(i) c) costs;
+      List.iteri
+        (fun i (weight, side) ->
+          let side = Linexpr.sum (List.map (fun v -> Linexpr.var ps.(v)) side) in
+          ignore
+            (hinge p ~weight (Printf.sprintf "h%d" i)
+               (Linexpr.sub (Linexpr.const 1.0) side)))
+        hinges;
+      List.iteri
+        (fun i (a, b) ->
+          ignore
+            (abs p ~weight:0.2 (Printf.sprintf "a%d" i)
+               Linexpr.(sub (var ps.(a)) (var ps.(b)))))
+        balances;
+      List.iter
+        (fun (a, b) ->
+          if a <> b then
+            Problem.add_le p Linexpr.(add (var ps.(a)) (var ps.(b))) 1.0)
+        single;
+      let agree () =
+        same_status
+          ~close:(fun x y -> abs_float (x -. y) <= 1e-9 *. (1.0 +. abs_float x))
+          (fst (dense_solve p)) (fst (Problem.solve p))
+      in
+      let base = agree () in
+      let row = Problem.add_ge_row ~tag:"pin" p (Linexpr.var ps.(pin)) 1.0 in
+      let pinned = agree () in
+      Problem.set_row_rhs p row 0.0;
+      base && pinned && agree ())
 
 (* Warm reoptimization after growing the program (new row, extra
-   objective term) lands on the same optimum as a cold one-shot solve of
-   the final program. *)
+   objective term) lands on the same optimum as a cold solve of the
+   final program. *)
 let prop_warm_matches_oneshot =
   let gen =
     QCheck.Gen.(
@@ -774,9 +918,9 @@ let prop_warm_matches_oneshot =
         Problem.add_objective p (Linexpr.var ~coeff:0.5 0)
       in
       let p = build_problem lp in
-      ignore (Problem.solve_incremental p);
+      ignore (Problem.solve p);
       grow p;
-      let warm = fst (Problem.solve_incremental p) in
+      let warm = fst (Problem.solve p) in
       let q = build_problem lp in
       grow q;
       same_status warm (fst (Problem.solve q)))
@@ -795,6 +939,18 @@ let duals_problem () =
   let y = Problem.add_var p "y" in
   Problem.add_le ~tag:"cap" p Linexpr.(add (var x) (var y)) 1.5;
   Problem.add_objective p Linexpr.(add (var ~coeff:(-2.0) x) (var ~coeff:(-1.0) y));
+  (p, x, y)
+
+(* The same program reached by a warm solve: first only x's cost, then
+   the shared row and y's cost. *)
+let grown_duals_problem () =
+  let p = Problem.create () in
+  let x = Problem.add_var p ~ub:1.0 "x" in
+  let y = Problem.add_var p "y" in
+  Problem.add_objective p (Linexpr.var ~coeff:(-2.0) x);
+  ignore (Problem.solve p);
+  Problem.add_le ~tag:"cap" p Linexpr.(add (var x) (var y)) 1.5;
+  Problem.add_objective p (Linexpr.var ~coeff:(-1.0) y);
   (p, x, y)
 
 let check_ub_dual p x =
@@ -822,21 +978,13 @@ let test_duals_oneshot () =
   | _ -> Alcotest.fail "expected solution");
   check_ub_dual p x
 
-let test_duals_oneshot_no_presolve () =
-  let p, x, _ = duals_problem () in
-  Problem.set_presolve p false;
+let test_duals_incremental () =
+  let p, x, _ = grown_duals_problem () in
   Problem.set_capture_duals p true;
   (match Problem.solve p with
-  | Problem.Solved _, _ -> ()
-  | _ -> Alcotest.fail "expected solution");
-  check_ub_dual p x
-
-let test_duals_incremental () =
-  let p, x, _ = duals_problem () in
-  Problem.set_capture_duals p true;
-  (match Problem.solve_incremental p with
   | Problem.Solved obj, _ -> check feq "objective" (-2.5) obj
   | _ -> Alcotest.fail "expected solution");
+  check Alcotest.bool "solved warm" true (Problem.last_info p).Problem.warm;
   check_ub_dual p x
 
 let test_duals_reduced_cost () =
@@ -848,7 +996,6 @@ let test_duals_reduced_cost () =
   let y = Problem.add_var p "y" in
   Problem.add_ge p Linexpr.(add (var x) (var y)) 1.0;
   Problem.add_objective p Linexpr.(add (var ~coeff:2.0 x) (var y));
-  Problem.set_presolve p false;
   Problem.set_capture_duals p true;
   (match Problem.solve p with
   | Problem.Solved obj, v ->
@@ -883,9 +1030,9 @@ let test_duals_none_when_infeasible () =
     (Problem.last_duals p = None)
 
 let test_duals_incremental_matches_oneshot () =
-  let duals p solve =
+  let duals p =
     Problem.set_capture_duals p true;
-    (match solve p with
+    (match Problem.solve p with
     | Problem.Solved _, _ -> ()
     | _ -> Alcotest.fail "expected solution");
     match Problem.last_duals p with
@@ -893,9 +1040,9 @@ let test_duals_incremental_matches_oneshot () =
     | None -> Alcotest.fail "expected captured duals"
   in
   let p1, _, _ = duals_problem () in
-  let p2, _, _ = duals_problem () in
-  let a = duals p1 Problem.solve in
-  let b = duals p2 Problem.solve_incremental in
+  let p2, _, _ = grown_duals_problem () in
+  let a = duals p1 in
+  let b = duals p2 in
   Array.iteri
     (fun i v -> check feq (Printf.sprintf "row dual %d" i) v b.Problem.d_rows.(i))
     a.Problem.d_rows;
@@ -940,13 +1087,6 @@ let () =
           Alcotest.test_case "objective grows" `Quick test_objective_grows;
           Alcotest.test_case "objective ascending" `Quick test_objective_ascending;
         ] );
-      ( "presolve",
-        [
-          Alcotest.test_case "duplicate hinge merge" `Quick
-            test_presolve_duplicate_hinge;
-          Alcotest.test_case "forced variable fix" `Quick test_presolve_forced_fix;
-          Alcotest.test_case "empty rows" `Quick test_presolve_empty_rows;
-        ] );
       ( "lu",
         Alcotest.test_case "ftran/btran round trip" `Quick test_lu_roundtrip_known
         :: Alcotest.test_case "eta update" `Quick test_lu_eta_update
@@ -958,6 +1098,10 @@ let () =
             test_refactor_threshold;
           Alcotest.test_case "pivot cap aborts and recovers" `Quick
             test_pivot_cap_aborts_and_recovers;
+          Alcotest.test_case "numerical failure has its own status" `Quick
+            test_numerical_failure_status;
+          Alcotest.test_case "cold restarts counted by cause" `Quick
+            test_cold_restart_causes;
           Alcotest.test_case "dual repair after a cut" `Quick
             test_dual_repair_after_cut;
           Alcotest.test_case "dual repair with bounds" `Quick
@@ -968,8 +1112,6 @@ let () =
       ( "duals",
         [
           Alcotest.test_case "one-shot ub margin" `Quick test_duals_oneshot;
-          Alcotest.test_case "one-shot without presolve" `Quick
-            test_duals_oneshot_no_presolve;
           Alcotest.test_case "incremental ub margin" `Quick test_duals_incremental;
           Alcotest.test_case "reduced cost" `Quick test_duals_reduced_cost;
           Alcotest.test_case "capture off" `Quick test_duals_capture_off;
@@ -983,6 +1125,7 @@ let () =
           [
             prop_solution_feasible; prop_zero_optimum; prop_hinge_exact;
             prop_abs_exact; prop_linexpr_add_commutes; prop_engines_agree;
-            prop_warm_matches_oneshot; prop_objective_matches_linexpr;
+            prop_encoder_shapes_agree; prop_warm_matches_oneshot;
+            prop_objective_matches_linexpr;
           ] );
     ]

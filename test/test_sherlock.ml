@@ -485,6 +485,7 @@ let test_encoder_degrades_on_infeasible_lp () =
           (* With previous verdicts: returns them, flagged degraded. *)
           let vs, stats = Encoder.solve ~previous:healthy Config.default obs in
           check Alcotest.bool "degraded" true stats.degraded;
+          check Alcotest.bool "status is the cause" true (stats.status = status);
           check Alcotest.bool "objective is nan" true (Float.is_nan stats.objective);
           check Alcotest.int "previous verdicts kept" (List.length healthy)
             (List.length vs);
@@ -498,7 +499,7 @@ let test_encoder_degrades_on_infeasible_lp () =
           check Alcotest.int "nothing to fall back on" 0 (List.length vs0)))
     [
       Sherlock_lp.Problem.Infeasible; Sherlock_lp.Problem.Unbounded;
-      Sherlock_lp.Problem.Aborted;
+      Sherlock_lp.Problem.Aborted; Sherlock_lp.Problem.Numerical;
     ]
 
 (* Satellite of the pivot-cap fix: a *real* iteration-limit abort (not
@@ -518,6 +519,8 @@ let test_encoder_degrades_on_pivot_cap () =
       Sherlock_lp.Simplex.set_pivot_limit 1;
       let vs, stats = Encoder.solve ~previous:healthy Config.default obs in
       check Alcotest.bool "degraded under the pivot cap" true stats.degraded;
+      check Alcotest.bool "status names the cap" true
+        (stats.status = Sherlock_lp.Problem.Aborted);
       check Alcotest.bool "objective is nan" true (Float.is_nan stats.objective);
       check Alcotest.int "previous verdicts kept" (List.length healthy)
         (List.length vs);
@@ -563,6 +566,66 @@ let test_orchestrator_survives_infeasible_lp () =
       check Alcotest.int "no verdicts" 0 (List.length result.final))
 
 (* --- Report / ground truth --- *)
+
+(* The solve-trace report says when and why its solve degraded, instead
+   of printing an empty verdict list as if nothing was found. *)
+let test_solve_report_degraded () =
+  let obs = obs_of_logs [ mklog [ ev 10 0 wf; ev 50 1 rf ] ] in
+  let render () =
+    let verdicts, stats = Encoder.solve Config.default obs in
+    Format.asprintf "%a"
+      (fun ppf () -> Report.print_solve ppf ~traces:1 verdicts stats)
+      ()
+  in
+  let sizes = "1 traces, 1 windows, 5 variables\n" in
+  check Alcotest.string "healthy"
+    (sizes ^ "Releasing sites:\n  Write-C::f\nAcquire sites:\n  Read-C::f\n")
+    (render ());
+  List.iter
+    (fun (status, cause) ->
+      with_lp_fault status (fun () ->
+          check Alcotest.string cause
+            (sizes ^ "degraded: " ^ cause ^ "\nReleasing sites:\nAcquire sites:\n")
+            (render ())))
+    [
+      (Sherlock_lp.Problem.Numerical, "numerical failure");
+      (Sherlock_lp.Problem.Aborted, "pivot cap");
+    ]
+
+(* The per-round table's LP column follows each round's base solve: App-2's
+   round 1 re-solves a rounding pin warm from its own cold base solve, and
+   still reads "cold"; round 2 starts from round 1's basis and reads
+   "warm". *)
+let test_round_table_lp_column () =
+  let app =
+    List.find
+      (fun (a : Sherlock_corpus.App.t) -> a.id = "App-2")
+      (Sherlock_corpus.Registry.all ())
+  in
+  let config = { Config.default with rounds = 2; parallelism = 1 } in
+  let result = Orchestrator.infer ~config (Sherlock_corpus.App.subject app) in
+  let r1 = List.hd result.rounds in
+  check Alcotest.bool "round 1 re-solved a pin warm" true
+    (r1.stats.lp.lp_warm_solves > 0);
+  let lines =
+    String.split_on_char '\n'
+      (Format.asprintf "%a" Report.print_round_metrics result.rounds)
+  in
+  let header = List.find (String.starts_with ~prefix:"Round") lines in
+  let col =
+    let rec find i =
+      if String.sub header i 4 = "  LP" then i + 2 else find (i + 1)
+    in
+    find 0
+  in
+  let lp_cell round =
+    let row =
+      List.find (String.starts_with ~prefix:(string_of_int round ^ " ")) lines
+    in
+    List.hd (String.split_on_char ' ' (String.sub row col (String.length row - col)))
+  in
+  check Alcotest.string "round 1" "cold" (lp_cell 1);
+  check Alcotest.string "round 2" "warm" (lp_cell 2)
 
 let truth =
   let open Ground_truth in
@@ -777,6 +840,10 @@ let () =
           Alcotest.test_case "role mismatch" `Quick test_report_role_mismatch_not_correct;
           Alcotest.test_case "fp causes" `Quick test_fp_causes;
           Alcotest.test_case "guard causes" `Quick test_guard_cause;
+          Alcotest.test_case "solve report names degradation" `Quick
+            test_solve_report_degraded;
+          Alcotest.test_case "round table LP column" `Quick
+            test_round_table_lp_column;
         ] );
       ( "config",
         [

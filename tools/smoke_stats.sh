@@ -69,6 +69,11 @@ grep -q "lp" "$d/stats-file.out" || {
   echo "smoke_stats: stats --from rendered no LP section" >&2
   exit 1
 }
+grep -Eq "cold restarts +[0-9]+ residual, [0-9]+ dual repair, [0-9]+ pivot cap" \
+  "$d/stats-file.out" || {
+  echo "smoke_stats: stats --from rendered no cold restarts by cause" >&2
+  exit 1
+}
 "$cli" stats -a App-2 --rounds 2 >"$d/stats-live.out"
 grep -q "pipeline" "$d/stats-live.out" || {
   echo "smoke_stats: live stats rendered no pipeline section" >&2

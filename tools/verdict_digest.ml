@@ -1,13 +1,15 @@
 (* Bitwise fingerprint of corpus inference.
 
-   For each solver configuration — warm-started (the default), one-shot
-   (no warm start), and warm with provenance capture — runs the full
-   multi-round inference of every corpus app at config seeds 1..N and
-   hashes every round's verdicts, the exact bits of their probabilities,
-   and the exact bits of the round's LP objective; the provenance
-   configuration also hashes each final verdict's confidence margin.
-   Two builds that print the same first three lines made the same
-   decisions with the same floating-point values everywhere.
+   Runs the full multi-round inference of every corpus app at config
+   seeds 1..N and hashes every round's verdicts, the exact bits of their
+   probabilities, and the exact bits of the round's LP objective: once
+   as configured ([warm]: each round warm-starts from the previous
+   round's basis) and once with provenance capture, which also hashes
+   each final verdict's confidence margin.  The [cold] line hashes the
+   same for each inference's final observations solved once more with
+   no encoder state, that is, from an empty basis.  Two builds that
+   print the same first three lines made the same decisions with the
+   same floating-point values everywhere.
 
    A fourth line, [extract], hashes window extraction itself: every
    window (pair, field, both sides' ops with their counts, coordinates)
@@ -36,18 +38,21 @@ module Opid = Sherlock_trace.Opid
 
 let bits b f = Buffer.add_string b (Int64.to_string (Int64.bits_of_float f))
 
+let add_round b objective verdicts =
+  bits b objective;
+  List.iter
+    (fun (v : Verdict.t) ->
+      Printf.bprintf b ";%s^%s=" (Sherlock_trace.Opid.to_string v.op)
+        (Verdict.role_name v.role);
+      bits b v.probability)
+    verdicts
+
 let add_inference b (app : Sherlock_corpus.App.t) (r : Orchestrator.result) =
   Buffer.add_string b app.id;
   List.iter
     (fun (rr : Orchestrator.round_result) ->
       Printf.bprintf b "|r%d:" rr.round;
-      bits b rr.stats.objective;
-      List.iter
-        (fun (v : Verdict.t) ->
-          Printf.bprintf b ";%s^%s=" (Sherlock_trace.Opid.to_string v.op)
-            (Verdict.role_name v.role);
-          bits b v.probability)
-        rr.verdicts)
+      add_round b rr.stats.objective rr.verdicts)
     r.rounds;
   match r.provenance with
   | None -> ()
@@ -58,18 +63,28 @@ let add_inference b (app : Sherlock_corpus.App.t) (r : Orchestrator.result) =
         bits b e.v_margin)
       p.p_verdicts
 
-let digest ~seeds (config : Config.t) =
+let hex b = Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* The inference digest of [config] at seeds 1..N; with [~cold], each
+   inference's final observations are also solved cold into it. *)
+let digest ~seeds ?cold (config : Config.t) =
   let b = Buffer.create (1 lsl 16) in
   let apps = Sherlock_corpus.Registry.all () in
   for seed = 1 to seeds do
     let config = { config with seed } in
     List.iter
-      (fun app ->
-        add_inference b app
-          (Orchestrator.infer ~config (Sherlock_corpus.App.subject app)))
+      (fun (app : Sherlock_corpus.App.t) ->
+        let r = Orchestrator.infer ~config (Sherlock_corpus.App.subject app) in
+        add_inference b app r;
+        Option.iter
+          (fun cold ->
+            let verdicts, stats = Encoder.solve config r.observations in
+            Buffer.add_string cold app.id;
+            add_round cold stats.objective verdicts)
+          cold)
       apps
   done;
-  Digest.to_hex (Digest.string (Buffer.contents b))
+  hex b
 
 let add_side b side =
   List.iter
@@ -114,7 +129,7 @@ let extract_digest () =
     Buffer.add_string b seq;
     Buffer.add_string b par
   done;
-  Digest.to_hex (Digest.string (Buffer.contents b))
+  hex b
 
 let add_log b (log : Sherlock_trace.Log.t) =
   Array.iter
@@ -173,7 +188,6 @@ let log_and_codec_digests () =
           ]
       done)
     tests;
-  let hex buf = Digest.to_hex (Digest.string (Buffer.contents buf)) in
   (hex b, hex codec)
 
 let () =
@@ -183,14 +197,11 @@ let () =
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
     "verdict_digest [--seeds N]";
   let base = { Config.default with parallelism = 1 } in
-  List.iter
-    (fun (name, config) ->
-      Printf.printf "%-10s %s\n%!" name (digest ~seeds:!seeds config))
-    [
-      ("warm", base);
-      ("one-shot", { base with use_warm_start = false });
-      ("provenance", { base with provenance = true });
-    ];
+  let cold = Buffer.create (1 lsl 16) in
+  Printf.printf "%-10s %s\n%!" "warm" (digest ~seeds:!seeds ~cold base);
+  Printf.printf "%-10s %s\n%!" "cold" (hex cold);
+  Printf.printf "%-10s %s\n%!" "provenance"
+    (digest ~seeds:!seeds { base with provenance = true });
   Printf.printf "%-10s %s\n%!" "extract" (extract_digest ());
   let log, codec = log_and_codec_digests () in
   Printf.printf "%-10s %s\n%!" "log" log;
