@@ -23,6 +23,7 @@ type solve_info = {
   cold_restart : Simplex.restart option;
   refactors : int;
   eta_len : int;
+  artificials : int;
   bound_rows_saved : int;
 }
 
@@ -100,6 +101,7 @@ let create () =
         cold_restart = None;
         refactors = 0;
         eta_len = 0;
+        artificials = 0;
         bound_rows_saved = 0;
       };
     capture_duals = false;
@@ -253,6 +255,8 @@ let record_info info =
       Tm.Counter.incr ~by:info.pivots (Tm.counter "lp.pivots.total");
     if info.refactors > 0 then
       Tm.Counter.incr ~by:info.refactors (Tm.counter "lp.refactors");
+    if info.artificials > 0 then
+      Tm.Counter.incr ~by:info.artificials (Tm.counter "lp.artificials");
     Option.iter
       (fun cause -> Tm.Counter.incr (Tm.counter (restart_counter cause)))
       info.cold_restart;
@@ -355,6 +359,7 @@ let solve t =
         cold_restart = st.cold_restart;
         refactors = st.refactors;
         eta_len = st.eta_len;
+        artificials = st.artificials;
         bound_rows_saved;
       }
     in

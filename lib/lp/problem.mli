@@ -16,7 +16,16 @@
     edits, and objective accumulated since the previous call and
     reoptimizes from the previous basis.  The first solve of a fresh
     problem is the cold solve, from an empty basis; later ones are the
-    encoder's cross-round warm starts. *)
+    encoder's cross-round warm starts.
+
+    A {!hinge} variable appears in its own row only, which is what lets
+    the simplex start it basic ({!Simplex}'s crash start): a cold solve
+    of hinges, abs pairs and [<=] rows with a non-negative right-hand
+    side starts feasible and skips phase 1 ([solve_info.artificials] is
+    0), and a hinge appended between solves keeps the warm basis dual
+    feasible.  A row with neither a usable slack nor such a column (a
+    rounding pin [p >= 1] on a shared variable, say) still takes an
+    artificial. *)
 
 type t
 
@@ -51,6 +60,11 @@ type solve_info = {
       (** why a warm attempt fell back to a cold build, if it did *)
   refactors : int;  (** basis refactorizations during the solve *)
   eta_len : int;  (** longest eta file reached before a rebuild *)
+  artificials : int;
+      (** artificial columns created for the solve, by its cold start
+          or by [Eq] rows appended since the previous solve (counted as
+          [lp.artificials]); 0 when every row found a slack or a crash
+          column, so a cold start skipped phase 1 *)
   bound_rows_saved : int;
       (** cap rows the bounded-variable encoding kept out of the sparse
           matrix *)

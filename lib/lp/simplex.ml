@@ -21,6 +21,7 @@ type stats = {
   cold_restart : restart option;
   refactors : int;
   eta_len : int;
+  artificials : int;
 }
 
 let eps = 1e-9
@@ -37,13 +38,17 @@ let dual_tol = 1e-7
    threshold.  Variables carry optional upper bounds handled directly in
    pricing and the ratio test — a nonbasic column sits at 0 or at its
    bound ([at_upper]) and rows are never spent on caps.  The state is
-   incremental: columns and rows append (appended rows just grow the
-   basis with their slack or a fresh artificial and invalidate the
-   factorization — no O(m^2) border extension), right-hand sides may
+   incremental: columns and rows append (an appended row grows the
+   basis by one column — a fresh singleton structural column where it
+   has one, else its slack or an artificial — and invalidates the
+   factorization: no O(m^2) border extension), right-hand sides may
    change in place, and the next [reoptimize] starts from the previous
    basis — primal if still feasible, a bounded-variable dual simplex
-   under the last optimal cost vector if not, and a cold two-phase
-   rebuild as the fallback of last resort. *)
+   under the last optimal cost vector if not, and a cold rebuild as the
+   fallback of last resort.  A cold rebuild crash-starts: each row takes
+   its slack where the sign works, else a singleton structural column
+   at a feasible value (every hinge of the encoding is one), and only
+   the rows left over get artificials and a phase 1. *)
 
 type kind =
   | Structural
@@ -57,6 +62,7 @@ type mstats = {
   mutable m_cold : restart option;
   mutable m_refactors : int;
   mutable m_eta_max : int;
+  mutable m_artificials : int;
 }
 
 type t = {
@@ -87,6 +93,7 @@ type t = {
   mutable have_opt : bool;
   mutable opt_cost : float array;
   mutable opt_ncols : int;
+  mutable new_artificials : int; (* created since the last solve *)
   stats : mstats;
 }
 
@@ -130,6 +137,7 @@ let create () =
     have_opt = false;
     opt_cost = [||];
     opt_ncols = 0;
+    new_artificials = 0;
     stats =
       {
         m_pivots = 0;
@@ -138,6 +146,7 @@ let create () =
         m_cold = None;
         m_refactors = 0;
         m_eta_max = 0;
+        m_artificials = 0;
       };
   }
 
@@ -178,6 +187,7 @@ let add_col ?(ub = infinity) t =
 let new_artificial t ~row ~coeff =
   let c = register_col t Artificial in
   t.art_entry.(c) <- (row, coeff);
+  t.new_artificials <- t.new_artificials + 1;
   c
 
 let iter_col_entries t j f =
@@ -260,6 +270,31 @@ let maybe_refactor t =
     ensure_ready t
   end
 
+(* Crash column for row [i]: the first structural column, nonbasic and
+   accepted by [eligible], that appears in row [i] only and whose start
+   value [b / a] (every other column at 0) lies within its bounds.  As
+   the basic column of row [i] it keeps the basis triangular and the
+   row satisfied without an artificial. *)
+let crash_col t i ~eligible =
+  let b = t.rhs.(i) in
+  let found = ref None in
+  (try
+     Sparse.iter_row t.mat i (fun c a ->
+         if
+           t.kind.(c) = Structural
+           && t.in_basis.(c) < 0
+           && Sparse.col_nnz t.mat c = 1
+           && eligible c
+         then begin
+           let v = b /. a in
+           if v >= 0.0 && v <= t.ub.(c) then begin
+             found := Some c;
+             raise Exit
+           end
+         end)
+   with Exit -> ());
+  !found
+
 let add_row t entries relation rhs_v =
   let slack =
     match relation with
@@ -278,13 +313,25 @@ let add_row t entries relation rhs_v =
   t.rhs.(i) <- rhs_v;
   t.slack_of.(i) <- (match slack with Some (c, _) -> c | None -> -1);
   if t.have_basis then begin
-    (* The appended row's slack (or a fresh artificial for Eq) joins the
-       basis; the factorization is simply invalidated and rebuilt lazily
-       at the next solve — no O(m^2) border extension. *)
+    (* One column joins the basis for the appended row; the factorization
+       is simply invalidated and rebuilt lazily at the next solve — no
+       O(m^2) border extension.  A singleton column added since the last
+       optimum is preferred over the slack (or the artificial of an Eq
+       row): its certificate cost is 0 and it has no entry in the old
+       rows, so the row's dual is 0, every old reduced cost is unchanged
+       and the slack's is 0 — the dual certificate still holds.  And
+       where every other column of the row is new too, it starts
+       feasible (a hinge over new ops at 1) where the slack would sit
+       at -1 with no old column for the dual simplex to enter. *)
     let bcol =
-      match slack with
-      | Some (c, _) -> c
-      | None -> new_artificial t ~row:i ~coeff:1.0
+      match
+        crash_col t i ~eligible:(fun c -> c >= t.opt_ncols && not t.at_upper.(c))
+      with
+      | Some c -> c
+      | None -> (
+        match slack with
+        | Some (c, _) -> c
+        | None -> new_artificial t ~row:i ~coeff:1.0)
     in
     let m = Array.length t.basis in
     let basis = Array.make (m + 1) 0 in
@@ -651,9 +698,11 @@ let expel_artificials t =
     end
   done
 
-(* Cold start: rebuild the basis from slacks where the sign works, fresh
-   artificials elsewhere, then the classic two phases.  All bounded
-   columns start at their lower bound. *)
+(* Cold start: rebuild the basis from slacks where the sign works, crash
+   columns (see [crash_col]) where a row has one, fresh artificials
+   elsewhere.  The start is a diagonal basis with every nonbasic column
+   at its lower bound; only when an artificial was needed does phase 1
+   run before the real objective. *)
 let cold_solve t =
   for c = 0 to num_cols t - 1 do
     if t.kind.(c) = Artificial then t.dead.(c) <- true;
@@ -669,10 +718,13 @@ let cold_solve t =
       match t.rel.(i) with
       | Le when b >= 0.0 -> t.slack_of.(i)
       | Ge when b <= 0.0 -> t.slack_of.(i)
-      | Le | Ge | Eq ->
-        incr nart;
-        let coeff = if b >= 0.0 then 1.0 else -1.0 in
-        new_artificial t ~row:i ~coeff
+      | Le | Ge | Eq -> (
+        match crash_col t i ~eligible:(fun _ -> true) with
+        | Some c -> c
+        | None ->
+          incr nart;
+          let coeff = if b >= 0.0 then 1.0 else -1.0 in
+          new_artificial t ~row:i ~coeff)
     in
     t.basis.(i) <- bcol;
     t.in_basis.(bcol) <- i
@@ -721,6 +773,12 @@ let reoptimize t =
   s.m_cold <- None;
   s.m_refactors <- 0;
   s.m_eta_max <- 0;
+  (* Artificials appended with Eq rows since the last solve count
+     towards this one, as do those of a cold start. *)
+  let take_artificials () =
+    s.m_artificials <- t.new_artificials;
+    t.new_artificials <- 0
+  in
   let go_cold cause =
     s.m_cold <- Some cause;
     s.m_warm <- false;
@@ -769,8 +827,10 @@ let reoptimize t =
       t.have_basis <- false;
       t.have_opt <- false;
       t.factor <- None;
+      take_artificials ();
       raise e
   in
+  take_artificials ();
   (match result with
   | `Optimal _ ->
     t.have_opt <- true;
@@ -790,6 +850,7 @@ let last_stats t =
     cold_restart = t.stats.m_cold;
     refactors = t.stats.m_refactors;
     eta_len = t.stats.m_eta_max;
+    artificials = t.stats.m_artificials;
   }
 
 let row_duals t =

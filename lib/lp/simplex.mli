@@ -13,14 +13,26 @@
     rule after a long degenerate streak.
 
     The module is an incremental state: columns and rows append over
-    time (an appended row's slack or artificial joins the basis and the
-    factorization is rebuilt lazily), right-hand sides may be edited in
-    place, and {!reoptimize} restarts from the previous optimal basis —
-    primal if it is still feasible, a bounded-variable dual simplex
-    under the last proven-optimal cost vector if not, and a cold
-    two-phase rebuild as the fallback of last resort.  A first solve is
-    that cold rebuild from an empty basis.  This is what cross-round
-    warm starts in the encoder ride on. *)
+    time, right-hand sides may be edited in place, and {!reoptimize}
+    restarts from the previous optimal basis — primal if it is still
+    feasible, a bounded-variable dual simplex under the last
+    proven-optimal cost vector if not, and a cold rebuild as the
+    fallback of last resort.  A first solve is that cold rebuild from an
+    empty basis.  This is what cross-round warm starts in the encoder
+    ride on.
+
+    The cold rebuild crash-starts.  Each row takes its slack when the
+    slack's sign fits the right-hand side; otherwise a structural column
+    that appears in that row only and starts within its bounds (every
+    hinge [h] of [1 - sum p - h <= 0] is one, starting at 1); only the
+    rows left over get artificial columns and a phase 1.  A row appended
+    to a live basis likewise brings in such a column added since the
+    last optimum in preference to its slack (or an [Eq] row's
+    artificial): it costs 0 in the certificate and has no entry in the
+    old rows, so the new row's dual is 0 and every reduced cost keeps
+    its sign — the basis stays dual feasible — and a row over new
+    columns only starts feasible instead of leaving the dual simplex no
+    column to enter. *)
 
 type relation =
   | Le
@@ -65,6 +77,9 @@ type stats = {
   refactors : int;  (** basis refactorizations during the last solve *)
   eta_len : int;
       (** longest product-form eta file reached before a rebuild *)
+  artificials : int;
+      (** artificial columns created for the last solve: by its cold
+          start, and by the [Eq] rows appended since the solve before *)
 }
 
 (** {1 Incremental state} *)
@@ -81,9 +96,11 @@ val add_col : ?ub:float -> t -> int
 val add_row : t -> (int * float) list -> relation -> float -> int
 (** Append a constraint over existing columns, returning its row id.  A
     slack/surplus column is added internally for inequalities.  If a
-    basis exists, the new row's slack (or a fresh artificial for [Eq])
-    joins it and the factorization is rebuilt lazily at the next
-    {!reoptimize}, where feasibility is also repaired. *)
+    basis exists, one column joins it for the new row — a singleton
+    column added since the last optimum where the row has one, else the
+    slack (or a fresh artificial for [Eq]) — and the factorization is
+    rebuilt lazily at the next {!reoptimize}, where feasibility is also
+    repaired. *)
 
 val set_rhs : t -> int -> float -> unit
 (** Change a row's right-hand side in place (e.g. relaxing a rounding

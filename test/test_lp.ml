@@ -589,10 +589,14 @@ let test_pivot_cap_aborts_and_recovers () =
       | _ -> Alcotest.fail "expected a fresh solve")
 
 (* A warm attempt that cannot finish falls back to a cold rebuild, and
-   the solve records why: a row over a column the dual simplex may not
-   enter (added after the certified optimum) is a dual-repair dead end,
-   and a re-optimization past the pivot cap is a pivot-cap restart.
-   Each cause has its own registry counter. *)
+   the solve records why: a violated row whose only repair is a column
+   the dual simplex may not enter (added after the certified optimum)
+   is a dual-repair dead end, and a re-optimization past the pivot cap
+   is a pivot-cap restart.  Each cause has its own registry counter.
+   The fresh [y] sits in two new rows, so neither can start it basic:
+   [x - y <= 2] (its start value would be -2) keeps its slack, and
+   [y >= 1] (no longer a singleton) leaves its surplus at -1 with no
+   old column in the row. *)
 let test_cold_restart_causes () =
   let module Tm = Sherlock_telemetry.Metrics in
   let was_enabled = Tm.enabled () in
@@ -610,6 +614,7 @@ let test_cold_restart_causes () =
       Problem.add_objective p (Linexpr.var ~coeff:(-1.0) x);
       ignore (Problem.solve p);
       let y = Problem.add_var p "y" in
+      Problem.add_le p Linexpr.(sub (var x) (var y)) 2.0;
       Problem.add_ge p (Linexpr.var y) 1.0;
       Problem.add_objective p (Linexpr.var y);
       (match Problem.solve p with
@@ -759,6 +764,144 @@ let test_bound_rows_saved () =
   check Alcotest.int "cap kept out of the sparse matrix" 1
     (Problem.last_info p).Problem.bound_rows_saved;
   check Alcotest.int "but the cap is still a visible row" 2 (Problem.num_rows p)
+
+(* --- Crash start --- *)
+
+let solved_objective what = function
+  | Problem.Solved obj, _ -> obj
+  | s, _ ->
+    Alcotest.failf "%s: expected a solution, got %s" what (Problem.status_name s)
+
+(* A cold solve equals the dense oracle, and its start needed [arts]
+   artificial columns. *)
+let check_cold_start ~arts what p =
+  let dense = solved_objective (what ^ " (dense)") (dense_solve p) in
+  let obj = solved_objective what (Problem.solve p) in
+  check (Alcotest.float 1e-6) (what ^ ": objective") dense obj;
+  let info = Problem.last_info p in
+  check Alcotest.bool (what ^ ": solved cold") false info.Problem.warm;
+  check Alcotest.int (what ^ ": artificials") arts info.Problem.artificials
+
+(* The encoder's shapes: hinges [max(0, 1 - sum)] over window sides that
+   share capped probability variables, an abs pair, and a soft
+   Single-Role hinge [max(0, p_b + p_e - 1)].  Every row whose slack
+   cannot start (the hinges' rhs is -1) has its hinge column to start
+   basic at 1, so the start is feasible and needs no artificial. *)
+let test_crash_encoder_shapes () =
+  let p = Problem.create () in
+  let ps =
+    Array.init 5 (fun i -> Problem.add_var p ~ub:1.0 (Printf.sprintf "p%d" i))
+  in
+  Array.iteri
+    (fun i v -> Problem.add_objective_term p v (0.1 +. (0.05 *. float_of_int i)))
+    ps;
+  let side vs =
+    Linexpr.sub (Linexpr.const 1.0)
+      (Linexpr.sum (List.map (fun i -> Linexpr.var ps.(i)) vs))
+  in
+  List.iteri
+    (fun i (weight, vs) ->
+      ignore (hinge p ~weight (Printf.sprintf "h%d" i) (side vs)))
+    [ (3.0, [ 0; 1 ]); (2.0, [ 1; 2 ]); (1.0, [ 3 ]); (4.0, [ 2; 4 ]) ];
+  ignore (abs p ~weight:0.2 "pair" Linexpr.(sub (var ps.(0)) (var ps.(3))));
+  ignore
+    (hinge p ~weight:0.2 "single_role"
+       Linexpr.(sub (add (var ps.(1)) (var ps.(4))) (const 1.0)));
+  check_cold_start ~arts:0 "encoder shapes" p
+
+(* A row whose slack cannot start and whose only singleton column would
+   start outside its bounds falls back to an artificial. *)
+let test_crash_falls_back () =
+  (* [h - p <= -0.5]: h would start at -0.5; p sits in a second row. *)
+  let p = Problem.create () in
+  let pv = Problem.add_var p ~ub:1.0 "p" and h = Problem.add_var p "h" in
+  Problem.add_le p Linexpr.(sub (var h) (var pv)) (-0.5);
+  Problem.add_le p (Linexpr.var pv) 0.8;
+  Problem.add_objective p Linexpr.(add (var pv) (var h));
+  check_cold_start ~arts:1 "negative start" p;
+  (* [x + 2y >= 2]: x would start at 2 over its cap 1, y at 1 over 0.9. *)
+  let q = Problem.create () in
+  let x = Problem.add_var q ~ub:1.0 "x" and y = Problem.add_var q ~ub:0.9 "y" in
+  Problem.add_ge q Linexpr.(add (var x) (var ~coeff:2.0 y)) 2.0;
+  Problem.add_objective q Linexpr.(add (var ~coeff:3.0 x) (var y));
+  check_cold_start ~arts:1 "start over the cap" q
+
+(* A window whose ops are all new appends [-p2 - h1 <= -1] over two
+   fresh columns.  Its hinge column joins the basis instead of the
+   slack: the dual certificate still holds, the basis is primal
+   feasible, and the re-solve stays warm.  (With the slack basic at -1,
+   the dual simplex would find no old column to enter and go cold.) *)
+let test_crash_warm_append () =
+  let outcome, s =
+    solved_state ~ub:[| 1.0; 1.0 |] ~num_vars:3
+      ~objective:[ (0, 0.3); (1, 0.2); (2, 2.0) ]
+      [
+        {
+          Simplex.row = [ (0, -1.0); (1, -1.0); (2, -1.0) ];
+          relation = Simplex.Le;
+          rhs = -1.0;
+        };
+      ]
+  in
+  (match outcome with
+  | `Optimal obj -> check feq "initial optimum" 0.2 obj
+  | _ -> Alcotest.fail "expected optimum");
+  let p2 = Simplex.add_col ~ub:1.0 s in
+  let h1 = Simplex.add_col s in
+  ignore (Simplex.add_row s [ (p2, -1.0); (h1, -1.0) ] Simplex.Le (-1.0));
+  check Alcotest.bool "dual feasible after the append" true (Simplex.dual_feasible s);
+  Simplex.set_objective s [ (0, 0.3); (1, 0.2); (2, 2.0); (p2, 0.4); (h1, 1.5) ];
+  (match Simplex.reoptimize s with
+  | `Optimal obj -> check feq "grown optimum" 0.6 obj
+  | _ -> Alcotest.fail "expected optimum after the append");
+  let st = Simplex.last_stats s in
+  check Alcotest.bool "solved warm" true st.Simplex.warm;
+  check Alcotest.bool "no cold restart" true (st.Simplex.cold_restart = None);
+  check Alcotest.int "no artificials" 0 st.Simplex.artificials
+
+(* A 500-event synthetic log at near 20 000 (the synth LP probe's
+   shape) solves cold with no artificial; after a second log, the
+   state's re-solve of the merged observations gives the verdicts of a
+   cold solve of them.  (That re-solve may still fall back cold inside
+   the state, a dead end of the dual simplex, so only its verdicts are
+   checked.) *)
+let test_crash_synth_probe () =
+  let open Sherlock_core in
+  let module Tm = Sherlock_telemetry.Metrics in
+  let config = { Config.default with near = 20_000 } in
+  let obs = Observations.create () in
+  let add seed =
+    Observations.add_log obs ~near:config.near ~cap:config.window_cap
+      ~refine:config.use_refinement
+      (Sherlock_trace.Synth.log ~seed ~addrs:2048 ~threads:16 ~events:500 ())
+  in
+  let names vs =
+    List.map
+      (fun (v : Verdict.t) ->
+        Sherlock_trace.Opid.to_string v.op ^ "^" ^ Verdict.role_name v.role)
+      vs
+  in
+  let was_enabled = Tm.enabled () in
+  Fun.protect
+    ~finally:(fun () -> Tm.set_enabled was_enabled)
+    (fun () ->
+      Tm.set_enabled true;
+      let artificials () = Tm.Counter.value (Tm.counter "lp.artificials") in
+      let state = Encoder.create_state () in
+      add 42;
+      let before = artificials () in
+      let _, first = Encoder.solve ~state config obs in
+      check Alcotest.bool "first solve not degraded" false first.Encoder.degraded;
+      check Alcotest.bool "first solve cold" false first.lp.lp_base_warm;
+      check Alcotest.int "first solve needs no artificial" before (artificials ());
+      add 43;
+      let warm, second = Encoder.solve ~state config obs in
+      check Alcotest.bool "second solve not degraded" false second.Encoder.degraded;
+      let cold, _ = Encoder.solve config obs in
+      check Alcotest.bool "some verdicts" true (warm <> []);
+      check
+        Alcotest.(list string)
+        "state's verdicts are the cold ones" (names cold) (names warm))
 
 (* --- Engine equivalence --- *)
 
@@ -1108,6 +1251,17 @@ let () =
             test_dual_repair_with_bounds;
           Alcotest.test_case "bound-only program" `Quick test_bound_only_program;
           Alcotest.test_case "bound rows saved" `Quick test_bound_rows_saved;
+        ] );
+      ( "crash",
+        [
+          Alcotest.test_case "encoder shapes need no artificial" `Quick
+            test_crash_encoder_shapes;
+          Alcotest.test_case "out-of-bounds start falls back" `Quick
+            test_crash_falls_back;
+          Alcotest.test_case "warm append keeps the certificate" `Quick
+            test_crash_warm_append;
+          Alcotest.test_case "synth probe re-solve equals cold" `Quick
+            test_crash_synth_probe;
         ] );
       ( "duals",
         [

@@ -30,7 +30,20 @@
    each log's text and binary encodings, and the events decoded back
    from each, so it shows both formats write and read identically.
 
-     dune exec tools/verdict_digest.exe -- [--seeds N]   (default 30) *)
+   [--dump FILE] writes the rounds the [warm], [cold] and [provenance]
+   lines hash as text, one line per round: section, seed, app and round,
+   then the objective and each verdict's probability at %.17g.  The
+   margins are left out: they are duals, which a degenerate optimum does
+   not determine, so a different pivot path may move them with every
+   decision unchanged.  [--against FILE] compares this run's dump with
+   FILE instead of bit for bit: it prints the largest difference and
+   exits 1 if any line's verdict set differs or any value differs by
+   more than 1e-9 (relative above magnitude 1).  It is the check for a
+   change that may move last bits but no decision, such as a new pivot
+   rule or starting basis.
+
+     dune exec tools/verdict_digest.exe -- [--seeds N] [--dump FILE]
+       [--against FILE]   (default 30 seeds) *)
 
 open Sherlock_core
 module Windows = Sherlock_trace.Windows
@@ -47,12 +60,26 @@ let add_round b objective verdicts =
       bits b v.probability)
     verdicts
 
-let add_inference b (app : Sherlock_corpus.App.t) (r : Orchestrator.result) =
+(* One dump line: the tab-separated key fields, then [name=value]
+   entries, the objective first. *)
+let dump_round d key objective verdicts =
+  Buffer.add_string d (String.concat "\t" key);
+  Printf.bprintf d "\tobjective=%.17g" objective;
+  List.iter
+    (fun (v : Verdict.t) ->
+      Printf.bprintf d "\t%s^%s=%.17g" (Sherlock_trace.Opid.to_string v.op)
+        (Verdict.role_name v.role) v.probability)
+    verdicts;
+  Buffer.add_char d '\n'
+
+let add_inference b d key (app : Sherlock_corpus.App.t) (r : Orchestrator.result) =
   Buffer.add_string b app.id;
   List.iter
     (fun (rr : Orchestrator.round_result) ->
       Printf.bprintf b "|r%d:" rr.round;
-      add_round b rr.stats.objective rr.verdicts)
+      add_round b rr.stats.objective rr.verdicts;
+      dump_round d (key @ [ Printf.sprintf "r%d" rr.round ]) rr.stats.objective
+        rr.verdicts)
     r.rounds;
   match r.provenance with
   | None -> ()
@@ -65,9 +92,10 @@ let add_inference b (app : Sherlock_corpus.App.t) (r : Orchestrator.result) =
 
 let hex b = Digest.to_hex (Digest.string (Buffer.contents b))
 
-(* The inference digest of [config] at seeds 1..N; with [~cold], each
-   inference's final observations are also solved cold into it. *)
-let digest ~seeds ?cold (config : Config.t) =
+(* The inference digest of [config] at seeds 1..N, dumped into [d] under
+   [section]; with [~cold], each inference's final observations are
+   also solved cold into it (dumped as section [cold]). *)
+let digest ~seeds ~section d ?cold (config : Config.t) =
   let b = Buffer.create (1 lsl 16) in
   let apps = Sherlock_corpus.Registry.all () in
   for seed = 1 to seeds do
@@ -75,16 +103,78 @@ let digest ~seeds ?cold (config : Config.t) =
     List.iter
       (fun (app : Sherlock_corpus.App.t) ->
         let r = Orchestrator.infer ~config (Sherlock_corpus.App.subject app) in
-        add_inference b app r;
+        add_inference b d [ section; string_of_int seed; app.id ] app r;
         Option.iter
           (fun cold ->
             let verdicts, stats = Encoder.solve config r.observations in
             Buffer.add_string cold app.id;
-            add_round cold stats.objective verdicts)
+            add_round cold stats.objective verdicts;
+            dump_round d [ "cold"; string_of_int seed; app.id; "final" ]
+              stats.objective verdicts)
           cold)
       apps
   done;
   hex b
+
+(* --- comparing dumps --- *)
+
+let lines text = List.filter (( <> ) "") (String.split_on_char '\n' text)
+
+(* A dump line as its key and its [name, value] entries. *)
+let parse_line line =
+  let fields = String.split_on_char '\t' line in
+  let key = List.filteri (fun i _ -> i < 4) fields in
+  let entries =
+    List.filteri (fun i _ -> i >= 4) fields
+    |> List.map (fun e ->
+           let k = String.rindex e '=' in
+           ( String.sub e 0 k,
+             float_of_string (String.sub e (k + 1) (String.length e - k - 1)) ))
+  in
+  (String.concat " " key, entries)
+
+let tolerance = 1e-9
+
+(* Absolute below magnitude 1, relative above; two nans (a degraded
+   round's objective) are equal. *)
+let difference a b =
+  if Float.is_nan a && Float.is_nan b then 0.0
+  else abs_float (a -. b) /. Float.max 1.0 (abs_float a)
+
+(* Compares the dump text [mine] with the dump in [path]; prints the
+   outcome and returns whether they agree. *)
+let against path mine =
+  let theirs = lines (In_channel.with_open_text path In_channel.input_all) in
+  let mine = lines mine in
+  let worst = ref 0.0 and worst_at = ref "none" and mismatches = ref 0 in
+  let mismatch fmt =
+    incr mismatches;
+    Printf.printf ("against: " ^^ fmt ^^ "\n")
+  in
+  if List.length theirs <> List.length mine then
+    mismatch "%d lines in %s, %d in this run" (List.length theirs) path
+      (List.length mine)
+  else
+    List.iteri
+      (fun i (a, b) ->
+        match (parse_line a, parse_line b) with
+        | exception (Not_found | Failure _) ->
+          mismatch "%s:%d: malformed line" path (i + 1)
+        | (ka, _), (kb, _) when ka <> kb -> mismatch "line %S against %S" ka kb
+        | (ka, ea), (_, eb) when List.map fst ea <> List.map fst eb ->
+          mismatch "%s: the verdict sets differ" ka
+        | (ka, ea), (_, eb) ->
+          List.iter2
+            (fun (name, x) (_, y) ->
+              let d = difference x y in
+              if not (d <= !worst) then begin
+                worst := d;
+                worst_at := ka ^ " " ^ name
+              end)
+            ea eb)
+      (List.combine theirs mine);
+  Printf.printf "against: largest difference %.3g (%s)\n" !worst !worst_at;
+  !mismatches = 0 && !worst <= tolerance
 
 let add_side b side =
   List.iter
@@ -191,21 +281,33 @@ let log_and_codec_digests () =
   (hex b, hex codec)
 
 let () =
-  let seeds = ref 30 in
+  let seeds = ref 30 and dump = ref "" and against_file = ref "" in
   Arg.parse
-    [ ("--seeds", Arg.Set_int seeds, "N  config seeds 1..N per app (default 30)") ]
+    [
+      ("--seeds", Arg.Set_int seeds, "N  config seeds 1..N per app (default 30)");
+      ("--dump", Arg.Set_string dump, "FILE  write the hashed values as text");
+      ( "--against",
+        Arg.Set_string against_file,
+        "FILE  compare them with a dump to 1e-9; exit 1 if they differ" );
+    ]
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
-    "verdict_digest [--seeds N]";
+    "verdict_digest [--seeds N] [--dump FILE] [--against FILE]";
   let base = { Config.default with parallelism = 1 } in
   let cold = Buffer.create (1 lsl 16) in
-  Printf.printf "%-10s %s\n%!" "warm" (digest ~seeds:!seeds ~cold base);
+  let d = Buffer.create (1 lsl 16) in
+  let warm = digest ~seeds:!seeds ~section:"warm" d ~cold base in
+  Printf.printf "%-10s %s\n%!" "warm" warm;
   Printf.printf "%-10s %s\n%!" "cold" (hex cold);
   Printf.printf "%-10s %s\n%!" "provenance"
-    (digest ~seeds:!seeds { base with provenance = true });
+    (digest ~seeds:!seeds ~section:"provenance" d { base with provenance = true });
+  if !dump <> "" then
+    Out_channel.with_open_text !dump (fun oc -> Buffer.output_buffer oc d);
+  let agree = !against_file = "" || against !against_file (Buffer.contents d) in
   Printf.printf "%-10s %s\n%!" "extract" (extract_digest ());
   let log, codec = log_and_codec_digests () in
   Printf.printf "%-10s %s\n%!" "log" log;
   Printf.printf "%-10s %s\n%!" "codec" codec;
   Printf.printf "(%d seeds x %d apps, %d rounds each)\n" !seeds
     (List.length (Sherlock_corpus.Registry.all ()))
-    base.rounds
+    base.rounds;
+  if not agree then exit 1
