@@ -17,18 +17,30 @@
    Eta terms are stored in basis-position space: replacing position
    [r] by a column with pivot direction [w] makes the new basis
    [B' = B E] where [E] is the identity with column [r] set to [w].
-   FTRAN applies [E^-1] left-to-right after the triangular solves;
-   BTRAN applies them right-to-left before. *)
+   A border term grows the basis by one row and one column,
+   [B' = [[B, 0], [a^T, s]]]; the new row and its position share the
+   index [p = size B], and row [p] is never touched by the triangular
+   solves, which only know the [base] rows factorized.  FTRAN applies
+   the terms oldest first after the triangular solves; BTRAN applies
+   them newest first before. *)
 
-type eta = {
-  e_r : int; (* basis position replaced *)
-  e_rows : int array; (* positions i <> e_r with w_i significant *)
-  e_vals : float array;
-  e_piv : float; (* w_r *)
-}
+type term =
+  | Eta of {
+      e_r : int; (* basis position replaced *)
+      e_rows : int array; (* positions i <> e_r with w_i significant *)
+      e_vals : float array;
+      e_piv : float; (* w_r *)
+    }
+  | Border of {
+      b_p : int; (* the appended row and position *)
+      b_pos : int array; (* older positions k with a_k <> 0 *)
+      b_vals : float array;
+      b_s : float; (* the new column's entry in the new row *)
+    }
 
 type t = {
-  m : int;
+  base : int; (* the dimension factorized *)
+  mutable m : int; (* the dimension now, borders included *)
   prow : int array; (* step -> pivot row *)
   step_of_row : int array; (* row -> step *)
   cpos : int array; (* step -> basis position eliminated *)
@@ -38,7 +50,7 @@ type t = {
   u_vals : float array array;
   diag : float array;
   nnz : int;
-  mutable etas : eta array; (* growable; first [n_etas] live *)
+  mutable etas : term array; (* growable; first [n_etas] live *)
   mutable n_etas : int;
   mutable etas_nnz : int;
 }
@@ -56,6 +68,7 @@ let factorize ~m ~col =
   if m = 0 then
     Some
       {
+        base = 0;
         m = 0;
         prow = [||];
         step_of_row = [||];
@@ -222,6 +235,7 @@ let factorize ~m ~col =
     else
       Some
         {
+          base = m;
           m;
           prow;
           step_of_row;
@@ -238,6 +252,17 @@ let factorize ~m ~col =
         }
   end
 
+let push t e nnz =
+  if t.n_etas >= Array.length t.etas then begin
+    let cap = max 8 (2 * Array.length t.etas) in
+    let etas = Array.make cap e in
+    Array.blit t.etas 0 etas 0 t.n_etas;
+    t.etas <- etas
+  end;
+  t.etas.(t.n_etas) <- e;
+  t.n_etas <- t.n_etas + 1;
+  t.etas_nnz <- t.etas_nnz + nnz
+
 let update t ~r ~w =
   let n = ref 0 in
   for i = 0 to t.m - 1 do
@@ -252,22 +277,20 @@ let update t ~r ~w =
       incr k
     end
   done;
-  let e = { e_r = r; e_rows = rows; e_vals = vals; e_piv = w.(r) } in
-  if t.n_etas >= Array.length t.etas then begin
-    let cap = max 8 (2 * Array.length t.etas) in
-    let etas = Array.make cap e in
-    Array.blit t.etas 0 etas 0 t.n_etas;
-    t.etas <- etas
-  end;
-  t.etas.(t.n_etas) <- e;
-  t.n_etas <- t.n_etas + 1;
-  t.etas_nnz <- t.etas_nnz + !n + 1
+  push t (Eta { e_r = r; e_rows = rows; e_vals = vals; e_piv = w.(r) }) (!n + 1)
+
+let append t ~a ~s =
+  let a = List.filter (fun (_, v) -> abs_float v > drop_tol) a in
+  let b_pos = Array.of_list (List.map fst a)
+  and b_vals = Array.of_list (List.map snd a) in
+  push t (Border { b_p = t.m; b_pos; b_vals; b_s = s }) (Array.length b_pos + 1);
+  t.m <- t.m + 1
 
 let ftran t b =
-  let m = t.m in
+  let m0 = t.base in
   let y = Array.copy b in
   (* L solve, in step order. *)
-  for k = 0 to m - 1 do
+  for k = 0 to m0 - 1 do
     let v = y.(t.prow.(k)) in
     if v <> 0.0 then begin
       let lr = t.l_rows.(k) and lv = t.l_vals.(k) in
@@ -277,8 +300,8 @@ let ftran t b =
     end
   done;
   (* U back-substitution; w is indexed by step. *)
-  let w = Array.make m 0.0 in
-  for k = m - 1 downto 0 do
+  let w = Array.make m0 0.0 in
+  for k = m0 - 1 downto 0 do
     let wk = y.(t.prow.(k)) /. t.diag.(k) in
     w.(k) <- wk;
     if wk <> 0.0 then begin
@@ -289,37 +312,56 @@ let ftran t b =
       done
     end
   done;
-  (* Back to basis-position space, then replay the eta file. *)
-  let x = Array.make m 0.0 in
-  for k = 0 to m - 1 do
+  (* Back to basis-position space (a bordered row still holds its rhs),
+     then replay the terms. *)
+  let x = Array.make t.m 0.0 in
+  for k = 0 to m0 - 1 do
     x.(t.cpos.(k)) <- w.(k)
   done;
+  Array.blit b m0 x m0 (t.m - m0);
   for e = 0 to t.n_etas - 1 do
-    let { e_r; e_rows; e_vals; e_piv } = t.etas.(e) in
-    let xr = x.(e_r) /. e_piv in
-    x.(e_r) <- xr;
-    if xr <> 0.0 then
-      for i = 0 to Array.length e_rows - 1 do
-        x.(e_rows.(i)) <- x.(e_rows.(i)) -. (e_vals.(i) *. xr)
-      done
+    match t.etas.(e) with
+    | Eta { e_r; e_rows; e_vals; e_piv } ->
+      let xr = x.(e_r) /. e_piv in
+      x.(e_r) <- xr;
+      if xr <> 0.0 then
+        for i = 0 to Array.length e_rows - 1 do
+          x.(e_rows.(i)) <- x.(e_rows.(i)) -. (e_vals.(i) *. xr)
+        done
+    | Border { b_p; b_pos; b_vals; b_s } ->
+      (* x_p = (b_p - a . x) / s *)
+      let acc = ref x.(b_p) in
+      for i = 0 to Array.length b_pos - 1 do
+        acc := !acc -. (b_vals.(i) *. x.(b_pos.(i)))
+      done;
+      x.(b_p) <- !acc /. b_s
   done;
   x
 
 let btran t c =
-  let m = t.m in
+  let m0 = t.base in
   let d = Array.copy c in
-  (* Eta file, newest first: only component e_r changes. *)
+  (* Terms, newest first: an eta changes only component e_r; a border
+     fixes y_p = c_p / s and moves its a y_p off the older components. *)
   for e = t.n_etas - 1 downto 0 do
-    let { e_r; e_rows; e_vals; e_piv } = t.etas.(e) in
-    let s = ref 0.0 in
-    for i = 0 to Array.length e_rows - 1 do
-      s := !s +. (d.(e_rows.(i)) *. e_vals.(i))
-    done;
-    d.(e_r) <- (d.(e_r) -. !s) /. e_piv
+    match t.etas.(e) with
+    | Eta { e_r; e_rows; e_vals; e_piv } ->
+      let s = ref 0.0 in
+      for i = 0 to Array.length e_rows - 1 do
+        s := !s +. (d.(e_rows.(i)) *. e_vals.(i))
+      done;
+      d.(e_r) <- (d.(e_r) -. !s) /. e_piv
+    | Border { b_p; b_pos; b_vals; b_s } ->
+      let yp = d.(b_p) /. b_s in
+      d.(b_p) <- yp;
+      if yp <> 0.0 then
+        for i = 0 to Array.length b_pos - 1 do
+          d.(b_pos.(i)) <- d.(b_pos.(i)) -. (b_vals.(i) *. yp)
+        done
   done;
   (* U^T forward solve, indexed by step. *)
-  let v = Array.make m 0.0 in
-  for k = 0 to m - 1 do
+  let v = Array.make m0 0.0 in
+  for k = 0 to m0 - 1 do
     let s = ref 0.0 in
     let us = t.u_steps.(k) and uv = t.u_vals.(k) in
     for i = 0 to Array.length us - 1 do
@@ -328,7 +370,7 @@ let btran t c =
     v.(k) <- (d.(t.cpos.(k)) -. !s) /. t.diag.(k)
   done;
   (* L^T backward solve; rows in l column k all have step > k. *)
-  for k = m - 1 downto 0 do
+  for k = m0 - 1 downto 0 do
     let s = ref 0.0 in
     let lr = t.l_rows.(k) and lv = t.l_vals.(k) in
     for i = 0 to Array.length lr - 1 do
@@ -336,8 +378,9 @@ let btran t c =
     done;
     v.(k) <- v.(k) -. !s
   done;
-  let y = Array.make m 0.0 in
-  for k = 0 to m - 1 do
+  let y = Array.make t.m 0.0 in
+  for k = 0 to m0 - 1 do
     y.(t.prow.(k)) <- v.(k)
   done;
+  Array.blit d m0 y m0 (t.m - m0);
   y

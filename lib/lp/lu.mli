@@ -15,6 +15,14 @@
     pivot; the caller refactorizes periodically ({!eta_count} /
     {!eta_nnz} feed its threshold) to keep solves O(nnz).
 
+    An appended constraint row whose new basic column has no entry in
+    the older rows is not a refactorization either: the basis becomes
+    [[B, 0], [a^T, s]], and {!append} records that border as one more
+    term of the same file.  FTRAN replays it oldest-first after the
+    triangular solves, setting [x_p = (b_p - a . x) / s]; BTRAN replays
+    it newest-first before them, setting [y_p = c_p / s] and then
+    [c <- c - a y_p] on the older positions.
+
     Solves are the two classic simplex kernels:
     - {!ftran} — solve [B x = b] (entering-column direction, basic
       values);
@@ -33,7 +41,8 @@ val factorize : m:int -> col:(int -> (int -> float -> unit) -> unit) -> t option
     singular (no acceptable pivot in some column). *)
 
 val size : t -> int
-(** The dimension [m] the factorization was built for. *)
+(** The dimension [m] of the basis now: the one factorized plus one per
+    {!append}. *)
 
 val ftran : t -> float array -> float array
 (** [ftran t b] solves [B x = b].  [b] is indexed by row (length [m],
@@ -50,11 +59,21 @@ val update : t -> r:int -> w:float array -> unit
     have rejected pivots with [abs_float w.(r)] below its pivot
     tolerance. *)
 
+val append : t -> a:(int * float) list -> s:float -> unit
+(** [append t ~a ~s] grows the basis by one row and one column, both at
+    index [p = size t]: the new row holds [s] on the new basic column
+    and [a] ([(position, coeff)] pairs, positions [< p]) on the older
+    basic columns, and the new column has no entry in the older rows.
+    Appends one border term; O(length a).  In FTRAN and BTRAN inputs
+    and outputs, index [p] is both the new row and the new position.
+    The caller must have rejected a tiny [s]. *)
+
 val eta_count : t -> int
-(** Number of eta terms accumulated since factorization. *)
+(** Number of terms (pivots and borders) accumulated since
+    factorization. *)
 
 val eta_nnz : t -> int
-(** Total stored entries across the eta file. *)
+(** Total stored entries across the eta file, borders included. *)
 
 val factor_nnz : t -> int
 (** Entries in the L and U factors (fill-in included). *)

@@ -18,6 +18,7 @@ let status_name = function
 
 type solve_info = {
   pivots : int;
+  dual_pivots : int;
   warm : bool;
   pivots_saved : int;
   cold_restart : Simplex.restart option;
@@ -71,6 +72,7 @@ type t = {
   mutable rows_pushed : int;
   mutable col_of_var : int array; (* per var, its simplex column *)
   mutable row_ids : int array; (* per row, its simplex row or -1 *)
+  mutable bound_rows : int; (* pushed rows kept out as column bounds *)
   mutable info : solve_info;
   mutable capture_duals : bool;
   mutable duals : duals option;
@@ -93,9 +95,11 @@ let create () =
     rows_pushed = 0;
     col_of_var = Array.make 64 (-1);
     row_ids = Array.make 64 (-1);
+    bound_rows = 0;
     info =
       {
         pivots = 0;
+        dual_pivots = 0;
         warm = false;
         pivots_saved = 0;
         cold_restart = None;
@@ -253,6 +257,8 @@ let record_info info =
        plane can derive pivots/second between any two points. *)
     if info.pivots > 0 then
       Tm.Counter.incr ~by:info.pivots (Tm.counter "lp.pivots.total");
+    if info.dual_pivots > 0 then
+      Tm.Counter.incr ~by:info.dual_pivots (Tm.counter "lp.dual_pivots");
     if info.refactors > 0 then
       Tm.Counter.incr ~by:info.refactors (Tm.counter "lp.refactors");
     if info.artificials > 0 then
@@ -321,7 +327,10 @@ let sync t =
   t.row_ids <- grow_int t.row_ids t.nconstrs;
   for i = t.rows_pushed to t.nconstrs - 1 do
     let r = t.rows.(i) in
-    if r.c_bound >= 0 then t.row_ids.(i) <- -1
+    if r.c_bound >= 0 then begin
+      t.row_ids.(i) <- -1;
+      t.bound_rows <- t.bound_rows + 1
+    end
     else begin
       let entries = List.map (fun (v, k) -> (t.col_of_var.(v), k)) r.c_row in
       t.row_ids.(i) <- Simplex.add_row t.sx entries r.c_rel r.c_rhs
@@ -330,11 +339,7 @@ let sync t =
   t.rows_pushed <- t.nconstrs;
   Simplex.set_objective t.sx
     (List.map (fun (v, k) -> (t.col_of_var.(v), k)) (objective_terms t));
-  let saved = ref 0 in
-  for i = 0 to t.nconstrs - 1 do
-    if t.row_ids.(i) < 0 then incr saved
-  done;
-  !saved
+  t.bound_rows
 
 let solve t =
   t.duals <- None;
@@ -354,6 +359,7 @@ let solve t =
     let info =
       {
         pivots = st.pivots;
+        dual_pivots = st.dual_pivots;
         warm = st.warm;
         pivots_saved = st.reused_basis;
         cold_restart = st.cold_restart;

@@ -15,17 +15,18 @@
     {!solve} pushes only the variables, constraints, right-hand-side
     edits, and objective accumulated since the previous call and
     reoptimizes from the previous basis.  The first solve of a fresh
-    problem is the cold solve, from an empty basis; later ones are the
-    encoder's cross-round warm starts.
+    problem is the cold solve; later ones are the encoder's cross-round
+    warm starts.
 
-    A {!hinge} variable appears in its own row only, which is what lets
-    the simplex start it basic ({!Simplex}'s crash start): a cold solve
-    of hinges, abs pairs and [<=] rows with a non-negative right-hand
-    side starts feasible and skips phase 1 ([solve_info.artificials] is
-    0), and a hinge appended between solves keeps the warm basis dual
-    feasible.  A row with neither a usable slack nor such a column (a
-    rounding pin [p >= 1] on a shared variable, say) still takes an
-    artificial. *)
+    An objective with no negative coefficient over inequality rows —
+    hinges, abs pairs, pins — makes the all-slack basis dual feasible,
+    so the cold solve runs the dual simplex from it and needs no
+    artificial ([solve_info.artificials] is 0, [solve_info.dual_pivots]
+    counts its pivots).  Otherwise the simplex crash-starts: a {!hinge}
+    variable appears in its own row only, which lets it start basic,
+    and only a row with neither a usable slack nor such a column takes
+    an artificial.  A hinge appended between solves keeps the warm
+    basis dual feasible. *)
 
 type t
 
@@ -53,6 +54,10 @@ val status_name : status -> string
 (** Statistics from the most recent solve of a problem. *)
 type solve_info = {
   pivots : int;  (** pivots of the attempt, a given-up one included *)
+  dual_pivots : int;
+      (** how many of [pivots] the dual simplex made — from the slack
+          basis of a cold start, or repairing a warm basis (counted as
+          [lp.dual_pivots]) *)
   warm : bool;  (** started from a previous basis *)
   pivots_saved : int;
       (** structural basis columns inherited at a warm start *)

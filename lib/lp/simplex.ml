@@ -16,6 +16,7 @@ type restart =
 
 type stats = {
   pivots : int;
+  dual_pivots : int;
   warm : bool;
   reused_basis : int;
   cold_restart : restart option;
@@ -37,18 +38,27 @@ let dual_tol = 1e-7
    factorization is rebuilt when the eta file passes a length/fill
    threshold.  Variables carry optional upper bounds handled directly in
    pricing and the ratio test — a nonbasic column sits at 0 or at its
-   bound ([at_upper]) and rows are never spent on caps.  The state is
-   incremental: columns and rows append (an appended row grows the
-   basis by one column — a fresh singleton structural column where it
-   has one, else its slack or an artificial — and invalidates the
-   factorization: no O(m^2) border extension), right-hand sides may
+   bound ([at_upper]) and rows are never spent on caps.
+
+   Both simplex loops work on reduced costs [d] computed once per call
+   (and again after each refactorization): a pivot on row [r] takes one
+   BTRAN of [e_r], accumulates the pivot row [alpha = rho A] over the
+   rows where [rho] is nonzero, and updates [d <- d - theta alpha].
+
+   The state is incremental: columns and rows append (an appended row
+   grows the basis by one column — a fresh singleton structural column
+   where it has one, else its slack or an artificial — which borders
+   the factorization instead of invalidating it), right-hand sides may
    change in place, and the next [reoptimize] starts from the previous
    basis — primal if still feasible, a bounded-variable dual simplex
    under the last optimal cost vector if not, and a cold rebuild as the
-   fallback of last resort.  A cold rebuild crash-starts: each row takes
-   its slack where the sign works, else a singleton structural column
-   at a feasible value (every hinge of the encoding is one), and only
-   the rows left over get artificials and a phase 1. *)
+   fallback of last resort.  A cold rebuild whose costs are all
+   nonnegative and whose rows are all inequalities starts from the
+   slack basis, dual feasible under those costs, and runs the dual
+   simplex; any other starts from a crash basis: each row takes its
+   slack where the sign works, else a singleton structural column at a
+   feasible value (every hinge of the encoding is one), and only the
+   rows left over get artificials and a phase 1. *)
 
 type kind =
   | Structural
@@ -57,12 +67,22 @@ type kind =
 
 type mstats = {
   mutable m_pivots : int;
+  mutable m_dual_pivots : int;
   mutable m_warm : bool;
   mutable m_reused : int;
   mutable m_cold : restart option;
   mutable m_refactors : int;
   mutable m_eta_max : int;
   mutable m_artificials : int;
+}
+
+(* The pivot row alpha = rho A of one pivot, sparse over the columns it
+   reaches ([touched.(0 .. n-1)]). *)
+type pivot_row = {
+  alpha : float array;
+  seen : bool array;
+  touched : int array;
+  mutable n : int;
 }
 
 type t = {
@@ -72,7 +92,6 @@ type t = {
   mutable cost : float array;
   mutable ub : float array; (* upper bound, [infinity] when none *)
   mutable at_upper : bool array; (* nonbasic at its upper bound *)
-  mutable dead : bool array; (* retired artificials: never eligible to enter *)
   mutable in_basis : int array; (* basic in this row, or -1 *)
   mutable art_entry : (int * float) array; (* row of the artificial, or (-1,_) *)
   (* per row *)
@@ -94,6 +113,10 @@ type t = {
   mutable opt_cost : float array;
   mutable opt_ncols : int;
   mutable new_artificials : int; (* created since the last solve *)
+  mutable attempt_base : int; (* [m_pivots] when the current attempt began *)
+  (* workspaces of the simplex loops, kept across calls *)
+  mutable dwork : float array; (* reduced costs, by column *)
+  mutable prow : pivot_row;
   stats : mstats;
 }
 
@@ -123,7 +146,6 @@ let create () =
     cost = Array.make 8 0.0;
     ub = Array.make 8 infinity;
     at_upper = Array.make 8 false;
-    dead = Array.make 8 false;
     in_basis = Array.make 8 (-1);
     art_entry = Array.make 8 (-1, 0.0);
     rel = Array.make 8 Le;
@@ -138,9 +160,13 @@ let create () =
     opt_cost = [||];
     opt_ncols = 0;
     new_artificials = 0;
+    attempt_base = 0;
+    dwork = [||];
+    prow = { alpha = [||]; seen = [||]; touched = [||]; n = 0 };
     stats =
       {
         m_pivots = 0;
+        m_dual_pivots = 0;
         m_warm = false;
         m_reused = 0;
         m_cold = None;
@@ -164,14 +190,12 @@ let register_col t k =
   t.cost <- grow t.cost (c + 1) 0.0;
   t.ub <- grow t.ub (c + 1) infinity;
   t.at_upper <- grow t.at_upper (c + 1) false;
-  t.dead <- grow t.dead (c + 1) false;
   t.in_basis <- grow t.in_basis (c + 1) (-1);
   t.art_entry <- grow t.art_entry (c + 1) (-1, 0.0);
   t.kind.(c) <- k;
   t.cost.(c) <- 0.0;
   t.ub.(c) <- infinity;
   t.at_upper.(c) <- false;
-  t.dead.(c) <- false;
   t.in_basis.(c) <- -1;
   t.art_entry.(c) <- (-1, 0.0);
   c
@@ -270,6 +294,11 @@ let maybe_refactor t =
     ensure_ready t
   end
 
+(* One pivot cap for every pivot of an attempt, primal or dual; checked
+   before each pass, so an attempt performs at most [!pivot_limit]. *)
+let check_cap t =
+  if t.stats.m_pivots - t.attempt_base >= !pivot_limit then raise Iteration_limit
+
 (* Crash column for row [i]: the first structural column, nonbasic and
    accepted by [eligible], that appears in row [i] only and whose start
    value [b / a] (every other column at 0) lies within its bounds.  As
@@ -313,16 +342,14 @@ let add_row t entries relation rhs_v =
   t.rhs.(i) <- rhs_v;
   t.slack_of.(i) <- (match slack with Some (c, _) -> c | None -> -1);
   if t.have_basis then begin
-    (* One column joins the basis for the appended row; the factorization
-       is simply invalidated and rebuilt lazily at the next solve — no
-       O(m^2) border extension.  A singleton column added since the last
-       optimum is preferred over the slack (or the artificial of an Eq
-       row): its certificate cost is 0 and it has no entry in the old
-       rows, so the row's dual is 0, every old reduced cost is unchanged
-       and the slack's is 0 — the dual certificate still holds.  And
-       where every other column of the row is new too, it starts
-       feasible (a hinge over new ops at 1) where the slack would sit
-       at -1 with no old column for the dual simplex to enter. *)
+    (* One column joins the basis for the appended row.  A singleton
+       column added since the last optimum is preferred over the slack
+       (or the artificial of an Eq row): its certificate cost is 0 and it
+       has no entry in the old rows, so the row's dual is 0, every old
+       reduced cost is unchanged and the slack's is 0 — the dual
+       certificate still holds.  And where every other column of the row
+       is new too, it starts feasible (a hinge over new ops at 1) instead
+       of leaving the dual simplex a row to repair. *)
     let bcol =
       match
         crash_col t i ~eligible:(fun c -> c >= t.opt_ncols && not t.at_upper.(c))
@@ -333,13 +360,23 @@ let add_row t entries relation rhs_v =
         | Some (c, _) -> c
         | None -> new_artificial t ~row:i ~coeff:1.0)
     in
+    (* Whichever it is, the new basic column has no entry in the older
+       rows, so the new basis borders the old one and the factorization
+       grows by one border term instead of being rebuilt. *)
+    (match t.factor with
+    | Some lu ->
+      let a = ref [] and s = ref 1.0 in
+      Sparse.iter_row t.mat i (fun c v ->
+          if c = bcol then s := v
+          else if t.in_basis.(c) >= 0 then a := (t.in_basis.(c), v) :: !a);
+      if abs_float !s > eps then Lu.append lu ~a:!a ~s:!s else t.factor <- None
+    | None -> ());
     let m = Array.length t.basis in
     let basis = Array.make (m + 1) 0 in
     Array.blit t.basis 0 basis 0 m;
     basis.(m) <- bcol;
     t.basis <- basis;
     t.in_basis.(bcol) <- m;
-    t.factor <- None;
     t.xb_valid <- false
   end;
   i
@@ -378,6 +415,19 @@ let dual_y t cost =
   done;
   Lu.btran (get_factor t) cb
 
+(* Reduced costs d_j = c_j - y . A_j under [cost], 0 on basic columns:
+   one BTRAN and one pass over the columns, into the [dwork] workspace
+   (which the caller must not keep across another call). *)
+let fresh_reduced_costs t cost =
+  let n = num_cols t in
+  t.dwork <- grow t.dwork n 0.0;
+  let d = t.dwork in
+  let y = dual_y t cost in
+  for j = 0 to n - 1 do
+    d.(j) <- (if t.in_basis.(j) >= 0 then 0.0 else cost.(j) -. col_dot t j y)
+  done;
+  d
+
 let compute_direction t j =
   let m = num_rows t in
   let a = Array.make m 0.0 in
@@ -392,10 +442,55 @@ let btran_unit t r =
   e.(r) <- 1.0;
   Lu.btran (get_factor t) e
 
+(* The pivot-row workspace, grown to the column count.  [alpha] and
+   [seen] are zero except at the previous row's [touched] columns, which
+   [fill_pivot_row] clears first. *)
+let pivot_row t =
+  let n = num_cols t in
+  if Array.length t.prow.alpha < n then begin
+    let n = max n (2 * Array.length t.prow.alpha) in
+    t.prow <-
+      {
+        alpha = Array.make n 0.0;
+        seen = Array.make n false;
+        touched = Array.make n 0;
+        n = 0;
+      }
+  end;
+  t.prow
+
+(* Row by row over the rows where rho is nonzero, so that each entry
+   sums the products [col_dot t j rho] would, in the same order.
+   Artificials are left out: none ever enters (see [primal]). *)
+let fill_pivot_row t p rho =
+  for k = 0 to p.n - 1 do
+    let c = p.touched.(k) in
+    p.alpha.(c) <- 0.0;
+    p.seen.(c) <- false
+  done;
+  p.n <- 0;
+  for i = 0 to Array.length rho - 1 do
+    let ri = rho.(i) in
+    if ri <> 0.0 then
+      p.n <- Sparse.axpy_row t.mat i ri p.alpha ~seen:p.seen ~touched:p.touched p.n
+  done
+
+(* d <- d - theta alpha over the nonbasic columns the pivot row reaches,
+   then the entering column [q] turns basic (d = 0) and the column
+   leaving row [r] nonbasic (its alpha is 1). *)
+let update_reduced_costs t d p ~theta ~q ~r =
+  for k = 0 to p.n - 1 do
+    let c = p.touched.(k) in
+    if t.in_basis.(c) < 0 then d.(c) <- d.(c) -. (theta *. p.alpha.(c))
+  done;
+  d.(q) <- 0.0;
+  d.(t.basis.(r)) <- -.theta
+
 (* Basis change at position [row]: entering column [col] at value
    [enter_value], the other basic values having moved by
    [-. s *. delta *. w]; the leaving column lands at 0 or, when
-   [leave_upper], at its bound. *)
+   [leave_upper], at its bound.  Returns whether the pivot triggered a
+   refactorization. *)
 let do_pivot t ~row ~col ~w ~s ~delta ~enter_value ~leave_upper =
   let m = Array.length t.basis in
   for i = 0 to m - 1 do
@@ -413,7 +508,8 @@ let do_pivot t ~row ~col ~w ~s ~delta ~enter_value ~leave_upper =
   t.stats.m_pivots <- t.stats.m_pivots + 1;
   t.stats.m_eta_max <- max t.stats.m_eta_max (Lu.eta_count lu);
   Sherlock_telemetry.Metrics.Gauge.set g_eta_len (Lu.eta_count lu);
-  maybe_refactor t
+  maybe_refactor t;
+  Lu.eta_count (get_factor t) = 0
 
 (* Primal simplex on the current factorization, minimizing [cost], with
    bounded variables: a nonbasic column may enter rising from 0 (reduced
@@ -421,31 +517,31 @@ let do_pivot t ~row ~col ~w ~s ~delta ~enter_value ~leave_upper =
    test admits three events — a basic value hitting 0, a basic value
    hitting its own bound (it leaves at the bound), or the entering
    column traversing its whole range (a bound flip, no basis change).
-   Dantzig pricing with a permanent switch to Bland's rule after a long
-   degenerate streak, which restores the termination guarantee.  Returns
-   [None] when unbounded. *)
+   Dantzig pricing over the maintained reduced costs, with a permanent
+   switch to Bland's rule after a long degenerate streak, which restores
+   the termination guarantee; optimality is declared only on reduced
+   costs freshly recomputed.  An artificial never enters, in phase 1
+   either: one that left the basis stays at 0, which a feasible point
+   of the program satisfies, so phase 1 still reaches 0 exactly when the
+   program is feasible.  Returns [None] when unbounded. *)
 let primal t ~cost ~phase1 =
   let ncols = num_cols t in
   let bland = ref false in
   let degen = ref 0 in
-  let iters = ref 0 in
   let m () = Array.length t.basis in
-  let allowed j =
-    (not t.dead.(j))
-    && t.in_basis.(j) < 0
-    && (phase1 || t.kind.(j) <> Artificial)
-  in
+  let allowed j = t.in_basis.(j) < 0 && t.kind.(j) <> Artificial in
+  let p = pivot_row t in
+  let d = ref (fresh_reduced_costs t cost) in
+  let fresh = ref true in
   let rec loop () =
-    incr iters;
-    if !iters > !pivot_limit then raise Iteration_limit;
-    let y = dual_y t cost in
+    check_cap t;
+    let dv = !d in
     let best_j = ref (-1) in
     let best_score = ref eps in
     (try
        for j = 0 to ncols - 1 do
          if allowed j then begin
-           let d = cost.(j) -. col_dot t j y in
-           let score = if t.at_upper.(j) then d else -.d in
+           let score = if t.at_upper.(j) then dv.(j) else -.dv.(j) in
            if score > !best_score then begin
              best_j := j;
              best_score := score;
@@ -454,7 +550,13 @@ let primal t ~cost ~phase1 =
          end
        done
      with Exit -> ());
-    if !best_j < 0 then Some (basic_objective t cost)
+    if !best_j < 0 then
+      if !fresh then Some (basic_objective t cost)
+      else begin
+        d := fresh_reduced_costs t cost;
+        fresh := true;
+        loop ()
+      end
     else begin
       let j = !best_j in
       let from_upper = t.at_upper.(j) in
@@ -504,130 +606,150 @@ let primal t ~cost ~phase1 =
         end
         else degen := 0;
         if !best_row < 0 then begin
-          (* bound flip: x_j jumps between 0 and u_j *)
+          (* bound flip: x_j jumps between 0 and u_j; the basis and so
+             every reduced cost stay *)
           for i = 0 to m () - 1 do
             t.xb.(i) <- t.xb.(i) -. (s *. delta *. w.(i))
           done;
           t.at_upper.(j) <- not from_upper;
           t.stats.m_pivots <- t.stats.m_pivots + 1
         end
-        else
-          do_pivot t ~row:!best_row ~col:j ~w ~s ~delta
-            ~enter_value:(if from_upper then uq -. delta else delta)
-            ~leave_upper:!leave_upper;
+        else begin
+          let r = !best_row in
+          fill_pivot_row t p (btran_unit t r);
+          update_reduced_costs t dv p ~theta:(dv.(j) /. w.(r)) ~q:j ~r;
+          let refactored =
+            do_pivot t ~row:r ~col:j ~w ~s ~delta
+              ~enter_value:(if from_upper then uq -. delta else delta)
+              ~leave_upper:!leave_upper
+          in
+          if refactored then d := fresh_reduced_costs t cost;
+          fresh := refactored
+        end;
         loop ()
       end
     end
   in
   loop ()
 
-(* Bounded-variable dual simplex under the last proven-optimal cost
-   vector: picks the basic variable most outside its bounds as leaving,
-   then the entering column by the dual ratio test, so reduced costs
-   keep their certificate signs while primal feasibility is restored.
-   Columns added after that optimum are excluded from entering (their
-   reduced costs under the old prices are unknown), as are artificials.
-   A certificate violation beyond tolerance — a nonbasic column whose
-   reduced cost already has the wrong sign — aborts to a cold start
-   instead of entering that column at ratio 0 (the old [max 0.0] clamp
-   did exactly that and forced silent cold restarts downstream).
-   Returns false — caller cold-restarts — when the restricted step has no
-   eligible pivot; a restricted dead end says nothing about the full
-   problem, so it must never be reported as infeasibility. *)
-let dual_simplex t =
-  let nold = min t.opt_ncols (num_cols t) in
-  let cost_of j = if j < Array.length t.opt_cost then t.opt_cost.(j) else 0.0 in
-  let full_cost = Array.init (num_cols t) cost_of in
+(* Bounded-variable dual simplex under the cost vector [cost], which
+   the current basis must be dual feasible for: picks the basic variable
+   most outside its bounds as leaving, then the entering column by the
+   dual ratio test over its pivot row, so reduced costs keep their signs
+   while primal feasibility is restored.  Every column but an artificial
+   may enter.  A reduced cost with the wrong sign beyond tolerance — at
+   the start, after an update or after a refactorization — is a dead
+   end, not a column to enter at ratio 0.  Returns false at a dead end
+   (that or no eligible column): the caller starts over cold or from the
+   crash basis, and never reports a dead end as infeasibility. *)
+let dual_simplex t ~cost =
   let m = Array.length t.basis in
-  let cap = 200 + (8 * m) in
-  let iters = ref 0 in
+  let eligible j = t.in_basis.(j) < 0 && t.kind.(j) <> Artificial in
+  let wrong_sign d j =
+    if t.at_upper.(j) then d.(j) > dual_tol else d.(j) < -.dual_tol
+  in
+  let certified d =
+    let ok = ref true in
+    for j = 0 to num_cols t - 1 do
+      if eligible j && wrong_sign d j then ok := false
+    done;
+    !ok
+  in
+  let p = pivot_row t in
+  let d = ref (fresh_reduced_costs t cost) in
   let rec loop () =
-    incr iters;
-    if !iters > cap then false
+    check_cap t;
+    let r = ref (-1) in
+    let worst = ref feas_tol in
+    let target = ref 0.0 in
+    let above = ref false in
+    for i = 0 to m - 1 do
+      let ubi = col_ub t ~phase1:false t.basis.(i) in
+      if -.t.xb.(i) > !worst then begin
+        r := i;
+        worst := -.t.xb.(i);
+        target := 0.0;
+        above := false
+      end;
+      if t.xb.(i) -. ubi > !worst then begin
+        r := i;
+        worst := t.xb.(i) -. ubi;
+        target := ubi;
+        above := true
+      end
+    done;
+    if !r < 0 then true
     else begin
-      let r = ref (-1) in
-      let worst = ref feas_tol in
-      let target = ref 0.0 in
-      let above = ref false in
-      for i = 0 to m - 1 do
-        let ubi = col_ub t ~phase1:false t.basis.(i) in
-        if -.t.xb.(i) > !worst then begin
-          r := i;
-          worst := -.t.xb.(i);
-          target := 0.0;
-          above := false
-        end;
-        if t.xb.(i) -. ubi > !worst then begin
-          r := i;
-          worst := t.xb.(i) -. ubi;
-          target := ubi;
-          above := true
-        end
-      done;
-      if !r < 0 then true
-      else begin
-        let r = !r in
-        let target = !target and above = !above in
-        let rho = btran_unit t r in
-        let y = dual_y t full_cost in
-        let best_j = ref (-1) in
-        let best_ratio = ref infinity in
-        let best_alpha = ref 0.0 in
-        let certified = ref true in
-        for j = 0 to nold - 1 do
-          if
-            !certified
-            && (not t.dead.(j))
-            && t.in_basis.(j) < 0
-            && t.kind.(j) <> Artificial
-          then begin
-            let d = cost_of j -. col_dot t j y in
-            let upper = t.at_upper.(j) in
-            if (not upper) && d < -.dual_tol then certified := false
-            else if upper && d > dual_tol then certified := false
-            else begin
-              let alpha = col_dot t j rho in
-              let eligible =
-                if above then if upper then alpha < -.eps else alpha > eps
-                else if upper then alpha > eps
-                else alpha < -.eps
-              in
-              if eligible then begin
-                (* snap within-tolerance noise, never a real violation *)
-                let d = if upper then min 0.0 d else max 0.0 d in
-                let ratio = abs_float d /. abs_float alpha in
-                if
-                  ratio < !best_ratio -. 1e-12
-                  || ratio < !best_ratio +. 1e-12
-                     && abs_float alpha > abs_float !best_alpha
-                then begin
-                  best_j := j;
-                  best_ratio := ratio;
-                  best_alpha := alpha
-                end
-              end
+      let r = !r in
+      let target = !target and above = !above in
+      let dv = !d in
+      fill_pivot_row t p (btran_unit t r);
+      let best_j = ref (-1) in
+      let best_ratio = ref infinity in
+      let best_alpha = ref 0.0 in
+      let best_d = ref 0.0 in
+      for k = 0 to p.n - 1 do
+        let j = p.touched.(k) in
+        if eligible j then begin
+          let alpha = p.alpha.(j) in
+          let upper = t.at_upper.(j) in
+          let ok =
+            if above then if upper then alpha < -.eps else alpha > eps
+            else if upper then alpha > eps
+            else alpha < -.eps
+          in
+          if ok then begin
+            (* snap within-tolerance noise, never a real violation *)
+            let dj = if upper then min 0.0 dv.(j) else max 0.0 dv.(j) in
+            let ratio = abs_float dj /. abs_float alpha in
+            if
+              ratio < !best_ratio -. 1e-12
+              || ratio < !best_ratio +. 1e-12
+                 && (abs_float alpha > abs_float !best_alpha
+                    || abs_float alpha = abs_float !best_alpha && j < !best_j)
+            then begin
+              best_j := j;
+              best_ratio := ratio;
+              best_alpha := alpha;
+              best_d := dj
             end
           end
-        done;
-        if (not !certified) || !best_j < 0 then false
+        end
+      done;
+      if !best_j < 0 then false
+      else begin
+        let q = !best_j in
+        let w = compute_direction t q in
+        let wr = w.(r) in
+        if abs_float wr < eps then false
         else begin
-          let q = !best_j in
-          let w = compute_direction t q in
-          let wr = w.(r) in
-          if abs_float wr < eps then false
-          else begin
-            let delta = (t.xb.(r) -. target) /. wr in
-            let from_upper = t.at_upper.(q) in
+          update_reduced_costs t dv p ~theta:(!best_d /. !best_alpha) ~q ~r;
+          let delta = (t.xb.(r) -. target) /. wr in
+          let from_upper = t.at_upper.(q) in
+          let leaving = t.basis.(r) in
+          let refactored =
             do_pivot t ~row:r ~col:q ~w ~s:1.0 ~delta
               ~enter_value:((if from_upper then t.ub.(q) else 0.0) +. delta)
-              ~leave_upper:above;
-            loop ()
+              ~leave_upper:above
+          in
+          t.stats.m_dual_pivots <- t.stats.m_dual_pivots + 1;
+          if refactored then begin
+            d := fresh_reduced_costs t cost;
+            if certified !d then loop () else false
+          end
+          else begin
+            let violated = ref (eligible leaving && wrong_sign dv leaving) in
+            for k = 0 to p.n - 1 do
+              let j = p.touched.(k) in
+              if eligible j && wrong_sign dv j then violated := true
+            done;
+            if !violated then false else loop ()
           end
         end
       end
     end
   in
-  loop ()
+  certified !d && loop ()
 
 let primal_feasible t =
   let ok = ref true in
@@ -666,8 +788,7 @@ let residuals_ok t =
 (* Pivot basic artificials out after phase 1 where a live column with a
    nonzero tableau entry exists (a degenerate swap, the entering column
    staying at its current activity); rows with none are redundant and
-   the artificial stays basic at zero, retired so it can never
-   re-enter. *)
+   the artificial stays basic, bounded at zero outside phase 1. *)
 let expel_artificials t =
   let ncols = num_cols t in
   for i = 0 to Array.length t.basis - 1 do
@@ -676,8 +797,7 @@ let expel_artificials t =
       let found = ref (-1) in
       (try
          for j = 0 to ncols - 1 do
-           if (not t.dead.(j)) && t.in_basis.(j) < 0 && t.kind.(j) <> Artificial
-           then
+           if t.in_basis.(j) < 0 && t.kind.(j) <> Artificial then
              if abs_float (col_dot t j rho) > 1e-7 then begin
                found := j;
                raise Exit
@@ -690,31 +810,72 @@ let expel_artificials t =
         if abs_float w.(i) > 1e-7 then begin
           let from_upper = t.at_upper.(j) in
           let s = if from_upper then -1.0 else 1.0 in
-          do_pivot t ~row:i ~col:j ~w ~s ~delta:0.0
-            ~enter_value:(if from_upper then t.ub.(j) else 0.0)
-            ~leave_upper:false
+          ignore
+            (do_pivot t ~row:i ~col:j ~w ~s ~delta:0.0
+               ~enter_value:(if from_upper then t.ub.(j) else 0.0)
+               ~leave_upper:false)
         end
       end
     end
   done
 
-(* Cold start: rebuild the basis from slacks where the sign works, crash
-   columns (see [crash_col]) where a row has one, fresh artificials
-   elsewhere.  The start is a diagonal basis with every nonbasic column
-   at its lower bound; only when an artificial was needed does phase 1
-   run before the real objective. *)
-let cold_solve t =
+(* Install a fresh basis, [basic_of i] for each row [i], with every
+   nonbasic column at its lower bound. *)
+let start_basis t basic_of =
   for c = 0 to num_cols t - 1 do
-    if t.kind.(c) = Artificial then t.dead.(c) <- true;
     t.in_basis.(c) <- -1;
     t.at_upper.(c) <- false
   done;
   let m = num_rows t in
   t.basis <- Array.make m 0;
-  let nart = ref 0 in
   for i = 0 to m - 1 do
-    let b = t.rhs.(i) in
-    let bcol =
+    let bcol = basic_of i in
+    t.basis.(i) <- bcol;
+    t.in_basis.(bcol) <- i
+  done;
+  t.factor <- None;
+  t.xb_valid <- false;
+  t.have_basis <- true;
+  ensure_ready t
+
+(* The slack basis is dual feasible under the objective itself when no
+   structural column costs less than 0 (each one's reduced cost is its
+   cost) and every row has a slack. *)
+let slack_start_dual_feasible t =
+  let ok = ref true in
+  for i = 0 to num_rows t - 1 do
+    if t.rel.(i) = Eq then ok := false
+  done;
+  for c = 0 to num_cols t - 1 do
+    if t.kind.(c) = Structural && t.cost.(c) < 0.0 then ok := false
+  done;
+  !ok
+
+(* Phase 1 from a start with artificials: minimize their sum, then
+   pivot them out.  Whether the program is feasible. *)
+let phase1 t =
+  let cost1 = Array.make (num_cols t) 0.0 in
+  for c = 0 to num_cols t - 1 do
+    if t.kind.(c) = Artificial then cost1.(c) <- 1.0
+  done;
+  match primal t ~cost:cost1 ~phase1:true with
+  | None ->
+    (* The phase-1 objective is bounded below by 0, so an unbounded
+       ray can only come from a numerically broken basis. *)
+    raise Numerical_trouble
+  | Some v when v > 1e-6 -> false
+  | Some _ ->
+    expel_artificials t;
+    true
+
+(* The crash basis: slacks where the sign works, crash columns (see
+   [crash_col]) where a row has one, fresh artificials elsewhere; only
+   when an artificial was needed does phase 1 run.  Whether the
+   program is feasible. *)
+let crash_start t =
+  let nart = ref 0 in
+  start_basis t (fun i ->
+      let b = t.rhs.(i) in
       match t.rel.(i) with
       | Le when b >= 0.0 -> t.slack_of.(i)
       | Ge when b <= 0.0 -> t.slack_of.(i)
@@ -724,41 +885,32 @@ let cold_solve t =
         | None ->
           incr nart;
           let coeff = if b >= 0.0 then 1.0 else -1.0 in
-          new_artificial t ~row:i ~coeff)
-    in
-    t.basis.(i) <- bcol;
-    t.in_basis.(bcol) <- i
-  done;
-  t.factor <- None;
-  t.xb_valid <- false;
-  t.have_basis <- true;
-  ensure_ready t;
-  let phase1_ok =
-    if !nart = 0 then true
-    else begin
-      let cost1 = Array.make (num_cols t) 0.0 in
-      for c = 0 to num_cols t - 1 do
-        if t.kind.(c) = Artificial && not t.dead.(c) then cost1.(c) <- 1.0
-      done;
-      match primal t ~cost:cost1 ~phase1:true with
-      | None ->
-        (* The phase-1 objective is bounded below by 0, so an unbounded
-           ray can only come from a numerically broken basis. *)
-        raise Numerical_trouble
-      | Some v when v > 1e-6 -> false
-      | Some _ ->
-        expel_artificials t;
-        for c = 0 to num_cols t - 1 do
-          if t.kind.(c) = Artificial then t.dead.(c) <- true
-        done;
-        true
-    end
+          new_artificial t ~row:i ~coeff));
+  !nart = 0 || phase1 t
+
+(* Cold start.  Where the slack basis is dual feasible (every encoder
+   LP), the dual simplex runs from it under the objective's own costs,
+   and the primal then only confirms optimality.  Otherwise, or when
+   that dual simplex dead-ends, the crash start. *)
+let cold_solve t =
+  let slack_start () =
+    start_basis t (fun i -> t.slack_of.(i));
+    dual_simplex t ~cost:t.cost
   in
-  if not phase1_ok then `Infeasible
+  if not ((slack_start_dual_feasible t && slack_start ()) || crash_start t)
+  then `Infeasible
   else
     match primal t ~cost:t.cost ~phase1:false with
     | None -> `Unbounded
     | Some obj -> `Optimal obj
+
+(* The cost vector the basis was last proven optimal for.  Columns added
+   since cost 0 in it: they have no entry in the rows it was proven on,
+   and the rows since have cost-free basic columns, so their reduced
+   costs start at 0. *)
+let certificate t =
+  Array.init (num_cols t) (fun j ->
+      if j < Array.length t.opt_cost then t.opt_cost.(j) else 0.0)
 
 let count_reused t =
   Array.fold_left
@@ -768,11 +920,13 @@ let count_reused t =
 let reoptimize t =
   let s = t.stats in
   s.m_pivots <- 0;
+  s.m_dual_pivots <- 0;
   s.m_warm <- false;
   s.m_reused <- 0;
   s.m_cold <- None;
   s.m_refactors <- 0;
   s.m_eta_max <- 0;
+  t.attempt_base <- 0;
   (* Artificials appended with Eq rows since the last solve count
      towards this one, as do those of a cold start. *)
   let take_artificials () =
@@ -783,6 +937,7 @@ let reoptimize t =
     s.m_cold <- Some cause;
     s.m_warm <- false;
     s.m_reused <- 0;
+    t.attempt_base <- s.m_pivots;
     cold_solve t
   in
   let result =
@@ -802,7 +957,8 @@ let reoptimize t =
             else if t.have_opt then begin
               s.m_warm <- true;
               s.m_reused <- count_reused t;
-              if dual_simplex t && primal_feasible t then begin
+              if dual_simplex t ~cost:(certificate t) && primal_feasible t
+              then begin
                 match primal t ~cost:t.cost ~phase1:false with
                 | None -> Ok `Unbounded
                 | Some obj -> Ok (`Optimal obj)
@@ -845,6 +1001,7 @@ let reoptimize t =
 let last_stats t =
   {
     pivots = t.stats.m_pivots;
+    dual_pivots = t.stats.m_dual_pivots;
     warm = t.stats.m_warm;
     reused_basis = t.stats.m_reused;
     cold_restart = t.stats.m_cold;
@@ -864,31 +1021,21 @@ let reduced_costs t =
   if not (t.have_basis && t.have_opt) then Array.make (num_cols t) 0.0
   else begin
     ensure_ready t;
-    let y = dual_y t t.cost in
-    Array.init (num_cols t) (fun j ->
-        if t.in_basis.(j) >= 0 then 0.0 else t.cost.(j) -. col_dot t j y)
+    Array.sub (fresh_reduced_costs t t.cost) 0 (num_cols t)
   end
 
 let dual_feasible t =
   if not (t.have_basis && t.have_opt) then true
   else begin
     ensure_ready t;
-    let cost_of j =
-      if j < Array.length t.opt_cost then t.opt_cost.(j) else 0.0
-    in
-    let full_cost = Array.init (num_cols t) cost_of in
-    let y = dual_y t full_cost in
+    let d = fresh_reduced_costs t (certificate t) in
     let ok = ref true in
-    for j = 0 to min t.opt_ncols (num_cols t) - 1 do
-      if (not t.dead.(j)) && t.in_basis.(j) < 0 && t.kind.(j) <> Artificial
-      then begin
-        let d = cost_of j -. col_dot t j y in
-        if t.at_upper.(j) then begin
-          if d > 1e-6 then ok := false
-        end
-        else if d < -1e-6 then ok := false
-      end
+    for j = 0 to num_cols t - 1 do
+      if
+        t.in_basis.(j) < 0
+        && t.kind.(j) <> Artificial
+        && if t.at_upper.(j) then d.(j) > 1e-6 else d.(j) < -1e-6
+      then ok := false
     done;
     !ok
   end
-

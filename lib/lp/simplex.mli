@@ -10,29 +10,40 @@
     are handled directly in pricing and the ratio test (a nonbasic
     column sits at 0 or at its bound), so caps cost no rows.  Pricing
     uses Dantzig's rule with a permanent switch to Bland's anti-cycling
-    rule after a long degenerate streak.
+    rule after a long degenerate streak.  Both the primal and the dual
+    simplex keep the reduced costs up to date from each pivot's row
+    ([rho A], accumulated over the rows where [rho = B^-T e_r] is
+    nonzero) instead of recomputing them per pivot.
 
     The module is an incremental state: columns and rows append over
     time, right-hand sides may be edited in place, and {!reoptimize}
     restarts from the previous optimal basis — primal if it is still
     feasible, a bounded-variable dual simplex under the last
-    proven-optimal cost vector if not, and a cold rebuild as the
-    fallback of last resort.  A first solve is that cold rebuild from an
-    empty basis.  This is what cross-round warm starts in the encoder
-    ride on.
+    proven-optimal cost vector if not (every column but an artificial
+    may enter, one added since that optimum at certificate cost 0), and
+    a cold rebuild as the fallback of last resort.  A first solve is
+    that cold rebuild.  This is what cross-round warm starts in the
+    encoder ride on.
 
-    The cold rebuild crash-starts.  Each row takes its slack when the
-    slack's sign fits the right-hand side; otherwise a structural column
-    that appears in that row only and starts within its bounds (every
-    hinge [h] of [1 - sum p - h <= 0] is one, starting at 1); only the
-    rows left over get artificial columns and a phase 1.  A row appended
-    to a live basis likewise brings in such a column added since the
-    last optimum in preference to its slack (or an [Eq] row's
+    The cold rebuild of a program with no negative cost and no [Eq] row
+    — every encoder LP — starts from the all-slack basis, which is then
+    dual feasible under the costs themselves: the dual simplex runs to
+    primal feasibility and the primal confirms optimality.  Any other
+    program, or one whose dual simplex dead-ends, crash-starts.  Each
+    row takes its slack when the slack's sign fits the right-hand side;
+    otherwise a structural column that appears in that row only and
+    starts within its bounds (every hinge [h] of [1 - sum p - h <= 0] is
+    one, starting at 1); only the rows left over get artificial columns
+    and a phase 1.
+
+    A row appended to a live basis brings in such a column added since
+    the last optimum in preference to its slack (or an [Eq] row's
     artificial): it costs 0 in the certificate and has no entry in the
     old rows, so the new row's dual is 0 and every reduced cost keeps
     its sign — the basis stays dual feasible — and a row over new
-    columns only starts feasible instead of leaving the dual simplex no
-    column to enter. *)
+    columns only starts feasible.  Whichever column joins, it has no
+    entry in the older rows, so the factorization is bordered
+    ({!Lu.append}) instead of rebuilt. *)
 
 type relation =
   | Le
@@ -46,10 +57,11 @@ type constr = {
 }
 
 exception Iteration_limit
-(** Raised by {!reoptimize} when a pivot sequence exceeds the limit —
-    see {!set_pivot_limit}.  The state invalidates itself first, so the
-    next solve starts cold.  Callers ({!Problem.solve})
-    map it to a non-[Solved] status rather than letting it escape. *)
+(** Raised by {!reoptimize} when an attempt's pivots, primal and dual
+    together, exceed the limit — see {!set_pivot_limit}.  The state
+    invalidates itself first, so the next solve starts cold.  Callers
+    ({!Problem.solve}) map it to a non-[Solved] status rather than
+    letting it escape. *)
 
 exception Numerical_trouble
 (** Raised by {!reoptimize} when the cold path breaks down numerically:
@@ -62,12 +74,14 @@ type restart =
   | Residual  (** the warm optimum failed the residual check *)
   | Dual_repair
       (** the basis could not be repaired: primal infeasible without a
-          dual certificate, a dual-simplex dead end, or a numerically
-          failed factorization *)
+          dual certificate, a dual-simplex dead end (a row no column can
+          repair, or a reduced cost drifted past tolerance), or a
+          numerically failed factorization *)
   | Pivot_cap  (** the warm attempt hit the pivot cap *)
 
 type stats = {
   pivots : int;  (** pivots performed by the last {!reoptimize} *)
+  dual_pivots : int;  (** how many of them the dual simplex made *)
   warm : bool;  (** the last solve started from a previous basis *)
   reused_basis : int;
       (** structural columns inherited in the starting basis — the work
@@ -98,9 +112,9 @@ val add_row : t -> (int * float) list -> relation -> float -> int
     slack/surplus column is added internally for inequalities.  If a
     basis exists, one column joins it for the new row — a singleton
     column added since the last optimum where the row has one, else the
-    slack (or a fresh artificial for [Eq]) — and the factorization is
-    rebuilt lazily at the next {!reoptimize}, where feasibility is also
-    repaired. *)
+    slack (or a fresh artificial for [Eq]) — and the factorization
+    gains one border term; feasibility is repaired at the next
+    {!reoptimize}. *)
 
 val set_rhs : t -> int -> float -> unit
 (** Change a row's right-hand side in place (e.g. relaxing a rounding
@@ -140,10 +154,11 @@ val reduced_costs : t -> float array
 
 val dual_feasible : t -> bool
 (** Whether the current basis is dual-feasible under the cost vector it
-    was last proven optimal for: every eligible nonbasic column at its
-    lower bound has reduced cost >= -1e-6, every one at its upper bound
-    <= 1e-6.  Vacuously true without a proven optimum.  Test hook for
-    the warm-repair certificate. *)
+    was last proven optimal for (a column added since costs 0 in it):
+    every eligible nonbasic column at its lower bound has reduced cost
+    >= -1e-6, every one at its upper bound <= 1e-6.  Vacuously true
+    without a proven optimum.  Test hook for the warm-repair
+    certificate. *)
 
 val last_stats : t -> stats
 
@@ -159,8 +174,10 @@ val num_cols : t -> int
 val default_pivot_limit : int
 
 val set_pivot_limit : int -> unit
-(** Cap on pivots per simplex run before {!Iteration_limit} (default
-    {!default_pivot_limit}).  Clamped to at least 1. *)
+(** Cap on the pivots of one attempt — the warm attempt, or the cold
+    rebuild — counting primal and dual pivots and bound flips alike,
+    before {!Iteration_limit} (default {!default_pivot_limit}).  Clamped
+    to at least 1. *)
 
 val default_refactor_interval : int
 

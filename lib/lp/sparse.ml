@@ -137,3 +137,19 @@ let col_dot t c v =
     acc := !acc +. (vals.(k) *. v.(rows.(k)))
   done;
   !acc
+
+(* One row's share of a pivot row: alpha += s * A_i.  Called over the
+   rows in increasing order, starting from zeros, each [alpha.(c)] adds
+   the products [col_dot t c] adds, in the same order. *)
+let axpy_row t i s alpha ~seen ~touched n =
+  let n = ref n in
+  for k = t.row_ptr.(i) to t.row_ptr.(i + 1) - 1 do
+    let c = t.row_col.(k) in
+    if not seen.(c) then begin
+      seen.(c) <- true;
+      touched.(!n) <- c;
+      incr n
+    end;
+    alpha.(c) <- alpha.(c) +. (t.row_val.(k) *. s)
+  done;
+  !n

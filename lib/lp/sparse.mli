@@ -2,9 +2,9 @@
 
     CSR-style rows plus per-column occurrence lists, both kept in sync on
     append.  This is the storage behind the revised simplex in {!Simplex}:
-    pricing walks column occurrence lists ([col_dot]) against the dense
-    working quantities, ratio tests walk them against the basis inverse,
-    and the residual check walks rows.  Rows and columns are append-only, matching
+    reduced costs walk column occurrence lists ([col_dot]) against the
+    dense multipliers, pivot rows walk rows ([axpy_row]), and so does the
+    residual check.  Rows and columns are append-only, matching
     the incremental LP lifecycle (the encoding only ever gains variables
     and constraints across rounds). *)
 
@@ -39,3 +39,13 @@ val col_nnz : t -> int -> int
 
 val col_dot : t -> int -> float array -> float
 (** [col_dot t c v] is [A_c . v] over the rows — the pricing primitive. *)
+
+val axpy_row :
+  t -> int -> float -> float array -> seen:bool array -> touched:int array -> int -> int
+(** [axpy_row t i s alpha ~seen ~touched n] adds [s] times row [i] into
+    [alpha] (indexed by column) — one row's share of a simplex pivot row
+    [rho A].  Over rows in increasing order from a zero [alpha], each
+    entry sums the same products in the same order as {!col_dot}, so the
+    two agree bit for bit.  A column reached while [seen] is false is
+    marked and stored at [touched.(n)], [touched.(n+1)], ...; the new
+    count is returned. *)

@@ -475,6 +475,8 @@ let create_state () =
     s_single = Hashtbl.create 16;
   }
 
+let problem st = st.s_vars.problem
+
 let reset_state st =
   st.s_vars <- { problem = Problem.create (); table = Hashtbl.create 64 };
   st.s_hinges <- Hashtbl.create 64;

@@ -107,6 +107,11 @@ type state
 
 val create_state : unit -> state
 
+val problem : state -> Sherlock_lp.Problem.t
+(** The state's live LP: its rows, objective and last solve's
+    statistics, for inspection (pins of the last call relaxed to
+    [p >= 0]).  Solving it again moves nothing the encoder reads. *)
+
 val solve :
   ?state:state ->
   ?previous:Verdict.t list ->

@@ -467,6 +467,52 @@ let test_lu_eta_update () =
     check Alcotest.bool "btran tracks the replaced column" true
       (max_err (mul_bt cols' (Lu.btran t c)) c < 1e-9)
 
+(* Appending a row whose new basic column has no entry in the older rows
+   borders the basis, [[B, 0], [a^T, s]]; the solves track it, through
+   eta terms before and after the border and a second border. *)
+let test_lu_border () =
+  let cols = [| [| 4.0; 1.0; 0.0 |]; [| 0.0; 3.0; 1.0 |]; [| 2.0; 0.0; 5.0 |] |] in
+  match Lu.factorize ~m:3 ~col:(lu_col cols) with
+  | None -> Alcotest.fail "factorize"
+  | Some t ->
+    let solves_track what cols =
+      let m = Array.length cols in
+      let b =
+        Array.init m (fun i ->
+            float_of_int (i + 1) *. if i mod 2 = 0 then 1.0 else -0.5)
+      in
+      check Alcotest.int (what ^ ": size") m (Lu.size t);
+      check Alcotest.bool (what ^ ": ftran") true
+        (max_err (mul_b cols (Lu.ftran t b)) b < 1e-9);
+      check Alcotest.bool (what ^ ": btran") true
+        (max_err (mul_bt cols (Lu.btran t b)) b < 1e-9)
+    in
+    let a = [| 1.0; 2.0; -1.0 |] in
+    Lu.update t ~r:1 ~w:(Lu.ftran t a);
+    let cols = [| cols.(0); a; cols.(2) |] in
+    (* new row 3: 1.0 on position 0, -2.0 on position 2, 0.5 on the new column *)
+    Lu.append t ~a:[ (0, 1.0); (2, -2.0) ] ~s:0.5;
+    let cols =
+      Array.append
+        (Array.mapi (fun k c -> Array.append c [| [| 1.0; 0.0; -2.0 |].(k) |]) cols)
+        [| [| 0.0; 0.0; 0.0; 0.5 |] |]
+    in
+    check Alcotest.int "a border is one more term" 2 (Lu.eta_count t);
+    solves_track "bordered" cols;
+    let a = [| 0.0; 1.0; 1.0; 3.0 |] in
+    Lu.update t ~r:0 ~w:(Lu.ftran t a);
+    let cols = Array.mapi (fun k c -> if k = 0 then a else c) cols in
+    solves_track "pivot on the bordered basis" cols;
+    Lu.append t ~a:[ (3, -1.0); (0, 2.0) ] ~s:(-2.0);
+    let cols =
+      Array.append
+        (Array.mapi
+           (fun k c -> Array.append c [| [| 2.0; 0.0; 0.0; -1.0 |].(k) |])
+           cols)
+        [| [| 0.0; 0.0; 0.0; 0.0; -2.0 |] |]
+    in
+    solves_track "second border" cols
+
 let test_lu_singular () =
   let cols = [| [| 1.0; 0.0 |]; [| 2.0; 0.0 |] |] in
   match Lu.factorize ~m:2 ~col:(lu_col cols) with
@@ -589,14 +635,13 @@ let test_pivot_cap_aborts_and_recovers () =
       | _ -> Alcotest.fail "expected a fresh solve")
 
 (* A warm attempt that cannot finish falls back to a cold rebuild, and
-   the solve records why: a violated row whose only repair is a column
-   the dual simplex may not enter (added after the certified optimum)
-   is a dual-repair dead end, and a re-optimization past the pivot cap
-   is a pivot-cap restart.  Each cause has its own registry counter.
-   The fresh [y] sits in two new rows, so neither can start it basic:
-   [x - y <= 2] (its start value would be -2) keeps its slack, and
-   [y >= 1] (no longer a singleton) leaves its surplus at -1 with no
-   old column in the row. *)
+   the solve records why: a violated row no column can repair is a
+   dual-repair dead end, and a re-optimization past the pivot cap is a
+   pivot-cap restart.  Each cause has its own registry counter.  Every
+   column may enter the dual simplex, so only a row the program cannot
+   satisfy still dead-ends: [x + y <= -1] over nonnegative columns (the
+   fresh [y] cannot start basic at -1 either).  The cold rebuild then
+   proves the program infeasible. *)
 let test_cold_restart_causes () =
   let module Tm = Sherlock_telemetry.Metrics in
   let was_enabled = Tm.enabled () in
@@ -614,12 +659,13 @@ let test_cold_restart_causes () =
       Problem.add_objective p (Linexpr.var ~coeff:(-1.0) x);
       ignore (Problem.solve p);
       let y = Problem.add_var p "y" in
-      Problem.add_le p Linexpr.(sub (var x) (var y)) 2.0;
-      Problem.add_ge p (Linexpr.var y) 1.0;
+      Problem.add_le p Linexpr.(add (var x) (var y)) (-1.0);
       Problem.add_objective p (Linexpr.var y);
       (match Problem.solve p with
-      | Problem.Solved obj, _ -> check feq "objective after the restart" 0.0 obj
-      | _ -> Alcotest.fail "expected solution");
+      | Problem.Infeasible, _ -> ()
+      | s, _ ->
+        Alcotest.failf "expected Infeasible after the restart, got %s"
+          (Problem.status_name s));
       check Alcotest.bool "dual-repair cause" true
         (cause p = Some Simplex.Dual_repair);
       check Alcotest.int "lp.cold_restart.dual_repair counted" (dual + 1)
@@ -758,12 +804,21 @@ let test_bound_rows_saved () =
   Problem.add_le p Linexpr.(add (var x) (var y)) 1.5;
   Problem.add_objective p
     Linexpr.(add (var ~coeff:(-2.0) x) (var ~coeff:(-1.0) y));
-  (match Problem.solve p with
-  | Problem.Solved _, _ -> ()
-  | _ -> Alcotest.fail "expected solution");
+  let solve () =
+    match Problem.solve p with
+    | Problem.Solved _, _ -> ()
+    | _ -> Alcotest.fail "expected solution"
+  in
+  solve ();
   check Alcotest.int "cap kept out of the sparse matrix" 1
     (Problem.last_info p).Problem.bound_rows_saved;
-  check Alcotest.int "but the cap is still a visible row" 2 (Problem.num_rows p)
+  check Alcotest.int "but the cap is still a visible row" 2 (Problem.num_rows p);
+  (* Caps added between solves count once each, across solves. *)
+  let z = Problem.add_var p ~ub:2.0 "z" and w = Problem.add_var p ~ub:0.5 "w" in
+  Problem.add_le p Linexpr.(add (var z) (var w)) 2.0;
+  solve ();
+  check Alcotest.int "caps counted across solves" 3
+    (Problem.last_info p).Problem.bound_rows_saved
 
 (* --- Crash start --- *)
 
@@ -772,22 +827,25 @@ let solved_objective what = function
   | s, _ ->
     Alcotest.failf "%s: expected a solution, got %s" what (Problem.status_name s)
 
-(* A cold solve equals the dense oracle, and its start needed [arts]
-   artificial columns. *)
-let check_cold_start ~arts what p =
+(* A cold solve equals the dense oracle, its start needed [arts]
+   artificial columns, and it started from the slack basis (the dual
+   simplex made pivots) exactly when [dual]. *)
+let check_cold_start ~arts ~dual what p =
   let dense = solved_objective (what ^ " (dense)") (dense_solve p) in
   let obj = solved_objective what (Problem.solve p) in
   check (Alcotest.float 1e-6) (what ^ ": objective") dense obj;
   let info = Problem.last_info p in
   check Alcotest.bool (what ^ ": solved cold") false info.Problem.warm;
-  check Alcotest.int (what ^ ": artificials") arts info.Problem.artificials
+  check Alcotest.int (what ^ ": artificials") arts info.Problem.artificials;
+  check Alcotest.bool (what ^ ": dual start") dual (info.Problem.dual_pivots > 0)
 
 (* The encoder's shapes: hinges [max(0, 1 - sum)] over window sides that
    share capped probability variables, an abs pair, and a soft
-   Single-Role hinge [max(0, p_b + p_e - 1)].  Every row whose slack
-   cannot start (the hinges' rhs is -1) has its hinge column to start
-   basic at 1, so the start is feasible and needs no artificial. *)
-let test_crash_encoder_shapes () =
+   Single-Role hinge [max(0, p_b + p_e - 1)].  No cost is negative and
+   no row an equation, so the cold solve starts from the slack basis
+   and the dual simplex repairs the hinge rows (rhs -1): no
+   artificial. *)
+let encoder_shapes_lp () =
   let p = Problem.create () in
   let ps =
     Array.init 5 (fun i -> Problem.add_var p ~ub:1.0 (Printf.sprintf "p%d" i))
@@ -807,30 +865,59 @@ let test_crash_encoder_shapes () =
   ignore
     (hinge p ~weight:0.2 "single_role"
        Linexpr.(sub (add (var ps.(1)) (var ps.(4))) (const 1.0)));
-  check_cold_start ~arts:0 "encoder shapes" p
+  p
 
-(* A row whose slack cannot start and whose only singleton column would
-   start outside its bounds falls back to an artificial. *)
+let test_crash_encoder_shapes () =
+  check_cold_start ~arts:0 ~dual:true "encoder shapes" (encoder_shapes_lp ());
+  (* The dual pivots count against the one pivot cap. *)
+  Fun.protect
+    ~finally:(fun () -> Simplex.set_pivot_limit Simplex.default_pivot_limit)
+    (fun () ->
+      Simplex.set_pivot_limit 2;
+      let p = encoder_shapes_lp () in
+      (match Problem.solve p with
+      | Problem.Aborted, _ -> ()
+      | s, _ -> Alcotest.failf "expected Aborted, got %s" (Problem.status_name s));
+      check Alcotest.int "stopped at the cap" 2 (Problem.last_info p).Problem.pivots)
+
+(* With a negative cost the slack basis is not dual feasible, so the
+   cold solve crash-starts; there, a row whose slack cannot start and
+   whose only singleton column would start outside its bounds falls
+   back to an artificial.  Each program gets a capped column [z] of
+   cost -1 (in no row: it ends at its cap by a bound flip).  Without
+   it, the first program starts from the slack basis instead: no
+   artificial, and the dual simplex repairs the row. *)
 let test_crash_falls_back () =
   (* [h - p <= -0.5]: h would start at -0.5; p sits in a second row. *)
-  let p = Problem.create () in
-  let pv = Problem.add_var p ~ub:1.0 "p" and h = Problem.add_var p "h" in
-  Problem.add_le p Linexpr.(sub (var h) (var pv)) (-0.5);
-  Problem.add_le p (Linexpr.var pv) 0.8;
-  Problem.add_objective p Linexpr.(add (var pv) (var h));
-  check_cold_start ~arts:1 "negative start" p;
+  let negative_start ~with_z =
+    let p = Problem.create () in
+    let pv = Problem.add_var p ~ub:1.0 "p" and h = Problem.add_var p "h" in
+    Problem.add_le p Linexpr.(sub (var h) (var pv)) (-0.5);
+    Problem.add_le p (Linexpr.var pv) 0.8;
+    Problem.add_objective p Linexpr.(add (var pv) (var h));
+    if with_z then
+      Problem.add_objective_term p (Problem.add_var p ~ub:1.0 "z") (-1.0);
+    p
+  in
+  check_cold_start ~arts:1 ~dual:false "negative start"
+    (negative_start ~with_z:true);
+  check_cold_start ~arts:0 ~dual:true "slack start"
+    (negative_start ~with_z:false);
   (* [x + 2y >= 2]: x would start at 2 over its cap 1, y at 1 over 0.9. *)
   let q = Problem.create () in
   let x = Problem.add_var q ~ub:1.0 "x" and y = Problem.add_var q ~ub:0.9 "y" in
   Problem.add_ge q Linexpr.(add (var x) (var ~coeff:2.0 y)) 2.0;
   Problem.add_objective q Linexpr.(add (var ~coeff:3.0 x) (var y));
-  check_cold_start ~arts:1 "start over the cap" q
+  Problem.add_objective_term q (Problem.add_var q ~ub:1.0 "z") (-1.0);
+  check_cold_start ~arts:1 ~dual:false "start over the cap" q
 
 (* A window whose ops are all new appends [-p2 - h1 <= -1] over two
    fresh columns.  Its hinge column joins the basis instead of the
    slack: the dual certificate still holds, the basis is primal
-   feasible, and the re-solve stays warm.  (With the slack basic at -1,
-   the dual simplex would find no old column to enter and go cold.) *)
+   feasible, and the re-solve stays warm.  The hinge column has no
+   entry in the older rows, so an append borders the factorization: a
+   second such window, re-solved straight away, needs no
+   refactorization. *)
 let test_crash_warm_append () =
   let outcome, s =
     solved_state ~ub:[| 1.0; 1.0 |] ~num_vars:3
@@ -857,24 +944,37 @@ let test_crash_warm_append () =
   let st = Simplex.last_stats s in
   check Alcotest.bool "solved warm" true st.Simplex.warm;
   check Alcotest.bool "no cold restart" true (st.Simplex.cold_restart = None);
-  check Alcotest.int "no artificials" 0 st.Simplex.artificials
+  check Alcotest.int "no artificials" 0 st.Simplex.artificials;
+  let p3 = Simplex.add_col ~ub:1.0 s in
+  let h2 = Simplex.add_col s in
+  ignore (Simplex.add_row s [ (p3, -1.0); (h2, -1.0) ] Simplex.Le (-1.0));
+  Simplex.set_objective s
+    [ (0, 0.3); (1, 0.2); (2, 2.0); (p2, 0.4); (h1, 1.5); (p3, 0.4); (h2, 1.5) ];
+  (match Simplex.reoptimize s with
+  | `Optimal obj -> check feq "second grown optimum" 1.0 obj
+  | _ -> Alcotest.fail "expected optimum after the second append");
+  check Alcotest.int "the factor survives the append" 0
+    (Simplex.last_stats s).Simplex.refactors
 
 (* A 500-event synthetic log at near 20 000 (the synth LP probe's
    shape) solves cold with no artificial; after a second log, the
-   state's re-solve of the merged observations gives the verdicts of a
-   cold solve of them.  (That re-solve may still fall back cold inside
-   the state, a dead end of the dual simplex, so only its verdicts are
-   checked.) *)
+   state's re-solve of the merged observations stays warm — the columns
+   of the new windows may enter its dual simplex — and gives the
+   verdicts of a cold solve of them. *)
+let probe_config = { Sherlock_core.Config.default with near = 20_000 }
+
+let add_synth_log obs ~seed ~events =
+  let config = probe_config in
+  Sherlock_core.Observations.add_log obs ~near:config.near
+    ~cap:config.window_cap ~refine:config.use_refinement
+    (Sherlock_trace.Synth.log ~seed ~addrs:2048 ~threads:16 ~events ())
+
 let test_crash_synth_probe () =
   let open Sherlock_core in
   let module Tm = Sherlock_telemetry.Metrics in
-  let config = { Config.default with near = 20_000 } in
+  let config = probe_config in
   let obs = Observations.create () in
-  let add seed =
-    Observations.add_log obs ~near:config.near ~cap:config.window_cap
-      ~refine:config.use_refinement
-      (Sherlock_trace.Synth.log ~seed ~addrs:2048 ~threads:16 ~events:500 ())
-  in
+  let add seed = add_synth_log obs ~seed ~events:500 in
   let names vs =
     List.map
       (fun (v : Verdict.t) ->
@@ -897,11 +997,45 @@ let test_crash_synth_probe () =
       add 43;
       let warm, second = Encoder.solve ~state config obs in
       check Alcotest.bool "second solve not degraded" false second.Encoder.degraded;
+      check Alcotest.bool "second solve warm" true second.lp.lp_base_warm;
+      check Alcotest.int "second solve never restarts cold" 0
+        second.lp.lp_cold_restarts;
       let cold, _ = Encoder.solve config obs in
       check Alcotest.bool "some verdicts" true (warm <> []);
       check
         Alcotest.(list string)
         "state's verdicts are the cold ones" (names cold) (names warm))
+
+(* --- The synth LP probe --- *)
+
+(* A cold [Encoder.solve] of [events] events of the seed-42 synthetic
+   log (2048 addresses, 16 threads, near 20 000): its verdicts, its
+   stats and the state's LP. *)
+let synth_probe events =
+  let open Sherlock_core in
+  let obs = Observations.create () in
+  add_synth_log obs ~seed:42 ~events;
+  let state = Encoder.create_state () in
+  let verdicts, stats = Encoder.solve ~state probe_config obs in
+  (verdicts, stats, Encoder.problem state)
+
+(* The 500-event probe needs no rounding pin, so the call's objective is
+   its LP's cold optimum, which the dense oracle confirms. *)
+let test_synth_probe_dense () =
+  let _, stats, p = synth_probe 500 in
+  check Alcotest.int "no rounding pin" 1 stats.lp.lp_solves;
+  let dense = solved_objective "dense" (dense_solve p) in
+  check (Alcotest.float 1e-6) "cold objective" dense stats.objective
+
+(* Pivot counts are deterministic: [max_pivots] bounds the cold solve of
+   the probe, rounding re-solves included. *)
+let test_synth_probe_pivots events ~max_pivots () =
+  let verdicts, stats, _ = synth_probe events in
+  check Alcotest.bool "not degraded" false stats.degraded;
+  check Alcotest.bool "some verdicts" true (verdicts <> []);
+  if stats.lp.lp_pivots > max_pivots then
+    Alcotest.failf "%d events: %d pivots, over %d" events stats.lp.lp_pivots
+      max_pivots
 
 (* --- Engine equivalence --- *)
 
@@ -1234,6 +1368,7 @@ let () =
         Alcotest.test_case "ftran/btran round trip" `Quick test_lu_roundtrip_known
         :: Alcotest.test_case "eta update" `Quick test_lu_eta_update
         :: Alcotest.test_case "singular basis" `Quick test_lu_singular
+        :: Alcotest.test_case "border append" `Quick test_lu_border
         :: qcheck [ prop_lu_roundtrip ] );
       ( "engine",
         [
@@ -1262,6 +1397,16 @@ let () =
             test_crash_warm_append;
           Alcotest.test_case "synth probe re-solve equals cold" `Quick
             test_crash_synth_probe;
+        ] );
+      ( "probe",
+        [
+          Alcotest.test_case "500 events: cold objective equals dense" `Slow
+            test_synth_probe_dense;
+          (* the deleted one-shot path's count, with presolve *)
+          Alcotest.test_case "1k events within 2,724 pivots" `Quick
+            (test_synth_probe_pivots 1000 ~max_pivots:2724);
+          Alcotest.test_case "2k events solve within 6,000 pivots" `Slow
+            (test_synth_probe_pivots 2000 ~max_pivots:6000);
         ] );
       ( "duals",
         [
