@@ -24,7 +24,6 @@ type solve_info = {
   cold_restart : Simplex.restart option;
   refactors : int;
   eta_len : int;
-  artificials : int;
   bound_rows_saved : int;
 }
 
@@ -105,7 +104,6 @@ let create () =
         cold_restart = None;
         refactors = 0;
         eta_len = 0;
-        artificials = 0;
         bound_rows_saved = 0;
       };
     capture_duals = false;
@@ -261,8 +259,6 @@ let record_info info =
       Tm.Counter.incr ~by:info.dual_pivots (Tm.counter "lp.dual_pivots");
     if info.refactors > 0 then
       Tm.Counter.incr ~by:info.refactors (Tm.counter "lp.refactors");
-    if info.artificials > 0 then
-      Tm.Counter.incr ~by:info.artificials (Tm.counter "lp.artificials");
     Option.iter
       (fun cause -> Tm.Counter.incr (Tm.counter (restart_counter cause)))
       info.cold_restart;
@@ -365,7 +361,6 @@ let solve t =
         cold_restart = st.cold_restart;
         refactors = st.refactors;
         eta_len = st.eta_len;
-        artificials = st.artificials;
         bound_rows_saved;
       }
     in

@@ -18,15 +18,15 @@
     problem is the cold solve; later ones are the encoder's cross-round
     warm starts.
 
-    An objective with no negative coefficient over inequality rows —
-    hinges, abs pairs, pins — makes the all-slack basis dual feasible,
-    so the cold solve runs the dual simplex from it and needs no
-    artificial ([solve_info.artificials] is 0, [solve_info.dual_pivots]
-    counts its pivots).  Otherwise the simplex crash-starts: a {!hinge}
-    variable appears in its own row only, which lets it start basic,
-    and only a row with neither a usable slack nor such a column takes
-    an artificial.  A hinge appended between solves keeps the warm
-    basis dual feasible. *)
+    The cold solve starts from the all-slack basis ([Eq] rows get a
+    slack fixed at 0) and runs the dual simplex under the objective with
+    every negative coefficient raised to 0, then the primal under the
+    objective itself.  For the encoder's objective — hinges, abs pairs,
+    pins, no negative coefficient — the dual simplex does all the work
+    ([solve_info.dual_pivots] counts its pivots) and the primal only
+    confirms.  A {!hinge} variable appears in its own row only, so a
+    hinge appended between solves can join the basis in place of its
+    slack and keeps the warm basis dual feasible. *)
 
 type t
 
@@ -45,7 +45,8 @@ type status =
   | Numerical
       (** the solver broke down numerically
           ({!Simplex.Numerical_trouble}: a singular basis at a
-          refactorization) and gave up; handled like [Aborted] *)
+          refactorization, or a cold dual simplex dead end that proves
+          nothing) and gave up; handled like [Aborted] *)
 
 val status_name : status -> string
 (** A short lower-case name: ["solved"], ["infeasible"], ["unbounded"],
@@ -65,11 +66,6 @@ type solve_info = {
       (** why a warm attempt fell back to a cold build, if it did *)
   refactors : int;  (** basis refactorizations during the solve *)
   eta_len : int;  (** longest eta file reached before a rebuild *)
-  artificials : int;
-      (** artificial columns created for the solve, by its cold start
-          or by [Eq] rows appended since the previous solve (counted as
-          [lp.artificials]); 0 when every row found a slack or a crash
-          column, so a cold start skipped phase 1 *)
   bound_rows_saved : int;
       (** cap rows the bounded-variable encoding kept out of the sparse
           matrix *)

@@ -22,7 +22,6 @@ type stats = {
   cold_restart : restart option;
   refactors : int;
   eta_len : int;
-  artificials : int;
 }
 
 let eps = 1e-9
@@ -45,25 +44,26 @@ let dual_tol = 1e-7
    BTRAN of [e_r], accumulates the pivot row [alpha = rho A] over the
    rows where [rho] is nonzero, and updates [d <- d - theta alpha].
 
+   Every row has a slack column; an [Eq] row's is fixed ([ub = 0]).
+   A column with [ub = 0] never enters, in the primal or the dual.
+
    The state is incremental: columns and rows append (an appended row
    grows the basis by one column — a fresh singleton structural column
-   where it has one, else its slack or an artificial — which borders
-   the factorization instead of invalidating it), right-hand sides may
-   change in place, and the next [reoptimize] starts from the previous
-   basis — primal if still feasible, a bounded-variable dual simplex
-   under the last optimal cost vector if not, and a cold rebuild as the
-   fallback of last resort.  A cold rebuild whose costs are all
-   nonnegative and whose rows are all inequalities starts from the
-   slack basis, dual feasible under those costs, and runs the dual
-   simplex; any other starts from a crash basis: each row takes its
-   slack where the sign works, else a singleton structural column at a
-   feasible value (every hinge of the encoding is one), and only the
-   rows left over get artificials and a phase 1. *)
+   where it has one, else its slack — which borders the factorization
+   instead of invalidating it), right-hand sides may change in place,
+   and the next [reoptimize] starts from the previous basis — primal if
+   still feasible, a bounded-variable dual simplex under the last
+   optimal cost vector if not, and a cold rebuild as the fallback of
+   last resort.  The cold rebuild has one start: the slack basis, which
+   is dual feasible under the costs with every negative one raised to
+   0.  The dual simplex runs from it under those costs to primal
+   feasibility (a fixed slack off 0 is one more bound violation), then
+   the primal under the true costs to optimality.  For the encoder's
+   LPs no cost is negative, so the primal only confirms. *)
 
 type kind =
   | Structural
   | Slack
-  | Artificial
 
 type mstats = {
   mutable m_pivots : int;
@@ -73,7 +73,6 @@ type mstats = {
   mutable m_cold : restart option;
   mutable m_refactors : int;
   mutable m_eta_max : int;
-  mutable m_artificials : int;
 }
 
 (* The pivot row alpha = rho A of one pivot, sparse over the columns it
@@ -93,11 +92,10 @@ type t = {
   mutable ub : float array; (* upper bound, [infinity] when none *)
   mutable at_upper : bool array; (* nonbasic at its upper bound *)
   mutable in_basis : int array; (* basic in this row, or -1 *)
-  mutable art_entry : (int * float) array; (* row of the artificial, or (-1,_) *)
   (* per row *)
   mutable rel : relation array;
   mutable rhs : float array;
-  mutable slack_of : int array; (* slack/surplus column, or -1 for Eq *)
+  mutable slack_of : int array; (* slack/surplus column (fixed for Eq) *)
   (* factorization *)
   mutable have_basis : bool;
   mutable basis : int array; (* per row: the basic column *)
@@ -112,7 +110,6 @@ type t = {
   mutable have_opt : bool;
   mutable opt_cost : float array;
   mutable opt_ncols : int;
-  mutable new_artificials : int; (* created since the last solve *)
   mutable attempt_base : int; (* [m_pivots] when the current attempt began *)
   (* workspaces of the simplex loops, kept across calls *)
   mutable dwork : float array; (* reduced costs, by column *)
@@ -147,7 +144,6 @@ let create () =
     ub = Array.make 8 infinity;
     at_upper = Array.make 8 false;
     in_basis = Array.make 8 (-1);
-    art_entry = Array.make 8 (-1, 0.0);
     rel = Array.make 8 Le;
     rhs = Array.make 8 0.0;
     slack_of = Array.make 8 (-1);
@@ -159,7 +155,6 @@ let create () =
     have_opt = false;
     opt_cost = [||];
     opt_ncols = 0;
-    new_artificials = 0;
     attempt_base = 0;
     dwork = [||];
     prow = { alpha = [||]; seen = [||]; touched = [||]; n = 0 };
@@ -172,7 +167,6 @@ let create () =
         m_cold = None;
         m_refactors = 0;
         m_eta_max = 0;
-        m_artificials = 0;
       };
   }
 
@@ -191,13 +185,11 @@ let register_col t k =
   t.ub <- grow t.ub (c + 1) infinity;
   t.at_upper <- grow t.at_upper (c + 1) false;
   t.in_basis <- grow t.in_basis (c + 1) (-1);
-  t.art_entry <- grow t.art_entry (c + 1) (-1, 0.0);
   t.kind.(c) <- k;
   t.cost.(c) <- 0.0;
   t.ub.(c) <- infinity;
   t.at_upper.(c) <- false;
   t.in_basis.(c) <- -1;
-  t.art_entry.(c) <- (-1, 0.0);
   c
 
 let add_col ?(ub = infinity) t =
@@ -205,46 +197,21 @@ let add_col ?(ub = infinity) t =
   t.ub.(c) <- ub;
   c
 
-(* Artificial columns live outside the CSR rows (a row's stored entries
-   are its real coefficients); their single entry is kept aside and every
-   column-view access goes through these two helpers. *)
-let new_artificial t ~row ~coeff =
-  let c = register_col t Artificial in
-  t.art_entry.(c) <- (row, coeff);
-  t.new_artificials <- t.new_artificials + 1;
-  c
-
-let iter_col_entries t j f =
-  match t.kind.(j) with
-  | Artificial ->
-    let r, a = t.art_entry.(j) in
-    if r >= 0 then f r a
-  | Structural | Slack -> Sparse.iter_col t.mat j f
-
-let col_dot t j v =
-  match t.kind.(j) with
-  | Artificial ->
-    let r, a = t.art_entry.(j) in
-    if r >= 0 then a *. v.(r) else 0.0
-  | Structural | Slack -> Sparse.col_dot t.mat j v
-
 let num_rows t = Sparse.nrows t.mat
 
 let num_cols t = Sparse.ncols t.mat
 
-(* An artificial's only feasible value is 0, so outside phase 1 it is a
-   bounded column with ub 0: the ratio test then refuses to let a basic
-   artificial grow (a degenerate pivot expels it instead), and the dual
-   simplex treats a nonzero one — e.g. the residual of a freshly
-   appended Eq row — as a bound violation to repair.  During phase 1 the
-   bound must be off: artificials legitimately start at |b|. *)
-let col_ub t ~phase1 j =
-  if t.kind.(j) = Artificial then if phase1 then infinity else 0.0
-  else t.ub.(j)
+(* Whether nonbasic column [j] may enter, in the primal or the dual: a
+   column fixed at 0 (an [Eq] row's slack) never does.  A basic one
+   stays within its bounds like any other, so the ratio test refuses to
+   let it grow, and the dual simplex treats a nonzero one — the residual
+   of an [Eq] row — as a bound violation to repair. *)
+let can_enter t j = t.in_basis.(j) < 0 && t.ub.(j) > 0.0
 
 exception Iteration_limit
 
-(* The factorization (or a pivot on it) went numerically bad.  Warm
+(* The factorization (or a pivot on it) went numerically bad, or the
+   cold dual simplex dead-ended short of an infeasibility proof.  Warm
    paths fall back to a cold rebuild; a cold rebuild that still trips it
    gives up and lets it escape. *)
 exception Numerical_trouble
@@ -256,7 +223,7 @@ let get_factor t =
 
 let refactor_now t =
   let m = num_rows t in
-  match Lu.factorize ~m ~col:(fun k f -> iter_col_entries t t.basis.(k) f) with
+  match Lu.factorize ~m ~col:(fun k f -> Sparse.iter_col t.mat t.basis.(k) f) with
   | None -> raise Numerical_trouble
   | Some lu ->
     t.factor <- Some lu;
@@ -270,7 +237,7 @@ let compute_beff t =
   for j = 0 to num_cols t - 1 do
     if t.at_upper.(j) then begin
       let u = t.ub.(j) in
-      iter_col_entries t j (fun r a -> b.(r) <- b.(r) -. (u *. a))
+      Sparse.iter_col t.mat j (fun r a -> b.(r) <- b.(r) -. (u *. a))
     end
   done;
   b
@@ -299,12 +266,11 @@ let maybe_refactor t =
 let check_cap t =
   if t.stats.m_pivots - t.attempt_base >= !pivot_limit then raise Iteration_limit
 
-(* Crash column for row [i]: the first structural column, nonbasic and
-   accepted by [eligible], that appears in row [i] only and whose start
-   value [b / a] (every other column at 0) lies within its bounds.  As
-   the basic column of row [i] it keeps the basis triangular and the
-   row satisfied without an artificial. *)
-let crash_col t i ~eligible =
+(* Crash column for appended row [i]: the first structural column added
+   since the last optimum, nonbasic at 0, that appears in row [i] only
+   and whose start value [b / a] (every other column at 0) lies within
+   its bounds. *)
+let crash_col t i =
   let b = t.rhs.(i) in
   let found = ref None in
   (try
@@ -313,7 +279,8 @@ let crash_col t i ~eligible =
            t.kind.(c) = Structural
            && t.in_basis.(c) < 0
            && Sparse.col_nnz t.mat c = 1
-           && eligible c
+           && c >= t.opt_ncols
+           && not t.at_upper.(c)
          then begin
            let v = b /. a in
            if v >= 0.0 && v <= t.ub.(c) then begin
@@ -325,41 +292,26 @@ let crash_col t i ~eligible =
   !found
 
 let add_row t entries relation rhs_v =
-  let slack =
-    match relation with
-    | Le -> Some (register_col t Slack, 1.0)
-    | Ge -> Some (register_col t Slack, -1.0)
-    | Eq -> None
-  in
-  let full =
-    match slack with Some (c, s) -> (c, s) :: entries | None -> entries
-  in
-  let i = Sparse.add_row t.mat full in
+  let slack = register_col t Slack in
+  let sign = match relation with Le | Eq -> 1.0 | Ge -> -1.0 in
+  if relation = Eq then t.ub.(slack) <- 0.0;
+  let i = Sparse.add_row t.mat ((slack, sign) :: entries) in
   t.rel <- grow t.rel (i + 1) Le;
   t.rhs <- grow t.rhs (i + 1) 0.0;
   t.slack_of <- grow t.slack_of (i + 1) (-1);
   t.rel.(i) <- relation;
   t.rhs.(i) <- rhs_v;
-  t.slack_of.(i) <- (match slack with Some (c, _) -> c | None -> -1);
+  t.slack_of.(i) <- slack;
   if t.have_basis then begin
     (* One column joins the basis for the appended row.  A singleton
-       column added since the last optimum is preferred over the slack
-       (or the artificial of an Eq row): its certificate cost is 0 and it
-       has no entry in the old rows, so the row's dual is 0, every old
-       reduced cost is unchanged and the slack's is 0 — the dual
-       certificate still holds.  And where every other column of the row
-       is new too, it starts feasible (a hinge over new ops at 1) instead
-       of leaving the dual simplex a row to repair. *)
-    let bcol =
-      match
-        crash_col t i ~eligible:(fun c -> c >= t.opt_ncols && not t.at_upper.(c))
-      with
-      | Some c -> c
-      | None -> (
-        match slack with
-        | Some (c, _) -> c
-        | None -> new_artificial t ~row:i ~coeff:1.0)
-    in
+       column added since the last optimum is preferred over the slack:
+       its certificate cost is 0 and it has no entry in the old rows, so
+       the row's dual is 0, every old reduced cost is unchanged and the
+       slack's is 0 — the dual certificate still holds.  And where every
+       other column of the row is new too, it starts feasible (a hinge
+       over new ops at 1) instead of leaving the dual simplex a row to
+       repair. *)
+    let bcol = match crash_col t i with Some c -> c | None -> slack in
     (* Whichever it is, the new basic column has no entry in the older
        rows, so the new basis borders the old one and the factorization
        grows by one border term instead of being rebuilt. *)
@@ -424,14 +376,14 @@ let fresh_reduced_costs t cost =
   let d = t.dwork in
   let y = dual_y t cost in
   for j = 0 to n - 1 do
-    d.(j) <- (if t.in_basis.(j) >= 0 then 0.0 else cost.(j) -. col_dot t j y)
+    d.(j) <- (if t.in_basis.(j) >= 0 then 0.0 else cost.(j) -. Sparse.col_dot t.mat j y)
   done;
   d
 
 let compute_direction t j =
   let m = num_rows t in
   let a = Array.make m 0.0 in
-  iter_col_entries t j (fun r v -> a.(r) <- a.(r) +. v);
+  Sparse.iter_col t.mat j (fun r v -> a.(r) <- a.(r) +. v);
   Lu.ftran (get_factor t) a
 
 (* Row [r] of B^-1 as a row-space vector: rho = B^-T e_r, so that
@@ -460,8 +412,7 @@ let pivot_row t =
   t.prow
 
 (* Row by row over the rows where rho is nonzero, so that each entry
-   sums the products [col_dot t j rho] would, in the same order.
-   Artificials are left out: none ever enters (see [primal]). *)
+   sums the products [Sparse.col_dot] of rho would, in the same order. *)
 let fill_pivot_row t p rho =
   for k = 0 to p.n - 1 do
     let c = p.touched.(k) in
@@ -498,7 +449,7 @@ let do_pivot t ~row ~col ~w ~s ~delta ~enter_value ~leave_upper =
   done;
   let leaving = t.basis.(row) in
   t.in_basis.(leaving) <- -1;
-  t.at_upper.(leaving) <- leave_upper && t.kind.(leaving) <> Artificial;
+  t.at_upper.(leaving) <- leave_upper;
   t.basis.(row) <- col;
   t.in_basis.(col) <- row;
   t.at_upper.(col) <- false;
@@ -520,16 +471,12 @@ let do_pivot t ~row ~col ~w ~s ~delta ~enter_value ~leave_upper =
    Dantzig pricing over the maintained reduced costs, with a permanent
    switch to Bland's rule after a long degenerate streak, which restores
    the termination guarantee; optimality is declared only on reduced
-   costs freshly recomputed.  An artificial never enters, in phase 1
-   either: one that left the basis stays at 0, which a feasible point
-   of the program satisfies, so phase 1 still reaches 0 exactly when the
-   program is feasible.  Returns [None] when unbounded. *)
-let primal t ~cost ~phase1 =
+   costs freshly recomputed.  Returns [None] when unbounded. *)
+let primal t ~cost =
   let ncols = num_cols t in
   let bland = ref false in
   let degen = ref 0 in
   let m () = Array.length t.basis in
-  let allowed j = t.in_basis.(j) < 0 && t.kind.(j) <> Artificial in
   let p = pivot_row t in
   let d = ref (fresh_reduced_costs t cost) in
   let fresh = ref true in
@@ -540,7 +487,7 @@ let primal t ~cost ~phase1 =
     let best_score = ref eps in
     (try
        for j = 0 to ncols - 1 do
-         if allowed j then begin
+         if can_enter t j then begin
            let score = if t.at_upper.(j) then dv.(j) else -.dv.(j) in
            if score > !best_score then begin
              best_j := j;
@@ -565,7 +512,7 @@ let primal t ~cost ~phase1 =
       let best_row = ref (-1) in
       let best_ratio = ref infinity in
       let leave_upper = ref false in
-      let uq = col_ub t ~phase1 j in
+      let uq = t.ub.(j) in
       if uq < infinity then best_ratio := uq (* bound flip, no basis change *);
       let better ratio i =
         ratio < !best_ratio -. eps
@@ -586,7 +533,7 @@ let primal t ~cost ~phase1 =
         end
         else if swi < -.eps then begin
           (* basic value rising toward its own bound *)
-          let ubi = col_ub t ~phase1 t.basis.(i) in
+          let ubi = t.ub.(t.basis.(i)) in
           if ubi < infinity then begin
             let ratio = (ubi -. t.xb.(i)) /. -.swi in
             if better ratio i then begin
@@ -636,22 +583,23 @@ let primal t ~cost ~phase1 =
    the current basis must be dual feasible for: picks the basic variable
    most outside its bounds as leaving, then the entering column by the
    dual ratio test over its pivot row, so reduced costs keep their signs
-   while primal feasibility is restored.  Every column but an artificial
-   may enter.  A reduced cost with the wrong sign beyond tolerance — at
-   the start, after an update or after a refactorization — is a dead
-   end, not a column to enter at ratio 0.  Returns false at a dead end
-   (that or no eligible column): the caller starts over cold or from the
-   crash basis, and never reports a dead end as infeasibility. *)
+   while primal feasibility is restored.  Returns [`Feasible] when it
+   gets there, [`No_entering] when no column can enter the leaving row
+   (the row proves the program infeasible: its basic value cannot reach
+   its bound with the nonbasic columns anywhere in theirs), and
+   [`Dead_end] at any other dead end: a pivot too small to take, or a
+   reduced cost with the wrong sign beyond tolerance — at the start,
+   after an update or after a refactorization — which is not a column
+   to enter at ratio 0. *)
 let dual_simplex t ~cost =
   let m = Array.length t.basis in
-  let eligible j = t.in_basis.(j) < 0 && t.kind.(j) <> Artificial in
   let wrong_sign d j =
     if t.at_upper.(j) then d.(j) > dual_tol else d.(j) < -.dual_tol
   in
   let certified d =
     let ok = ref true in
     for j = 0 to num_cols t - 1 do
-      if eligible j && wrong_sign d j then ok := false
+      if can_enter t j && wrong_sign d j then ok := false
     done;
     !ok
   in
@@ -664,7 +612,7 @@ let dual_simplex t ~cost =
     let target = ref 0.0 in
     let above = ref false in
     for i = 0 to m - 1 do
-      let ubi = col_ub t ~phase1:false t.basis.(i) in
+      let ubi = t.ub.(t.basis.(i)) in
       if -.t.xb.(i) > !worst then begin
         r := i;
         worst := -.t.xb.(i);
@@ -678,7 +626,7 @@ let dual_simplex t ~cost =
         above := true
       end
     done;
-    if !r < 0 then true
+    if !r < 0 then `Feasible
     else begin
       let r = !r in
       let target = !target and above = !above in
@@ -690,7 +638,7 @@ let dual_simplex t ~cost =
       let best_d = ref 0.0 in
       for k = 0 to p.n - 1 do
         let j = p.touched.(k) in
-        if eligible j then begin
+        if can_enter t j then begin
           let alpha = p.alpha.(j) in
           let upper = t.at_upper.(j) in
           let ok =
@@ -716,12 +664,12 @@ let dual_simplex t ~cost =
           end
         end
       done;
-      if !best_j < 0 then false
+      if !best_j < 0 then `No_entering
       else begin
         let q = !best_j in
         let w = compute_direction t q in
         let wr = w.(r) in
-        if abs_float wr < eps then false
+        if abs_float wr < eps then `Dead_end
         else begin
           update_reduced_costs t dv p ~theta:(!best_d /. !best_alpha) ~q ~r;
           let delta = (t.xb.(r) -. target) /. wr in
@@ -735,27 +683,27 @@ let dual_simplex t ~cost =
           t.stats.m_dual_pivots <- t.stats.m_dual_pivots + 1;
           if refactored then begin
             d := fresh_reduced_costs t cost;
-            if certified !d then loop () else false
+            if certified !d then loop () else `Dead_end
           end
           else begin
-            let violated = ref (eligible leaving && wrong_sign dv leaving) in
+            let violated = ref (can_enter t leaving && wrong_sign dv leaving) in
             for k = 0 to p.n - 1 do
               let j = p.touched.(k) in
-              if eligible j && wrong_sign dv j then violated := true
+              if can_enter t j && wrong_sign dv j then violated := true
             done;
-            if !violated then false else loop ()
+            if !violated then `Dead_end else loop ()
           end
         end
       end
     end
   in
-  certified !d && loop ()
+  if certified !d then loop () else `Dead_end
 
 let primal_feasible t =
   let ok = ref true in
   Array.iteri
     (fun i b ->
-      let ubi = col_ub t ~phase1:false b in
+      let ubi = t.ub.(b) in
       if t.xb.(i) < -.feas_tol || t.xb.(i) > ubi +. feas_tol then ok := false)
     t.basis;
   !ok
@@ -785,40 +733,6 @@ let residuals_ok t =
     done;
   !ok
 
-(* Pivot basic artificials out after phase 1 where a live column with a
-   nonzero tableau entry exists (a degenerate swap, the entering column
-   staying at its current activity); rows with none are redundant and
-   the artificial stays basic, bounded at zero outside phase 1. *)
-let expel_artificials t =
-  let ncols = num_cols t in
-  for i = 0 to Array.length t.basis - 1 do
-    if t.kind.(t.basis.(i)) = Artificial then begin
-      let rho = btran_unit t i in
-      let found = ref (-1) in
-      (try
-         for j = 0 to ncols - 1 do
-           if t.in_basis.(j) < 0 && t.kind.(j) <> Artificial then
-             if abs_float (col_dot t j rho) > 1e-7 then begin
-               found := j;
-               raise Exit
-             end
-         done
-       with Exit -> ());
-      if !found >= 0 then begin
-        let j = !found in
-        let w = compute_direction t j in
-        if abs_float w.(i) > 1e-7 then begin
-          let from_upper = t.at_upper.(j) in
-          let s = if from_upper then -1.0 else 1.0 in
-          ignore
-            (do_pivot t ~row:i ~col:j ~w ~s ~delta:0.0
-               ~enter_value:(if from_upper then t.ub.(j) else 0.0)
-               ~leave_upper:false)
-        end
-      end
-    end
-  done
-
 (* Install a fresh basis, [basic_of i] for each row [i], with every
    nonbasic column at its lower bound. *)
 let start_basis t basic_of =
@@ -838,71 +752,20 @@ let start_basis t basic_of =
   t.have_basis <- true;
   ensure_ready t
 
-(* The slack basis is dual feasible under the objective itself when no
-   structural column costs less than 0 (each one's reduced cost is its
-   cost) and every row has a slack. *)
-let slack_start_dual_feasible t =
-  let ok = ref true in
-  for i = 0 to num_rows t - 1 do
-    if t.rel.(i) = Eq then ok := false
-  done;
-  for c = 0 to num_cols t - 1 do
-    if t.kind.(c) = Structural && t.cost.(c) < 0.0 then ok := false
-  done;
-  !ok
-
-(* Phase 1 from a start with artificials: minimize their sum, then
-   pivot them out.  Whether the program is feasible. *)
-let phase1 t =
-  let cost1 = Array.make (num_cols t) 0.0 in
-  for c = 0 to num_cols t - 1 do
-    if t.kind.(c) = Artificial then cost1.(c) <- 1.0
-  done;
-  match primal t ~cost:cost1 ~phase1:true with
-  | None ->
-    (* The phase-1 objective is bounded below by 0, so an unbounded
-       ray can only come from a numerically broken basis. *)
-    raise Numerical_trouble
-  | Some v when v > 1e-6 -> false
-  | Some _ ->
-    expel_artificials t;
-    true
-
-(* The crash basis: slacks where the sign works, crash columns (see
-   [crash_col]) where a row has one, fresh artificials elsewhere; only
-   when an artificial was needed does phase 1 run.  Whether the
-   program is feasible. *)
-let crash_start t =
-  let nart = ref 0 in
-  start_basis t (fun i ->
-      let b = t.rhs.(i) in
-      match t.rel.(i) with
-      | Le when b >= 0.0 -> t.slack_of.(i)
-      | Ge when b <= 0.0 -> t.slack_of.(i)
-      | Le | Ge | Eq -> (
-        match crash_col t i ~eligible:(fun _ -> true) with
-        | Some c -> c
-        | None ->
-          incr nart;
-          let coeff = if b >= 0.0 then 1.0 else -1.0 in
-          new_artificial t ~row:i ~coeff));
-  !nart = 0 || phase1 t
-
-(* Cold start.  Where the slack basis is dual feasible (every encoder
-   LP), the dual simplex runs from it under the objective's own costs,
-   and the primal then only confirms optimality.  Otherwise, or when
-   that dual simplex dead-ends, the crash start. *)
+(* The one cold start: the slack basis, dual feasible under the costs
+   with every negative one raised to 0, then the dual simplex under
+   those costs to primal feasibility and the primal under the true
+   costs to optimality.  A row no column can enter proves the program
+   infeasible; any other dual dead end is numerical trouble. *)
 let cold_solve t =
-  let slack_start () =
-    start_basis t (fun i -> t.slack_of.(i));
-    dual_simplex t ~cost:t.cost
-  in
-  if not ((slack_start_dual_feasible t && slack_start ()) || crash_start t)
-  then `Infeasible
-  else
-    match primal t ~cost:t.cost ~phase1:false with
+  start_basis t (fun i -> t.slack_of.(i));
+  match dual_simplex t ~cost:(Array.map (fun c -> Float.max c 0.0) t.cost) with
+  | `No_entering -> `Infeasible
+  | `Dead_end -> raise Numerical_trouble
+  | `Feasible -> (
+    match primal t ~cost:t.cost with
     | None -> `Unbounded
-    | Some obj -> `Optimal obj
+    | Some obj -> `Optimal obj)
 
 (* The cost vector the basis was last proven optimal for.  Columns added
    since cost 0 in it: they have no entry in the rows it was proven on,
@@ -927,12 +790,6 @@ let reoptimize t =
   s.m_refactors <- 0;
   s.m_eta_max <- 0;
   t.attempt_base <- 0;
-  (* Artificials appended with Eq rows since the last solve count
-     towards this one, as do those of a cold start. *)
-  let take_artificials () =
-    s.m_artificials <- t.new_artificials;
-    t.new_artificials <- 0
-  in
   let go_cold cause =
     s.m_cold <- Some cause;
     s.m_warm <- false;
@@ -950,16 +807,18 @@ let reoptimize t =
             if primal_feasible t then begin
               s.m_warm <- true;
               s.m_reused <- count_reused t;
-              match primal t ~cost:t.cost ~phase1:false with
+              match primal t ~cost:t.cost with
               | None -> Ok `Unbounded
               | Some obj -> Ok (`Optimal obj)
             end
             else if t.have_opt then begin
               s.m_warm <- true;
               s.m_reused <- count_reused t;
-              if dual_simplex t ~cost:(certificate t) && primal_feasible t
+              if
+                dual_simplex t ~cost:(certificate t) = `Feasible
+                && primal_feasible t
               then begin
-                match primal t ~cost:t.cost ~phase1:false with
+                match primal t ~cost:t.cost with
                 | None -> Ok `Unbounded
                 | Some obj -> Ok (`Optimal obj)
               end
@@ -983,10 +842,8 @@ let reoptimize t =
       t.have_basis <- false;
       t.have_opt <- false;
       t.factor <- None;
-      take_artificials ();
       raise e
   in
-  take_artificials ();
   (match result with
   | `Optimal _ ->
     t.have_opt <- true;
@@ -1007,7 +864,6 @@ let last_stats t =
     cold_restart = t.stats.m_cold;
     refactors = t.stats.m_refactors;
     eta_len = t.stats.m_eta_max;
-    artificials = t.stats.m_artificials;
   }
 
 let row_duals t =
@@ -1031,10 +887,7 @@ let dual_feasible t =
     let d = fresh_reduced_costs t (certificate t) in
     let ok = ref true in
     for j = 0 to num_cols t - 1 do
-      if
-        t.in_basis.(j) < 0
-        && t.kind.(j) <> Artificial
-        && if t.at_upper.(j) then d.(j) > 1e-6 else d.(j) < -1e-6
+      if can_enter t j && if t.at_upper.(j) then d.(j) > 1e-6 else d.(j) < -1e-6
       then ok := false
     done;
     !ok

@@ -15,34 +15,36 @@
     ([rho A], accumulated over the rows where [rho = B^-T e_r] is
     nonzero) instead of recomputing them per pivot.
 
+    Every row has a slack column; an [Eq] row's is fixed at 0 ([ub =
+    0]).  A column fixed at 0 never enters the basis.
+
     The module is an incremental state: columns and rows append over
     time, right-hand sides may be edited in place, and {!reoptimize}
     restarts from the previous optimal basis — primal if it is still
     feasible, a bounded-variable dual simplex under the last
-    proven-optimal cost vector if not (every column but an artificial
-    may enter, one added since that optimum at certificate cost 0), and
-    a cold rebuild as the fallback of last resort.  A first solve is
-    that cold rebuild.  This is what cross-round warm starts in the
-    encoder ride on.
+    proven-optimal cost vector if not (a column added since that
+    optimum at certificate cost 0), and a cold rebuild as the fallback
+    of last resort.  A first solve is that cold rebuild.  This is what
+    cross-round warm starts in the encoder ride on.
 
-    The cold rebuild of a program with no negative cost and no [Eq] row
-    — every encoder LP — starts from the all-slack basis, which is then
-    dual feasible under the costs themselves: the dual simplex runs to
-    primal feasibility and the primal confirms optimality.  Any other
-    program, or one whose dual simplex dead-ends, crash-starts.  Each
-    row takes its slack when the slack's sign fits the right-hand side;
-    otherwise a structural column that appears in that row only and
-    starts within its bounds (every hinge [h] of [1 - sum p - h <= 0] is
-    one, starting at 1); only the rows left over get artificial columns
-    and a phase 1.
+    The cold rebuild has one start, the all-slack basis.  It is dual
+    feasible under the costs with every negative one raised to 0, so
+    the dual simplex runs from it under those costs to primal
+    feasibility (a fixed slack off 0 is one more bound to repair), and
+    the primal then runs under the true costs to optimality.  For a
+    program with no negative cost — every encoder LP — the primal only
+    confirms.  A row no column can enter proves the program
+    [`Infeasible]; any other dead end of that dual simplex raises
+    {!Numerical_trouble}.
 
-    A row appended to a live basis brings in such a column added since
-    the last optimum in preference to its slack (or an [Eq] row's
-    artificial): it costs 0 in the certificate and has no entry in the
-    old rows, so the new row's dual is 0 and every reduced cost keeps
-    its sign — the basis stays dual feasible — and a row over new
-    columns only starts feasible.  Whichever column joins, it has no
-    entry in the older rows, so the factorization is bordered
+    A row appended to a live basis brings in a column added since the
+    last optimum that appears in that row only and starts within its
+    bounds (every hinge [h] of [1 - sum p - h <= 0] over new ops, at 1)
+    in preference to its slack: it costs 0 in the certificate and has
+    no entry in the old rows, so the new row's dual is 0 and every
+    reduced cost keeps its sign — the basis stays dual feasible — and a
+    row over new columns only starts feasible.  Whichever column joins,
+    it has no entry in the older rows, so the factorization is bordered
     ({!Lu.append}) instead of rebuilt. *)
 
 type relation =
@@ -65,9 +67,10 @@ exception Iteration_limit
 
 exception Numerical_trouble
 (** Raised by {!reoptimize} when the cold path breaks down numerically:
-    the basis turns out singular at a refactorization, or phase 1 finds
-    an unbounded ray its objective cannot have.  The state invalidates
-    itself first, as for {!Iteration_limit}. *)
+    the basis turns out singular at a refactorization, or its dual
+    simplex dead-ends other than on a row no column can enter (a pivot
+    too small to take, or a reduced cost drifted past tolerance).  The
+    state invalidates itself first, as for {!Iteration_limit}. *)
 
 (** Why a warm {!reoptimize} fell back to a cold rebuild. *)
 type restart =
@@ -91,9 +94,6 @@ type stats = {
   refactors : int;  (** basis refactorizations during the last solve *)
   eta_len : int;
       (** longest product-form eta file reached before a rebuild *)
-  artificials : int;
-      (** artificial columns created for the last solve: by its cold
-          start, and by the [Eq] rows appended since the solve before *)
 }
 
 (** {1 Incremental state} *)
@@ -109,12 +109,11 @@ val add_col : ?ub:float -> t -> int
 
 val add_row : t -> (int * float) list -> relation -> float -> int
 (** Append a constraint over existing columns, returning its row id.  A
-    slack/surplus column is added internally for inequalities.  If a
-    basis exists, one column joins it for the new row — a singleton
+    slack/surplus column is added internally, fixed at 0 for [Eq].  If
+    a basis exists, one column joins it for the new row — a singleton
     column added since the last optimum where the row has one, else the
-    slack (or a fresh artificial for [Eq]) — and the factorization
-    gains one border term; feasibility is repaired at the next
-    {!reoptimize}. *)
+    slack — and the factorization gains one border term; feasibility is
+    repaired at the next {!reoptimize}. *)
 
 val set_rhs : t -> int -> float -> unit
 (** Change a row's right-hand side in place (e.g. relaxing a rounding
@@ -126,7 +125,7 @@ val set_objective : t -> (int * float) list -> unit
 val reoptimize : t -> [ `Optimal of float | `Unbounded | `Infeasible ]
 (** Solve the current program, reusing the previous basis when one
     exists.  A restricted warm path that reaches a dead end falls back
-    to a cold rebuild — it is never reported as [`Infeasible].  Raises
+    to a cold rebuild — only the cold rebuild reports [`Infeasible].  Raises
     {!Iteration_limit} when even the cold path exceeds the pivot cap,
     and {!Numerical_trouble} when it breaks down numerically. *)
 
@@ -155,8 +154,8 @@ val reduced_costs : t -> float array
 val dual_feasible : t -> bool
 (** Whether the current basis is dual-feasible under the cost vector it
     was last proven optimal for (a column added since costs 0 in it):
-    every eligible nonbasic column at its lower bound has reduced cost
-    >= -1e-6, every one at its upper bound <= 1e-6.  Vacuously true
+    every nonbasic column not fixed at 0 has reduced cost >= -1e-6 at
+    its lower bound and <= 1e-6 at its upper bound.  Vacuously true
     without a proven optimum.  Test hook for the warm-repair
     certificate. *)
 

@@ -734,28 +734,34 @@ let test_numerical_failure_status () =
 
 (* Appending a cut that chops off the optimum exercises the dual-simplex
    repair: the reoptimize must stay warm (no cold restart) and leave the
-   basis dual-feasible under the certified cost vector. *)
+   basis dual-feasible under the certified cost vector.  The cut as an
+   equation joins the basis with its fixed slack, which the dual simplex
+   drives to 0 like any other bound. *)
 let test_dual_repair_after_cut () =
-  let outcome, s =
-    solved_state ~num_vars:2
-      ~objective:[ (0, -1.0); (1, -1.0) ]
-      [
-        { Simplex.row = [ (0, 1.0); (1, 2.0) ]; relation = Simplex.Le; rhs = 4.0 };
-        { Simplex.row = [ (0, 3.0); (1, 1.0) ]; relation = Simplex.Le; rhs = 6.0 };
-      ]
-  in
-  (match outcome with
-  | `Optimal objective -> check feq "initial optimum" (-2.8) objective
-  | _ -> Alcotest.fail "expected optimum");
-  ignore (Simplex.add_row s [ (0, 1.0); (1, 1.0) ] Simplex.Le 2.0);
-  (match Simplex.reoptimize s with
-  | `Optimal obj -> check feq "repaired optimum" (-2.0) obj
-  | _ -> Alcotest.fail "expected optimum after the cut");
-  let st = Simplex.last_stats s in
-  check Alcotest.bool "solved warm" true st.Simplex.warm;
-  check Alcotest.bool "no cold restart" true (st.Simplex.cold_restart = None);
-  check Alcotest.bool "dual feasible under the certified costs" true
-    (Simplex.dual_feasible s)
+  List.iter
+    (fun (cut, relation) ->
+      let outcome, s =
+        solved_state ~num_vars:2
+          ~objective:[ (0, -1.0); (1, -1.0) ]
+          [
+            { Simplex.row = [ (0, 1.0); (1, 2.0) ]; relation = Simplex.Le; rhs = 4.0 };
+            { Simplex.row = [ (0, 3.0); (1, 1.0) ]; relation = Simplex.Le; rhs = 6.0 };
+          ]
+      in
+      (match outcome with
+      | `Optimal objective -> check feq "initial optimum" (-2.8) objective
+      | _ -> Alcotest.fail "expected optimum");
+      ignore (Simplex.add_row s [ (0, 1.0); (1, 1.0) ] relation 2.0);
+      (match Simplex.reoptimize s with
+      | `Optimal obj -> check feq (cut ^ ": repaired optimum") (-2.0) obj
+      | _ -> Alcotest.failf "%s: expected optimum after the cut" cut);
+      let st = Simplex.last_stats s in
+      check Alcotest.bool (cut ^ ": solved warm") true st.Simplex.warm;
+      check Alcotest.bool (cut ^ ": no cold restart") true
+        (st.Simplex.cold_restart = None);
+      check Alcotest.bool (cut ^ ": dual feasible under the certified costs") true
+        (Simplex.dual_feasible s))
+    [ ("x + y <= 2", Simplex.Le); ("x + y = 2", Simplex.Eq) ]
 
 let test_dual_repair_with_bounds () =
   let outcome, s =
@@ -827,24 +833,26 @@ let solved_objective what = function
   | s, _ ->
     Alcotest.failf "%s: expected a solution, got %s" what (Problem.status_name s)
 
-(* A cold solve equals the dense oracle, its start needed [arts]
-   artificial columns, and it started from the slack basis (the dual
-   simplex made pivots) exactly when [dual]. *)
-let check_cold_start ~arts ~dual what p =
+(* A cold solve equals the dense oracle, its dual simplex made pivots
+   from the slack basis exactly when [dual], and each variable of
+   [at_cap] ends at its cap 1. *)
+let check_cold_start ?(at_cap = []) ~dual what p =
   let dense = solved_objective (what ^ " (dense)") (dense_solve p) in
-  let obj = solved_objective what (Problem.solve p) in
+  let result = Problem.solve p in
+  let obj = solved_objective what result in
   check (Alcotest.float 1e-6) (what ^ ": objective") dense obj;
   let info = Problem.last_info p in
   check Alcotest.bool (what ^ ": solved cold") false info.Problem.warm;
-  check Alcotest.int (what ^ ": artificials") arts info.Problem.artificials;
-  check Alcotest.bool (what ^ ": dual start") dual (info.Problem.dual_pivots > 0)
+  check Alcotest.bool (what ^ ": dual start") dual (info.Problem.dual_pivots > 0);
+  List.iter
+    (fun v -> check feq (what ^ ": " ^ Problem.name p v ^ " at cap") 1.0 (snd result v))
+    at_cap
 
 (* The encoder's shapes: hinges [max(0, 1 - sum)] over window sides that
    share capped probability variables, an abs pair, and a soft
-   Single-Role hinge [max(0, p_b + p_e - 1)].  No cost is negative and
-   no row an equation, so the cold solve starts from the slack basis
-   and the dual simplex repairs the hinge rows (rhs -1): no
-   artificial. *)
+   Single-Role hinge [max(0, p_b + p_e - 1)].  No cost is negative, so
+   the dual simplex from the slack basis repairs the hinge rows (rhs
+   -1) under the costs themselves. *)
 let encoder_shapes_lp () =
   let p = Problem.create () in
   let ps =
@@ -868,7 +876,7 @@ let encoder_shapes_lp () =
   p
 
 let test_crash_encoder_shapes () =
-  check_cold_start ~arts:0 ~dual:true "encoder shapes" (encoder_shapes_lp ());
+  check_cold_start ~dual:true "encoder shapes" (encoder_shapes_lp ());
   (* The dual pivots count against the one pivot cap. *)
   Fun.protect
     ~finally:(fun () -> Simplex.set_pivot_limit Simplex.default_pivot_limit)
@@ -880,36 +888,34 @@ let test_crash_encoder_shapes () =
       | s, _ -> Alcotest.failf "expected Aborted, got %s" (Problem.status_name s));
       check Alcotest.int "stopped at the cap" 2 (Problem.last_info p).Problem.pivots)
 
-(* With a negative cost the slack basis is not dual feasible, so the
-   cold solve crash-starts; there, a row whose slack cannot start and
-   whose only singleton column would start outside its bounds falls
-   back to an artificial.  Each program gets a capped column [z] of
-   cost -1 (in no row: it ends at its cap by a bound flip).  Without
-   it, the first program starts from the slack basis instead: no
-   artificial, and the dual simplex repairs the row. *)
+(* Rows the slack basis leaves infeasible, whose singleton columns
+   would start outside their bounds.  The dual simplex repairs them from
+   the slack basis, with or without a capped column [z] of cost -1 (in
+   no row): the dual runs with z's cost raised to 0, and the primal then
+   moves z to its cap by a bound flip. *)
 let test_crash_falls_back () =
   (* [h - p <= -0.5]: h would start at -0.5; p sits in a second row. *)
-  let negative_start ~with_z =
+  let negative_start () =
     let p = Problem.create () in
     let pv = Problem.add_var p ~ub:1.0 "p" and h = Problem.add_var p "h" in
     Problem.add_le p Linexpr.(sub (var h) (var pv)) (-0.5);
     Problem.add_le p (Linexpr.var pv) 0.8;
     Problem.add_objective p Linexpr.(add (var pv) (var h));
-    if with_z then
-      Problem.add_objective_term p (Problem.add_var p ~ub:1.0 "z") (-1.0);
     p
   in
-  check_cold_start ~arts:1 ~dual:false "negative start"
-    (negative_start ~with_z:true);
-  check_cold_start ~arts:0 ~dual:true "slack start"
-    (negative_start ~with_z:false);
+  let p = negative_start () in
+  let z = Problem.add_var p ~ub:1.0 "z" in
+  Problem.add_objective_term p z (-1.0);
+  check_cold_start ~at_cap:[ z ] ~dual:true "negative start" p;
+  check_cold_start ~dual:true "slack start" (negative_start ());
   (* [x + 2y >= 2]: x would start at 2 over its cap 1, y at 1 over 0.9. *)
   let q = Problem.create () in
   let x = Problem.add_var q ~ub:1.0 "x" and y = Problem.add_var q ~ub:0.9 "y" in
   Problem.add_ge q Linexpr.(add (var x) (var ~coeff:2.0 y)) 2.0;
   Problem.add_objective q Linexpr.(add (var ~coeff:3.0 x) (var y));
-  Problem.add_objective_term q (Problem.add_var q ~ub:1.0 "z") (-1.0);
-  check_cold_start ~arts:1 ~dual:false "start over the cap" q
+  let z = Problem.add_var q ~ub:1.0 "z" in
+  Problem.add_objective_term q z (-1.0);
+  check_cold_start ~at_cap:[ z ] ~dual:true "start over the cap" q
 
 (* A window whose ops are all new appends [-p2 - h1 <= -1] over two
    fresh columns.  Its hinge column joins the basis instead of the
@@ -944,7 +950,6 @@ let test_crash_warm_append () =
   let st = Simplex.last_stats s in
   check Alcotest.bool "solved warm" true st.Simplex.warm;
   check Alcotest.bool "no cold restart" true (st.Simplex.cold_restart = None);
-  check Alcotest.int "no artificials" 0 st.Simplex.artificials;
   let p3 = Simplex.add_col ~ub:1.0 s in
   let h2 = Simplex.add_col s in
   ignore (Simplex.add_row s [ (p3, -1.0); (h2, -1.0) ] Simplex.Le (-1.0));
@@ -957,7 +962,7 @@ let test_crash_warm_append () =
     (Simplex.last_stats s).Simplex.refactors
 
 (* A 500-event synthetic log at near 20 000 (the synth LP probe's
-   shape) solves cold with no artificial; after a second log, the
+   shape) solves cold; after a second log, the
    state's re-solve of the merged observations stays warm — the columns
    of the new windows may enter its dual simplex — and gives the
    verdicts of a cold solve of them. *)
@@ -971,7 +976,6 @@ let add_synth_log obs ~seed ~events =
 
 let test_crash_synth_probe () =
   let open Sherlock_core in
-  let module Tm = Sherlock_telemetry.Metrics in
   let config = probe_config in
   let obs = Observations.create () in
   let add seed = add_synth_log obs ~seed ~events:500 in
@@ -981,30 +985,22 @@ let test_crash_synth_probe () =
         Sherlock_trace.Opid.to_string v.op ^ "^" ^ Verdict.role_name v.role)
       vs
   in
-  let was_enabled = Tm.enabled () in
-  Fun.protect
-    ~finally:(fun () -> Tm.set_enabled was_enabled)
-    (fun () ->
-      Tm.set_enabled true;
-      let artificials () = Tm.Counter.value (Tm.counter "lp.artificials") in
-      let state = Encoder.create_state () in
-      add 42;
-      let before = artificials () in
-      let _, first = Encoder.solve ~state config obs in
-      check Alcotest.bool "first solve not degraded" false first.Encoder.degraded;
-      check Alcotest.bool "first solve cold" false first.lp.lp_base_warm;
-      check Alcotest.int "first solve needs no artificial" before (artificials ());
-      add 43;
-      let warm, second = Encoder.solve ~state config obs in
-      check Alcotest.bool "second solve not degraded" false second.Encoder.degraded;
-      check Alcotest.bool "second solve warm" true second.lp.lp_base_warm;
-      check Alcotest.int "second solve never restarts cold" 0
-        second.lp.lp_cold_restarts;
-      let cold, _ = Encoder.solve config obs in
-      check Alcotest.bool "some verdicts" true (warm <> []);
-      check
-        Alcotest.(list string)
-        "state's verdicts are the cold ones" (names cold) (names warm))
+  let state = Encoder.create_state () in
+  add 42;
+  let _, first = Encoder.solve ~state config obs in
+  check Alcotest.bool "first solve not degraded" false first.Encoder.degraded;
+  check Alcotest.bool "first solve cold" false first.lp.lp_base_warm;
+  add 43;
+  let warm, second = Encoder.solve ~state config obs in
+  check Alcotest.bool "second solve not degraded" false second.Encoder.degraded;
+  check Alcotest.bool "second solve warm" true second.lp.lp_base_warm;
+  check Alcotest.int "second solve never restarts cold" 0
+    second.lp.lp_cold_restarts;
+  let cold, _ = Encoder.solve config obs in
+  check Alcotest.bool "some verdicts" true (warm <> []);
+  check
+    Alcotest.(list string)
+    "state's verdicts are the cold ones" (names cold) (names warm)
 
 (* --- The synth LP probe --- *)
 
@@ -1058,9 +1054,11 @@ let gen_lp =
          let* rhs = frequency [ (5, float_range (-2.0) 6.0); (1, return 0.0) ] in
          return (coeffs, rel, rhs))
     in
-    (* Non-negative costs keep the minimum bounded, so outcomes are
-       Solved or Infeasible (Ge/Eq rows can cut off the whole orthant). *)
-    let* obj = list_repeat nvars (float_range 0.0 2.0) in
+    (* Costs of either sign: a negative one starts the cold dual simplex
+       under the cost raised to 0 and leaves the rest to the primal, and
+       can make the program Unbounded; Ge/Eq rows can also make it
+       Infeasible by cutting off the whole orthant. *)
+    let* obj = list_repeat nvars (float_range (-2.0) 2.0) in
     return (nvars, ubs, rows, obj))
 
 (* [~solve_after:k] solves once after the first [k] rows, so the final
