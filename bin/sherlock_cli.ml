@@ -46,18 +46,6 @@ let parallelism_arg =
     & opt int Config.default.parallelism
     & info [ "j"; "parallelism" ] ~docv:"N" ~doc)
 
-let extract_jobs_arg =
-  let doc =
-    "Domains sharding window extraction within each run's log (1 = \
-     sequential). Extraction is deterministic, so results are identical \
-     either way; only applied when the test-level parallelism is not \
-     running (the two levels share one domain pool)."
-  in
-  Arg.(
-    value
-    & opt int Config.default.extract_jobs
-    & info [ "extract-jobs" ] ~docv:"N" ~doc)
-
 let fault_arg =
   let doc =
     "Inject a deterministic fault into every simulated run (repeatable). \
@@ -78,8 +66,7 @@ let retries_arg =
   Arg.(value & opt int Config.default.retries & info [ "retries" ] ~docv:"N" ~doc)
 
 let config_term =
-  let make rounds lambda near seed parallelism extract_jobs fault_specs
-      max_steps retries =
+  let make rounds lambda near seed parallelism fault_specs max_steps retries =
     let fault_plan =
       match Sherlock_sim.Fault.of_specs fault_specs with
       | Ok plan -> plan
@@ -94,7 +81,6 @@ let config_term =
       near;
       seed;
       parallelism;
-      extract_jobs;
       fault_plan;
       max_steps;
       retries;
@@ -102,7 +88,7 @@ let config_term =
   in
   Term.(
     const make $ rounds_arg $ lambda_arg $ near_arg $ seed_arg $ parallelism_arg
-    $ extract_jobs_arg $ fault_arg $ max_steps_arg $ retries_arg)
+    $ fault_arg $ max_steps_arg $ retries_arg)
 
 let list_cmd =
   let run () =
@@ -171,7 +157,7 @@ let with_telemetry out f =
 (* ------------------------------------------------------------------ *)
 (* The always-on metrics plane: --metrics-out installs a snapshot ring
    whose every snapshot atomically rewrites an OpenMetrics file, plus
-   runtime gauges (GC, pool occupancy, shard progress) and a SIGUSR1
+   runtime gauges (GC, pool occupancy) and a SIGUSR1
    on-demand dump; --log-out / SHERLOCK_LOG install the structured JSONL
    log sink.  Orthogonal to --telemetry-out (span traces). *)
 
@@ -870,23 +856,16 @@ let render_stats ppf (p : Telemetry.Snapshot.point) =
         (hist_sum "encoder.lp_s");
     pr "@."
   end;
-  (* Cache effectiveness and extraction sharding. *)
+  (* Extraction-cache effectiveness. *)
   let hits = c "windows.span_cache.hit" in
   let misses = c "windows.span_cache.miss" in
-  if hits + misses > 0 || c "windows.shards" > 0 then begin
+  if hits + misses > 0 then begin
+    let rate = float_of_int hits /. float_of_int (hits + misses) in
     pr "  extraction@.";
-    if hits + misses > 0 then begin
-      let rate = float_of_int hits /. float_of_int (hits + misses) in
-      pr "    span cache     %5.1f%% hit  %s  (%d of %d lookups)@."
-        (100.0 *. rate)
-        (utilization_bar ~width:10 rate)
-        hits (hits + misses)
-    end;
-    if c "windows.shards" > 0 then
-      pr "    shards         %d total (current extraction: %d of %d chunks done)@."
-        (c "windows.shards")
-        (g "windows.chunks.done") (g "windows.chunks.total");
-    pr "@."
+    pr "    span cache     %5.1f%% hit  %s  (%d of %d lookups)@.@."
+      (100.0 *. rate)
+      (utilization_bar ~width:10 rate)
+      hits (hits + misses)
   end;
   (* Worker-pool occupancy (live-run snapshots; zero after exit). *)
   let live = g "pool.domains.live" in

@@ -16,22 +16,6 @@ let float_str f =
     if float_of_string s = f then s else Printf.sprintf "%.17g" f
   end
 
-let escape buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
 let to_string v =
   let buf = Buffer.create 256 in
   let rec go = function
@@ -41,7 +25,7 @@ let to_string v =
       if not (Float.is_finite f) then
         invalid_arg "Json.to_string: non-finite number";
       Buffer.add_string buf (float_str f)
-    | Str s -> escape buf s
+    | Str s -> Sherlock_util.Json_string.add buf s
     | Arr xs ->
       Buffer.add_char buf '[';
       List.iteri
@@ -55,7 +39,7 @@ let to_string v =
       List.iteri
         (fun i (k, x) ->
           if i > 0 then Buffer.add_char buf ',';
-          escape buf k;
+          Sherlock_util.Json_string.add buf k;
           Buffer.add_char buf ':';
           go x)
         fields;

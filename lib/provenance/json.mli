@@ -1,7 +1,7 @@
 (** Minimal JSON tree, printer, and parser.
 
-    Just enough for the provenance sidecar: no dependency beyond the
-    standard library, compact one-line output, and a recursive-descent
+    Just enough for the provenance sidecar: compact one-line output
+    (strings written by {!Sherlock_util.Json_string.add}), and a recursive-descent
     parser whose errors carry a byte offset.  Numbers are [float]s;
     integers survive a round trip exactly up to 2^53, and every finite
     float is printed with enough digits to parse back to the same bits.

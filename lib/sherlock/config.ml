@@ -65,7 +65,6 @@ let pp ppf t =
      par=%d max-steps=%d retries=%d"
     t.lambda t.near t.window_cap t.delay_us t.rounds t.threshold t.seed
     t.parallelism t.max_steps t.retries;
-  if t.extract_jobs > 1 then Format.fprintf ppf " extract-jobs=%d" t.extract_jobs;
   if t.provenance then Format.fprintf ppf " provenance=on";
   if t.metrics_interval_ms > 0 then
     Format.fprintf ppf " metrics-interval=%dms" t.metrics_interval_ms;

@@ -16,13 +16,9 @@ type t = {
           [1] forces the sequential path.  The simulator is deterministic
           per (round, test) seed, so verdicts are identical either way. *)
   extract_jobs : int;
-      (** domains sharding window extraction *within* one run's log
-          (see {!Sherlock_trace.Windows.extract}); [1] (the default)
-          keeps extraction sequential.  Extraction is deterministic for
-          any value, so verdicts are identical either way.  Only applied
-          when the test-level parallel path is not running (the two
-          levels share one domain pool, which is not reentrant); the
-          orchestrator clamps it to the host's core count. *)
+      (** Ignored: extraction is sequential.  Kept only because perfbench
+          sets it.  The benchmark change that moves perfbench onto
+          {!Orchestrator.infer} deletes it. *)
   threshold : float;    (** probability at which a variable counts as 1; 0.9 *)
   rare_coeff : float;   (** coefficient of the rare term (Equation 4); 0.1 *)
   seed : int;           (** base seed for all simulated schedules *)
@@ -71,7 +67,7 @@ type t = {
 
 val default : t
 (** The paper's defaults: lambda 0.2, near 1 s, cap 15, delay 100 ms,
-    3 rounds, everything enabled, [extract_jobs] 1; [parallelism] is
+    3 rounds, everything enabled; [parallelism] is
     [Domain.recommended_domain_count ()]. *)
 
 val pp : Format.formatter -> t -> unit

@@ -105,11 +105,9 @@ let add_window t (w : Windows.t) =
    cross-run cap state lives in [Windows.extract]'s own counters seeded
    fresh per call, so extraction commutes with other logs and folding the
    deltas in test order reproduces the sequential path exactly. *)
-let extract_log ?(jobs = 1) ?pool ~near ~cap ~refine log =
+let extract_log ~near ~cap ~refine log =
   let x_metrics = Metrics.create () in
-  let x_windows, x_races =
-    Windows.extract ~near ~cap ~refine ~metrics:x_metrics ~jobs ?pool log
-  in
+  let x_windows, x_races = Windows.extract ~near ~cap ~refine ~metrics:x_metrics log in
   let x_samples = Durations.samples_of_log log in
   { x_windows; x_races; x_samples; x_metrics }
 
@@ -126,8 +124,8 @@ let add_extraction t x =
     x.x_races;
   Metrics.merge ~into:t.metrics x.x_metrics
 
-let add_log t ?jobs ?pool ~near ~cap ~refine log =
-  add_extraction t (extract_log ?jobs ?pool ~near ~cap ~refine log)
+let add_log t ~near ~cap ~refine log =
+  add_extraction t (extract_log ~near ~cap ~refine log)
 
 (* Arrival order: stable across library versions (no dependence on
    hash-bucket layout) and aligned with the incremental ids below. *)

@@ -35,19 +35,13 @@ type extraction
 
 val create : unit -> t
 
-val extract_log :
-  ?jobs:int -> ?pool:Sherlock_util.Pool.t ->
-  near:int -> cap:int -> refine:bool -> Log.t -> extraction
-(** Pure per-log analysis — the domain-parallel half of {!add_log}.
-    [jobs]/[pool] shard the window extraction itself across domains
-    (see {!Windows.extract}); the result is identical for any [jobs]. *)
+val extract_log : near:int -> cap:int -> refine:bool -> Log.t -> extraction
+(** Pure per-log analysis — the domain-parallel half of {!add_log}. *)
 
 val add_extraction : t -> extraction -> unit
 (** Sequential merge — the stateful half of {!add_log}. *)
 
-val add_log :
-  t -> ?jobs:int -> ?pool:Sherlock_util.Pool.t ->
-  near:int -> cap:int -> refine:bool -> Log.t -> unit
+val add_log : t -> near:int -> cap:int -> refine:bool -> Log.t -> unit
 (** Extract windows and races from one run's trace and fold them in.
     Equivalent to [add_extraction t (extract_log ~near ~cap ~refine log)]. *)
 

@@ -93,10 +93,8 @@ let run_one ?(hooks = Runtime.no_hooks) (config : Config.t) ~round ~test_index
     ~instrument:(Runtime.tracing ~delay_before ())
     ~fault:config.fault_plan ~max_steps:config.max_steps body
 
-(* The worker-domain pool (spawn once per inference, park between
-   rounds) lives in [Sherlock_util.Pool] so window extraction can shard
-   over the same domains; see its interface for the non-reentrancy rule
-   the orchestrator must respect when handing the pool down. *)
+(* The worker-domain pool: spawned once per inference, parked between
+   rounds. *)
 module Pool = Sherlock_util.Pool
 
 let parallel_map = Pool.parallel_map
@@ -110,8 +108,7 @@ let parallel_map = Pool.parallel_map
    every attempt fails simply contributes no observations.  The run and
    extract spans open on whichever worker domain executes the test, so a
    parallel round renders as one telemetry track per domain. *)
-let run_and_extract (config : Config.t) ~round ~plan ?(extract_jobs = 1) ?pool
-    test_index (name, body) =
+let run_and_extract (config : Config.t) ~round ~plan test_index (name, body) =
   (* Total plan sites fired across all attempts of this test: an app whose
      count stays 0 everywhere was provably untouched by the plan (the
      lookup consumes no scheduler randomness), which is what the
@@ -152,8 +149,8 @@ let run_and_extract (config : Config.t) ~round ~plan ?(extract_jobs = 1) ?pool
         Tspan.with_span ~name:"extract"
           ~attrs:[ ("test", Tspan.Str name); ("round", Tspan.Int round) ]
           (fun () ->
-            Observations.extract_log ~jobs:extract_jobs ?pool ~near:config.near
-              ~cap:config.window_cap ~refine:config.use_refinement log)
+            Observations.extract_log ~near:config.near ~cap:config.window_cap
+              ~refine:config.use_refinement log)
       in
       ( Some (x, run_s),
         {
@@ -233,9 +230,6 @@ let infer ?(config = Config.default) subject =
   let domains =
     max 1 (min config.parallelism (Domain.recommended_domain_count ()))
   in
-  let extract_jobs =
-    max 1 (min config.extract_jobs (Domain.recommended_domain_count ()))
-  in
   (* Workers live for the whole inference (spawned lazily by the first
      parallel round, reused by the rest) and are joined in the [finally]
      below: a finished inference must leave no parked domain behind to
@@ -258,14 +252,7 @@ let infer ?(config = Config.default) subject =
     if not config.accumulate then obs := Observations.create ();
     let results =
       if domains = 1 || Array.length tests <= 1 then
-        (* Tests run sequentially on this domain, so the pool is idle and
-           window extraction may shard over it.  The test-level parallel
-           branch below must NOT do this: extraction would call
-           [Pool.run] from inside the pool's own batch thunk and
-           deadlock, and domain-starved nesting wouldn't pay anyway. *)
-        Array.mapi
-          (run_and_extract config ~round ~plan:!plan ~extract_jobs ~pool)
-          tests
+        Array.mapi (run_and_extract config ~round ~plan:!plan) tests
       else
         parallel_map ~pool ~domains
           (run_and_extract config ~round ~plan:!plan)

@@ -131,8 +131,8 @@ let print_round_metrics ppf (rounds : Orchestrator.round_result list) =
     rounds;
   Format.fprintf ppf "%s@." (Sherlock_util.Table.render table)
 
-(* Extraction-cache telemetry for the -v report.  The span-cache, fold
-   and shard counters are recorded unconditionally (cold aggregation,
+(* Extraction-cache telemetry for the -v report.  The span-cache and
+   fold counters are recorded unconditionally (cold aggregation,
    once per extraction), so this reads real numbers on plain runs — no
    --telemetry-out needed.  A span query that misses the cache folds the
    span's events into a side; the events folded per such query is the
@@ -143,15 +143,13 @@ let print_extraction_summary ppf () =
   let hits = v "windows.span_cache.hit" in
   let misses = v "windows.span_cache.miss" in
   let folded = v "windows.span.folded" in
-  let shards = v "windows.shards" in
   if hits + misses > 0 then
     Format.fprintf ppf
       "extraction: span cache %.1f%% hit (%d of %d lookups), %.1f events folded per \
-       computed span%s@."
+       computed span@."
       (100.0 *. float_of_int hits /. float_of_int (hits + misses))
       hits (hits + misses)
       (if misses > 0 then float_of_int folded /. float_of_int misses else 0.0)
-      (if shards > 0 then Printf.sprintf ", %d parallel shards" shards else "")
 
 (* One line per failed attempt, in (round, test) order; silent when the
    whole inference was clean. *)

@@ -50,9 +50,8 @@ val print_round_metrics : Format.formatter -> Orchestrator.round_result list -> 
 val print_extraction_summary : Format.formatter -> unit -> unit
 (** Window-extraction cache effectiveness from the default metrics
     registry: span-cache hit rate (hits of total lookups), events folded
-    per computed span ([windows.span.folded] over cache misses) and,
-    when the parallel path ran, the shard count.  Prints nothing when no
-    extraction has happened in this process. *)
+    per computed span ([windows.span.folded] over cache misses).  Prints
+    nothing when no extraction has happened in this process. *)
 
 val print_run_failures : Format.formatter -> Orchestrator.round_result list -> unit
 (** One line per failed run attempt (round, test, attempt, cause), with

@@ -99,22 +99,6 @@ let init_from_env () =
       set_level level
     | _ -> to_file spec)
 
-let buf_add_json_string b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
-
 let buf_add_value b = function
   | Int i -> Buffer.add_string b (string_of_int i)
   | Float f ->
@@ -122,20 +106,20 @@ let buf_add_value b = function
     if Float.is_finite f then Buffer.add_string b (Printf.sprintf "%.6g" f)
     else Buffer.add_string b "null"
   | Bool bo -> Buffer.add_string b (if bo then "true" else "false")
-  | Str s -> buf_add_json_string b s
+  | Str s -> Sherlock_util.Json_string.add b s
 
 let render level event fields ~ts ~elapsed ~domain =
   let b = Buffer.create 160 in
   Buffer.add_string b (Printf.sprintf {|{"ts":%.6f,"elapsed_s":%.6f,|} ts elapsed);
   Buffer.add_string b {|"level":|};
-  buf_add_json_string b (level_name level);
+  Sherlock_util.Json_string.add b (level_name level);
   Buffer.add_string b {|,"event":|};
-  buf_add_json_string b event;
+  Sherlock_util.Json_string.add b event;
   Buffer.add_string b (Printf.sprintf {|,"domain":%d|} domain);
   List.iter
     (fun (k, v) ->
       Buffer.add_char b ',';
-      buf_add_json_string b k;
+      Sherlock_util.Json_string.add b k;
       Buffer.add_char b ':';
       buf_add_value b v)
     fields;

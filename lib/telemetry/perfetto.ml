@@ -79,44 +79,25 @@ let prepare events =
   let meta, rest = List.partition (fun e -> e.ph = Metadata) events in
   meta @ List.stable_sort (fun a b -> Int.compare a.ts b.ts) (List.map clamp rest)
 
-let escape buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
-
-let add_str buf s =
-  Buffer.add_char buf '"';
-  escape buf s;
-  Buffer.add_char buf '"'
-
 let add_arg buf = function
   | Int i -> Buffer.add_string buf (string_of_int i)
   | Float f ->
     if Float.is_finite f then Buffer.add_string buf (Printf.sprintf "%g" f)
-    else add_str buf (string_of_float f)
+    else Sherlock_util.Json_string.add buf (string_of_float f)
   | Bool b -> Buffer.add_string buf (string_of_bool b)
-  | Str s -> add_str buf s
+  | Str s -> Sherlock_util.Json_string.add buf s
 
 let add_event buf e =
   let field name add_value =
-    add_str buf name;
+    Sherlock_util.Json_string.add buf name;
     Buffer.add_char buf ':';
     add_value ()
   in
   Buffer.add_char buf '{';
-  field "name" (fun () -> add_str buf e.name);
+  field "name" (fun () -> Sherlock_util.Json_string.add buf e.name);
   Buffer.add_char buf ',';
   if e.cat <> "" then begin
-    field "cat" (fun () -> add_str buf e.cat);
+    field "cat" (fun () -> Sherlock_util.Json_string.add buf e.cat);
     Buffer.add_char buf ','
   end;
   let ph, extra =
@@ -128,14 +109,14 @@ let add_event buf e =
     | Flow_end id -> ("f", [ ("id", `I id); ("bp", `S "e") ])
     | Metadata -> ("M", [])
   in
-  field "ph" (fun () -> add_str buf ph);
+  field "ph" (fun () -> Sherlock_util.Json_string.add buf ph);
   Buffer.add_char buf ',';
   List.iter
     (fun (k, v) ->
       field k (fun () ->
           match v with
           | `I i -> Buffer.add_string buf (string_of_int i)
-          | `S s -> add_str buf s);
+          | `S s -> Sherlock_util.Json_string.add buf s);
       Buffer.add_char buf ',')
     extra;
   field "ts" (fun () -> Buffer.add_string buf (string_of_int e.ts));
@@ -150,7 +131,7 @@ let add_event buf e =
         List.iteri
           (fun i (k, v) ->
             if i > 0 then Buffer.add_char buf ',';
-            add_str buf k;
+            Sherlock_util.Json_string.add buf k;
             Buffer.add_char buf ':';
             add_arg buf v)
           e.args;

@@ -361,10 +361,5 @@ let thread_event_count t tid = Array.length (thread t tid).positions
 
 let distinct_addrs t = Array.length t.addrs_in_order
 
-let accesses_of_addr t addr =
-  match Hashtbl.find_opt t.accesses addr with Some a -> a | None -> [||]
-
 let iter_addr_accesses t f =
   Array.iter (fun addr -> f addr (Hashtbl.find t.accesses addr)) t.addrs_in_order
-
-let addrs_in_order t = t.addrs_in_order

@@ -88,13 +88,6 @@ val has_delayed_in : t -> tid:int -> lo:int -> hi:int -> bool
 val distinct_addrs : t -> int
 (** Number of distinct traced addresses. *)
 
-val accesses_of_addr : t -> int -> Event.t array
-(** Access events on one address in time order ([[||]] if never touched). *)
-
 val iter_addr_accesses : t -> (int -> Event.t array -> unit) -> unit
 (** Iterate per-address access arrays in address first-seen order —
     deterministic across rebuilds of the same log. *)
-
-val addrs_in_order : t -> int array
-(** The canonical address order {!iter_addr_accesses} walks (address
-    first-seen order).  Owned by the index: callers must not mutate. *)

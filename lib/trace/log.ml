@@ -299,11 +299,7 @@ let fold_frames t ~init ~f:on_close =
 
 let distinct_addrs t = Index.distinct_addrs t.index
 
-let accesses_of_addr t addr = Index.accesses_of_addr t.index addr
-
 let iter_addr_accesses t f = Index.iter_addr_accesses t.index f
-
-let addrs_in_order t = Index.addrs_in_order t.index
 
 let pp ppf t =
   Format.fprintf ppf "log: %d events, %dus, %d threads@." (Array.length t.events)

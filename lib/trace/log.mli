@@ -110,16 +110,8 @@ val distinct_addrs : t -> int
 (** Number of distinct traced addresses (size hint for per-address state,
     e.g. the race detector's variable table). *)
 
-val accesses_of_addr : t -> int -> Event.t array
-(** The access events on one address, in time order. *)
-
 val iter_addr_accesses : t -> (int -> Event.t array -> unit) -> unit
 (** Iterate per-address access arrays in address first-seen order. *)
-
-val addrs_in_order : t -> int array
-(** The canonical address order {!iter_addr_accesses} walks — the unit
-    of sharding for parallel window extraction.  Owned by the index:
-    callers must not mutate. *)
 
 val pp : Format.formatter -> t -> unit
 (** Full dump, for debugging. *)

@@ -26,8 +26,7 @@ let log ?(seed = 1) ~addrs ~threads ~events () =
      per class) and a few methods per thread's class.  The last 1/8 of
      the addresses *alias* the first fields — array-element style: one
      static op accessed at several addresses — so the global per-pair cap
-     budget genuinely spans addresses (and, under sharded extraction,
-     chunk boundaries) without dominating the workload. *)
+     budget genuinely spans addresses without dominating the workload. *)
   let nfields = max 1 (addrs - (addrs / 8)) in
   let fld a = a mod nfields in
   let read_ops =

@@ -107,8 +107,8 @@ let default_cap = 15
    [Opid.compare], and every event's rank in that order.  A span then
    folds to small ints — a counter bump per event — and a side comes out
    already in [Side] order once its touched ranks are sorted.  Built at
-   the start of each [extract] and shared read-only by its shards; it
-   dies with the call, so no log outlives its extraction. *)
+   the start of each [extract] and owned by its span cache; it dies with
+   the call, so no log outlives its extraction. *)
 type ranks = {
   rank : int array;       (* event position -> rank *)
   op_of_rank : Opid.t array;
@@ -174,7 +174,7 @@ let rec sort_ranks (a : int array) lo hi =
     sort_ranks a !i hi
   end
 
-(* Per-domain scratch for [side_of_span]: a count per rank (all zero
+(* Scratch for [side_of_span]: a count per rank (all zero
    between calls) and the ranks the current span touched, plus the
    work counters behind [windows.span.{folded,entries}]. *)
 type scratch = {
@@ -279,15 +279,6 @@ let add_open_frames log spans side ~tid ~lo =
    the whole event array even after a match. *)
 let first_delay log ~tid ~lo ~hi = Log.first_delayed_in log ~tid ~lo ~hi
 
-let c_shards = Tm.counter "windows.shards"
-
-(* Shard progress, readable mid-extraction by the snapshot ticker: how
-   many chunks the current parallel extraction has, and how many have
-   completed.  Gauges, not counters — they reset per extraction. *)
-let g_chunks_total = Tm.gauge "windows.chunks.total"
-
-let g_chunks_done = Tm.gauge "windows.chunks.done"
-
 let c_cache_hit = Tm.counter "windows.span_cache.hit"
 
 let c_cache_miss = Tm.counter "windows.span_cache.miss"
@@ -304,10 +295,8 @@ let c_span_entries = Tm.counter "windows.span.entries"
    across pairs hitting one delay — so hot logs rebuild the same
    [(tid, lo, hi)] span many times per extraction.  The function is pure
    and the resulting sides are immutable, so a cache is observationally
-   invisible.  One cache per domain, owning its [side_of_span] scratch:
-   sequential extraction keeps a single cache, each shard worker owns its
-   own (no cross-domain sharing, no locks); the rank table is shared
-   read-only. *)
+   invisible.  One cache per extraction, owning the rank table and the
+   [side_of_span] scratch. *)
 type span_cache = {
   ranks : ranks;
   scratch : scratch;
@@ -337,26 +326,19 @@ let cached_side log cache ~tid ~lo ~hi =
     Hashtbl.add cache.tbl key s;
     s
 
-(* A cache's work counts, added to the registry once its domain is done
-   with the extraction. *)
+(* A cache's work counts, added to the registry once the extraction is
+   done. *)
 let publish_cache_counts cache =
   Tm.Counter.incr ~by:cache.hits c_cache_hit;
   Tm.Counter.incr ~by:cache.misses c_cache_miss;
   Tm.Counter.incr ~by:cache.scratch.folded c_span_folded;
   Tm.Counter.incr ~by:cache.scratch.entries c_span_entries
 
-(* One accepted conflicting-access candidate, fully analyzed.  In
-   sequential mode candidates are dispatched as they are produced; in
-   parallel mode shards produce them speculatively and the deterministic
-   merge decides which survive the global caps ([c_key] is the static
-   pair the cap counters are keyed on). *)
+(* How one conflicting-access candidate classifies. *)
 type outcome = Window of t | Race_out of race
 
-type candidate = { c_key : Opid.t * Opid.t; c_dur : int; c_out : outcome }
-
 (* Analyze one candidate pair: compute both sides, refine from injected
-   delays, and classify as window or observed race.  Pure in the log (the
-   span cache only memoizes), so it runs identically on any domain. *)
+   delays, and classify as window or observed race. *)
 let consider_one log spans cache ~refine (a : Event.t) (b : Event.t) =
   let acq_side ~lo ~hi =
     add_open_frames log spans (cached_side log cache ~tid:b.tid ~lo ~hi) ~tid:b.tid ~lo
@@ -391,26 +373,23 @@ let consider_one log spans cache ~refine (a : Event.t) (b : Event.t) =
   let field = Opid.field_key a.op in
   let rel_impossible = Side.is_empty rel || all_kinds_are rel Opid.Read in
   let acq_impossible = Side.is_empty acq || all_kinds_are acq Opid.Write in
-  let out =
-    if rel_impossible || acq_impossible then
-      Race_out { race_pair = (a.op, b.op); race_field = field }
-    else
-      Window
-        {
-          pair = (a.op, b.op);
-          field;
-          rel;
-          acq;
-          coord =
-            {
-              first_time = a.time;
-              first_tid = a.tid;
-              second_time = b.time;
-              second_tid = b.tid;
-            };
-        }
-  in
-  { c_key = (a.op, b.op); c_dur = b.time - a.time; c_out = out }
+  if rel_impossible || acq_impossible then
+    Race_out { race_pair = (a.op, b.op); race_field = field }
+  else
+    Window
+      {
+        pair = (a.op, b.op);
+        field;
+        rel;
+        acq;
+        coord =
+          {
+            first_time = a.time;
+            first_tid = a.tid;
+            second_time = b.time;
+            second_tid = b.tid;
+          };
+      }
 
 (* Pair enumeration over one address.  An address sees only a handful of
    static ops (the field's read/write and property variants), so the
@@ -493,32 +472,28 @@ let scan_address ~near ~cap ~pair_counts ~on_capped ~emit
   with Exit -> ()
 
 let extract ?(near = default_near) ?(cap = default_cap) ?(refine = true)
-    ?metrics ?(jobs = 1) ?pool (log : Log.t) =
+    ?metrics (log : Log.t) =
  Tspan.with_span ~name:"windows.extract" @@ fun () ->
   let t_start = Unix.gettimeofday () in
   (* Telemetry histograms are resolved once per extraction and only when
-     telemetry is on, so the per-pair hot path pays a single branch.
-     They are observed exclusively on the calling domain (sequentially or
-     during the merge), never inside shards. *)
+     telemetry is on, so the per-pair hot path pays a single branch. *)
   let tm_on = Tm.enabled () in
   let h_window_dur = if tm_on then Some (Tm.histogram "windows.duration_us") else None in
   let h_pairs_per_loc =
     if tm_on then Some (Tm.histogram "windows.pairs_per_location") else None
   in
   let spans = frame_spans log in
-  let ranks = rank_ops log in
+  let cache = cache_create (rank_ops log) in
+  let pair_counts : (Opid.t * Opid.t, int ref) Hashtbl.t = Hashtbl.create 64 in
   let windows = ref [] in
   let races = ref [] in
   let nwindows = ref 0 and nraces = ref 0 in
   let considered = ref 0 and capped = ref 0 in
   (* Accept one candidate: bump the counters, record the window or race,
-     observe the duration histogram.  Both the sequential path and the
-     parallel merge funnel through here, on the calling domain, in
-     canonical candidate order — which is what makes the two paths
-     bitwise identical. *)
-  let dispatch c =
+     observe the duration histogram. *)
+  let dispatch (a : Event.t) (b : Event.t) out =
     incr considered;
-    (match c.c_out with
+    (match out with
     | Race_out r ->
       incr nraces;
       races := r :: !races
@@ -526,140 +501,21 @@ let extract ?(near = default_near) ?(cap = default_cap) ?(refine = true)
       incr nwindows;
       windows := w :: !windows);
     match h_window_dur with
-    | Some h -> Tm.Histogram.observe_int h c.c_dur
+    | Some h -> Tm.Histogram.observe_int h (b.time - a.time)
     | None -> ()
   in
-  let observe_pairs_per_loc accepted =
-    match h_pairs_per_loc with
-    | Some h -> Tm.Histogram.observe_int h accepted
-    | None -> ()
-  in
-  let addrs = Log.addrs_in_order log in
-  let naddrs = Array.length addrs in
-  if jobs <= 1 || naddrs < 2 then begin
-    (* Sequential path: global cap counters applied during the scan,
-       candidates dispatched as they are produced. *)
-    let pair_counts : (Opid.t * Opid.t, int ref) Hashtbl.t = Hashtbl.create 64 in
-    let cache = cache_create ranks in
-    Log.iter_addr_accesses log (fun _addr accesses ->
-        if Array.length accesses > 1 then begin
-          let before = !considered in
-          scan_address ~near ~cap ~pair_counts
-            ~on_capped:(fun () -> incr capped)
-            ~emit:(fun a b -> dispatch (consider_one log spans cache ~refine a b))
-            accesses;
-          observe_pairs_per_loc (!considered - before)
-        end);
-    publish_cache_counts cache
-  end
-  else begin
-    (* Parallel path: shard the canonical address order into contiguous
-       chunks, analyze chunks on worker domains, and merge sequentially.
-
-       The per-static-pair caps are global across addresses, so shards
-       cannot apply them.  Instead each chunk scans with *fresh local*
-       cap counters — emitting at most [cap] candidates per static pair
-       per chunk, each fully analyzed — and the merge replays chunk
-       outputs in chunk-index order against the real global counters.
-       A chunk's emissions for a pair are a prefix of that pair's
-       canonical candidate stream within the chunk, and the globally
-       accepted candidates for a pair are its first [cap] in canonical
-       order, which lie inside the per-chunk prefixes; so replaying the
-       prefixes in order accepts exactly the sequential candidate set,
-       in the sequential order.  Local counters are per *chunk*, not per
-       worker: a worker that processes a canonically-late chunk first
-       must not burn cap budget that canonically-earlier candidates
-       (from a chunk another worker owns) are entitled to.
-
-       [frame_spans] and the rank table are computed once above and
-       shared read-only; each worker owns a private span cache. *)
-    let nchunks = min naddrs (jobs * 4) in
-    let chunk_lo i = i * naddrs / nchunks in
-    (* Per chunk, per scanned address (in chunk order): the emitted
-       candidates in scan order.  Every address with >1 accesses appears,
-       even with no emissions, so the merge can observe the
-       pairs-per-location histogram exactly as the sequential path does.
-       Each slot is written by exactly one worker before the pool batch
-       completes; [Pool.run]'s join publishes the writes to the caller. *)
-    let chunk_out : candidate list list array = Array.make nchunks [] in
-    Tm.Gauge.set g_chunks_total nchunks;
-    Tm.Gauge.set g_chunks_done 0;
-    let next = Atomic.make 0 in
-    let failure = Atomic.make None in
-    let process_chunk cache ci =
-      let local_counts : (Opid.t * Opid.t, int ref) Hashtbl.t =
-        Hashtbl.create 64
-      in
-      let out = ref [] in
-      for ai = chunk_lo ci to chunk_lo (ci + 1) - 1 do
-        let accesses = Log.accesses_of_addr log addrs.(ai) in
-        if Array.length accesses > 1 then begin
-          let cands = ref [] in
-          scan_address ~near ~cap ~pair_counts:local_counts ~on_capped:ignore
-            ~emit:(fun a b ->
-              cands := consider_one log spans cache ~refine a b :: !cands)
-            accesses;
-          out := List.rev !cands :: !out
-        end
-      done;
-      chunk_out.(ci) <- List.rev !out
-    in
-    let work () =
-      let cache = cache_create ranks in
-      let rec loop () =
-        let ci = Atomic.fetch_and_add next 1 in
-        if ci < nchunks && Option.is_none (Atomic.get failure) then begin
-          (match process_chunk cache ci with
-          | () -> Tm.Gauge.add g_chunks_done 1
-          | exception e ->
-            let bt = Printexc.get_raw_backtrace () in
-            ignore (Atomic.compare_and_set failure None (Some (e, bt))));
-          loop ()
-        end
-      in
-      loop ();
-      publish_cache_counts cache
-    in
-    let workers = min jobs nchunks - 1 in
-    (match pool with
-    | Some p -> Sherlock_util.Pool.run p ~workers work
-    | None ->
-      let p = Sherlock_util.Pool.create () in
-      Fun.protect
-        ~finally:(fun () -> Sherlock_util.Pool.retire p)
-        (fun () -> Sherlock_util.Pool.run p ~workers work));
-    (match Atomic.get failure with
-    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-    | None -> ());
-    (* Deterministic merge: replay every chunk's candidates in canonical
-       order against the real global cap counters. *)
-    let pair_counts : (Opid.t * Opid.t, int ref) Hashtbl.t = Hashtbl.create 64 in
-    Array.iter
-      (fun addr_results ->
-        List.iter
-          (fun cands ->
-            let before = !considered in
-            List.iter
-              (fun c ->
-                let r =
-                  match Hashtbl.find_opt pair_counts c.c_key with
-                  | Some r -> r
-                  | None ->
-                    let r = ref 0 in
-                    Hashtbl.add pair_counts c.c_key r;
-                    r
-                in
-                if !r < cap then begin
-                  incr r;
-                  if !r = cap then incr capped;
-                  dispatch c
-                end)
-              cands;
-            observe_pairs_per_loc (!considered - before))
-          addr_results)
-      chunk_out;
-    Tm.Counter.incr ~by:nchunks c_shards
-  end;
+  Log.iter_addr_accesses log (fun _addr accesses ->
+      if Array.length accesses > 1 then begin
+        let before = !considered in
+        scan_address ~near ~cap ~pair_counts
+          ~on_capped:(fun () -> incr capped)
+          ~emit:(fun a b -> dispatch a b (consider_one log spans cache ~refine a b))
+          accesses;
+        match h_pairs_per_loc with
+        | Some h -> Tm.Histogram.observe_int h (!considered - before)
+        | None -> ()
+      end);
+  publish_cache_counts cache;
   (match metrics with
   | None -> ()
   | Some (m : Metrics.t) ->

@@ -97,8 +97,7 @@ val default_cap : int
 (** 15 windows per static location pair, the paper's bound. *)
 
 val extract :
-  ?near:int -> ?cap:int -> ?refine:bool -> ?metrics:Metrics.t ->
-  ?jobs:int -> ?pool:Sherlock_util.Pool.t -> Log.t ->
+  ?near:int -> ?cap:int -> ?refine:bool -> ?metrics:Metrics.t -> Log.t ->
   t list * race list
 (** [extract log] returns the windows and the observed races of one run.
     [refine] (default true) applies delay-based window refinement.
@@ -122,19 +121,10 @@ val extract :
     O(events log events + pairs x window size) instead of the naive
     O(pairs x events) full rescans.
 
-    [jobs] (default 1) shards the per-address candidate scan across that
-    many domains: contiguous chunks of the canonical address order are
-    analyzed in parallel with chunk-local cap counters, and a
-    deterministic merge replays the chunk outputs in canonical order
-    against the real global per-pair caps — windows, races, cap
-    decisions, and all {!Metrics.t} counters are identical to [jobs = 1]
-    (only the wall-clock field differs).  [jobs] is taken literally (not
-    clamped to cores): callers decide how many domains the host can
-    absorb.  [pool], when given, supplies the worker domains; it must
-    not be running another batch (see {!Sherlock_util.Pool} — in
-    particular, do not pass a pool from inside one of its own batch
-    thunks).  Without [pool] a private pool is spawned and retired
-    around the call. *)
+    Addresses are scanned one after another in first-seen order, and each static pair's [cap] counts across addresses: a pair
+    stops yielding candidates once [cap] of them were accepted anywhere
+    in the log.  Repeated [(tid, lo, hi)] spans are answered from a cache
+    that lives for one call. *)
 
 val span_sides : Log.t -> tid:int -> lo:int -> hi:int -> Side.t
 (** [span_sides log] ranks [log]'s ops once and returns the side query

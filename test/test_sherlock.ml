@@ -296,37 +296,6 @@ let test_orchestrator_parallel_matches_sequential () =
         seq.rounds par.rounds)
     [ "App-1"; "App-2" ]
 
-let test_extract_jobs_matches_sequential () =
-  (* Sharded window extraction is deterministic, so with extraction
-     parallelism on the whole corpus must produce identical verdicts —
-     per round and final, probabilities included.  parallelism = 1 keeps
-     the test-level parallel path off, which is the (only) configuration
-     where the orchestrator enables extraction sharding. *)
-  List.iter
-    (fun app ->
-      let app_id = app.Sherlock_corpus.App.id in
-      let subject = Sherlock_corpus.App.subject app in
-      let base = { Config.default with rounds = 2; parallelism = 1 } in
-      let seq = Orchestrator.infer ~config:{ base with extract_jobs = 1 } subject in
-      let par = Orchestrator.infer ~config:{ base with extract_jobs = 4 } subject in
-      let same_verdicts label a b =
-        check Alcotest.int (label ^ ": count") (List.length a) (List.length b);
-        List.iter2
-          (fun (x : Verdict.t) (y : Verdict.t) ->
-            check Alcotest.bool (label ^ ": verdict") true (Verdict.compare x y = 0);
-            check (Alcotest.float 0.0) (label ^ ": probability") x.probability
-              y.probability)
-          a b
-      in
-      same_verdicts (app_id ^ " final") seq.final par.final;
-      List.iter2
-        (fun (r1 : Orchestrator.round_result) (r2 : Orchestrator.round_result) ->
-          same_verdicts
-            (Printf.sprintf "%s round %d" app_id r1.round)
-            r1.verdicts r2.verdicts)
-        seq.rounds par.rounds)
-    (Sherlock_corpus.Registry.all ())
-
 (* --- Supervised orchestration (fault plans, degraded LP) --- *)
 
 let contains s sub =
@@ -811,8 +780,6 @@ let () =
           Alcotest.test_case "accumulate off" `Quick test_orchestrator_accumulate_off;
           Alcotest.test_case "run_test_logs" `Quick test_orchestrator_run_test_logs;
           Alcotest.test_case "test seeds" `Quick test_orchestrator_test_seed;
-          Alcotest.test_case "extract jobs match sequential" `Slow
-            test_extract_jobs_matches_sequential;
           Alcotest.test_case "parallel matches sequential" `Quick
             test_orchestrator_parallel_matches_sequential;
           Alcotest.test_case "probabilistic delays" `Quick test_probabilistic_delays;

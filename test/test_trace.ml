@@ -1242,29 +1242,9 @@ let gen_ops_delayed =
        let delayed_by = if delayed = 0 then delay else 0 in
        return (Event.make ~time ~tid ~op ~target:(field + 1) ~delayed_by ())))
 
-let prop_extract_matches_reference =
-  QCheck.Test.make ~name:"indexed extraction matches the naive reference"
-    ~count:300
-    (QCheck.make gen_ops_delayed)
-    (fun events ->
-      let log = mklog events in
-      List.for_all
-        (fun (near, cap, refine) ->
-          let w1, r1 = Windows.extract ~near ~cap ~refine log in
-          let w2, r2 = Naive.extract ~near ~cap ~refine log in
-          List.length w1 = List.length w2
-          && List.length r1 = List.length r2
-          && List.for_all2 window_eq w1 w2
-          && List.for_all2 race_eq r1 r2)
-        (* near exercising both in- and out-of-horizon pairs; a tight cap
-           exercising the bail-out; refinement on and off. *)
-        [ (10_000, 15, true); (3_000, 2, true); (10_000, 15, false) ])
-
-(* Like [gen_ops_delayed] but wide: more threads and many more addresses,
-   so the parallel extractor actually gets multiple address chunks to
-   shard — and each static op aliases three addresses (array-element
-   style), so the global per-pair caps span chunk boundaries and the
-   merge's cap replay is genuinely exercised. *)
+(* Like [gen_ops_delayed] but wide: more threads and many more
+   addresses, and each static op aliases three addresses (array-element
+   style), so the global per-pair caps span addresses. *)
 let gen_ops_wide =
   QCheck.Gen.(
     list_size (int_range 0 150)
@@ -1287,77 +1267,26 @@ let gen_ops_wide =
        let delayed_by = if delayed = 0 then delay else 0 in
        return (Event.make ~time ~tid ~op ~target:(addr + 1) ~delayed_by ())))
 
-(* One worker pool shared by every invocation of the parallel-identity
-   property (retired when the test binary exits): spawning and joining up
-   to 7 domains per generated case would dominate the suite's runtime. *)
-let shared_pool =
-  lazy
-    (let p = Sherlock_util.Pool.create () in
-     at_exit (fun () -> Sherlock_util.Pool.retire p);
-     p)
-
-let metrics_counters (m : Sherlock_trace.Metrics.t) =
-  (m.events, m.pairs_considered, m.pairs_capped, m.windows, m.races)
-
-let prop_parallel_extract_identical =
-  QCheck.Test.make
-    ~name:"parallel extraction matches sequential for any job count" ~count:120
-    (QCheck.make gen_ops_wide)
-    (fun events ->
-      let log = mklog events in
-      let pool = Lazy.force shared_pool in
+let prop_extract_matches_reference =
+  QCheck.Test.make ~name:"indexed extraction matches the naive reference"
+    ~count:300
+    QCheck.(pair (make gen_ops_delayed) (make gen_ops_wide))
+    (fun (narrow, wide) ->
       List.for_all
-        (fun (near, cap, refine) ->
-          let m_seq = Sherlock_trace.Metrics.create () in
-          let ws, rs = Windows.extract ~near ~cap ~refine ~metrics:m_seq log in
+        (fun events ->
+          let log = mklog events in
           List.for_all
-            (fun jobs ->
-              let m_par = Sherlock_trace.Metrics.create () in
-              let wp, rp =
-                Windows.extract ~near ~cap ~refine ~metrics:m_par ~jobs ~pool
-                  log
-              in
-              List.length ws = List.length wp
-              && List.length rs = List.length rp
-              && List.for_all2 window_eq ws wp
-              && List.for_all2 race_eq rs rp
-              && metrics_counters m_seq = metrics_counters m_par)
-            [ 1; 2; 3; 4; 8 ])
-        [ (10_000, 15, true); (3_000, 2, true); (10_000, 15, false) ])
-
-(* The same identity on a generated stress log big enough that every
-   chunking/cap/cache interaction actually occurs. *)
-let test_parallel_extract_synth () =
-  let log = Sherlock_trace.Synth.log ~seed:7 ~addrs:96 ~threads:8 ~events:20_000 () in
-  (* [near] well under the log's span, so windows stay bounded and the
-     near-horizon filter is part of what must match. *)
-  let near = 10_000 in
-  let m_seq = Sherlock_trace.Metrics.create () in
-  let ws, rs = Windows.extract ~near ~metrics:m_seq log in
-  let pool = Lazy.force shared_pool in
-  List.iter
-    (fun jobs ->
-      let m_par = Sherlock_trace.Metrics.create () in
-      let wp, rp = Windows.extract ~near ~metrics:m_par ~jobs ~pool log in
-      Alcotest.(check int)
-        (Printf.sprintf "windows at jobs=%d" jobs)
-        (List.length ws) (List.length wp);
-      Alcotest.(check int)
-        (Printf.sprintf "races at jobs=%d" jobs)
-        (List.length rs) (List.length rp);
-      Alcotest.(check bool)
-        (Printf.sprintf "window lists identical at jobs=%d" jobs)
-        true
-        (List.for_all2 window_eq ws wp);
-      Alcotest.(check bool)
-        (Printf.sprintf "race lists identical at jobs=%d" jobs)
-        true
-        (List.for_all2 race_eq rs rp);
-      Alcotest.(check bool)
-        (Printf.sprintf "metrics identical at jobs=%d" jobs)
-        true
-        (metrics_counters m_seq = metrics_counters m_par))
-    [ 2; 4; 8 ]
+            (fun (near, cap, refine) ->
+              let w1, r1 = Windows.extract ~near ~cap ~refine log in
+              let w2, r2 = Naive.extract ~near ~cap ~refine log in
+              List.length w1 = List.length w2
+              && List.length r1 = List.length r2
+              && List.for_all2 window_eq w1 w2
+              && List.for_all2 race_eq r1 r2)
+            (* near exercising both in- and out-of-horizon pairs; a tight
+               cap exercising the bail-out; refinement on and off. *)
+            [ (10_000, 15, true); (3_000, 2, true); (10_000, 15, false) ])
+        [ narrow; wide ])
 
 let test_synth_deterministic () =
   let a = Sherlock_trace.Synth.log ~seed:3 ~addrs:32 ~threads:4 ~events:5_000 () in
@@ -1611,8 +1540,6 @@ let () =
         ] );
       ( "parallel_extract",
         [
-          Alcotest.test_case "synth log identity" `Quick
-            test_parallel_extract_synth;
           Alcotest.test_case "synth deterministic" `Quick
             test_synth_deterministic;
         ] );
@@ -1620,6 +1547,6 @@ let () =
         qcheck
           [ prop_windows_no_crash; prop_window_sides_nonempty; prop_log_sorted;
             prop_trace_io_roundtrip; prop_trace_formats_roundtrip;
-            prop_extract_matches_reference; prop_parallel_extract_identical;
+            prop_extract_matches_reference;
             prop_synth_sides_match_map_fold ] );
     ]

@@ -1,5 +1,5 @@
-(* Tests for the utility library: deterministic RNG, statistics, and the
-   ASCII table renderer. *)
+(* Tests for the utility library: deterministic RNG, statistics, the
+   ASCII table renderer, the JSON string writer, and the worker pool. *)
 
 module Rng = Sherlock_util.Rng
 module Stats = Sherlock_util.Stats
@@ -185,6 +185,19 @@ let prop_percentile_in_unit =
       let p = Stats.percentile_rank xs x in
       p >= 0.0 && p <= 1.0)
 
+(* --- JSON strings --- *)
+
+(* Every ASCII byte, control characters included, written as a JSON
+   string and read back by the provenance parser. *)
+let test_json_string_roundtrip () =
+  let s = String.init 0x80 Char.chr in
+  let buf = Buffer.create 512 in
+  Sherlock_util.Json_string.add buf s;
+  match Sherlock_provenance.Json.of_string (Buffer.contents buf) with
+  | Ok (Sherlock_provenance.Json.Str s') -> check Alcotest.string "round trip" s s'
+  | Ok _ -> Alcotest.fail "not a string"
+  | Error e -> Alcotest.fail e
+
 (* --- worker pool --- *)
 
 module Pool = Sherlock_util.Pool
@@ -280,6 +293,8 @@ let () =
           Alcotest.test_case "alignment" `Quick test_table_alignment;
           Alcotest.test_case "separator" `Quick test_table_separator;
         ] );
+      ( "json_string",
+        [ Alcotest.test_case "ascii round trip" `Quick test_json_string_roundtrip ] );
       ( "pool",
         [
           Alcotest.test_case "poisoned item cancels rest" `Quick

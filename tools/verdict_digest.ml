@@ -13,11 +13,9 @@
 
    A fourth line, [extract], hashes window extraction itself: every
    window (pair, field, both sides' ops with their counts, coordinates)
-   and every race of three synthetic 20k-event logs with refinement on,
-   extracted sequentially and at [jobs = 2].  Verdicts only see merged
-   windows through the LP, so this is the line that shows window
-   contents are identical; the tool exits 1 if the two job counts
-   disagree.
+   and every race of three synthetic 20k-event logs with refinement on.
+   Verdicts only see merged windows through the LP, so this is the line
+   that shows window contents are identical.
 
    A fifth line, [log], hashes the simulator's logs as the analyses see
    them: every event (time, tid, op, target, delay) in log order, for
@@ -182,10 +180,10 @@ let add_side b side =
     (Windows.Side.bindings side)
 
 (* Everything one extraction produced, in output order. *)
-let extraction_text ~jobs log =
+let extraction_text log =
   let b = Buffer.create (1 lsl 16) in
   let windows, races =
-    Windows.extract ~near:400 ~cap:Windows.default_cap ~refine:true ~jobs log
+    Windows.extract ~near:400 ~cap:Windows.default_cap ~refine:true log
   in
   List.iter
     (fun (w : Windows.t) ->
@@ -209,15 +207,7 @@ let extract_digest () =
   let b = Buffer.create (1 lsl 20) in
   for seed = 1 to 3 do
     let log = Sherlock_trace.Synth.log ~seed ~addrs:256 ~threads:8 ~events:20_000 () in
-    let seq = extraction_text ~jobs:1 log in
-    let par = extraction_text ~jobs:2 log in
-    if seq <> par then begin
-      Printf.eprintf
-        "verdict_digest: seed %d: jobs=2 extraction differs from jobs=1\n" seed;
-      exit 1
-    end;
-    Buffer.add_string b seq;
-    Buffer.add_string b par
+    Buffer.add_string b (extraction_text log)
   done;
   hex b
 
