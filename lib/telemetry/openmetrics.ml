@@ -128,17 +128,9 @@ let to_string ?registry () =
   of_point (Snapshot.take ~label:"export" ring)
 
 (* Atomic rewrite: scrape-friendly — an external reader tailing the
-   path never observes a half-written exposition.  The temp file sits in
-   the same directory so the rename cannot cross filesystems. *)
+   path never observes a half-written exposition. *)
 let write_atomic path contents =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  (match output_string oc contents with
-  | () -> close_out oc
-  | exception e ->
-    close_out_noerr oc;
-    raise e);
-  Sys.rename tmp path
+  Sherlock_util.Atomic_file.write path (fun oc -> output_string oc contents)
 
 (* ------------------------------------------------------------------ *)
 (* Parser.  Covers the subset this exporter emits (which is also what

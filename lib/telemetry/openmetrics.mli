@@ -33,9 +33,9 @@ val to_string : ?registry:Metrics.registry -> unit -> string
     {!Metrics.default}) and render it with {!of_point}. *)
 
 val write_atomic : string -> string -> unit
-(** [write_atomic path contents] writes to [path ^ ".tmp"] then renames
-    over [path], so a concurrent reader never observes a partial
-    exposition. *)
+(** [write_atomic path contents] replaces [path]'s contents with
+    {!Sherlock_util.Atomic_file.write}, so a concurrent reader never
+    observes a partial exposition. *)
 
 (** {1 Parsing} *)
 

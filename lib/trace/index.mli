@@ -1,5 +1,6 @@
-(** Query indices over a log's time-sorted event array, built once at
-    construction time (see {!Log}).
+(** Query indices over a log's time-sorted event array, built once by
+    the log constructor (see {!Log.of_array}), whatever the log's source:
+    the simulator, either trace codec, or {!Synth}.
 
     Three structures back all span/progress/delay queries of the
     analyses:
@@ -25,43 +26,32 @@ type per_thread = {
 
 type t
 
-val build : Event.t array -> t
-(** [build events] indexes a time-sorted event array.  Dispatches to a
-    dense array-counter build when tids and access targets are small
-    non-negative ints (the simulator's id allocator guarantees this), and
-    to a generic hashtable build otherwise. *)
-
-val build_dense : Event.t array -> max_tid:int -> max_addr:int -> t
-(** The dense build directly, for callers that already scanned the
-    array: every [tid] must lie in [0, max_tid] and every access target
-    in [0, max_addr] — violations are undefined behaviour (the build
-    indexes plain arrays with those bounds, unchecked).  Use {!build}
-    unless the bounds are certain. *)
-
-(** Incremental dense build for deserializers: call {!Dense_builder.note}
-    once per event from inside the decode loop (in event order), then
-    {!Dense_builder.finish} on the decoded array.  This folds the
-    counting pass of {!build} into the decode loop, leaving only the
-    fill pass — one full scan of the record array less.  [finish]
-    returns [None] when the events fall outside the dense-id regime
-    (caller falls back to {!build}). *)
-module Dense_builder : sig
-  type index := t
-
+(** First-seen numbering of ids (tids or addresses) of one log, with a
+    count of occurrences per number.  Ids in [[0, 4n + 1024)] for an
+    [n]-event log index an array, as the simulator's do; any
+    other id goes through a hash table. *)
+module Ids : sig
   type t
 
-  val create : events:int -> t
-  (** [events] is the total event count (known from the frame header);
-      it bounds the dense-id range exactly as {!build}'s dispatch does. *)
+  val create : int -> t
+  (** [create n]: an empty numbering for the ids of an [n]-event log. *)
 
-  val note : t -> tid:int -> target:int -> delayed:bool -> is_access:bool -> unit
-  (** Must be called once per event, in array order, with that event's
-      fields. *)
+  val number : t -> int -> int
+  (** [number t id] is [id]'s number: [length t] before the call when
+      [id] is new.  Counts one more occurrence of it. *)
 
-  val finish : t -> Event.t array -> index option
-  (** [events] must be the array whose elements were [note]d, in the
-      same order. *)
+  val length : t -> int
+  (** Number of distinct ids numbered so far. *)
+
+  val count : t -> int -> int
+  (** [count t k]: occurrences of the id numbered [k]. *)
 end
+
+val build : Event.t array -> t
+(** [build events] indexes a time-sorted event array in two passes: the
+    first numbers tids and access targets in first-seen order and
+    counts them ({!Ids}), the second fills arrays sized exactly from
+    those counts.  Any int is a valid tid or address. *)
 
 val lower_bound : int array -> int -> int
 (** First index whose value is [>= v] (array length if none). *)
@@ -71,8 +61,6 @@ val upper_bound : int array -> int -> int
 
 val thread : t -> int -> per_thread
 (** The per-thread index of [tid]; an empty index for unknown threads. *)
-
-val thread_event_count : t -> int -> int
 
 val progress_count : t -> tid:int -> lo:int -> hi:int -> int
 (** Number of non-[Read] events of [tid] with [lo <= time <= hi] — the

@@ -32,37 +32,16 @@ let time_order buf n =
   done;
   if !k >= n then ((if n = Array.length buf then buf else Array.sub buf 0 n), 0)
   else begin
-    (* [bucket.(i)]: event [i]'s tid, numbered in first-seen order.  The
-       simulator's tids are small and non-negative and index an array;
-       any other tid goes through a table. *)
-    let small = Array.make (min n 1024) (-1) in
-    let large = Hashtbl.create 16 in
-    let buckets = ref 0 in
-    let fresh () =
-      incr buckets;
-      !buckets - 1
-    in
+    (* [bucket.(i)]: event [i]'s tid, numbered in first-seen order. *)
+    let ids = Index.Ids.create n in
     let bucket =
-      Array.init n (fun i ->
-          let tid = (Array.unsafe_get buf i).tid in
-          if tid >= 0 && tid < Array.length small then begin
-            if small.(tid) < 0 then small.(tid) <- fresh ();
-            small.(tid)
-          end
-          else
-            match Hashtbl.find_opt large tid with
-            | Some b -> b
-            | None ->
-              let b = fresh () in
-              Hashtbl.add large tid b;
-              b)
+      Array.init n (fun i -> Index.Ids.number ids (Array.unsafe_get buf i).tid)
     in
-    let buckets = !buckets in
+    let buckets = Index.Ids.length ids in
     (* [pos]: event positions grouped by bucket, ascending within one,
        cut into runs at bucket starts and at time descents: [starts]
        marks each run's first slot. *)
-    let fill = Array.make buckets 0 in
-    Array.iter (fun b -> fill.(b) <- fill.(b) + 1) bucket;
+    let fill = Array.init buckets (Index.Ids.count ids) in
     let starts = Bytes.make n '\000' in
     let total = ref 0 in
     for b = 0 to buckets - 1 do
@@ -143,8 +122,9 @@ let time_order buf n =
     (out, runs)
   end
 
-(* The one constructor: every log — simulated, parsed, decoded — is put
-   in time order here.  [buf] is taken by ownership. *)
+(* The one constructor: every log — simulated, parsed, decoded,
+   synthetic — is put in time order and indexed here, and no other code
+   makes a [t].  [buf] is taken by ownership. *)
 let of_prefix buf n ~duration ~threads ~volatile_addrs =
   let events, runs = time_order buf n in
   Tm.Counter.incr ~by:runs c_runs;
@@ -157,13 +137,7 @@ let create ~events = of_array (Array.of_list events)
 (* A fresh value every call: the volatile-address table is mutable, so a
    shared [empty] would leak one caller's mutations into another's log. *)
 let empty () =
-  {
-    events = [||];
-    duration = 0;
-    threads = 0;
-    volatile_addrs = Hashtbl.create 1;
-    index = Index.build [||];
-  }
+  of_array [||] ~duration:0 ~threads:0 ~volatile_addrs:(Hashtbl.create 1)
 
 module Builder = struct
   type t = {
@@ -174,8 +148,6 @@ module Builder = struct
   let dummy = Event.make ~time:0 ~tid:0 ~op:(Opid.read ~cls:"" "") ()
 
   let create () = { buf = Array.make 256 dummy; len = 0 }
-
-  let length b = b.len
 
   let add b e =
     if b.len = Array.length b.buf then begin

@@ -16,7 +16,9 @@ type t = {
       (** addresses of fields declared volatile in the program under test.
           SherLock never reads this; only the Manual_dr annotation-based
           race detector does (paper §5.4). *)
-  index : Index.t;            (** query indices, built by the constructors *)
+  index : Index.t;
+      (** query indices over [events], built by the one constructor
+          behind {!of_array}, {!create}, {!empty} and {!Builder.finish} *)
 }
 
 val create : events:Event.t list -> duration:int -> threads:int ->
@@ -50,8 +52,6 @@ module Builder : sig
   val create : unit -> t
 
   val add : t -> Event.t -> unit
-
-  val length : t -> int
 
   val finish : t -> duration:int -> threads:int ->
     volatile_addrs:(int, unit) Hashtbl.t -> log

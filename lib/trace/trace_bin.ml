@@ -27,11 +27,12 @@
         num_volatile x i64 addrs (ascending)  -- exact end of file
    v}
 
-   Events are stored in the log's (time, emission) order, so the reader
-   skips the sort; operation names are interned, so every dynamic
-   instance of an op shares one [Opid.t] in memory.  The 64-bit columns
-   come first and every section is 8-aligned, keeping each mapped view
-   naturally aligned for its element type. *)
+   Events are stored in the log's (time, emission) order, so the
+   decoders' [Log.of_array] finds them in order and does not sort;
+   operation names are interned, so every dynamic instance of an op
+   shares one [Opid.t] in memory.  The 64-bit columns come first and
+   every section is 8-aligned, keeping each mapped view naturally
+   aligned for its element type. *)
 
 let magic = "SHLKTRC\x01"
 
@@ -144,18 +145,14 @@ let write_with (log : Log.t) ~buf ~flush =
   add_i64 buf (Hashtbl.length log.volatile_addrs);
   List.iter (fun a -> add_i64 buf a) (Log.volatile_list log)
 
-let save log path =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      let buf = Buffer.create chunk_bytes in
-      let flush b =
-        Buffer.output_buffer oc b;
-        Buffer.clear b
-      in
-      write_with log ~buf ~flush;
-      flush buf)
+let output oc log =
+  let buf = Buffer.create chunk_bytes in
+  let flush b =
+    Buffer.output_buffer oc b;
+    Buffer.clear b
+  in
+  write_with log ~buf ~flush;
+  flush buf
 
 let to_string (log : Log.t) =
   let buf = Buffer.create (4096 + (event_bytes * Array.length log.events)) in
@@ -256,32 +253,6 @@ let bad_op_index ~path ~events_offset ~num_ops ~n i k =
     ~off:(events_offset + (20 * n) + (4 * i))
     "op index %d out of range (table has %d entries)" k num_ops
 
-(* Decode-loop bookkeeping, accumulated per event while the records are
-   materialized so [finish] can skip whole re-scan passes over the
-   (multi-MB, cache-cold) record array: sortedness lets it bypass the
-   order check of [Log.of_array], and the [Index.Dense_builder]
-   counts let the index build run its fill pass only. *)
-type stats = {
-  mutable prev_time : int;
-  mutable sorted : bool;
-  builder : Index.Dense_builder.t;
-}
-
-let fresh_stats ~events =
-  { prev_time = min_int; sorted = true; builder = Index.Dense_builder.create ~events }
-
-let note st ~time ~tid ~target ~delayed ~is_access =
-  if time < st.prev_time then st.sorted <- false;
-  st.prev_time <- time;
-  Index.Dense_builder.note st.builder ~tid ~target ~delayed ~is_access
-
-let finish st events ~duration ~threads ~volatile_addrs =
-  match
-    if st.sorted then Index.Dense_builder.finish st.builder events else None
-  with
-  | Some index -> { Log.events; duration; threads; volatile_addrs; index }
-  | None -> Log.of_array events ~duration ~threads ~volatile_addrs
-
 (* The mmap-backed load: columns become Bigarray views over the mapped
    pages — no intermediate strings, no record parsing — and the event
    array is filled straight from those views.  The op column is the only
@@ -305,7 +276,6 @@ let load path =
           (Unix.map_file fd ~pos:(Int64.of_int pos) kind Bigarray.c_layout false
              [| count |])
       in
-      let st = fresh_stats ~events:n in
       let events =
         if n = 0 then [||]
         else begin
@@ -314,7 +284,6 @@ let load path =
           let tids = map Bigarray.int32 n (events_offset + (16 * n)) in
           let opix = map Bigarray.int32 n (events_offset + (20 * n)) in
           let delays = map Bigarray.int32 n (events_offset + (24 * n)) in
-          let is_acc = Array.map Opid.is_access ops in
           let dummy = Event.make ~time:0 ~tid:0 ~op:ops.(0) () in
           let events = Array.make n dummy in
           for i = 0 to n - 1 do
@@ -325,8 +294,6 @@ let load path =
             let tid = Int32.to_int (Bigarray.Array1.unsafe_get tids i) in
             let target = Int64.to_int (Bigarray.Array1.unsafe_get targets i) in
             let delayed_by = Int32.to_int (Bigarray.Array1.unsafe_get delays i) in
-            note st ~time ~tid ~target ~delayed:(delayed_by > 0)
-              ~is_access:(Array.unsafe_get is_acc k);
             Array.unsafe_set events i
               { Event.time; tid; op = Array.unsafe_get ops k; target; delayed_by }
           done;
@@ -345,7 +312,7 @@ let load path =
           Hashtbl.replace volatile_addrs (Int64.to_int addrs.{i}) ()
         done
       end;
-      finish st events ~duration ~threads ~volatile_addrs)
+      Log.of_array events ~duration ~threads ~volatile_addrs)
 
 (* In-memory decode of the same image, for tests and string round-trips;
    shares the header/op-table/footer parsing with [load]. *)
@@ -355,13 +322,11 @@ let of_string ?(path = "<string>") s =
   let n, num_ops, events_offset, footer_offset = parse_header ~path ~size head in
   let table = String.sub s header_bytes (events_offset - header_bytes) in
   let ops = parse_op_table ~path ~base:header_bytes ~num_ops table in
-  let st = fresh_stats ~events:n in
   let events =
     if n = 0 then [||]
     else begin
       let i64 base i = Int64.to_int (String.get_int64_le s (base + (8 * i))) in
       let i32 base i = Int32.to_int (String.get_int32_le s (base + (4 * i))) in
-      let is_acc = Array.map Opid.is_access ops in
       let dummy = Event.make ~time:0 ~tid:0 ~op:ops.(0) () in
       let events = Array.make n dummy in
       for i = 0 to n - 1 do
@@ -372,8 +337,6 @@ let of_string ?(path = "<string>") s =
         let tid = i32 (events_offset + (16 * n)) i in
         let target = i64 (events_offset + (8 * n)) i in
         let delayed_by = i32 (events_offset + (24 * n)) i in
-        note st ~time ~tid ~target ~delayed:(delayed_by > 0)
-          ~is_access:(Array.unsafe_get is_acc k);
         Array.unsafe_set events i
           { Event.time; tid; op = Array.unsafe_get ops k; target; delayed_by }
       done;
@@ -392,4 +355,4 @@ let of_string ?(path = "<string>") s =
     in
     Hashtbl.replace volatile_addrs a ()
   done;
-  finish st events ~duration ~threads ~volatile_addrs
+  Log.of_array events ~duration ~threads ~volatile_addrs

@@ -18,8 +18,10 @@
 val magic : string
 (** The 8-byte frame marker (version byte last). *)
 
-val save : Log.t -> string -> unit
-(** Write [log] to [path], streaming through one reused buffer. *)
+val output : out_channel -> Log.t -> unit
+(** Write [log]'s image to the channel, streaming through one reused
+    buffer.  Raises [Invalid_argument] if a tid, op index or delay does
+    not fit its 32-bit column. *)
 
 val to_string : Log.t -> string
 (** The file image as a string. *)

@@ -319,13 +319,10 @@ let of_string ?path s =
   | Text -> of_string_text ?path s
 
 let save ?(format = Text) log path =
-  match format with
-  | Binary -> Trace_bin.save log path
-  | Text ->
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () -> Buffer.output_buffer oc (to_buffer log))
+  Sherlock_util.Atomic_file.write path (fun oc ->
+      match format with
+      | Binary -> Trace_bin.output oc log
+      | Text -> Buffer.output_buffer oc (to_buffer log))
 
 let load path =
   match format_of_file path with

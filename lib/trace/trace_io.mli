@@ -34,9 +34,12 @@ val format_name : format -> string
 (** ["text"] or ["binary"]. *)
 
 val save : ?format:format -> Log.t -> string -> unit
-(** Write the log to a file ([format] defaults to [Text]).  Raises
-    [Sys_error] on IO failure and [Invalid_argument] if an operation
-    name contains whitespace or control characters. *)
+(** Write the log to a file ([format] defaults to [Text]), through a
+    temporary file renamed over [path] ({!Sherlock_util.Atomic_file}):
+    a save that fails leaves [path] as it was.  Raises [Sys_error] on IO
+    failure and [Invalid_argument] if an operation name contains
+    whitespace or control characters, or (binary) a value does not fit
+    its 32-bit column. *)
 
 val load : string -> Log.t
 (** Read a log back, auto-detecting the format.  Raises [Failure] on

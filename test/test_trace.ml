@@ -550,6 +550,30 @@ let test_trace_io_file () =
       let log' = Trace_io.load path in
       check Alcotest.int "events" 2 (Log.length log'))
 
+(* Regression: a binary save whose tid overflows the 32-bit column
+   raised after opening the path, and left an earlier trace there empty. *)
+let test_trace_io_failed_save_keeps_file () =
+  let path = Filename.temp_file "sherlock" ".btrace" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Trace_io.save ~format:Trace_io.Binary (mklog [ ev 10 0 wf; ev 50 1 rf ]) path;
+      let read () = In_channel.with_open_bin path In_channel.input_all in
+      let before = read () in
+      (match
+         Trace_io.save ~format:Trace_io.Binary (mklog [ ev 10 (1 lsl 31) wf ]) path
+       with
+      | () -> Alcotest.fail "a tid past the 32-bit column was saved"
+      | exception Invalid_argument _ -> ());
+      check Alcotest.string "old bytes unchanged" before (read ());
+      let base = Filename.basename path in
+      let litter =
+        List.filter
+          (fun f -> f <> base && String.starts_with ~prefix:base f)
+          (Array.to_list (Sys.readdir (Filename.dirname path)))
+      in
+      check Alcotest.(list string) "no temporary file left" [] litter)
+
 (* Regression: the volatile lines were written in hashtable order, so a
    reload (a table of another size) could reorder them and save -> load
    -> save changed the bytes. *)
@@ -1267,6 +1291,18 @@ let gen_ops_wide =
        let delayed_by = if delayed = 0 then delay else 0 in
        return (Event.make ~time ~tid ~op ~target:(addr + 1) ~delayed_by ())))
 
+(* The generated logs with sparse ids, none of which a dense array can
+   index: huge and negative tids, and addresses below -2^40 or past
+   2^40.  Addresses 2k and 2k+1 become k - 2^40 and 2^40 + k, which
+   share their low 40 bits, so an id table that dropped high bits would
+   merge them. *)
+let relabel_sparse events =
+  List.map
+    (fun (e : Event.t) ->
+      let high = if e.target mod 2 = 0 then -(1 lsl 40) else 1 lsl 40 in
+      { e with tid = (e.tid * 1_000_003) - 5; target = high + (e.target / 2) })
+    events
+
 let prop_extract_matches_reference =
   QCheck.Test.make ~name:"indexed extraction matches the naive reference"
     ~count:300
@@ -1286,7 +1322,7 @@ let prop_extract_matches_reference =
             (* near exercising both in- and out-of-horizon pairs; a tight
                cap exercising the bail-out; refinement on and off. *)
             [ (10_000, 15, true); (3_000, 2, true); (10_000, 15, false) ])
-        [ narrow; wide ])
+        [ narrow; wide; relabel_sparse narrow; relabel_sparse wide ])
 
 let test_synth_deterministic () =
   let a = Sherlock_trace.Synth.log ~seed:3 ~addrs:32 ~threads:4 ~events:5_000 () in
@@ -1524,6 +1560,8 @@ let () =
             test_trace_io_malformed_line_position;
           Alcotest.test_case "rejects spaces" `Quick test_trace_io_rejects_spaces;
           Alcotest.test_case "shares ops" `Quick test_trace_io_shares_ops;
+          Alcotest.test_case "failed save keeps the file" `Quick
+            test_trace_io_failed_save_keeps_file;
           QCheck_alcotest.to_alcotest prop_text_codec_matches_oracle;
           QCheck_alcotest.to_alcotest prop_text_loader_matches_oracle;
           Alcotest.test_case "spellings match the oracle" `Quick
