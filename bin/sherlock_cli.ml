@@ -862,10 +862,12 @@ let render_stats ppf (p : Telemetry.Snapshot.point) =
   if hits + misses > 0 then begin
     let rate = float_of_int hits /. float_of_int (hits + misses) in
     pr "  extraction@.";
-    pr "    span cache     %5.1f%% hit  %s  (%d of %d lookups)@.@."
-      (100.0 *. rate)
+    pr "    span cache     %5.1f%% hit  %s  (%d of %d lookups)@." (100.0 *. rate)
       (utilization_bar ~width:10 rate)
-      hits (hits + misses)
+      hits (hits + misses);
+    pr "    scan           %d steps, %d open frames visited@.@."
+      (c "windows.scan.steps")
+      (c "windows.open_frames.visited")
   end;
   (* Worker-pool occupancy (live-run snapshots; zero after exit). *)
   let live = g "pool.domains.live" in

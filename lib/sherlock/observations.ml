@@ -43,7 +43,7 @@ type t = {
 type extraction = {
   x_windows : Windows.t list;
   x_races : Windows.race list;
-  x_samples : (string * float) list;
+  x_samples : (string * float array) list;
   x_metrics : Metrics.t;
 }
 
@@ -107,8 +107,9 @@ let add_window t (w : Windows.t) =
    deltas in test order reproduces the sequential path exactly. *)
 let extract_log ~near ~cap ~refine log =
   let x_metrics = Metrics.create () in
-  let x_windows, x_races = Windows.extract ~near ~cap ~refine ~metrics:x_metrics log in
-  let x_samples = Durations.samples_of_log log in
+  let x_windows, x_races, x_samples =
+    Windows.extract_with_samples ~near ~cap ~refine ~metrics:x_metrics log
+  in
   { x_windows; x_races; x_samples; x_metrics }
 
 let add_extraction t x =

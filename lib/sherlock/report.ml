@@ -136,7 +136,9 @@ let print_round_metrics ppf (rounds : Orchestrator.round_result list) =
    once per extraction), so this reads real numbers on plain runs — no
    --telemetry-out needed.  A span query that misses the cache folds the
    span's events into a side; the events folded per such query is the
-   per-side cost extraction pays. *)
+   per-side cost extraction pays.  The scan steps (candidate tests of
+   the address scans) and open frames visited are the two costs that do
+   not show in the span counts. *)
 let print_extraction_summary ppf () =
   let module Tm = Sherlock_telemetry.Metrics in
   let v name = Tm.Counter.value (Tm.counter name) in
@@ -146,10 +148,12 @@ let print_extraction_summary ppf () =
   if hits + misses > 0 then
     Format.fprintf ppf
       "extraction: span cache %.1f%% hit (%d of %d lookups), %.1f events folded per \
-       computed span@."
+       computed span, %d scan steps, %d open frames visited@."
       (100.0 *. float_of_int hits /. float_of_int (hits + misses))
       hits (hits + misses)
       (if misses > 0 then float_of_int folded /. float_of_int misses else 0.0)
+      (v "windows.scan.steps")
+      (v "windows.open_frames.visited")
 
 (* One line per failed attempt, in (round, test) order; silent when the
    whole inference was clean. *)

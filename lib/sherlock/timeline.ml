@@ -103,15 +103,16 @@ let sched_events ~pid (t : test_timeline) =
 let flow_events ~pid ~near ~max_flows ~next_flow_id (t : test_timeline) =
   let events = ref [] in
   let emitted = ref 0 in
-  Log.iter_addr_accesses t.log (fun _addr accesses ->
-      let n = Array.length accesses in
+  Log.iter_addr_accesses t.log (fun _addr positions ->
+      let event_at i = t.log.events.(positions.(i)) in
+      let n = Array.length positions in
       if n > 1 && !emitted < max_flows then begin
         try
           for i = 0 to n - 1 do
-            let a = accesses.(i) in
+            let a = event_at i in
             let j = ref (i + 1) in
-            while !j < n && (accesses.(!j) : Event.t).time - a.time <= near do
-              let b = accesses.(!j) in
+            while !j < n && (event_at !j).time - a.time <= near do
+              let b = event_at !j in
               if
                 a.tid <> b.tid
                 && (a.op.kind = Opid.Write || b.op.kind = Opid.Write)

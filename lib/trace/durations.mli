@@ -15,12 +15,32 @@ val record_log : t -> Log.t -> unit
     Observations accumulate across runs (paper §4.3).  Equivalent to
     [add_samples t (samples_of_log log)]. *)
 
-val samples_of_log : Log.t -> (string * float) list
-(** The per-method duration samples of one trace, in completion order.
-    Pure with respect to the accumulator, so sample recovery can run on a
-    worker domain while the merge into [t] stays sequential. *)
+val samples_of_log : Log.t -> (string * float array) list
+(** The per-method duration samples of one trace, grouped by method key:
+    groups in the order of their first sample, each group's samples in
+    completion ([End]) order.  Pure with respect to the accumulator, so
+    sample recovery can run on a worker domain while the merge into [t]
+    stays sequential.  Equivalent to folding {!collect} over the log's
+    closed frames ({!Log.fold_frames}) and taking {!collected}. *)
 
-val add_samples : t -> (string * float) list -> unit
+val add_samples : t -> (string * float array) list -> unit
+(** Adds groups of samples, one table lookup per group.  A key may occur
+    in several groups; the result is that of adding every sample one at
+    a time, in list order. *)
+
+type collector
+(** The samples of one trace, gathered a closed frame at a time, for a
+    caller that folds the log's frames for its own purpose too (window
+    extraction) and so recovers them without a second fold. *)
+
+val collector : Log.t -> collector
+
+val collect : collector -> Log.frame -> unit
+(** Adds one closed frame of the collector's log; frames must come in
+    [End] order, as {!Log.fold_frames} hands them out. *)
+
+val collected : collector -> (string * float array) list
+(** The samples so far, as {!samples_of_log} returns them. *)
 
 val samples : t -> string -> float list
 (** Duration samples (microseconds) for a method key

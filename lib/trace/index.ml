@@ -14,7 +14,7 @@ type per_thread = {
 type t = {
   threads : (int, per_thread) Hashtbl.t;
   addrs_in_order : int array;
-  accesses : Event.t array array;  (* accesses.(k): address addrs_in_order.(k) *)
+  accesses : int array array;  (* accesses.(k): positions of address addrs_in_order.(k) *)
 }
 
 (* [a] grown to a length past [k], at least doubled but at most [cap],
@@ -144,10 +144,7 @@ let build (events : Event.t array) =
           delayed_times = Array.make d 0;
         })
   in
-  let dummy = Event.make ~time:0 ~tid:0 ~op:(Opid.read ~cls:"" "") () in
-  let accesses =
-    Array.init (Ids.length addrs) (fun k -> Array.make (Ids.count addrs k) dummy)
-  in
+  let accesses = Array.init (Ids.length addrs) (fun k -> Array.make (Ids.count addrs k) 0) in
   let tcur = Array.make (Ids.length tids) 0 in
   let dcur = Array.make (Ids.length tids) 0 in
   let acur = Array.make (Ids.length addrs) 0 in
@@ -170,7 +167,7 @@ let build (events : Event.t array) =
     if is_access e then begin
       let k = Ids.find addrs e.target in
       let c = Array.unsafe_get acur k in
-      Array.unsafe_set (Array.unsafe_get accesses k) c e;
+      Array.unsafe_set (Array.unsafe_get accesses k) c i;
       Array.unsafe_set acur k (c + 1)
     end
   done;

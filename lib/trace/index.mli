@@ -8,8 +8,10 @@
       ascending order, with a prefix count of its non-[Read] ("progress")
       events — binary search turns "events of thread [t] in [lo, hi]" and
       "did [t] progress inside [lo, hi]" into O(log n) lookups;
-    - a per-address access index: the [Read]/[Write] events of each
-      traced address in time order, in address first-seen order;
+    - a per-address access index: the offsets of each traced address's
+      [Read]/[Write] events in time order, in address first-seen order
+      (offsets, like every other view, so an extraction can key an
+      access on its per-event tables, such as its op rank, by offset);
     - a per-thread delayed-event index: offsets of events carrying an
       injected delay, so "first delayed event in a window" is a binary
       search instead of a scan. *)
@@ -76,6 +78,7 @@ val has_delayed_in : t -> tid:int -> lo:int -> hi:int -> bool
 val distinct_addrs : t -> int
 (** Number of distinct traced addresses. *)
 
-val iter_addr_accesses : t -> (int -> Event.t array -> unit) -> unit
-(** Iterate per-address access arrays in address first-seen order —
-    deterministic across rebuilds of the same log. *)
+val iter_addr_accesses : t -> (int -> int array -> unit) -> unit
+(** Iterate per-address access offsets (into the event array, ascending)
+    in address first-seen order — deterministic across rebuilds of the
+    same log. *)

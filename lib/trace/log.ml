@@ -213,6 +213,8 @@ type frame = {
   op : Opid.t;
   t_begin : int;
   t_end : int;
+  index : int;
+  parent : int;
 }
 
 (* Frames match on the rendered [Opid.method_key], compared as strings:
@@ -223,55 +225,60 @@ let same_method (a : Opid.t) (b : Opid.t) =
   (String.equal a.member b.member && String.equal a.cls b.cls)
   || String.equal (Opid.method_key a) (Opid.method_key b)
 
+(* A thread's open frames, innermost first, with [t_end = max_int], and
+   the number of frames it has pushed so far. *)
+type stack = {
+  mutable frames : frame list;
+  mutable pushed : int;
+}
+
 (* The one per-thread frame matcher behind window open-frame candidates,
-   method durations, and the timeline's frame slices.  Closed frames are
+   method durations, and the timeline's frame slices.  The top of a
+   stack is the parent of the next frame pushed on it.  Closed frames are
    handed to [on_close] as they close rather than collected, so a long
    log's frames are never all live at once. *)
 let fold_frames t ~init ~f:on_close =
-  let stacks : (int, (Opid.t * int) list ref) Hashtbl.t = Hashtbl.create 8 in
+  let stacks : (int, stack) Hashtbl.t = Hashtbl.create 8 in
   let slot tid =
     match Hashtbl.find_opt stacks tid with
     | Some s -> s
     | None ->
-      let s = ref [] in
+      let s = { frames = []; pushed = 0 } in
       Hashtbl.add stacks tid s;
       s
   in
   let acc = ref init in
+  (* Close the innermost frame of [s] matching [e], skipping mismatches. *)
+  let rec pop s (e : Event.t) skipped = function
+    | [] -> ()
+    | frame :: rest when same_method frame.op e.op ->
+      s.frames <- List.rev_append skipped rest;
+      acc := on_close !acc { frame with t_end = e.time }
+    | frame :: rest -> pop s e (frame :: skipped) rest
+  in
   Array.iter
     (fun (e : Event.t) ->
       match e.op.kind with
       | Opid.Begin ->
         let s = slot e.tid in
-        s := (e.op, e.time) :: !s
+        let parent = match s.frames with top :: _ -> top.index | [] -> -1 in
+        let frame =
+          { tid = e.tid; op = e.op; t_begin = e.time; t_end = max_int; index = s.pushed; parent }
+        in
+        s.frames <- frame :: s.frames;
+        s.pushed <- s.pushed + 1
       | Opid.End ->
         let s = slot e.tid in
-        let rec pop skipped = function
-          | [] -> None
-          | ((op, _) as frame) :: rest when same_method op e.op ->
-            Some (frame, List.rev_append skipped rest)
-          | frame :: rest -> pop (frame :: skipped) rest
-        in
-        (match pop [] !s with
-        | Some ((op, t_begin), rest) ->
-          s := rest;
-          acc := on_close !acc { tid = e.tid; op; t_begin; t_end = e.time }
-        | None -> ())
+        pop s e [] s.frames
       | Opid.Read | Opid.Write -> ())
     t.events;
   let still_open = ref [] in
-  Hashtbl.iter
-    (fun tid s ->
-      List.iter
-        (fun (op, t_begin) ->
-          still_open := { tid; op; t_begin; t_end = max_int } :: !still_open)
-        !s)
-    stacks;
+  Hashtbl.iter (fun _ s -> still_open := List.rev_append s.frames !still_open) stacks;
   (!acc, List.rev !still_open)
 
-let distinct_addrs t = Index.distinct_addrs t.index
+let distinct_addrs (t : t) = Index.distinct_addrs t.index
 
-let iter_addr_accesses t f = Index.iter_addr_accesses t.index f
+let iter_addr_accesses (t : t) f = Index.iter_addr_accesses t.index f
 
 let pp ppf t =
   Format.fprintf ppf "log: %d events, %dus, %d threads@." (Array.length t.events)

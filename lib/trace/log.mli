@@ -3,7 +3,7 @@
     manually-annotated race detector, wall-clock span, thread count).
 
     The store is indexed at construction time (see {!Index}): per-thread
-    offsets with progress prefix counts, per-address access arrays, and
+    offsets with progress prefix counts, per-address access offsets, and
     per-thread delayed-event offsets.  All span/progress/delay queries the
     analyses issue resolve by binary search over these indices instead of
     rescanning the event array. *)
@@ -92,8 +92,22 @@ type frame = {
   op : Opid.t;      (** the frame's [Begin] op *)
   t_begin : int;
   t_end : int;      (** time of the matching [End]; [max_int] while open *)
+  index : int;
+      (** push index: the frame's [Begin] is [tid]'s [index]-th [Begin]
+          (from 0, in log order) *)
+  parent : int;
+      (** push index of the frame on top of [tid]'s stack when this one
+          was pushed, or [-1] if the stack was empty *)
 }
-(** One method frame: a [Begin] and the [End] that closed it. *)
+(** One method frame: a [Begin] and the [End] that closed it.
+
+    The parents chain every frame to the frames that enclosed it when it
+    was pushed, so "which frames of [tid] are open at time [lo]" needs
+    no scan: they are the last frame of [tid] pushed before [lo] and its
+    parent chain, those with [t_end >= lo].  Every frame still on the
+    stack at [lo] is on that chain, even after an out-of-order close
+    removed a frame from the middle of the stack (see
+    [Windows.extract]). *)
 
 val fold_frames : t -> init:'a -> f:('a -> frame -> 'a) -> 'a * frame list
 (** [fold_frames log ~init ~f] replays every thread's Begin/End events
@@ -104,14 +118,17 @@ val fold_frames : t -> init:'a -> f:('a -> frame -> 'a) -> 'a * frame list
     behind); an [End] with no match is ignored.  Folds [f] over the
     closed frames in [End] order and returns the result with the frames
     still open at the end of the log ([t_end = max_int]): innermost first
-    within a thread, threads in an order fixed by the log. *)
+    within a thread, threads in an order fixed by the log.  A thread's
+    push indexes run from 0 to the number of its [Begin] events minus
+    one: every [Begin] makes a frame, closed or still open. *)
 
 val distinct_addrs : t -> int
 (** Number of distinct traced addresses (size hint for per-address state,
     e.g. the race detector's variable table). *)
 
-val iter_addr_accesses : t -> (int -> Event.t array -> unit) -> unit
-(** Iterate per-address access arrays in address first-seen order. *)
+val iter_addr_accesses : t -> (int -> int array -> unit) -> unit
+(** Iterate per-address access offsets into [events] (ascending, so in
+    time order) in address first-seen order. *)
 
 val pp : Format.formatter -> t -> unit
 (** Full dump, for debugging. *)

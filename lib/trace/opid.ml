@@ -43,9 +43,11 @@ let compare a b =
     | c -> c)
   | c -> c
 
-let equal a b = compare a b = 0
+(* Physically shared names (every op of one call site) compare equal
+   without reading their bytes. *)
+let equal a b = a.kind = b.kind && String.equal a.member b.member && String.equal a.cls b.cls
 
-let hash t = Hashtbl.hash (t.cls, t.member, kind_rank t.kind)
+let hash t = (((Hashtbl.hash t.cls * 31) + Hashtbl.hash t.member) * 4) + kind_rank t.kind
 
 let is_access t = match t.kind with Read | Write -> true | Begin | End -> false
 
@@ -101,3 +103,10 @@ end
 
 module Set = Set.Make (Ord)
 module Map = Map.Make (Ord)
+
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+  let hash = hash
+end)

@@ -67,3 +67,7 @@ val pp : Format.formatter -> t -> unit
 
 module Set : Set.S with type elt = t
 module Map : Map.S with type key = t
+
+module Tbl : Hashtbl.S with type key = t
+(** Keyed on {!equal} and {!hash}: cheaper per lookup than the
+    polymorphic table, which hashes the whole record generically. *)

@@ -115,14 +115,14 @@ type ranks = {
 }
 
 let rank_ops (log : Log.t) =
-  let ids : (Opid.t, int) Hashtbl.t = Hashtbl.create 256 in
+  let ids = Opid.Tbl.create 256 in
   let distinct = ref [] in
   let id_of (op : Opid.t) =
-    match Hashtbl.find_opt ids op with
+    match Opid.Tbl.find_opt ids op with
     | Some i -> i
     | None ->
-      let i = Hashtbl.length ids in
-      Hashtbl.add ids op i;
+      let i = Opid.Tbl.length ids in
+      Opid.Tbl.add ids op i;
       distinct := op :: !distinct;
       i
   in
@@ -227,30 +227,64 @@ let span_sides log =
 let all_kinds_are side kind =
   Side.for_all (fun (op : Opid.t) _ -> op.kind = kind) side
 
-(* Method frames per thread, sorted by [t_end], with [t_end = max_int]
-   for frames still open at the end of the log (e.g. a thread blocked
-   forever inside an acquire), plus the array of those end times.
-   [Log.fold_frames] closes frames in End order — the log is time-sorted,
-   so that is [t_end] order — and open ones come last, so appending per
-   thread keeps every array sorted.  The end-time order lets
-   [add_open_frames] binary-search away every frame that closed before
-   the window starts. *)
-let frame_spans (log : Log.t) =
-  let per_tid : (int, Log.frame list ref) Hashtbl.t = Hashtbl.create 16 in
-  let push () (f : Log.frame) =
-    match Hashtbl.find_opt per_tid f.tid with
-    | Some l -> l := f :: !l
-    | None -> Hashtbl.add per_tid f.tid (ref [ f ])
+(* Every method frame of one thread by push index (see
+   {!Log.fold_frames}): its op, begin time (ascending), end time
+   ([max_int] while open) and parent.  Each array is sized from the
+   thread's [Begin] count, so building the table allocates nothing
+   beyond it; the fold's frame records die young. *)
+type thread_frames = {
+  ops : Opid.t array;
+  begins : int array;
+  ends : int array;
+  parents : int array;
+}
+
+(* The frame tables by tid, and the work counter behind
+   [windows.open_frames.visited].  [frame_table ~on_close] also hands
+   every closed frame to [on_close], in End order, so the one fold
+   serves the duration samples too. *)
+type frames = {
+  by_tid : (int, thread_frames) Hashtbl.t;
+  mutable visited : int;
+}
+
+let frame_table ~on_close (log : Log.t) =
+  let by_tid = Hashtbl.create 16 in
+  let table (f : Log.frame) =
+    match Hashtbl.find_opt by_tid f.tid with
+    | Some t -> t
+    | None ->
+      let pt = Index.thread (Log.index log) f.tid in
+      let n =
+        Array.fold_left
+          (fun n p -> if log.events.(p).op.kind = Opid.Begin then n + 1 else n)
+          0 pt.positions
+      in
+      let t =
+        {
+          ops = Array.make n f.op;
+          begins = Array.make n 0;
+          ends = Array.make n 0;
+          parents = Array.make n 0;
+        }
+      in
+      Hashtbl.add by_tid f.tid t;
+      t
   in
-  let (), still_open = Log.fold_frames log ~init:() ~f:push in
-  List.iter (push ()) still_open;
-  let sorted = Hashtbl.create 16 in
-  Hashtbl.iter
-    (fun tid l ->
-      let arr = Array.of_list (List.rev !l) in
-      Hashtbl.add sorted tid (arr, Array.map (fun (f : Log.frame) -> f.t_end) arr))
-    per_tid;
-  sorted
+  let put (f : Log.frame) =
+    let t = table f in
+    t.ops.(f.index) <- f.op;
+    t.begins.(f.index) <- f.t_begin;
+    t.ends.(f.index) <- f.t_end;
+    t.parents.(f.index) <- f.parent
+  in
+  let (), still_open =
+    Log.fold_frames log ~init:() ~f:(fun () f ->
+        put f;
+        on_close f)
+  in
+  List.iter put still_open;
+  { by_tid; visited = 0 }
 
 (* Any progress event of [tid] strictly inside (lo, hi)? *)
 let progressed log ~tid ~lo ~hi =
@@ -261,16 +295,29 @@ let progressed log ~tid ~lo ~hi =
    invocation is still in progress during the window and is a legitimate
    acquire candidate — but only if the thread has made no progress since
    the invocation (it is plausibly blocked inside it): a frame that kept
-   executing cannot be waiting for a release that has not happened yet. *)
-let add_open_frames log spans side ~tid ~lo =
-  match Hashtbl.find_opt spans tid with
+   executing cannot be waiting for a release that has not happened yet.
+
+   The frames of [tid] open at [lo] are those with [t_begin < lo <=
+   t_end]: the last frame pushed before [lo] and its parent chain,
+   filtered on [t_end >= lo].  Every one of them is on the thread's stack
+   once the events before [lo] are replayed, since its [End] (if any)
+   comes at or after [lo].  That stack is a subsequence of the last
+   push's chain: pushing sets the parent to the top, and closes only
+   remove frames, from the top or (out of order) from the middle.  So the
+   chain holds every open frame, and the filter drops exactly the ones
+   closed before [lo]. *)
+let add_open_frames log frames side ~tid ~lo =
+  match Hashtbl.find_opt frames.by_tid tid with
   | None -> side
-  | Some (arr, ends) ->
+  | Some t ->
     let acc = ref side in
-    for i = Index.lower_bound ends lo to Array.length arr - 1 do
-      let { Log.op; t_begin; _ } = arr.(i) in
-      if t_begin < lo && not (progressed log ~tid ~lo:t_begin ~hi:lo) then
-        acc := Side.add_one op !acc
+    let i = ref (Index.lower_bound t.begins lo - 1) in
+    while !i >= 0 do
+      let f = !i in
+      frames.visited <- frames.visited + 1;
+      if t.ends.(f) >= lo && not (progressed log ~tid ~lo:t.begins.(f) ~hi:lo) then
+        acc := Side.add_one t.ops.(f) !acc;
+      i := t.parents.(f)
     done;
     !acc
 
@@ -286,6 +333,10 @@ let c_cache_miss = Tm.counter "windows.span_cache.miss"
 let c_span_folded = Tm.counter "windows.span.folded"
 
 let c_span_entries = Tm.counter "windows.span.entries"
+
+let c_scan_steps = Tm.counter "windows.scan.steps"
+
+let c_frames_visited = Tm.counter "windows.open_frames.visited"
 
 (* Memoized [side_of_span].  Candidate pairs share span endpoints
    whenever several accesses to one address carry the same timestamp
@@ -339,9 +390,9 @@ type outcome = Window of t | Race_out of race
 
 (* Analyze one candidate pair: compute both sides, refine from injected
    delays, and classify as window or observed race. *)
-let consider_one log spans cache ~refine (a : Event.t) (b : Event.t) =
+let consider_one log frames cache ~refine (a : Event.t) (b : Event.t) =
   let acq_side ~lo ~hi =
-    add_open_frames log spans (cached_side log cache ~tid:b.tid ~lo ~hi) ~tid:b.tid ~lo
+    add_open_frames log frames (cached_side log cache ~tid:b.tid ~lo ~hi) ~tid:b.tid ~lo
   in
   let rel = ref (cached_side log cache ~tid:a.tid ~lo:a.time ~hi:b.time) in
   let acq = ref (acq_side ~lo:a.time ~hi:b.time) in
@@ -391,87 +442,116 @@ let consider_one log spans cache ~refine (a : Event.t) (b : Event.t) =
           };
       }
 
-(* Pair enumeration over one address.  An address sees only a handful of
-   static ops (the field's read/write and property variants), so the
-   per-static-pair cap counters are pulled out of [pair_counts] into a
-   tiny matrix once per address: the O(k^2) candidate scan then tests an
-   int ref instead of hashing, and bails out of the whole address as soon
-   as every conflicting static pair there has reached the cap.
-   Enumeration order and cap decisions are identical to testing each
-   candidate directly.  [emit a b] fires for each accepted candidate;
-   [on_capped] fires when a pair's count reaches the cap. *)
-let scan_address ~near ~cap ~pair_counts ~on_capped ~emit
-    (accesses : Event.t array) =
-  let n = Array.length accesses in
-  let optbl : (Opid.t, int) Hashtbl.t = Hashtbl.create 8 in
-  let ops_rev = ref [] in
-  let nops = ref 0 in
-  let opidx =
-    Array.map
-      (fun (e : Event.t) ->
-        match Hashtbl.find_opt optbl e.op with
-        | Some i -> i
-        | None ->
-          let i = !nops in
-          Hashtbl.add optbl e.op i;
-          ops_rev := e.op :: !ops_rev;
-          incr nops;
-          i)
-      accesses
-  in
-  let k = !nops in
-  let by_idx = Array.make k (accesses.(0) : Event.t).op in
-  List.iteri (fun j o -> by_idx.(k - 1 - j) <- o) !ops_rev;
+(* Address-scan state for one extraction: each static pair's accepted
+   count, keyed on its two ranks as [ra * d + rb] for [d] distinct ops;
+   the local number of each rank at the address being scanned ([-1]
+   elsewhere) and its inverse; and the work counter behind
+   [windows.scan.steps]. *)
+type scan = {
+  pair_counts : (int, int ref) Hashtbl.t;
+  local : int array;
+  rank_of_local : int array;
+  mutable steps : int;
+}
+
+let scan_create ranks =
+  let d = Array.length ranks.op_of_rank in
+  {
+    pair_counts = Hashtbl.create 64;
+    local = Array.make d (-1);
+    rank_of_local = Array.make d 0;
+    steps = 0;
+  }
+
+(* Pair enumeration over one address, given the offsets of its accesses.
+   An address sees only a handful of static ops (the field's read/write
+   and property variants), so they are numbered locally from their ranks
+   and the per-static-pair cap counters are pulled out of [pair_counts]
+   into a tiny matrix once per address.  Each row (one first op) keeps a
+   count of its conflicting pairs still under the cap: an access whose
+   row is at zero cannot start an accepted candidate, so it is skipped,
+   and its inner loop ends once its row reaches zero; the whole address
+   ends once every row has.  Enumeration order and cap decisions are
+   identical to testing each candidate directly.  [emit a b] fires for
+   each accepted candidate; [on_capped] fires when a pair's count
+   reaches the cap. *)
+let scan_address ~near ~cap ~on_capped ~emit (events : Event.t array) ranks sc
+    positions =
+  let n = Array.length positions in
+  let local p = sc.local.(ranks.rank.(p)) in
+  let k = ref 0 in
+  Array.iter
+    (fun p ->
+      let r = ranks.rank.(p) in
+      if sc.local.(r) < 0 then begin
+        sc.local.(r) <- !k;
+        sc.rank_of_local.(!k) <- r;
+        incr k
+      end)
+    positions;
+  let k = !k in
+  let d = Array.length ranks.op_of_rank in
+  let op_at ia = ranks.op_of_rank.(sc.rank_of_local.(ia)) in
   let counts =
     Array.init k (fun ia ->
         Array.init k (fun ib ->
-            let key = (by_idx.(ia), by_idx.(ib)) in
-            match Hashtbl.find_opt pair_counts key with
+            let key = (sc.rank_of_local.(ia) * d) + sc.rank_of_local.(ib) in
+            match Hashtbl.find_opt sc.pair_counts key with
             | Some r -> r
             | None ->
               let r = ref 0 in
-              Hashtbl.add pair_counts key r;
+              Hashtbl.add sc.pair_counts key r;
               r))
   in
   let conflicting =
     Array.init k (fun ia ->
-        Array.init k (fun ib ->
-            by_idx.(ia).kind = Opid.Write || by_idx.(ib).kind = Opid.Write))
+        Array.init k (fun ib -> (op_at ia).kind = Opid.Write || (op_at ib).kind = Opid.Write))
   in
-  (* Conflicting static pairs at this address not yet at the cap. *)
-  let live = ref 0 in
+  (* Conflicting static pairs not yet at the cap, per row and in all. *)
+  let row = Array.make k 0 in
   for ia = 0 to k - 1 do
     for ib = 0 to k - 1 do
-      if conflicting.(ia).(ib) && !(counts.(ia).(ib)) < cap then incr live
+      if conflicting.(ia).(ib) && !(counts.(ia).(ib)) < cap then
+        row.(ia) <- row.(ia) + 1
     done
   done;
-  try
-    if !live = 0 then raise Exit;
-    for i = 0 to n - 1 do
-      let a = accesses.(i) in
-      let ia = opidx.(i) in
-      let j = ref (i + 1) in
-      while !j < n && (accesses.(!j) : Event.t).time - a.time <= near do
-        let b = accesses.(!j) in
-        let ib = opidx.(!j) in
-        if a.tid <> b.tid && conflicting.(ia).(ib) then begin
-          let c = counts.(ia).(ib) in
-          if !c < cap then begin
-            incr c;
-            if !c = cap then begin
-              on_capped ();
-              decr live
-            end;
-            emit a b;
-            if !live = 0 then raise Exit
-          end
-        end;
-        incr j
-      done
-    done
-  with Exit -> ()
+  let live = ref (Array.fold_left ( + ) 0 row) in
+  (try
+     if !live = 0 then raise Exit;
+     for i = 0 to n - 1 do
+       let ia = local positions.(i) in
+       if row.(ia) > 0 then begin
+         let a = events.(positions.(i)) in
+         let j = ref (i + 1) in
+         while
+           !j < n && row.(ia) > 0 && events.(positions.(!j)).time - a.time <= near
+         do
+           sc.steps <- sc.steps + 1;
+           let b = events.(positions.(!j)) in
+           let ib = local positions.(!j) in
+           if a.tid <> b.tid && conflicting.(ia).(ib) then begin
+             let c = counts.(ia).(ib) in
+             if !c < cap then begin
+               incr c;
+               if !c = cap then begin
+                 on_capped ();
+                 row.(ia) <- row.(ia) - 1;
+                 decr live
+               end;
+               emit a b;
+               if !live = 0 then raise Exit
+             end
+           end;
+           incr j
+         done
+       end
+     done
+   with Exit -> ());
+  for x = 0 to k - 1 do
+    sc.local.(sc.rank_of_local.(x)) <- -1
+  done
 
-let extract ?(near = default_near) ?(cap = default_cap) ?(refine = true)
+let extract_with_samples ?(near = default_near) ?(cap = default_cap) ?(refine = true)
     ?metrics (log : Log.t) =
  Tspan.with_span ~name:"windows.extract" @@ fun () ->
   let t_start = Unix.gettimeofday () in
@@ -482,9 +562,11 @@ let extract ?(near = default_near) ?(cap = default_cap) ?(refine = true)
   let h_pairs_per_loc =
     if tm_on then Some (Tm.histogram "windows.pairs_per_location") else None
   in
-  let spans = frame_spans log in
-  let cache = cache_create (rank_ops log) in
-  let pair_counts : (Opid.t * Opid.t, int ref) Hashtbl.t = Hashtbl.create 64 in
+  let durations = Durations.collector log in
+  let frames = frame_table ~on_close:(Durations.collect durations) log in
+  let ranks = rank_ops log in
+  let cache = cache_create ranks in
+  let sc = scan_create ranks in
   let windows = ref [] in
   let races = ref [] in
   let nwindows = ref 0 and nraces = ref 0 in
@@ -504,18 +586,20 @@ let extract ?(near = default_near) ?(cap = default_cap) ?(refine = true)
     | Some h -> Tm.Histogram.observe_int h (b.time - a.time)
     | None -> ()
   in
-  Log.iter_addr_accesses log (fun _addr accesses ->
-      if Array.length accesses > 1 then begin
+  Log.iter_addr_accesses log (fun _addr positions ->
+      if Array.length positions > 1 then begin
         let before = !considered in
-        scan_address ~near ~cap ~pair_counts
+        scan_address ~near ~cap
           ~on_capped:(fun () -> incr capped)
-          ~emit:(fun a b -> dispatch a b (consider_one log spans cache ~refine a b))
-          accesses;
+          ~emit:(fun a b -> dispatch a b (consider_one log frames cache ~refine a b))
+          log.events ranks sc positions;
         match h_pairs_per_loc with
         | Some h -> Tm.Histogram.observe_int h (!considered - before)
         | None -> ()
       end);
   publish_cache_counts cache;
+  Tm.Counter.incr ~by:sc.steps c_scan_steps;
+  Tm.Counter.incr ~by:frames.visited c_frames_visited;
   (match metrics with
   | None -> ()
   | Some (m : Metrics.t) ->
@@ -529,4 +613,8 @@ let extract ?(near = default_near) ?(cap = default_cap) ?(refine = true)
   Tspan.add_attr "windows" (Tspan.Int !nwindows);
   Tspan.add_attr "races" (Tspan.Int !nraces);
   Tspan.add_attr "pairs" (Tspan.Int !considered);
-  (List.rev !windows, List.rev !races)
+  (List.rev !windows, List.rev !races, Durations.collected durations)
+
+let extract ?near ?cap ?refine ?metrics log =
+  let windows, races, _ = extract_with_samples ?near ?cap ?refine ?metrics log in
+  (windows, races)

@@ -36,9 +36,11 @@ let dedup pairs =
    so the per-address emission order is immaterial. *)
 let conflicting_events ?(near = 1_000_000) (log : Log.t) =
   let found = ref [] in
-  Log.iter_addr_accesses log (fun _addr accesses ->
+  Log.iter_addr_accesses log (fun _addr positions ->
       let calls =
-        Array.of_seq (Seq.filter is_unsafe_call (Array.to_seq accesses))
+        Array.of_seq
+          (Seq.filter is_unsafe_call
+             (Seq.map (Array.get log.events) (Array.to_seq positions)))
       in
       let n = Array.length calls in
       for i = 0 to n - 1 do

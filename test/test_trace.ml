@@ -315,7 +315,7 @@ let prop_cv_percentiles_match_oracle =
     (fun samples ->
       let d = Durations.create () in
       Durations.add_samples d
-        (List.map (fun (m, x) -> (Printf.sprintf "C::m%d" m, x)) samples);
+        (List.map (fun (m, x) -> (Printf.sprintf "C::m%d" m, [| x |])) samples);
       let pct = Durations.cv_percentiles d in
       List.for_all
         (fun key ->
@@ -354,6 +354,42 @@ let test_window_fold_counters () =
   (* rel: T0's write (1 event, 1 op); acq: T1's g, g, f (3 events, 2 ops) *)
   check Alcotest.int "events folded" 4 (value "windows.span.folded" - folded0);
   check Alcotest.int "side entries" 3 (value "windows.span.entries" - entries0)
+
+(* The scan and open-frame counters on a hand-built three-thread log.
+   Address 1 sees t0 write, t1 read, t2 read, t0 write (accesses a0..a3);
+   t0 runs inside an open [outer] frame whose [inner] child closed at 3,
+   and t1's [lock] frame spans a0 and a1. *)
+let test_window_scan_counters () =
+  let frame m = (Opid.enter ~cls:"C" m, Opid.exit ~cls:"C" m) in
+  let outer, _ = frame "outer" and inner_b, inner_e = frame "inner" in
+  let lock_b, lock_e = frame "lock" in
+  let log =
+    mklog
+      [ ev 1 0 outer; ev 2 0 inner_b; ev 3 0 inner_e; ev 5 1 lock_b; ev 10 0 wf;
+        ev 20 1 rf; ev 25 1 lock_e; ev 30 2 rf; ev 40 0 wf ]
+  in
+  let value name = Sherlock_telemetry.Metrics.(Counter.value (counter name)) in
+  let counts ~cap =
+    let steps0 = value "windows.scan.steps" in
+    let visited0 = value "windows.open_frames.visited" in
+    let windows, races = Windows.extract ~cap log in
+    ( List.length windows,
+      List.length races,
+      value "windows.scan.steps" - steps0,
+      value "windows.open_frames.visited" - visited0 )
+  in
+  let quad = Alcotest.(pair (pair int int) (pair int int)) in
+  let flat (w, r, s, v) = ((w, r), (s, v)) in
+  (* Cap 15: a0 tests a1, a2, a3; a1 tests a2, a3; a2 tests a3: six
+     steps.  Candidates (a0,a1) (a0,a2) (a1,a3) (a2,a3); the acquire
+     side's open-frame query visits t1's [lock] for (a0,a1), nothing of
+     t2, and t0's [inner] then its parent [outer] for each of the last
+     two. *)
+  check quad "cap 15" ((2, 2), (6, 5)) (flat (counts ~cap:15));
+  (* Cap 1: (a0,a1) caps the write/read pair, (a1,a3) the read/write
+     pair, which leaves the read row empty: a1's inner loop ends there
+     and a2 is skipped, so five steps and two candidates. *)
+  check quad "cap 1" ((1, 1), (5, 3)) (flat (counts ~cap:1))
 
 let test_window_near_filter () =
   let log = mklog [ ev 10 0 wf; ev 5_000_000 1 rf ] in
@@ -422,6 +458,24 @@ let test_window_progressed_frame_excluded () =
   let windows, _ = Windows.extract log in
   let w = List.hd windows in
   check Alcotest.bool "progressed begin excluded" false (Windows.Side.mem bm w.acq)
+
+let test_window_open_frame_behind_closed () =
+  (* Thread 1 pushes outer, mid and leaf at 5, then closes outer out of
+     order and leaf, all at 5: only mid is open when the window starts at
+     10, below the last frame pushed, which is closed.  Nothing of thread
+     1 lies strictly inside (5, 10), so mid is a candidate. *)
+  let frame m = (Opid.enter ~cls:"C" m, Opid.exit ~cls:"C" m) in
+  let outer_b, outer_e = frame "outer" and mid_b, _ = frame "mid" in
+  let leaf_b, leaf_e = frame "leaf" in
+  let log =
+    mklog
+      [ ev 5 1 outer_b; ev 5 1 mid_b; ev 5 1 leaf_b; ev 5 1 outer_e; ev 5 1 leaf_e;
+        ev 10 0 wf; ev 20 1 rf ]
+  in
+  let windows, _ = Windows.extract log in
+  let w = List.hd windows in
+  check Alcotest.(list bool) "mid only" [ true; false; false ]
+    (List.map (fun op -> Windows.Side.mem op w.acq) [ mid_b; outer_b; leaf_b ])
 
 let test_window_occurrence_counts () =
   let log = mklog [ ev 10 0 wf; ev 20 1 rf; ev 30 1 rf; ev 40 1 rf ] in
@@ -1324,6 +1378,127 @@ let prop_extract_matches_reference =
             [ (10_000, 15, true); (3_000, 2, true); (10_000, 15, false) ])
         [ narrow; wide; relabel_sparse narrow; relabel_sparse wide ])
 
+(* The stress program's log: Monitor frames nested inside worker frames,
+   blocked [Enter] frames, and every conflicting pair inside [near], so
+   only the per-pair caps end the address scans.  Once without delays and
+   once with a delay before every Monitor::Exit completes.  Without
+   delays, the scan and the open-frame queries stay within a thousand
+   steps each (the full 126k-event log of the same program takes 810
+   and 660): once the caps are reached, an access costs no candidate
+   tests and a query only its enclosing frames. *)
+let test_extract_stress_matches_reference () =
+  let open Sherlock_sim in
+  let exit_delay (op : Opid.t) =
+    if op.kind = Opid.End && op.cls = "System.Threading.Monitor" && op.member = "Exit"
+    then 1_000
+    else 0
+  in
+  let value name = Sherlock_telemetry.Metrics.(Counter.value (counter name)) in
+  List.iter
+    (fun (name, delay_before, delayed) ->
+      let log =
+        Runtime.run ~seed:42 ~instrument:(Runtime.tracing ~delay_before ())
+          (Sherlock_corpus.Workload.stress ~workers:6 ~iters:150)
+      in
+      let near = Windows.default_near and cap = Windows.default_cap in
+      check Alcotest.bool (name ^ ": delays realized") delayed
+        (Array.exists (fun (e : Event.t) -> e.delayed_by > 0) log.events);
+      check Alcotest.bool (name ^ ": every pair inside near") true (log.duration <= near);
+      let steps0 = value "windows.scan.steps" in
+      let visited0 = value "windows.open_frames.visited" in
+      let w1, r1 = Windows.extract ~near ~cap ~refine:true log in
+      if not delayed then begin
+        check Alcotest.bool (name ^ ": scan steps") true
+          (value "windows.scan.steps" - steps0 <= 1_000);
+        check Alcotest.bool (name ^ ": frames visited") true
+          (value "windows.open_frames.visited" - visited0 <= 1_000)
+      end;
+      let w2, r2 = Naive.extract ~near ~cap ~refine:true log in
+      check Alcotest.bool (name ^ ": has candidates") true (w1 <> [] || r1 <> []);
+      check Alcotest.int (name ^ ": windows") (List.length w2) (List.length w1);
+      check Alcotest.int (name ^ ": races") (List.length r2) (List.length r1);
+      check Alcotest.bool (name ^ ": same windows") true (List.for_all2 window_eq w1 w2);
+      check Alcotest.bool (name ^ ": same races") true (List.for_all2 race_eq r1 r2))
+    [ ("no delays", (fun _ -> 0), false); ("Monitor::Exit delayed", exit_delay, true) ]
+
+(* --- Reference duration samples --- *)
+
+(* Every closed frame of [Log.fold_frames] in End order, keyed by its
+   rendered [Opid.method_key], except frames whose thread has a delayed
+   event in (t_begin, t_end], found by a linear scan of the log. *)
+let naive_samples (log : Log.t) =
+  let closed, _ = Log.fold_frames log ~init:[] ~f:(fun acc f -> f :: acc) in
+  List.filter_map
+    (fun (f : Log.frame) ->
+      let delayed =
+        Array.exists
+          (fun (e : Event.t) ->
+            e.tid = f.tid && e.delayed_by > 0 && e.time > f.t_begin && e.time <= f.t_end)
+          log.events
+      in
+      if delayed then None
+      else Some (Opid.method_key f.op, float_of_int (f.t_end - f.t_begin)))
+    (List.rev closed)
+
+(* The reference grouped the way [Durations.samples_of_log] documents:
+   keys in the order of their first sample, samples in End order. *)
+let group_samples flat =
+  let keys =
+    List.rev
+      (List.fold_left (fun ks (k, _) -> if List.mem k ks then ks else k :: ks) [] flat)
+  in
+  List.map
+    (fun k -> (k, List.filter_map (fun (k', d) -> if k = k' then Some d else None) flat))
+    keys
+
+let same_bits a b =
+  List.map Int64.bits_of_float a = List.map Int64.bits_of_float b
+
+let same_groups groups reference =
+  List.length groups = List.length reference
+  && List.for_all2
+       (fun (k1, d1) (k2, d2) -> k1 = k2 && same_bits (Array.to_list d1) d2)
+       groups reference
+
+(* Recording runs one after another leaves each key's samples latest
+   first, as prepending every reference sample in turn does. *)
+let same_table runs =
+  let d = Durations.create () in
+  List.iter (Durations.record_log d) runs;
+  let flat = List.concat_map naive_samples runs in
+  let expected key =
+    List.fold_left (fun acc (k, x) -> if k = key then x :: acc else acc) [] flat
+  in
+  let keys = List.sort_uniq compare (List.map fst flat) in
+  List.sort compare (Durations.methods d) = keys
+  && List.for_all (fun k -> same_bits (Durations.samples d k) (expected k)) keys
+
+let prop_durations_match_reference =
+  QCheck.Test.make ~name:"duration samples match the naive reference" ~count:300
+    QCheck.(pair (make gen_ops_delayed) (make gen_ops_wide))
+    (fun (narrow, wide) ->
+      let logs = List.map mklog [ narrow; wide; relabel_sparse narrow; relabel_sparse wide ] in
+      List.for_all
+        (fun log ->
+          let reference = group_samples (naive_samples log) in
+          let _, _, from_extraction = Windows.extract_with_samples log in
+          same_groups (Durations.samples_of_log log) reference
+          && same_groups from_extraction reference)
+        logs
+      && same_table logs)
+
+(* Keys collide when names contain ':' ("frames match on key"): both
+   spellings of "A::::B" land in one group, in End order. *)
+let test_durations_colon_keys () =
+  let odd_b = Opid.enter ~cls:"A:" ":B" and odd_e = Opid.exit ~cls:"A:" ":B" in
+  let b = Opid.enter ~cls:"A" "::B" and e = Opid.exit ~cls:"A" "::B" in
+  let log = mklog [ ev 10 0 odd_b; ev 25 0 e; ev 30 0 b; ev 70 0 odd_e ] in
+  let samples = Durations.samples_of_log log in
+  check Alcotest.(list (pair string (array (float 0.0))))
+    "one group" [ ("A::::B", [| 15.0; 40.0 |]) ] samples;
+  check Alcotest.bool "matches the reference" true
+    (same_groups samples (group_samples (naive_samples log)) && same_table [ log; log ])
+
 let test_synth_deterministic () =
   let a = Sherlock_trace.Synth.log ~seed:3 ~addrs:32 ~threads:4 ~events:5_000 () in
   let b = Sherlock_trace.Synth.log ~seed:3 ~addrs:32 ~threads:4 ~events:5_000 () in
@@ -1528,12 +1703,16 @@ let () =
           Alcotest.test_case "delayed frames skipped" `Quick
             test_durations_skip_delayed_frames;
           Alcotest.test_case "cv percentile" `Quick test_durations_cv_percentile;
+          Alcotest.test_case "colon keys share a group" `Quick test_durations_colon_keys;
           QCheck_alcotest.to_alcotest prop_cv_percentiles_match_oracle;
         ] );
       ( "windows",
         [
           Alcotest.test_case "basic" `Quick test_window_basic;
           Alcotest.test_case "fold counters" `Quick test_window_fold_counters;
+          Alcotest.test_case "scan and frame counters" `Quick test_window_scan_counters;
+          Alcotest.test_case "stress log matches the naive reference" `Quick
+            test_extract_stress_matches_reference;
           Alcotest.test_case "near filter" `Quick test_window_near_filter;
           Alcotest.test_case "same thread" `Quick test_window_same_thread_excluded;
           Alcotest.test_case "read/read" `Quick test_window_read_read_excluded;
@@ -1544,6 +1723,8 @@ let () =
           Alcotest.test_case "open frame acquires" `Quick test_window_open_frame_acquire;
           Alcotest.test_case "progressed frame excluded" `Quick
             test_window_progressed_frame_excluded;
+          Alcotest.test_case "open frame behind closed ones" `Quick
+            test_window_open_frame_behind_closed;
           Alcotest.test_case "occurrence counts" `Quick test_window_occurrence_counts;
           Alcotest.test_case "refinement: propagated" `Quick test_refinement_propagated;
           Alcotest.test_case "refinement: not propagated" `Quick
@@ -1585,6 +1766,6 @@ let () =
         qcheck
           [ prop_windows_no_crash; prop_window_sides_nonempty; prop_log_sorted;
             prop_trace_io_roundtrip; prop_trace_formats_roundtrip;
-            prop_extract_matches_reference;
+            prop_extract_matches_reference; prop_durations_match_reference;
             prop_synth_sides_match_map_fold ] );
     ]

@@ -28,6 +28,15 @@
    each log's text and binary encodings, and the events decoded back
    from each, so it shows both formats write and read identically.
 
+   A seventh line, [durations], hashes the method-duration samples of
+   the same logs: per test, all six runs are recorded into one
+   {!Sherlock_trace.Durations.t} in run order, and every method key is
+   hashed in key order with its samples' exact bits ([%h]) in the order
+   the frames closed ([End] order, earlier runs first).  It shows sample
+   recovery and the per-method lists the CV ranks are computed from are
+   identical.  It uses only [Durations.record_log], [samples] and
+   [methods], so the same file builds against older trees.
+
    [--dump FILE] writes the rounds the [warm], [cold] and [provenance]
    lines hash as text, one line per round: section, seed, app and round,
    then the objective and each verdict's probability at %.17g.  The
@@ -240,10 +249,22 @@ let add_codec b log =
       Buffer.add_string b (Digest.string (Buffer.contents decoded)))
     [ Trace_io.Text; Trace_io.Binary ]
 
-let log_and_codec_digests () =
+(* Every duration sample of [durs], method by method in key order: the
+   key, then each sample's bits in the order the runs completed them. *)
+let add_durations b durs =
+  let module Durations = Sherlock_trace.Durations in
+  List.iter
+    (fun key ->
+      Buffer.add_string b key;
+      List.iter (Printf.bprintf b " %h") (List.rev (Durations.samples durs key));
+      Buffer.add_char b '\n')
+    (List.sort String.compare (Durations.methods durs))
+
+let log_codec_and_duration_digests () =
   let module Runtime = Sherlock_sim.Runtime in
   let b = Buffer.create (1 lsl 20) in
   let codec = Buffer.create (1 lsl 16) in
+  let durations = Buffer.create (1 lsl 16) in
   let tests =
     List.concat_map
       (fun (app : Sherlock_corpus.App.t) ->
@@ -253,6 +274,7 @@ let log_and_codec_digests () =
   in
   List.iter
     (fun (name, body) ->
+      let durs = Sherlock_trace.Durations.create () in
       for seed = 1 to 3 do
         List.iter
           (fun (plan, instrument) ->
@@ -260,15 +282,18 @@ let log_and_codec_digests () =
             match Runtime.run ~seed ~instrument body with
             | log ->
               add_log b log;
-              add_codec codec log
+              add_codec codec log;
+              Sherlock_trace.Durations.record_log durs log
             | exception e -> Printf.bprintf b "! %s\n" (Printexc.to_string e))
           [
             ("none", Runtime.tracing ());
             ("fixed", Runtime.tracing ~delay_before:fixed_delay ());
           ]
-      done)
+      done;
+      Printf.bprintf durations "%s\n" name;
+      add_durations durations durs)
     tests;
-  (hex b, hex codec)
+  (hex b, hex codec, hex durations)
 
 let () =
   let seeds = ref 30 and dump = ref "" and against_file = ref "" in
@@ -294,9 +319,10 @@ let () =
     Out_channel.with_open_text !dump (fun oc -> Buffer.output_buffer oc d);
   let agree = !against_file = "" || against !against_file (Buffer.contents d) in
   Printf.printf "%-10s %s\n%!" "extract" (extract_digest ());
-  let log, codec = log_and_codec_digests () in
+  let log, codec, durations = log_codec_and_duration_digests () in
   Printf.printf "%-10s %s\n%!" "log" log;
   Printf.printf "%-10s %s\n%!" "codec" codec;
+  Printf.printf "%-10s %s\n%!" "durations" durations;
   Printf.printf "(%d seeds x %d apps, %d rounds each)\n" !seeds
     (List.length (Sherlock_corpus.Registry.all ()))
     base.rounds;
