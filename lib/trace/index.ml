@@ -9,6 +9,7 @@ type per_thread = {
   progress : int array;
   delayed_positions : int array;
   delayed_times : int array;
+  begins : int;
 }
 
 type t = {
@@ -110,6 +111,7 @@ let empty_thread =
     progress = [| 0 |];
     delayed_positions = [||];
     delayed_times = [||];
+    begins = 0;
   }
 
 let is_access (e : Event.t) =
@@ -142,12 +144,14 @@ let build (events : Event.t array) =
           progress = Array.make (c + 1) 0;
           delayed_positions = Array.make d 0;
           delayed_times = Array.make d 0;
+          begins = 0;
         })
   in
   let accesses = Array.init (Ids.length addrs) (fun k -> Array.make (Ids.count addrs k) 0) in
   let tcur = Array.make (Ids.length tids) 0 in
   let dcur = Array.make (Ids.length tids) 0 in
   let acur = Array.make (Ids.length addrs) 0 in
+  let bcount = Array.make (Ids.length tids) 0 in
   for i = 0 to n - 1 do
     let e = Array.unsafe_get events i in
     let k = Ids.find tids e.tid in
@@ -155,8 +159,15 @@ let build (events : Event.t array) =
     let c = Array.unsafe_get tcur k in
     Array.unsafe_set pt.positions c i;
     Array.unsafe_set pt.times c e.time;
-    Array.unsafe_set pt.progress (c + 1)
-      (Array.unsafe_get pt.progress c + match e.op.kind with Opid.Read -> 0 | _ -> 1);
+    let progressed =
+      match e.op.kind with
+      | Opid.Read -> 0
+      | Opid.Begin ->
+        Array.unsafe_set bcount k (Array.unsafe_get bcount k + 1);
+        1
+      | Opid.Write | Opid.End -> 1
+    in
+    Array.unsafe_set pt.progress (c + 1) (Array.unsafe_get pt.progress c + progressed);
     Array.unsafe_set tcur k (c + 1);
     if e.delayed_by > 0 then begin
       let c = Array.unsafe_get dcur k in
@@ -172,13 +183,13 @@ let build (events : Event.t array) =
     end
   done;
   let threads = Hashtbl.create (max 16 (Ids.length tids)) in
-  Array.iteri (fun k pt -> Hashtbl.add threads (Ids.id tids k) pt) pts;
+  Array.iteri (fun k pt -> Hashtbl.add threads (Ids.id tids k) { pt with begins = bcount.(k) }) pts;
   { threads; addrs_in_order = Array.init (Ids.length addrs) (Ids.id addrs); accesses }
 
 let thread t tid =
-  match Hashtbl.find_opt t.threads tid with
-  | Some pt -> pt
-  | None -> empty_thread
+  match Hashtbl.find t.threads tid with
+  | pt -> pt
+  | exception Not_found -> empty_thread
 
 (* Number of non-Read ("progress") events of [tid] with [lo <= time <= hi]. *)
 let progress_count t ~tid ~lo ~hi =

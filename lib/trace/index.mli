@@ -24,6 +24,7 @@ type per_thread = {
           the thread's first [i] events; length = #events + 1 *)
   delayed_positions : int array;  (** offsets of events with [delayed_by > 0] *)
   delayed_times : int array;
+  begins : int;  (** number of [Begin] events: the frames the thread pushes *)
 }
 
 type t

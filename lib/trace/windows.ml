@@ -230,8 +230,8 @@ let all_kinds_are side kind =
 (* Every method frame of one thread by push index (see
    {!Log.fold_frames}): its op, begin time (ascending), end time
    ([max_int] while open) and parent.  Each array is sized from the
-   thread's [Begin] count, so building the table allocates nothing
-   beyond it; the fold's frame records die young. *)
+   thread's [Begin] count ({!Index.per_thread}), so building the table
+   allocates nothing beyond it; the fold's frame records die young. *)
 type thread_frames = {
   ops : Opid.t array;
   begins : int array;
@@ -251,15 +251,10 @@ type frames = {
 let frame_table ~on_close (log : Log.t) =
   let by_tid = Hashtbl.create 16 in
   let table (f : Log.frame) =
-    match Hashtbl.find_opt by_tid f.tid with
-    | Some t -> t
-    | None ->
-      let pt = Index.thread (Log.index log) f.tid in
-      let n =
-        Array.fold_left
-          (fun n p -> if log.events.(p).op.kind = Opid.Begin then n + 1 else n)
-          0 pt.positions
-      in
+    match Hashtbl.find by_tid f.tid with
+    | t -> t
+    | exception Not_found ->
+      let n = (Index.thread (Log.index log) f.tid).begins in
       let t =
         {
           ops = Array.make n f.op;
