@@ -7,7 +7,8 @@
     - a per-thread index: each thread's event offsets and times in
       ascending order, with a prefix count of its non-[Read] ("progress")
       events — binary search turns "events of thread [t] in [lo, hi]" and
-      "did [t] progress inside [lo, hi]" into O(log n) lookups;
+      "did [t] progress inside [lo, hi]" into O(log n) lookups — and its
+      number of [Begin] events, which sizes the extraction's frame table;
     - a per-address access index: the offsets of each traced address's
       [Read]/[Write] events in time order, in address first-seen order
       (offsets, like every other view, so an extraction can key an
