@@ -310,6 +310,7 @@ let run_cmd =
              else ""))
         result.rounds;
       Report.print_round_metrics Format.std_formatter result.rounds;
+      Report.print_simulator_summary Format.std_formatter ();
       Report.print_extraction_summary Format.std_formatter ();
       if telemetry_out <> None then
         Format.printf "%a@." Telemetry.Metrics.pp_summary Telemetry.Metrics.default
@@ -854,6 +855,17 @@ let render_stats ppf (p : Telemetry.Snapshot.point) =
     if h "encoder.lp_s" <> None then
       pr "    solve: encode / lp      %.3fs / %.3fs@." (hist_sum "encoder.encode_s")
         (hist_sum "encoder.lp_s");
+    pr "@."
+  end;
+  (* Simulator totals (published by every run). *)
+  let runs = c "sim.runs" and sim_events = c "sim.events" in
+  if runs > 0 then begin
+    pr "  simulator@.";
+    pr "    runs           %d, %d events, %d scheduler picks@." runs sim_events
+      (c "sim.picks");
+    if sim_events > 0 then
+      pr "    allocation     %.1f minor words per event@."
+        (float_of_int (c "sim.minor_words") /. float_of_int sim_events);
     pr "@."
   end;
   (* Extraction-cache effectiveness. *)

@@ -155,6 +155,21 @@ let print_extraction_summary ppf () =
       (v "windows.scan.steps")
       (v "windows.open_frames.visited")
 
+(* Simulator totals for the -v report, from the counters every
+   [Runtime.run] publishes (telemetry on or off). *)
+let print_simulator_summary ppf () =
+  let module Tm = Sherlock_telemetry.Metrics in
+  let v name = Tm.Counter.value (Tm.counter name) in
+  let runs = v "sim.runs" and events = v "sim.events" in
+  if runs > 0 then
+    Format.fprintf ppf
+      "simulator: %d runs, %d events, %d scheduler picks, %s minor words per event@."
+      runs events (v "sim.picks")
+      (if events > 0 then
+         Printf.sprintf "%.1f"
+           (float_of_int (v "sim.minor_words") /. float_of_int events)
+       else "n/a")
+
 (* One line per failed attempt, in (round, test) order; silent when the
    whole inference was clean. *)
 let print_run_failures ppf (rounds : Orchestrator.round_result list) =

@@ -47,6 +47,12 @@ val print_round_metrics : Format.formatter -> Orchestrator.round_result list -> 
     or cold, or degraded ("LP"), its pivots, and the cap rows its column bounds kept out of
     the matrix ("Bound rows"). *)
 
+val print_simulator_summary : Format.formatter -> unit -> unit
+(** Simulator totals from the default metrics registry: runs, events
+    recorded, scheduler picks, and [Gc.minor_words] allocated per event
+    while the runs ran.  Prints nothing when no run has happened in this
+    process. *)
+
 val print_extraction_summary : Format.formatter -> unit -> unit
 (** Window-extraction cache effectiveness from the default metrics
     registry: span-cache hit rate (hits of total lookups), events folded

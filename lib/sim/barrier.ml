@@ -1,5 +1,7 @@
 let cls = "System.Threading.Barrier"
 
+let m_signal_and_wait = Runtime.Method.make ~cls "SignalAndWait"
+
 type t = {
   id : int;
   participants : int;
@@ -23,7 +25,7 @@ let id t = t.id
 let phase t = t.phase
 
 let signal_and_wait t =
-  Runtime.frame ~cls ~meth:"SignalAndWait" ~obj:t.id (fun () ->
+  Runtime.call m_signal_and_wait ~obj:t.id (fun () ->
       let my_phase = t.phase in
       t.arrived <- t.arrived + 1;
       if t.arrived = t.participants then begin

@@ -1,5 +1,7 @@
 let cls = "System.Collections.Concurrent.ConcurrentDictionary"
 
+let m_get_or_add = Runtime.Method.make ~cls "GetOrAdd"
+
 type ('k, 'v) t = {
   id : int;
   table : ('k, 'v) Hashtbl.t;
@@ -30,7 +32,7 @@ let unlock t =
   ignore (Runtime.wake_one t.queue)
 
 let get_or_add t key ~delegate f =
-  Runtime.frame ~cls ~meth:"GetOrAdd" ~obj:t.id (fun () ->
+  Runtime.call m_get_or_add ~obj:t.id (fun () ->
       lock t;
       let v =
         match Hashtbl.find_opt t.table key with

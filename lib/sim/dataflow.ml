@@ -1,5 +1,9 @@
 let cls = "System.Threading.Tasks.Dataflow.DataflowBlock"
 
+let m_post = Runtime.Method.make ~cls "Post"
+
+let m_receive = Runtime.Method.make ~cls "Receive"
+
 type 'a t = {
   id : int;
   items : 'a Queue.t;
@@ -14,12 +18,12 @@ let id t = t.id
 let length t = Queue.length t.items
 
 let post t x =
-  Runtime.frame ~cls ~meth:"Post" ~obj:t.id (fun () ->
+  Runtime.call m_post ~obj:t.id (fun () ->
       Queue.push x t.items;
       ignore (Runtime.wake_one t.queue))
 
 let receive t =
-  Runtime.frame ~cls ~meth:"Receive" ~obj:t.id (fun () ->
+  Runtime.call m_receive ~obj:t.id (fun () ->
       let rec take () =
         match Queue.take_opt t.items with
         | Some x -> x
@@ -30,4 +34,4 @@ let receive t =
       take ())
 
 let try_receive t =
-  Runtime.frame ~cls ~meth:"Receive" ~obj:t.id (fun () -> Queue.take_opt t.items)
+  Runtime.call m_receive ~obj:t.id (fun () -> Queue.take_opt t.items)

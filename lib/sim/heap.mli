@@ -15,7 +15,10 @@ type 'a t
 
 val cell : cls:string -> field:string -> ?volatile:bool -> 'a -> 'a t
 (** Allocate inside a running simulation.  [volatile] marks the address in
-    the log for the manually-annotated race detector only. *)
+    the log for the manually-annotated race detector only.  The cell's
+    read, write, getter and setter op ids are created here, so a [cls] or
+    [field] that {!Sherlock_trace.Opid.check_name} rejects raises
+    [Invalid_argument] from [cell], not at the first access. *)
 
 val read : 'a t -> 'a
 

@@ -1,5 +1,9 @@
 let cls = "System.Threading.Monitor"
 
+let m_enter = Runtime.Method.make ~cls "Enter"
+
+let m_exit = Runtime.Method.make ~cls "Exit"
+
 exception Not_owner of {
   lock : int;
   owner : int option;
@@ -30,7 +34,7 @@ let create () =
   { id = Runtime.fresh_id (); owner = None; depth = 0; queue = Runtime.Waitq.create () }
 
 let enter t =
-  Runtime.frame ~cls ~meth:"Enter" ~obj:t.id (fun () ->
+  Runtime.call m_enter ~obj:t.id (fun () ->
       let me = Runtime.self () in
       let rec loop () =
         match t.owner with
@@ -45,7 +49,7 @@ let enter t =
       loop ())
 
 let exit t =
-  Runtime.frame ~cls ~meth:"Exit" ~obj:t.id (fun () ->
+  Runtime.call m_exit ~obj:t.id (fun () ->
       let me = Runtime.self () in
       (match t.owner with
       | Some o when o = me -> ()

@@ -1,0 +1,79 @@
+module Rng = Sherlock_util.Rng
+
+type 'a t = {
+  dummy : 'a;
+  mutable len : int;
+  mutable tids : int array;
+  mutable clocks : int array;
+  mutable values : 'a array;
+}
+
+let create ~dummy =
+  {
+    dummy;
+    len = 0;
+    tids = Array.make 8 0;
+    clocks = Array.make 8 0;
+    values = Array.make 8 dummy;
+  }
+
+let length r = r.len
+
+let grow r =
+  let n = 2 * Array.length r.tids in
+  let extend a fill =
+    let b = Array.make n fill in
+    Array.blit a 0 b 0 r.len;
+    b
+  in
+  r.tids <- extend r.tids 0;
+  r.clocks <- extend r.clocks 0;
+  r.values <- extend r.values r.dummy
+
+let push r ~tid ~clock v =
+  if r.len = Array.length r.tids then grow r;
+  r.tids.(r.len) <- tid;
+  r.clocks.(r.len) <- clock;
+  r.values.(r.len) <- v;
+  r.len <- r.len + 1
+
+(* One newest-first pass finds the minimum clock and how many entries
+   hold it; only a tie draws, and the draw's [k] counts tied entries
+   newest first.  Both are the scheduler's pick order: changing either
+   changes every schedule. *)
+let pick r rng =
+  let min = ref max_int and count = ref 0 and slot = ref (-1) in
+  for i = r.len - 1 downto 0 do
+    let c = r.clocks.(i) in
+    if c < !min then begin
+      min := c;
+      count := 1;
+      slot := i
+    end
+    else if c = !min then incr count
+  done;
+  if !count > 1 then begin
+    let k = ref (Rng.int rng !count) and i = ref r.len in
+    while !k >= 0 do
+      decr i;
+      if r.clocks.(!i) = !min then decr k
+    done;
+    slot := !i
+  end;
+  !slot
+
+let tid r i = r.tids.(i)
+
+let clock r i = r.clocks.(i)
+
+let remove r i =
+  let v = r.values.(i) in
+  let last = r.len - 1 in
+  for j = i to last - 1 do
+    r.tids.(j) <- r.tids.(j + 1);
+    r.clocks.(j) <- r.clocks.(j + 1);
+    r.values.(j) <- r.values.(j + 1)
+  done;
+  r.values.(last) <- r.dummy;
+  r.len <- last;
+  v

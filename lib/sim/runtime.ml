@@ -44,12 +44,13 @@ let no_hooks =
     on_fault = (fun ~tid:_ ~op:_ ~action:_ ~time:_ -> ());
   }
 
+module Tm = Sherlock_telemetry.Metrics
+
 (* When telemetry is on, scheduling decisions additionally bump the
-   process-wide counters; the counters are resolved once per [run]. *)
+   process-wide counters; the counters are resolved once per [run].
+   Picks are not among them: [sim.picks] counts them for every run. *)
 let counting_hooks base =
-  let module Tm = Sherlock_telemetry.Metrics in
-  let picks = Tm.counter "sim.sched.picks"
-  and blocks = Tm.counter "sim.sched.blocks"
+  let blocks = Tm.counter "sim.sched.blocks"
   and wakes = Tm.counter "sim.sched.wakes"
   and spawns = Tm.counter "sim.sched.spawns"
   and faults = Tm.counter "sim.fault.injected" in
@@ -66,10 +67,7 @@ let counting_hooks base =
       (fun ~waker ~tid ~time ->
         Tm.Counter.incr wakes;
         base.on_wake ~waker ~tid ~time);
-    on_pick =
-      (fun ~tid ~time ~runnable ->
-        Tm.Counter.incr picks;
-        base.on_pick ~tid ~time ~runnable);
+    on_pick = base.on_pick;
     on_finish = base.on_finish;
     on_fault =
       (fun ~tid ~op ~action ~time ->
@@ -88,9 +86,12 @@ type thread = {
 }
 
 module Waitq = struct
-  type t = { mutable entries : (thread * (unit -> unit)) list (* FIFO, append at tail *) }
+  type t = {
+    mutable entries : (thread * (unit -> unit)) list;  (* FIFO, append at tail *)
+    mutable registered : bool;  (* in the running world's [waitqs] *)
+  }
 
-  let create () = { entries = [] }
+  let create () = { entries = []; registered = false }
 
   let waiters t = List.length t.entries
 end
@@ -105,7 +106,7 @@ type world = {
   max_steps : int;  (* scheduler picks before [Stalled]; 0 = unlimited *)
   mutable steps : int;
   mutable threads : thread list;
-  mutable ready : (thread * (unit -> unit)) list;
+  ready : (unit -> unit) Ready.t;
   mutable waitqs : Waitq.t list;  (* every queue ever blocked on, for spurious wakeups *)
   events : Log.Builder.t;
   mutable live_nondaemon : int;
@@ -167,16 +168,28 @@ let wake_one q =
 let wake_all q =
   try Effect.perform (Wake (q, true)) with Effect.Unhandled _ -> outside_run "wake_all"
 
-let frame ~cls ~meth ?(obj = 0) f =
-  traced (Opid.enter ~cls meth) ~target:obj;
-  let finish () = traced (Opid.exit ~cls meth) ~target:obj in
+module Method = struct
+  type t = {
+    enter : Opid.t;
+    exit : Opid.t;
+  }
+
+  let make ~cls name =
+    let enter = Opid.enter ~cls name in
+    { enter; exit = Opid.counterpart enter }
+end
+
+let call (m : Method.t) ~obj f =
+  traced m.enter ~target:obj;
   match f () with
   | v ->
-    finish ();
+    traced m.exit ~target:obj;
     v
   | exception e ->
-    finish ();
+    traced m.exit ~target:obj;
     raise e
+
+let frame ~cls ~meth ?(obj = 0) f = call (Method.make ~cls meth) ~obj f
 
 module Slot = struct
   type 'a t = string
@@ -198,24 +211,10 @@ let bump_clock w t dt =
   t.clock <- t.clock + dt;
   if t.clock > w.max_clock then w.max_clock <- t.clock
 
-let push_ready w t resume = w.ready <- (t, resume) :: w.ready
-
-(* Pick the ready thread with the smallest clock; random tie-break keeps
-   equal-clock orderings varied across seeds. *)
-let pick w =
-  match w.ready with
-  | [] -> None
-  | ready ->
-    let min_clock = List.fold_left (fun acc (t, _) -> min acc t.clock) max_int ready in
-    let mins = List.filter (fun (t, _) -> t.clock = min_clock) ready in
-    let t, resume =
-      match mins with
-      | [ one ] -> one
-      | _ -> List.nth mins (Rng.int w.rng (List.length mins))
-    in
-    w.ready <- List.filter (fun (t', _) -> t'.tid <> t.tid) ready;
-    w.hooks.on_pick ~tid:t.tid ~time:t.clock ~runnable:(List.length ready);
-    Some (t, resume)
+(* A ready thread's clock cannot change until it is picked (only the
+   running thread's clock and blocked threads' clocks are ever moved), so
+   the clock stored at the push is the one the pick compares. *)
+let push_ready w t resume = Ready.push w.ready ~tid:t.tid ~clock:t.clock resume
 
 let op_cost w =
   let base = 1 + Rng.int w.rng 3 in
@@ -303,8 +302,7 @@ let rec exec_thread : world -> thread -> (unit -> unit) -> unit =
                   bump_clock w t (op_cost w);
                   if w.instrument.trace then
                     Log.Builder.add w.events
-                      (Event.make ~time:t.clock ~tid:t.tid ~op ~target
-                         ~delayed_by:delay ());
+                      { time = t.clock; tid = t.tid; op; target; delayed_by = delay };
                   push_ready w t (fun () -> continue k ()))
           | Sleep n ->
             Some
@@ -316,7 +314,10 @@ let rec exec_thread : world -> thread -> (unit -> unit) -> unit =
               (fun (k : (a, unit) continuation) ->
                 t.blocked <- true;
                 w.hooks.on_block ~tid:t.tid ~time:t.clock;
-                if not (List.memq q w.waitqs) then w.waitqs <- q :: w.waitqs;
+                if not q.registered then begin
+                  q.registered <- true;
+                  w.waitqs <- q :: w.waitqs
+                end;
                 q.entries <-
                   q.entries
                   @ [
@@ -399,8 +400,7 @@ let rec exec_thread : world -> thread -> (unit -> unit) -> unit =
 
 let run ?(seed = 0) ?(instrument = no_instrument) ?(noise = 40)
     ?(hooks = no_hooks) ?(fault = Fault.empty) ?(max_steps = 0) body =
-  let hooks =
-    if Sherlock_telemetry.Metrics.enabled () then counting_hooks hooks else hooks
+  let hooks = if Tm.enabled () then counting_hooks hooks else hooks
   in
   let w =
     {
@@ -413,7 +413,7 @@ let run ?(seed = 0) ?(instrument = no_instrument) ?(noise = 40)
       max_steps;
       steps = 0;
       threads = [];
-      ready = [];
+      ready = Ready.create ~dummy:ignore;
       waitqs = [];
       events = Log.Builder.create ();
       live_nondaemon = 1;
@@ -437,10 +437,17 @@ let run ?(seed = 0) ?(instrument = no_instrument) ?(noise = 40)
   in
   w.threads <- [ main ];
   push_ready w main (fun () -> exec_thread w main body);
+  let minor_words0 = Gc.minor_words () in
   let rec loop () =
-    if w.live_nondaemon > 0 then
-      match pick w with
-      | Some (_, resume) ->
+    if w.live_nondaemon > 0 then begin
+      let runnable = Ready.length w.ready in
+      if runnable > 0 then begin
+        (* Smallest clock first; the random tie-break keeps equal-clock
+           orderings varied across seeds. *)
+        let i = Ready.pick w.ready w.rng in
+        let tid = Ready.tid w.ready i and time = Ready.clock w.ready i in
+        let resume = Ready.remove w.ready i in
+        w.hooks.on_pick ~tid ~time ~runnable;
         w.steps <- w.steps + 1;
         if w.max_steps > 0 && w.steps > w.max_steps then begin
           (* Livelock watchdog: the run is making scheduler transitions
@@ -452,13 +459,31 @@ let run ?(seed = 0) ?(instrument = no_instrument) ?(noise = 40)
         end;
         resume ();
         loop ()
-      | None ->
+      end
+      else begin
         let stuck =
           List.filter (fun t -> t.alive && t.blocked && not t.daemon) w.threads
         in
         let names = String.concat ", " (List.map (fun t -> t.name) stuck) in
         raise (Deadlock names)
+      end
+    end
   in
-  loop ();
+  (* Per-run totals, published once at the end of every run, failed
+     ones included, whether or not telemetry is on. *)
+  let publish () =
+    let add name by = Tm.Counter.incr ~by (Tm.counter name) in
+    add "sim.runs" 1;
+    add "sim.events" (Log.Builder.length w.events);
+    add "sim.picks" w.steps;
+    add "sim.minor_words" (int_of_float (Gc.minor_words () -. minor_words0))
+  in
+  (* A queue can outlive the run (it is created by the caller), so the
+     next run must see it unregistered. *)
+  let finally () =
+    publish ();
+    List.iter (fun (q : Waitq.t) -> q.registered <- false) w.waitqs
+  in
+  Fun.protect ~finally loop;
   Log.Builder.finish w.events ~duration:w.max_clock ~threads:w.next_tid
     ~volatile_addrs:w.volatile_addrs

@@ -15,6 +15,19 @@
     exactly the behaviour the Acquisition-Time-Varies hypothesis and the
     delay-propagation check rely on.
 
+    At each scheduling point the scheduler picks the ready thread with
+    the smallest clock; among threads tied at it, it draws [Rng.int n]
+    over the [n] tied ones counted newest-pushed first (see {!Ready}).  A
+    unique minimum draws nothing.  The run's random stream, and with it
+    the schedule, is fixed by this rule.
+
+    Op ids are created once per call site, not per traced operation:
+    {!Heap.cell} creates its cell's four ids, the fixed-name primitives
+    ({!Monitor}, {!Rwlock}, ...) create theirs when the module is
+    initialised, and a delegate's frame ids are created with its thread,
+    task or work item.  The name check of {!Sherlock_trace.Opid}
+    therefore runs when an id is created.
+
     All functions below except {!run} must be called from inside a running
     simulation (i.e. from the program passed to [run] or a thread it
     spawned); calling them outside raises [Failure]. *)
@@ -62,7 +75,8 @@ type hooks = {
   on_wake : waker:int -> tid:int -> time:int -> unit;
       (** [tid] resumed by [waker]; [time] is its post-jump clock *)
   on_pick : tid:int -> time:int -> runnable:int -> unit;
-      (** the scheduler elected [tid]; [runnable] other threads were ready *)
+      (** the scheduler elected [tid]; [runnable] threads were ready,
+          [tid] included *)
   on_finish : tid:int -> time:int -> unit;
   on_fault : tid:int -> op:int -> action:Fault.action -> time:int -> unit;
       (** a {!Fault} plan site fired on [tid] at its [op]th traced
@@ -88,7 +102,13 @@ val run :
     {!Fault.Injected_crash}; a hang site blocks its thread forever.
 
     [max_steps] (default 0 = unlimited) bounds scheduler picks; past the
-    bound the run aborts with {!Stalled}. *)
+    bound the run aborts with {!Stalled}.
+
+    Every run, failed ones included, adds to four counters of the default
+    metrics registry, telemetry on or off: [sim.runs] (one), [sim.events]
+    (events recorded), [sim.picks] (scheduler picks) and
+    [sim.minor_words] (the [Gc.minor_words] allocated on the run's own
+    domain while it ran). *)
 
 (** {1 Thread operations} *)
 
@@ -125,9 +145,23 @@ val traced : Opid.t -> target:int -> unit
 (** Emit one event for the current thread (subject to the delay policy);
     this is the primitive beneath {!Heap} and {!frame}. *)
 
-val frame : cls:string -> meth:string -> ?obj:int -> (unit -> 'a) -> 'a
+module Method : sig
+  type t
+  (** A method's [Begin] and [End] op ids, created together. *)
+
+  val make : cls:string -> string -> t
+  (** Raises [Invalid_argument] on a bad name (see
+      {!Sherlock_trace.Opid.check_name}). *)
+end
+
+val call : Method.t -> obj:int -> (unit -> 'a) -> 'a
 (** Run a method body between a traced [Begin] and [End] (the [End] is
-    emitted even on exceptions).  [obj] is the parent object id. *)
+    emitted even on exceptions).  [obj] is the parent object id, 0 for
+    none. *)
+
+val frame : cls:string -> meth:string -> ?obj:int -> (unit -> 'a) -> 'a
+(** [call] with the ids created at this call: for one-off frames.  A
+    frame entered repeatedly should create its {!Method.t} once. *)
 
 val register_volatile : int -> unit
 (** Mark an address volatile in the run's log metadata (consumed only by

@@ -1,5 +1,9 @@
 let cls = "System.Threading.SemaphoreSlim"
 
+let m_wait = Runtime.Method.make ~cls "Wait"
+
+let m_release = Runtime.Method.make ~cls "Release"
+
 type t = {
   id : int;
   mutable count : int;
@@ -15,13 +19,13 @@ let id t = t.id
 let count t = t.count
 
 let wait t =
-  Runtime.frame ~cls ~meth:"Wait" ~obj:t.id (fun () ->
+  Runtime.call m_wait ~obj:t.id (fun () ->
       while t.count = 0 do
         Runtime.block t.queue
       done;
       t.count <- t.count - 1)
 
 let release t =
-  Runtime.frame ~cls ~meth:"Release" ~obj:t.id (fun () ->
+  Runtime.call m_release ~obj:t.id (fun () ->
       t.count <- t.count + 1;
       ignore (Runtime.wake_one t.queue))

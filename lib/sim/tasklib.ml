@@ -2,10 +2,20 @@ let cls = "System.Threading.Tasks.Task"
 
 let factory_cls = "System.Threading.Tasks.TaskFactory"
 
+let m_start = Runtime.Method.make ~cls "Start"
+
+let m_wait = Runtime.Method.make ~cls "Wait"
+
+let m_run = Runtime.Method.make ~cls "Run"
+
+let m_continue_with = Runtime.Method.make ~cls "ContinueWith"
+
+let m_start_new = Runtime.Method.make ~cls:factory_cls "StartNew"
+
 type t = {
   id : int;
   body : unit -> unit;
-  delegate : (string * string) option;
+  delegate : Runtime.Method.t option;
   mutable completed : bool;
   mutable continuations : t list;
   done_queue : Runtime.Waitq.t;
@@ -15,7 +25,7 @@ let create ?delegate body =
   {
     id = Runtime.fresh_id ();
     body;
-    delegate;
+    delegate = Option.map (fun (cls, meth) -> Runtime.Method.make ~cls meth) delegate;
     completed = false;
     continuations = [];
     done_queue = Runtime.Waitq.create ();
@@ -27,7 +37,7 @@ let is_completed t = t.completed
 
 let run_delegate t =
   match t.delegate with
-  | Some (cls, meth) -> Runtime.frame ~cls ~meth ~obj:t.id t.body
+  | Some m -> Runtime.call m ~obj:t.id t.body
   | None -> t.body ()
 
 let rec fork t =
@@ -41,26 +51,26 @@ let rec fork t =
          t.continuations <- [];
          List.iter fork conts))
 
-let start t = Runtime.frame ~cls ~meth:"Start" ~obj:t.id (fun () -> fork t)
+let start t = Runtime.call m_start ~obj:t.id (fun () -> fork t)
 
 let wait t =
-  Runtime.frame ~cls ~meth:"Wait" ~obj:t.id (fun () ->
+  Runtime.call m_wait ~obj:t.id (fun () ->
       while not t.completed do
         Runtime.block t.done_queue
       done)
 
 let run ?delegate body =
   let t = create ?delegate body in
-  Runtime.frame ~cls ~meth:"Run" ~obj:t.id (fun () -> fork t);
+  Runtime.call m_run ~obj:t.id (fun () -> fork t);
   t
 
 let continue_with t ?delegate body =
   let next = create ?delegate body in
-  Runtime.frame ~cls ~meth:"ContinueWith" ~obj:next.id (fun () ->
+  Runtime.call m_continue_with ~obj:next.id (fun () ->
       if t.completed then fork next else t.continuations <- next :: t.continuations);
   next
 
 let start_new ?delegate body =
   let t = create ?delegate body in
-  Runtime.frame ~cls:factory_cls ~meth:"StartNew" ~obj:t.id (fun () -> fork t);
+  Runtime.call m_start_new ~obj:t.id (fun () -> fork t);
   t

@@ -1,9 +1,13 @@
 let cls = "System.Threading.Thread"
 
+let m_start = Runtime.Method.make ~cls "Start"
+
+let m_join = Runtime.Method.make ~cls "Join"
+
 type t = {
   id : int;
   body : unit -> unit;
-  delegate : (string * string) option;
+  delegate : Runtime.Method.t option;
   mutable completed : bool;
   done_queue : Runtime.Waitq.t;
 }
@@ -12,7 +16,7 @@ let create ?delegate body =
   {
     id = Runtime.fresh_id ();
     body;
-    delegate;
+    delegate = Option.map (fun (cls, meth) -> Runtime.Method.make ~cls meth) delegate;
     completed = false;
     done_queue = Runtime.Waitq.create ();
   }
@@ -20,17 +24,17 @@ let create ?delegate body =
 let id t = t.id
 
 let start t =
-  Runtime.frame ~cls ~meth:"Start" ~obj:t.id (fun () ->
+  Runtime.call m_start ~obj:t.id (fun () ->
       ignore
         (Runtime.spawn ~name:(Printf.sprintf "thread-%d" t.id) (fun () ->
              (match t.delegate with
-             | Some (cls, meth) -> Runtime.frame ~cls ~meth ~obj:t.id t.body
+             | Some m -> Runtime.call m ~obj:t.id t.body
              | None -> t.body ());
              t.completed <- true;
              ignore (Runtime.wake_all t.done_queue))))
 
 let join t =
-  Runtime.frame ~cls ~meth:"Join" ~obj:t.id (fun () ->
+  Runtime.call m_join ~obj:t.id (fun () ->
       while not t.completed do
         Runtime.block t.done_queue
       done)

@@ -1,11 +1,13 @@
 let cls = "System.Threading.ThreadPool"
 
+let m_queue_user_work_item = Runtime.Method.make ~cls "QueueUserWorkItem"
+
 let workers = 3
 
 type item = {
   id : int;
   body : unit -> unit;
-  delegate : (string * string) option;
+  delegate : Runtime.Method.t option;
 }
 
 type pool = {
@@ -25,7 +27,7 @@ let worker_loop pool () =
     match Queue.take_opt pool.queue with
     | Some item -> (
       match item.delegate with
-      | Some (cls, meth) -> Runtime.frame ~cls ~meth ~obj:item.id item.body
+      | Some m -> Runtime.call m ~obj:item.id item.body
       | None -> item.body ())
     | None -> Runtime.block pool.wakeup
   done
@@ -45,8 +47,11 @@ let ensure_workers pool =
 
 let queue_user_work_item ?delegate body =
   let pool = get_pool () in
+  let delegate =
+    Option.map (fun (cls, meth) -> Runtime.Method.make ~cls meth) delegate
+  in
   let item = { id = Runtime.fresh_id (); body; delegate } in
-  Runtime.frame ~cls ~meth:"QueueUserWorkItem" ~obj:item.id (fun () ->
+  Runtime.call m_queue_user_work_item ~obj:item.id (fun () ->
       ensure_workers pool;
       Queue.push item pool.queue;
       ignore (Runtime.wake_one pool.wakeup))

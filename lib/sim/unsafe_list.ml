@@ -2,6 +2,12 @@ open Sherlock_trace
 
 let cls = "System.Collections.Generic.List"
 
+let op_add = Opid.write ~cls "Add"
+
+let op_contains = Opid.read ~cls "Contains"
+
+let op_count = Opid.read ~cls "Count"
+
 type 'a t = {
   id : int;
   mutable items : 'a list;
@@ -12,15 +18,15 @@ let create () = { id = Runtime.fresh_id (); items = [] }
 let id t = t.id
 
 let add t x =
-  Runtime.traced (Opid.write ~cls "Add") ~target:t.id;
+  Runtime.traced op_add ~target:t.id;
   t.items <- x :: t.items
 
 let contains t x =
-  Runtime.traced (Opid.read ~cls "Contains") ~target:t.id;
+  Runtime.traced op_contains ~target:t.id;
   List.mem x t.items
 
 let count t =
-  Runtime.traced (Opid.read ~cls "Count") ~target:t.id;
+  Runtime.traced op_count ~target:t.id;
   List.length t.items
 
 let to_list t = List.rev t.items

@@ -2,6 +2,14 @@ let event_cls = "System.Threading.EventWaitHandle"
 
 let wait_cls = "System.Threading.WaitHandle"
 
+let m_set = Runtime.Method.make ~cls:event_cls "Set"
+
+let m_reset = Runtime.Method.make ~cls:event_cls "Reset"
+
+let m_wait_one = Runtime.Method.make ~cls:wait_cls "WaitOne"
+
+let m_wait_all = Runtime.Method.make ~cls:wait_cls "WaitAll"
+
 type t = {
   id : int;
   auto : bool;
@@ -19,12 +27,12 @@ let create_auto ?(signaled = false) () = make true signaled
 let id t = t.id
 
 let set t =
-  Runtime.frame ~cls:event_cls ~meth:"Set" ~obj:t.id (fun () ->
+  Runtime.call m_set ~obj:t.id (fun () ->
       t.signaled <- true;
       if t.auto then ignore (Runtime.wake_one t.queue) else ignore (Runtime.wake_all t.queue))
 
 let reset t =
-  Runtime.frame ~cls:event_cls ~meth:"Reset" ~obj:t.id (fun () -> t.signaled <- false)
+  Runtime.call m_reset ~obj:t.id (fun () -> t.signaled <- false)
 
 (* Consume a signal: true if the handle was signaled (auto handles reset). *)
 let try_consume t =
@@ -35,13 +43,13 @@ let try_consume t =
   else false
 
 let wait_one t =
-  Runtime.frame ~cls:wait_cls ~meth:"WaitOne" ~obj:t.id (fun () ->
+  Runtime.call m_wait_one ~obj:t.id (fun () ->
       while not (try_consume t) do
         Runtime.block t.queue
       done)
 
 let wait_all handles =
-  Runtime.frame ~cls:wait_cls ~meth:"WaitAll" ~obj:0 (fun () ->
+  Runtime.call m_wait_all ~obj:0 (fun () ->
       (* Wait for each in turn; manual handles stay signaled so order is
          immaterial, and auto handles are consumed exactly once. *)
       List.iter

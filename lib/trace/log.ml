@@ -158,6 +158,8 @@ module Builder = struct
     b.buf.(b.len) <- e;
     b.len <- b.len + 1
 
+  let length b = b.len
+
   (* A full buffer already in order becomes the log's array; a later
      [add] would grow into a fresh buffer and leave it untouched. *)
   let finish b ~duration ~threads ~volatile_addrs =

@@ -53,6 +53,9 @@ module Builder : sig
 
   val add : t -> Event.t -> unit
 
+  val length : t -> int
+  (** Events added so far. *)
+
   val finish : t -> duration:int -> threads:int ->
     volatile_addrs:(int, unit) Hashtbl.t -> log
 end

@@ -6,7 +6,8 @@
    thread's events, the reference for [Windows]' rank-counted sides, a
    stable sort by time, the reference for [Log]'s run merge, and the
    split-based text trace codec, the reference for [Trace_io]'s
-   one-pass one. *)
+   one-pass one, and the scheduler's list-based ready set, the reference
+   for [Sherlock_sim.Ready]. *)
 
 open Sherlock_trace
 open Sherlock_core
@@ -193,3 +194,36 @@ let log_of_text ?(path = "<string>") s =
     Log.create ~events:(List.rev !events) ~duration:!duration ~threads:!threads
       ~volatile_addrs
   | _ -> failwith (Printf.sprintf "%s:1: Trace_io: bad magic" path)
+
+(* The scheduler's ready set as a list, newest push at the head: fold for
+   the minimum clock, filter the tied entries, draw among them only on a
+   tie, filter the chosen thread out.  [pick] returns the chosen tid and
+   the number of entries that were ready, the chosen one included. *)
+module Ready_list = struct
+  module Rng = Sherlock_util.Rng
+
+  type entry = {
+    tid : int;
+    clock : int;
+  }
+
+  type t = { mutable ready : entry list }
+
+  let create () = { ready = [] }
+
+  let push r ~tid ~clock = r.ready <- { tid; clock } :: r.ready
+
+  let pick r rng =
+    match r.ready with
+    | [] -> None
+    | ready ->
+      let min_clock = List.fold_left (fun acc e -> min acc e.clock) max_int ready in
+      let mins = List.filter (fun e -> e.clock = min_clock) ready in
+      let e =
+        match mins with
+        | [ one ] -> one
+        | _ -> List.nth mins (Rng.int rng (List.length mins))
+      in
+      r.ready <- List.filter (fun e' -> e'.tid <> e.tid) ready;
+      Some (e.tid, List.length ready)
+end

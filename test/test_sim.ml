@@ -713,6 +713,38 @@ let test_fault_wakeup_deterministic () =
   let l2 = run ~seed:5 ~fault:plan program in
   check Alcotest.bool "identical replays" true (log_equal l1 l2)
 
+(* A wait queue made outside the run takes part in spurious wakeups in
+   every run that blocks on it, not only in the first: the spurious wake
+   and the real one both reach the waiter, run after run. *)
+let test_fault_wakeup_reaches_reused_queue () =
+  let q = Runtime.Waitq.create () in
+  let program () =
+    let released = ref false in
+    ignore
+      (Runtime.spawn ~name:"waiter" (fun () ->
+           while not !released do
+             Runtime.block q
+           done));
+    Runtime.sleep 10;
+    Heap.write (Heap.cell ~cls:"F.C" ~field:"x" 0) 1;
+    Runtime.sleep 10;
+    released := true;
+    ignore (Runtime.wake_all q)
+  in
+  let plan =
+    Fault.make [ { Fault.tid = 0; op = 1; action = Fault.Spurious_wakeup } ]
+  in
+  let wakes () =
+    let n = ref 0 in
+    let hooks =
+      { Runtime.no_hooks with on_wake = (fun ~waker:_ ~tid:_ ~time:_ -> incr n) }
+    in
+    ignore (Runtime.run ~hooks ~fault:plan program);
+    !n
+  in
+  check Alcotest.int "first run" 2 (wakes ());
+  check Alcotest.int "second run" 2 (wakes ())
+
 let test_fault_delay_inflation () =
   let delay_before _ = 100 in
   let base = run ~seed:2 ~delay_before worker_program in
@@ -780,6 +812,94 @@ let prop_unfired_plan_identity =
       in
       log_equal (run ~seed worker_program) (run ~seed ~fault:plan worker_program))
 
+(* --- Ready set and per-run counters --- *)
+
+(* Random push/pick sequences over at most 16 threads with clocks in
+   [0, 4), so ties are common.  A step [(0, _)] picks from both sets; any
+   other step makes the [n]-th not-ready tid (cyclically) ready at clock
+   [n / 16 mod 4] in both.  Both sets must choose the same tid with the
+   same ready count at every pick, and their generators must end on the
+   same next draw. *)
+let prop_ready_matches_list =
+  QCheck.Test.make ~name:"ready set picks like the list" ~count:300
+    QCheck.(pair small_nat (list_of_size Gen.(0 -- 300) (pair (int_bound 2) small_nat)))
+    (fun (seed, steps) ->
+      let module L = Oracles.Ready_list in
+      let module Rng = Sherlock_util.Rng in
+      let rng = Rng.create seed and rng_list = Rng.create seed in
+      let ready = Ready.create ~dummy:(-1) and list = L.create () in
+      let clock_of = Array.make 16 (-1) in
+      let agree (kind, n) =
+        if kind = 0 then
+          match L.pick list rng_list with
+          | None -> Ready.length ready = 0
+          | Some (tid, runnable) ->
+            let count = Ready.length ready in
+            let i = Ready.pick ready rng in
+            let tid' = Ready.tid ready i and clock = Ready.clock ready i in
+            let v = Ready.remove ready i in
+            let ok =
+              tid = tid' && v = tid && runnable = count && clock = clock_of.(tid)
+            in
+            clock_of.(tid) <- -1;
+            ok
+        else begin
+          let free = List.filter (fun t -> clock_of.(t) < 0) (List.init 16 Fun.id) in
+          if free <> [] then begin
+            let tid = List.nth free (n mod List.length free) in
+            let clock = n / 16 mod 4 in
+            clock_of.(tid) <- clock;
+            Ready.push ready ~tid ~clock tid;
+            L.push list ~tid ~clock
+          end;
+          true
+        end
+      in
+      List.for_all agree steps && Rng.bits64 rng = Rng.bits64 rng_list)
+
+(* The cell's op ids are created, and their names checked, by
+   [Heap.cell] itself: a bad field name raises there, before any
+   access. *)
+let test_cell_name_checked_at_creation () =
+  let outcome = ref "not run" in
+  ignore
+    (Runtime.run (fun () ->
+         match Heap.cell ~cls:"T.C" ~field:"bad field" 0 with
+         | _ -> outcome := "created"
+         | exception Invalid_argument _ -> outcome := "raised"));
+  check Alcotest.string "Heap.cell raises" "raised" !outcome
+
+(* Two threads, one traced op each: picks are main's first resume, its
+   resume after the spawn and after its read, and the worker's first
+   resume and its resume after its write. *)
+let test_sim_counters () =
+  let module Tm = Sherlock_telemetry.Metrics in
+  let names = [ "sim.runs"; "sim.events"; "sim.picks" ] in
+  let value name = Tm.Counter.value (Tm.counter name) in
+  let delta f =
+    let before = List.map value names and words = value "sim.minor_words" in
+    f ();
+    ( List.map2 (fun name b -> value name - b) names before,
+      value "sim.minor_words" - words )
+  in
+  let program () =
+    let c = Heap.cell ~cls:"T.C" ~field:"x" 0 in
+    ignore (Runtime.spawn ~name:"w" (fun () -> Heap.write c 1));
+    ignore (Heap.read c)
+  in
+  let counts = Alcotest.(list int) in
+  let traced, words = delta (fun () -> ignore (run program)) in
+  check counts "traced runs/events/picks" [ 1; 2; 5 ] traced;
+  check Alcotest.bool "minor words counted" true (words > 0);
+  let untraced, _ = delta (fun () -> ignore (Runtime.run program)) in
+  check counts "untraced runs/events/picks" [ 1; 0; 5 ] untraced;
+  let deadlocked, _ =
+    delta (fun () ->
+        try ignore (Runtime.run (fun () -> Runtime.block (Runtime.Waitq.create ())))
+        with Runtime.Deadlock _ -> ())
+  in
+  check counts "failed run still counted" [ 1; 0; 1 ] deadlocked
+
 let () =
   Alcotest.run "sim"
     [
@@ -803,7 +923,12 @@ let () =
         [
           Alcotest.test_case "read/write/peek/poke" `Quick test_heap_read_write;
           Alcotest.test_case "spin_until" `Quick test_spin_until;
+          Alcotest.test_case "name checked at creation" `Quick
+            test_cell_name_checked_at_creation;
         ] );
+      ( "scheduler",
+        [ Alcotest.test_case "per-run counters" `Quick test_sim_counters ]
+        @ List.map QCheck_alcotest.to_alcotest [ prop_ready_matches_list ] );
       ( "monitor",
         [
           Alcotest.test_case "mutual exclusion" `Quick test_monitor_mutual_exclusion;
@@ -847,6 +972,8 @@ let () =
             test_fault_unfired_plan_is_noop;
           Alcotest.test_case "wakeup replays deterministically" `Quick
             test_fault_wakeup_deterministic;
+          Alcotest.test_case "wakeup reaches a reused queue" `Quick
+            test_fault_wakeup_reaches_reused_queue;
           Alcotest.test_case "delay inflation" `Quick test_fault_delay_inflation;
           Alcotest.test_case "spec round-trip" `Quick test_fault_specs_roundtrip;
           Alcotest.test_case "randomized plans deterministic" `Quick

@@ -259,6 +259,72 @@ let test_pool_occupancy_gauges () =
 
 let qcheck = List.map QCheck_alcotest.to_alcotest
 
+(* The splitmix64 stream, hard-coded: every schedule and every synthetic
+   log replays from it, so a change to any value here changes them all.
+   Per seed: the first 8 [bits64]; then, from a fresh generator, [int]
+   at bounds 3, 1000, [max_int] and 7, a [float 1.0], a [bool], and the
+   next draw of a [copy] taken there, of the parent after a [split] and
+   of the split-off child. *)
+let rng_golden =
+  [
+    ( 0,
+      [ 0xe220a8397b1dcdafL; 0x6e789e6aa1b965f4L; 0x06c45d188009454fL;
+        0xf88bb8a8724c81ecL; 0x1b39896a51a8749bL; 0x53cb9f0c747ea2eaL;
+        0x2c829abe1f4532e1L; 0xc584133ac916ab3cL ],
+      [ 0; 850; 243808509735772839; 2 ], 0x1.b39896a51a87p-4, false,
+      (0x2c829abe1f4532e1L, 0xc584133ac916ab3cL, 0x6a9216023fd7dc5dL) );
+    ( 1,
+      [ 0x910a2dec89025cc1L; 0xbeeb8da1658eec67L; 0xf893a2eefb32555eL;
+        0x71c18690ee42c90bL; 0x71bb54d8d101b5b9L; 0xc34d0bff90150280L;
+        0xe099ec6cd7363ca5L; 0x85e7bb0f12278575L ],
+      [ 2; 259; 4344233626714057392; 3 ], 0x1.c6ed53634406cp-2, false,
+      (0xe099ec6cd7363ca5L, 0x85e7bb0f12278575L, 0xf52105eb43095af5L) );
+    ( 42,
+      [ 0xbdd732262feb6e95L; 0x28efe333b266f103L; 0x47526757130f9f52L;
+        0x581ce1ff0e4ae394L; 0x09bc585a244823f2L; 0xde4431fa3c80db06L;
+        0x37e9671c45376d5dL; 0xccf635ee9e9e2fa4L ],
+      [ 0; 145; 2569641874231381929; 1 ], 0x1.378b0b448904p-5, false,
+      (0x37e9671c45376d5dL, 0xccf635ee9e9e2fa4L, 0xc81e7327cf51cb2aL) );
+    ( -1,
+      [ 0xe4d971771b652c20L; 0xe99ff867dbf682c9L; 0x382ff84cb27281e9L;
+        0x6d1db36ccba982d2L; 0xb4a0472e578069aeL; 0xd31dadbda438bb33L;
+        0xf14f2cf802083fa5L; 0x405da438a39e8064L ],
+      [ 1; 484; 2024363799162208500; 3 ], 0x1.69408e5caf00dp-1, true,
+      (0xf14f2cf802083fa5L, 0x405da438a39e8064L, 0xb0e8ce0b13273a1cL) );
+    ( max_int,
+      [ 0x43df0885536978a6L; 0x101018cc4a4cadfdL; 0xf7123db96bb11521L;
+        0x6eb32f7ee5175c16L; 0xb954958d2f637748L; 0xe07958afd6d62eb7L;
+        0xbce9aaa54afdb47eL; 0x07eea021a2857177L ],
+      [ 1; 870; 4289994053339613841; 3 ], 0x1.72a92b1a5ec6ep-1, true,
+      (0xbce9aaa54afdb47eL, 0x07eea021a2857177L, 0x1c56222ae31ce0daL) );
+    ( min_int,
+      [ 0x09590f27f150c2b1L; 0x7f63aa8bd4ea43d6L; 0xbc77e3955694b236L;
+        0x501e7b560f8116f2L; 0x85e105df28cd57d3L; 0xb7a6003f083c812fL;
+        0xbe989c9dc741db04L; 0x95b04985a6e5d6a3L ],
+      [ 0; 731; 2178600697523231004; 5 ], 0x1.0bc20bbe519aap-1, true,
+      (0xbe989c9dc741db04L, 0x95b04985a6e5d6a3L, 0xd9393b79d6a8cbd7L) );
+  ]
+
+let test_golden_stream () =
+  List.iter
+    (fun (seed, bits, ints, f, b, (copied, parent, child)) ->
+      let name what = Printf.sprintf "seed %d %s" seed what in
+      let g = Rng.create seed in
+      check Alcotest.(list int64) (name "bits64") bits
+        (List.init 8 (fun _ -> Rng.bits64 g));
+      let g = Rng.create seed in
+      let drawn = List.map (Rng.int g) [ 3; 1000; max_int; 7 ] in
+      check Alcotest.(list int) (name "int") ints drawn;
+      check Alcotest.int64 (name "float bits") (Int64.bits_of_float f)
+        (Int64.bits_of_float (Rng.float g 1.0));
+      check Alcotest.bool (name "bool") b (Rng.bool g);
+      let c = Rng.copy g in
+      let s = Rng.split g in
+      check Alcotest.int64 (name "after split") parent (Rng.bits64 g);
+      check Alcotest.int64 (name "split child") child (Rng.bits64 s);
+      check Alcotest.int64 (name "copy") copied (Rng.bits64 c))
+    rng_golden
+
 let () =
   Alcotest.run "util"
     [
@@ -277,6 +343,7 @@ let () =
           Alcotest.test_case "pick member" `Quick test_pick_member;
           Alcotest.test_case "pick empty" `Quick test_pick_empty;
           Alcotest.test_case "bool mixes" `Quick test_bool_mixes;
+          Alcotest.test_case "golden stream" `Quick test_golden_stream;
         ] );
       ( "stats",
         [
