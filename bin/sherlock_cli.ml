@@ -863,6 +863,8 @@ let render_stats ppf (p : Telemetry.Snapshot.point) =
     pr "  simulator@.";
     pr "    runs           %d, %d events, %d scheduler picks@." runs sim_events
       (c "sim.picks");
+    pr "    picks          %d inline, %d suspends@." (c "sim.picks.inline")
+      (c "sim.suspends");
     if sim_events > 0 then
       pr "    allocation     %.1f minor words per event@."
         (float_of_int (c "sim.minor_words") /. float_of_int sim_events);

@@ -163,8 +163,9 @@ let print_simulator_summary ppf () =
   let runs = v "sim.runs" and events = v "sim.events" in
   if runs > 0 then
     Format.fprintf ppf
-      "simulator: %d runs, %d events, %d scheduler picks, %s minor words per event@."
-      runs events (v "sim.picks")
+      "simulator: %d runs, %d events, %d scheduler picks (%d inline), %s minor \
+       words per event@."
+      runs events (v "sim.picks") (v "sim.picks.inline")
       (if events > 0 then
          Printf.sprintf "%.1f"
            (float_of_int (v "sim.minor_words") /. float_of_int events)

@@ -40,9 +40,11 @@ let push r ~tid ~clock v =
 (* One newest-first pass finds the minimum clock and how many entries
    hold it; only a tie draws, and the draw's [k] counts tied entries
    newest first.  Both are the scheduler's pick order: changing either
-   changes every schedule. *)
-let pick r rng =
-  let min = ref max_int and count = ref 0 and slot = ref (-1) in
+   changes every schedule.  [extra] is 1 when the running thread, at
+   [clock], takes part as if pushed after every entry (slot -1), and 0
+   for a plain pick ([clock] is then [max_int]). *)
+let select r rng ~clock ~extra =
+  let min = ref clock and count = ref extra and slot = ref (-1) in
   for i = r.len - 1 downto 0 do
     let c = r.clocks.(i) in
     if c < !min then begin
@@ -50,17 +52,29 @@ let pick r rng =
       count := 1;
       slot := i
     end
-    else if c = !min then incr count
+    else if c = !min then begin
+      if !count = 0 then slot := i;
+      incr count
+    end
   done;
   if !count > 1 then begin
-    let k = ref (Rng.int rng !count) and i = ref r.len in
-    while !k >= 0 do
-      decr i;
-      if r.clocks.(!i) = !min then decr k
-    done;
-    slot := !i
+    let k = Rng.int rng !count in
+    let k = if !min = clock then k - extra else k in
+    if k < 0 then slot := -1
+    else begin
+      let k = ref k and i = ref r.len in
+      while !k >= 0 do
+        decr i;
+        if r.clocks.(!i) = !min then decr k
+      done;
+      slot := !i
+    end
   end;
   !slot
+
+let pick r rng = select r rng ~clock:max_int ~extra:0
+
+let pick_running r rng ~clock = select r rng ~clock ~extra:1
 
 let tid r i = r.tids.(i)
 

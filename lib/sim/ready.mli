@@ -23,6 +23,15 @@ val pick : 'a t -> Sherlock_util.Rng.t -> int
 (** The slot of the entry the pick rule chooses.  The set must be
     non-empty. *)
 
+val pick_running : 'a t -> Sherlock_util.Rng.t -> clock:int -> int
+(** The pick rule over the entries plus the running thread at [clock],
+    counted as the newest push: [-1] when the running thread wins, else
+    the slot of the entry that does.  It draws exactly what
+    [push] of the running thread followed by {!pick} would draw, and
+    the winning slot is the one {!pick} would return, so pushing the
+    running thread afterwards and removing that slot leaves the set as
+    the push-then-pick would.  The set may be empty. *)
+
 val tid : 'a t -> int -> int
 (** The tid pushed into a slot. *)
 

@@ -2,7 +2,7 @@
 
     This is the reproduction's substitute for the .NET runtime plus
     Mono.Cecil instrumentation: simulated programs are plain OCaml
-    functions that perform effects for every heap access, method frame,
+    functions that call this module for every heap access, method frame,
     spawn, sleep, and blocking operation.  A trampolined effect-handler
     scheduler interleaves threads by smallest virtual clock (with seeded
     random jitter, so different seeds explore different interleavings),
@@ -20,6 +20,21 @@
     over the [n] tied ones counted newest-pushed first (see {!Ready}).  A
     unique minimum draws nothing.  The run's random stream, and with it
     the schedule, is fixed by this rule.
+
+    Where the pick is made.  {!traced}, {!sleep}, {!yield}, {!cpu},
+    {!wake_one} and {!wake_all} are scheduling points that run in the
+    calling thread: after the thread's own step they apply the pick rule
+    with the thread counted as the newest push.  When it wins, the pick
+    is made there and the thread runs on; otherwise it suspends (one
+    effect) and the loop resumes the winner without drawing again.  A run
+    with a {!Fault} plan that has sites or a delay factor above 1, the
+    pick that would trip [max_steps], and a run with no live non-daemon
+    thread leave every such pick to the loop.  {!self}, {!now},
+    {!rand_int}, {!fresh_id} and {!register_volatile} read or update the
+    running world directly and are not scheduling points.  {!spawn},
+    {!block} and {!Slot.find} are effects handled by the scheduler.
+    Either way the schedule, the random stream and the log are those of
+    the same rule applied by the loop at every point.
 
     Op ids are created once per call site, not per traced operation:
     {!Heap.cell} creates its cell's four ids, the fixed-name primitives
@@ -104,9 +119,11 @@ val run :
     [max_steps] (default 0 = unlimited) bounds scheduler picks; past the
     bound the run aborts with {!Stalled}.
 
-    Every run, failed ones included, adds to four counters of the default
+    Every run, failed ones included, adds to six counters of the default
     metrics registry, telemetry on or off: [sim.runs] (one), [sim.events]
-    (events recorded), [sim.picks] (scheduler picks) and
+    (events recorded), [sim.picks] (scheduler picks), [sim.picks.inline]
+    (those the running thread won in place), [sim.suspends] (effects that
+    suspended a thread: a lost pick, a spawn, a block or a hang) and
     [sim.minor_words] (the [Gc.minor_words] allocated on the run's own
     domain while it ran). *)
 

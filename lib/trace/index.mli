@@ -30,31 +30,10 @@ type per_thread = {
 
 type t
 
-(** First-seen numbering of ids (tids or addresses) of one log, with a
-    count of occurrences per number.  Ids in [[0, 4n + 1024)] for an
-    [n]-event log index an array, as the simulator's do; any
-    other id goes through a hash table. *)
-module Ids : sig
-  type t
-
-  val create : int -> t
-  (** [create n]: an empty numbering for the ids of an [n]-event log. *)
-
-  val number : t -> int -> int
-  (** [number t id] is [id]'s number: [length t] before the call when
-      [id] is new.  Counts one more occurrence of it. *)
-
-  val length : t -> int
-  (** Number of distinct ids numbered so far. *)
-
-  val count : t -> int -> int
-  (** [count t k]: occurrences of the id numbered [k]. *)
-end
-
 val build : Event.t array -> t
 (** [build events] indexes a time-sorted event array in two passes: the
     first numbers tids and access targets in first-seen order and
-    counts them ({!Ids}), the second fills arrays sized exactly from
+    counts them, the second fills arrays sized exactly from
     those counts.  Any int is a valid tid or address. *)
 
 val lower_bound : int array -> int -> int

@@ -8,126 +8,37 @@ type t = {
   index : Index.t;
 }
 
-let c_runs = Tm.counter "log.order.runs"
+let c_sorted = Tm.counter "log.order.sorted"
+
+let c_shifts = Tm.counter "log.order.shifts"
 
 (* The first [n] events of [buf] in (time, position in [buf]) order, and
-   the number of sorted runs merged to get there (0 when they were in
-   order already).
-
-   The simulator emits events as threads execute, so emission order is
-   not time order; but a thread's clock never goes backwards, so each
-   thread's own events arrive time-sorted.  Rather than sort, one pass
-   checks whether the whole prefix is in order — deserialized and
-   synthetic logs are, and are used as they are.  Otherwise the events
-   are bucketed by tid (stably), each bucket is cut wherever its time
-   descends, and the resulting runs are merged on the key
-   (time, position) with a binary heap of run heads.  The key strictly
-   increases along every run, so the merge reproduces a stable sort by
-   time exactly, whatever the input. *)
+   whether they had to be sorted.  One pass checks whether the prefix is
+   in order already: simulated logs (the builder keeps them in order as
+   they fill), parsed and decoded traces and synthetic logs are, and are
+   used as they are.  Anything else — a hand-built array, a file written
+   out of order — gets a stable sort by time. *)
 let time_order buf n =
   let time i = (Array.unsafe_get buf i).Event.time in
   let k = ref 1 in
   while !k < n && time (!k - 1) <= time !k do
     incr k
   done;
-  if !k >= n then ((if n = Array.length buf then buf else Array.sub buf 0 n), 0)
+  let events = if n = Array.length buf then buf else Array.sub buf 0 n in
+  if !k >= n then (events, false)
   else begin
-    (* [bucket.(i)]: event [i]'s tid, numbered in first-seen order. *)
-    let ids = Index.Ids.create n in
-    let bucket =
-      Array.init n (fun i -> Index.Ids.number ids (Array.unsafe_get buf i).tid)
-    in
-    let buckets = Index.Ids.length ids in
-    (* [pos]: event positions grouped by bucket, ascending within one,
-       cut into runs at bucket starts and at time descents: [starts]
-       marks each run's first slot. *)
-    let fill = Array.init buckets (Index.Ids.count ids) in
-    let starts = Bytes.make n '\000' in
-    let total = ref 0 in
-    for b = 0 to buckets - 1 do
-      let size = fill.(b) in
-      fill.(b) <- !total;
-      Bytes.set starts !total '\001';
-      total := !total + size
-    done;
-    let pos = Array.make n 0 in
-    let last = Array.make buckets min_int in
-    let runs = ref buckets in
-    for i = 0 to n - 1 do
-      let b = bucket.(i) and t = time i in
-      let slot = fill.(b) in
-      pos.(slot) <- i;
-      fill.(b) <- slot + 1;
-      if t < last.(b) then begin
-        Bytes.set starts slot '\001';
-        incr runs
-      end;
-      last.(b) <- t
-    done;
-    (* Run [r] covers slots [cur.(r)] up to [stop.(r)]; its head event
-       is at position [head_pos.(r)], with time [head_time.(r)]. *)
-    let runs = !runs in
-    let cur = Array.make runs 0 and stop = Array.make runs n in
-    let r = ref 0 in
-    for k = 0 to n - 1 do
-      if Bytes.get starts k = '\001' then begin
-        if !r > 0 then stop.(!r - 1) <- k;
-        cur.(!r) <- k;
-        incr r
-      end
-    done;
-    let head_pos = Array.make runs 0 and head_time = Array.make runs 0 in
-    let load r =
-      let p = pos.(cur.(r)) in
-      head_pos.(r) <- p;
-      head_time.(r) <- time p
-    in
-    for r = 0 to runs - 1 do
-      load r
-    done;
-    (* Min-heap of the live runs, keyed on their heads' (time, position). *)
-    let before a b =
-      head_time.(a) < head_time.(b)
-      || (head_time.(a) = head_time.(b) && head_pos.(a) < head_pos.(b))
-    in
-    let heap = Array.init runs Fun.id in
-    let live = ref runs in
-    let rec sift_down h =
-      let l = (2 * h) + 1 in
-      if l < !live then begin
-        let c = if l + 1 < !live && before heap.(l + 1) heap.(l) then l + 1 else l in
-        if before heap.(c) heap.(h) then begin
-          let top = heap.(h) in
-          heap.(h) <- heap.(c);
-          heap.(c) <- top;
-          sift_down c
-        end
-      end
-    in
-    for h = (runs / 2) - 1 downto 0 do
-      sift_down h
-    done;
-    let out = Array.make n buf.(0) in
-    for k = 0 to n - 1 do
-      let r = heap.(0) in
-      out.(k) <- buf.(head_pos.(r));
-      cur.(r) <- cur.(r) + 1;
-      if cur.(r) = stop.(r) then begin
-        decr live;
-        heap.(0) <- heap.(!live)
-      end
-      else load r;
-      sift_down 0
-    done;
-    (out, runs)
+    Array.stable_sort
+      (fun (a : Event.t) (b : Event.t) -> Int.compare a.time b.time)
+      events;
+    (events, true)
   end
 
 (* The one constructor: every log — simulated, parsed, decoded,
    synthetic — is put in time order and indexed here, and no other code
    makes a [t].  [buf] is taken by ownership. *)
 let of_prefix buf n ~duration ~threads ~volatile_addrs =
-  let events, runs = time_order buf n in
-  Tm.Counter.incr ~by:runs c_runs;
+  let events, sorted = time_order buf n in
+  if sorted then Tm.Counter.incr c_sorted;
   { events; duration; threads; volatile_addrs; index = Index.build events }
 
 let of_array arr = of_prefix arr (Array.length arr)
@@ -143,26 +54,60 @@ module Builder = struct
   type t = {
     mutable buf : Event.t array;
     mutable len : int;
+    mutable last : int;  (* time of the latest event added at the end *)
+    mutable ordered : bool;  (* the buffer is the stable time sort of the adds *)
+    mutable shifts : int;  (* events moved up by ordered inserts *)
   }
+
+  let max_shift = 64
 
   let dummy = Event.make ~time:0 ~tid:0 ~op:(Opid.read ~cls:"" "") ()
 
-  let create () = { buf = Array.make 256 dummy; len = 0 }
+  let create () =
+    { buf = Array.make 256 dummy; len = 0; last = min_int; ordered = true; shifts = 0 }
 
-  let add b e =
+  (* [e] is earlier than the last of the [n] ordered events in the
+     buffer: put it after the last event no later than it, if that is at
+     most [max_shift] places back; otherwise append it, and leave the
+     order to [finish] from now on. *)
+  let insert b (e : Event.t) n =
+    let buf = b.buf in
+    let stop = if n > max_shift then n - max_shift else 0 in
+    let i = ref (n - 1) in
+    while !i > stop && (Array.unsafe_get buf (!i - 1)).time > e.time do
+      decr i
+    done;
+    if !i = 0 || buf.(!i - 1).time <= e.time then begin
+      Array.blit buf !i buf (!i + 1) (n - !i);
+      buf.(!i) <- e;
+      b.shifts <- b.shifts + (n - !i)
+    end
+    else begin
+      b.ordered <- false;
+      buf.(n) <- e
+    end
+
+  let add b (e : Event.t) =
     if b.len = Array.length b.buf then begin
       let bigger = Array.make (2 * b.len) dummy in
       Array.blit b.buf 0 bigger 0 b.len;
       b.buf <- bigger
     end;
-    b.buf.(b.len) <- e;
-    b.len <- b.len + 1
+    let n = b.len in
+    b.len <- n + 1;
+    if e.time >= b.last then begin
+      b.buf.(n) <- e;
+      b.last <- e.time
+    end
+    else if b.ordered then insert b e n
+    else b.buf.(n) <- e
 
   let length b = b.len
 
   (* A full buffer already in order becomes the log's array; a later
      [add] would grow into a fresh buffer and leave it untouched. *)
   let finish b ~duration ~threads ~volatile_addrs =
+    Tm.Counter.incr ~by:b.shifts c_shifts;
     of_prefix b.buf b.len ~duration ~threads ~volatile_addrs
 end
 
@@ -214,7 +159,7 @@ type frame = {
   tid : int;
   op : Opid.t;
   t_begin : int;
-  t_end : int;
+  mutable t_end : int;
   index : int;
   parent : int;
 }
@@ -255,7 +200,8 @@ let fold_frames t ~init ~f:on_close =
     | [] -> ()
     | frame :: rest when same_method frame.op e.op ->
       s.frames <- List.rev_append skipped rest;
-      acc := on_close !acc { frame with t_end = e.time }
+      frame.t_end <- e.time;
+      acc := on_close !acc frame
     | frame :: rest -> pop s e (frame :: skipped) rest
   in
   Array.iter

@@ -29,21 +29,21 @@ val of_array : Event.t array -> duration:int -> threads:int ->
   volatile_addrs:(int, unit) Hashtbl.t -> t
 (** The log of [events], put in time order — by [time], ties by position
     in the array — and indexed.  An array already in that order (a
-    parsed or decoded trace, a synthetic log) is checked in one pass and
-    used as it is; otherwise each thread's events are cut into
-    time-sorted runs and the runs are merged, and the registry counter
-    [log.order.runs] grows by the number of runs merged.  The array is
-    taken by ownership. *)
+    simulated, parsed or decoded trace, a synthetic log) is checked in
+    one pass and used as it is; otherwise it is sorted in place by a
+    stable sort on [time], and the registry counter [log.order.sorted]
+    grows by one.  The array is taken by ownership. *)
 
 val empty : unit -> t
 (** A fresh empty log.  This is a function: the embedded volatile-address
     table is mutable, so a single shared value would let one caller's
     mutation leak into every other "empty" log. *)
 
-(** Incremental construction for the simulator's emit path: events are
-    appended into a growable buffer as threads execute, and [finish]
-    orders them as {!of_array} does and builds the indexed store — no
-    intermediate list. *)
+(** Incremental construction for the simulator's emit path and the text
+    loader: events go into a growable buffer kept in time order as it
+    fills, and [finish] hands it to the constructor behind {!of_array},
+    which finds it in order and builds the indexed store — no
+    intermediate list, no sort. *)
 module Builder : sig
   type log := t
 
@@ -51,7 +51,19 @@ module Builder : sig
 
   val create : unit -> t
 
+  val max_shift : int
+  (** How far back, at most, {!add} moves an event: 64 places. *)
+
   val add : t -> Event.t -> unit
+  (** Add an event, kept in the stable time sort of the events added so
+      far: an event earlier than the last one moves back past the events
+      whose [time] is strictly greater.  That is at most {!max_shift}
+      places; an event that would move further is appended instead, and
+      from then on the builder only appends and {!finish} sorts.  The
+      simulator never gets there: each of its threads has at most one
+      event ahead of the current pick, so an add moves fewer places than
+      there are threads.  Places moved add to the registry counter
+      [log.order.shifts] at {!finish}. *)
 
   val length : t -> int
   (** Events added so far. *)
@@ -94,7 +106,9 @@ type frame = {
   tid : int;
   op : Opid.t;      (** the frame's [Begin] op *)
   t_begin : int;
-  t_end : int;      (** time of the matching [End]; [max_int] while open *)
+  mutable t_end : int;
+      (** time of the matching [End]; [max_int] while open.  Set once,
+          by {!fold_frames}, when the frame closes. *)
   index : int;
       (** push index: the frame's [Begin] is [tid]'s [index]-th [Begin]
           (from 0, in log order) *)

@@ -857,6 +857,77 @@ let prop_ready_matches_list =
       in
       List.for_all agree steps && Rng.bits64 rng = Rng.bits64 rng_list)
 
+(* The inline pick against the list: the running thread takes part in
+   each pick as the newest push.  A step [(0, n)] is an inline pick with
+   the running thread at clock [n / 16 mod 4]: the list pushes it and
+   picks; the ready set calls [pick_running] and, when another thread
+   wins, pushes the running thread and removes the winner's slot, as the
+   loop does after a [Suspend].  A step [(1, n)] makes a free tid ready
+   as in the property above; [(2, _)] has the running thread leave (block
+   or finish) and the loop pick its successor.  Both sides must choose
+   the same tid with the same ready count, and end on the same next
+   draw. *)
+let prop_inline_pick_matches_list =
+  QCheck.Test.make ~name:"inline pick picks like the list" ~count:300
+    QCheck.(pair small_nat (list_of_size Gen.(0 -- 300) (pair (int_bound 2) small_nat)))
+    (fun (seed, steps) ->
+      let module L = Oracles.Ready_list in
+      let module Rng = Sherlock_util.Rng in
+      let rng = Rng.create seed and rng_list = Rng.create seed in
+      let ready = Ready.create ~dummy:(-1) and list = L.create () in
+      (* -1: free; -2: running; otherwise the clock it was made ready at. *)
+      let state = Array.make 16 (-1) in
+      let running = ref 0 in
+      state.(0) <- -2;
+      let agree (kind, n) =
+        match kind with
+        | 0 when !running >= 0 ->
+          let me = !running and clock = n / 16 mod 4 in
+          let count = Ready.length ready in
+          let slot = Ready.pick_running ready rng ~clock in
+          L.push list ~tid:me ~clock;
+          (match L.pick list rng_list with
+          | None -> false
+          | Some (tid, runnable) ->
+            runnable = count + 1
+            &&
+            if slot < 0 then tid = me
+            else begin
+              let tid' = Ready.tid ready slot and clock' = Ready.clock ready slot in
+              Ready.push ready ~tid:me ~clock me;
+              let v = Ready.remove ready slot in
+              let ok = tid = tid' && v = tid && clock' = state.(tid) in
+              state.(me) <- clock;
+              state.(tid) <- -2;
+              running := tid;
+              ok
+            end)
+        | 1 ->
+          let free = List.filter (fun t -> state.(t) = -1) (List.init 16 Fun.id) in
+          if free <> [] then begin
+            let tid = List.nth free (n mod List.length free) in
+            let clock = n / 16 mod 4 in
+            state.(tid) <- clock;
+            Ready.push ready ~tid ~clock tid;
+            L.push list ~tid ~clock
+          end;
+          true
+        | _ ->
+          if !running >= 0 then state.(!running) <- -1;
+          (match L.pick list rng_list with
+          | None ->
+            running := -1;
+            Ready.length ready = 0
+          | Some (tid, runnable) ->
+            let count = Ready.length ready in
+            let i = Ready.pick ready rng in
+            let v = Ready.remove ready i in
+            state.(tid) <- -2;
+            running := tid;
+            v = tid && runnable = count)
+      in
+      List.for_all agree steps && Rng.bits64 rng = Rng.bits64 rng_list)
+
 (* The cell's op ids are created, and their names checked, by
    [Heap.cell] itself: a bad field name raises there, before any
    access. *)
@@ -900,6 +971,100 @@ let test_sim_counters () =
   in
   check counts "failed run still counted" [ 1; 0; 1 ] deadlocked
 
+(* Where each pick is made.  A lone thread wins every pick after its
+   first inline: three sleeps are three inline picks and no suspend.  In
+   the two-thread program of the test above (seed 1) no pick is inline:
+   the spawn suspends main, main's read loses to the worker (clock 2
+   against 1), the worker's write loses to main, and the last pick
+   follows main's exit. *)
+let test_sim_inline_counters () =
+  let module Tm = Sherlock_telemetry.Metrics in
+  let names = [ "sim.picks"; "sim.picks.inline"; "sim.suspends" ] in
+  let value name = Tm.Counter.value (Tm.counter name) in
+  let delta f =
+    let before = List.map value names in
+    f ();
+    List.map2 (fun name b -> value name - b) names before
+  in
+  let counts = Alcotest.(list int) in
+  let lone () =
+    for _ = 1 to 3 do
+      Runtime.sleep 5
+    done
+  in
+  check counts "lone thread picks/inline/suspends" [ 4; 3; 0 ]
+    (delta (fun () -> ignore (run lone)));
+  let two () =
+    let c = Heap.cell ~cls:"T.C" ~field:"x" 0 in
+    ignore (Runtime.spawn ~name:"w" (fun () -> Heap.write c 1));
+    ignore (Heap.read c)
+  in
+  check counts "two threads picks/inline/suspends" [ 5; 0; 3 ]
+    (delta (fun () -> ignore (run two)))
+
+(* Two workers taking one lock in turns, with sleeps between: about
+   half the picks are made inline (178 of 345 at seed 3). *)
+let contended () =
+  let cell = Heap.cell ~cls:"T.C" ~field:"n" 0 in
+  let lock = Monitor.create () in
+  let worker () =
+    for _ = 1 to 20 do
+      Monitor.with_lock lock (fun () -> Heap.write cell (Heap.read cell + 1));
+      Runtime.cpu 1 8
+    done
+  in
+  ignore (Runtime.spawn ~name:"w" worker);
+  worker ()
+
+(* The watchdog on the inline path: a run of [p] picks completes at
+   [max_steps = p] with the same log, and at [p - 1] raises [Stalled]
+   after exactly [p] picks — the pick that would pass the bound is left
+   to the loop, which counts it and raises. *)
+let test_stalled_at_exact_bound () =
+  let picks = ref 0 in
+  let hooks =
+    { Runtime.no_hooks with on_pick = (fun ~tid:_ ~time:_ ~runnable:_ -> incr picks) }
+  in
+  let log = Runtime.run ~seed:3 ~hooks ~instrument:(Runtime.tracing ()) contended in
+  let p = !picks in
+  check Alcotest.bool "bounded run, same log" true
+    (log_equal log (run ~seed:3 ~max_steps:p contended));
+  (match run ~seed:3 ~max_steps:(p - 1) contended with
+  | _ -> Alcotest.fail "expected Stalled"
+  | exception Runtime.Stalled { steps; _ } -> check Alcotest.int "stalled at" p steps);
+  let lone () =
+    for _ = 1 to 10 do
+      Runtime.sleep 1
+    done
+  in
+  ignore (run ~max_steps:11 lone);
+  match run ~max_steps:10 lone with
+  | _ -> Alcotest.fail "expected Stalled"
+  | exception Runtime.Stalled { steps; runnable } ->
+    check Alcotest.int "lone thread stalled at" 11 steps;
+    check Alcotest.string "alive" "main" runnable
+
+(* A lock-order deadlock reached through inline picks: each thread holds
+   one lock and blocks on the other, so the ready set empties. *)
+let test_deadlock_after_inline_picks () =
+  let module Tm = Sherlock_telemetry.Metrics in
+  let inline = Tm.counter "sim.picks.inline" in
+  let before = Tm.Counter.value inline in
+  let program () =
+    let a = Monitor.create () and b = Monitor.create () in
+    let both first second () =
+      Monitor.with_lock first (fun () ->
+          Runtime.sleep 50;
+          Monitor.with_lock second ignore)
+    in
+    ignore (Runtime.spawn ~name:"w" (both b a));
+    both a b ()
+  in
+  (match run program with
+  | _ -> Alcotest.fail "expected Deadlock"
+  | exception Runtime.Deadlock names -> check Alcotest.string "stuck" "w, main" names);
+  check Alcotest.bool "inline picks made" true (Tm.Counter.value inline > before)
+
 let () =
   Alcotest.run "sim"
     [
@@ -927,8 +1092,17 @@ let () =
             test_cell_name_checked_at_creation;
         ] );
       ( "scheduler",
-        [ Alcotest.test_case "per-run counters" `Quick test_sim_counters ]
-        @ List.map QCheck_alcotest.to_alcotest [ prop_ready_matches_list ] );
+        [
+          Alcotest.test_case "per-run counters" `Quick test_sim_counters;
+          Alcotest.test_case "inline picks and suspends" `Quick
+            test_sim_inline_counters;
+          Alcotest.test_case "stalled at an exact bound" `Quick
+            test_stalled_at_exact_bound;
+          Alcotest.test_case "deadlock after inline picks" `Quick
+            test_deadlock_after_inline_picks;
+        ]
+        @ List.map QCheck_alcotest.to_alcotest
+            [ prop_ready_matches_list; prop_inline_pick_matches_list ] );
       ( "monitor",
         [
           Alcotest.test_case "mutual exclusion" `Quick test_monitor_mutual_exclusion;

@@ -139,13 +139,13 @@ let test_first_delay_bounds () =
 
 (* --- Log order --- *)
 
-let runs_counter = Sherlock_telemetry.Metrics.counter "log.order.runs"
+let sorted_counter = Sherlock_telemetry.Metrics.counter "log.order.sorted"
 
-(* [f ()] and how much it grew [log.order.runs]. *)
-let with_runs f =
-  let before = Sherlock_telemetry.Metrics.Counter.value runs_counter in
+(* [f ()] and how much it grew [log.order.sorted]. *)
+let with_sorts f =
+  let before = Sherlock_telemetry.Metrics.Counter.value sorted_counter in
   let x = f () in
-  (x, Sherlock_telemetry.Metrics.Counter.value runs_counter - before)
+  (x, Sherlock_telemetry.Metrics.Counter.value sorted_counter - before)
 
 let of_events arr =
   Log.of_array arr ~duration:1_000 ~threads:4 ~volatile_addrs:(Hashtbl.create 1)
@@ -155,66 +155,74 @@ let same_slots a b = Array.length a = Array.length b && Array.for_all2 ( == ) a 
 
 let test_log_order_edges () =
   let o = Opid.read ~cls:"C" "f" in
-  let log, runs = with_runs (fun () -> of_events [||]) in
+  let log, sorts = with_sorts (fun () -> of_events [||]) in
   check Alcotest.int "empty: no events" 0 (Log.length log);
-  check Alcotest.int "empty: no runs" 0 runs;
+  check Alcotest.int "empty: not sorted" 0 sorts;
   let one = [| ev 5 3 o |] in
-  let log, runs = with_runs (fun () -> of_events (Array.copy one)) in
+  let log, sorts = with_sorts (fun () -> of_events (Array.copy one)) in
   check Alcotest.bool "one event" true (same_slots one log.events);
-  check Alcotest.int "one event: no runs" 0 runs;
+  check Alcotest.int "one event: not sorted" 0 sorts;
   let equal = Array.init 12 (fun i -> ev 7 (i mod 3) o) in
-  let log, runs = with_runs (fun () -> of_events (Array.copy equal)) in
+  let log, sorts = with_sorts (fun () -> of_events (Array.copy equal)) in
   check Alcotest.bool "equal times keep emission order" true
     (same_slots equal log.events);
-  check Alcotest.int "equal times: no runs" 0 runs;
+  check Alcotest.int "equal times: not sorted" 0 sorts;
   let sorted = [| ev 1 2 o; ev 1 0 o; ev 4 2 o; ev 9 1 o |] in
-  let log, runs = with_runs (fun () -> of_events sorted) in
+  let log, sorts = with_sorts (fun () -> of_events sorted) in
   check Alcotest.bool "sorted input used without a copy" true (log.events == sorted);
-  check Alcotest.int "sorted: no runs" 0 runs;
+  check Alcotest.int "sorted: not sorted again" 0 sorts;
   let descending = Array.init 5 (fun i -> ev (50 - i) 0 o) in
-  let log, runs = with_runs (fun () -> of_events (Array.copy descending)) in
+  let log, sorts = with_sorts (fun () -> of_events (Array.copy descending)) in
   check Alcotest.bool "one tid descending is reversed" true
     (same_slots (Oracles.time_sort descending) log.events);
   check Alcotest.(list int) "ascending times" [ 46; 47; 48; 49; 50 ]
     (Array.to_list (Array.map (fun (e : Event.t) -> e.time) log.events));
-  check Alcotest.int "one run per descent" 5 runs
+  check Alcotest.int "descending: sorted once" 1 sorts
 
-(* Random arrays built for the run merge's corner cases: times drawn
-   from a narrow range (many ties, within and across tids), or from
+(* Random arrays for the builder's inserts and the sort behind them:
+   times drawn from a narrow range (many ties, within and across tids);
    per-tid clocks that mostly advance but sometimes jump back (tid
-   subsequences that are not monotone); tids negative, sparse and huge. *)
+   subsequences that are not monotone); strictly descending times, so
+   every add moves back past all earlier ones; and times spread over a
+   range far wider than the array, so adds land far back.  The last two
+   pass [Log.Builder.max_shift] on longer arrays, so the builder gives up
+   inserting and [finish] sorts.  Tids are negative, sparse and huge. *)
 let gen_order_input =
   QCheck.Gen.(
     let tids = [| -1_000_000; -3; 0; 1; 2; 57; 1 lsl 40 |] in
-    let* clocked = bool in
+    let* shape = int_bound 3 in
     let* steps =
       list_size (int_range 0 300)
         (triple (int_range 0 (Array.length tids - 1)) (int_range 0 12) (int_range 0 9))
     in
+    let* spread = list_repeat (List.length steps) (int_bound 1_000_000) in
     let clocks = Array.make (Array.length tids) 0 in
     let o = Opid.write ~cls:"C" "f" in
+    let n = List.length steps in
     return
       (Array.of_list
-         (List.map
-            (fun (t, step, jump) ->
+         (List.mapi
+            (fun i ((t, step, jump), far) ->
               let time =
-                if not clocked then step
-                else begin
+                match shape with
+                | 0 -> step
+                | 1 ->
                   clocks.(t) <- (if jump = 0 then clocks.(t) - step else clocks.(t) + step);
                   clocks.(t)
-                end
+                | 2 -> n - i
+                | _ -> far
               in
               ev time tids.(t) o)
-            steps)))
+            (List.combine steps spread))))
+
+let print_order_input a =
+  String.concat " "
+    (Array.to_list
+       (Array.map (fun (e : Event.t) -> Printf.sprintf "%d@%d" e.tid e.time) a))
 
 let prop_log_order_matches_oracle =
   QCheck.Test.make ~name:"log order is the stable time sort" ~count:500
-    (QCheck.make
-       ~print:(fun a ->
-         String.concat " "
-           (Array.to_list
-              (Array.map (fun (e : Event.t) -> Printf.sprintf "%d@%d" e.tid e.time) a)))
-       gen_order_input)
+    (QCheck.make ~print:print_order_input gen_order_input)
     (fun arr ->
       let expected = Oracles.time_sort arr in
       let b = Log.Builder.create () in
@@ -226,16 +234,34 @@ let prop_log_order_matches_oracle =
       same_slots expected (of_events (Array.copy arr)).events
       && same_slots expected built.events)
 
-(* [log.order.runs] counts merged runs: none for logs that arrive in
-   order (synthetic ones, reloaded text traces), some for a simulated
-   run of contending threads. *)
+let shifts_counter = Sherlock_telemetry.Metrics.counter "log.order.shifts"
+
+(* The builder's work bound: whatever the input, its inserts move at
+   most [max_shift] events per event added. *)
+let prop_builder_shifts_bounded =
+  QCheck.Test.make ~name:"builder shifts stay within the scan bound" ~count:300
+    (QCheck.make ~print:print_order_input gen_order_input)
+    (fun arr ->
+      let before = Sherlock_telemetry.Metrics.Counter.value shifts_counter in
+      let b = Log.Builder.create () in
+      Array.iter (Log.Builder.add b) arr;
+      ignore
+        (Log.Builder.finish b ~duration:1_000 ~threads:4
+           ~volatile_addrs:(Hashtbl.create 1));
+      let shifts = Sherlock_telemetry.Metrics.Counter.value shifts_counter - before in
+      shifts >= 0 && shifts <= Log.Builder.max_shift * Array.length arr)
+
+(* [log.order.sorted] counts the logs that needed a sort: none for logs
+   that arrive in order (synthetic ones, reloaded text traces, and
+   simulated runs of contending threads, which the builder keeps in
+   order as they fill), one for a shuffled array. *)
 let test_log_order_runs_counter () =
-  let synth, runs =
-    with_runs (fun () -> Synth.log ~seed:3 ~addrs:16 ~threads:4 ~events:2_000 ())
+  let synth, sorts =
+    with_sorts (fun () -> Synth.log ~seed:3 ~addrs:16 ~threads:4 ~events:2_000 ())
   in
-  check Alcotest.int "synth log" 0 runs;
-  let _, runs = with_runs (fun () -> Trace_io.of_string (Trace_io.to_string synth)) in
-  check Alcotest.int "reloaded text trace" 0 runs;
+  check Alcotest.int "synth log" 0 sorts;
+  let _, sorts = with_sorts (fun () -> Trace_io.of_string (Trace_io.to_string synth)) in
+  check Alcotest.int "reloaded text trace" 0 sorts;
   let open Sherlock_sim in
   let program () =
     let cell = Heap.cell ~cls:"Stress.Data" ~field:"f" 0 in
@@ -251,14 +277,27 @@ let test_log_order_runs_counter () =
     List.iter Threadlib.start workers;
     List.iter Threadlib.join workers
   in
-  let log, runs =
-    with_runs (fun () -> Runtime.run ~seed:1 ~instrument:(Runtime.tracing ()) program)
+  let log, sorts =
+    with_sorts (fun () -> Runtime.run ~seed:1 ~instrument:(Runtime.tracing ()) program)
   in
-  check Alcotest.bool "simulated stress log merges runs" true (runs > 0);
-  let times = Array.map (fun (e : Event.t) -> e.time) log.events in
-  check Alcotest.bool "and comes out in order" true
-    (Array.for_all2 ( <= ) (Array.sub times 0 (Array.length times - 1))
-       (Array.sub times 1 (Array.length times - 1)))
+  check Alcotest.int "simulated stress log arrives in order" 0 sorts;
+  let in_order (log : Log.t) =
+    let times = Array.map (fun (e : Event.t) -> e.time) log.events in
+    Array.for_all2 ( <= ) (Array.sub times 0 (Array.length times - 1))
+      (Array.sub times 1 (Array.length times - 1))
+  in
+  check Alcotest.bool "and comes out in order" true (in_order log);
+  let shuffled = Array.copy log.events in
+  let rng = Random.State.make [| 7 |] in
+  for i = Array.length shuffled - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let x = shuffled.(i) in
+    shuffled.(i) <- shuffled.(j);
+    shuffled.(j) <- x
+  done;
+  let resorted, sorts = with_sorts (fun () -> of_events shuffled) in
+  check Alcotest.int "shuffled array sorted once" 1 sorts;
+  check Alcotest.bool "shuffled array comes out in order" true (in_order resorted)
 
 (* --- Durations --- *)
 
@@ -1684,6 +1723,7 @@ let () =
           Alcotest.test_case "order edge cases" `Quick test_log_order_edges;
           Alcotest.test_case "order runs counter" `Quick test_log_order_runs_counter;
           QCheck_alcotest.to_alcotest prop_log_order_matches_oracle;
+          QCheck_alcotest.to_alcotest prop_builder_shifts_bounded;
         ] );
       ( "frames",
         [
