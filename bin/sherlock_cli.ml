@@ -870,6 +870,9 @@ let render_stats ppf (p : Telemetry.Snapshot.point) =
         (float_of_int (c "sim.minor_words") /. float_of_int sim_events);
     pr "@."
   end;
+  (* The op intern table: one record per distinct op in the process. *)
+  if c "opid.interned" > 0 then
+    pr "  ops@.    interned       %d distinct ops@.@." (c "opid.interned");
   (* Extraction-cache effectiveness. *)
   let hits = c "windows.span_cache.hit" in
   let misses = c "windows.span_cache.miss" in

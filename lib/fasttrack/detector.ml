@@ -166,7 +166,7 @@ let run (model : Sync_model.t) (log : Log.t) =
          second via the pending-joins stack. *)
       (match e.op.kind with
       | Opid.Begin ->
-        let end_event = { e with op = { e.op with kind = Opid.End } } in
+        let end_event = { e with op = Opid.with_kind e.op Opid.End } in
         (match model.classify end_event with
         | Sync_model.Release chs -> release e.tid chs
         | Sync_model.Acquire _ | Sync_model.No_sync -> ())

@@ -101,24 +101,37 @@ type cand = {
   tie : float;
 }
 
+(* The variable table.  Its iteration order decides the term order of
+   each [pair_c] balance row and the visiting order of [pick_pin],
+   [extract_verdicts] and [add_data_costs], and so the last bits of the
+   LP.  The hash is therefore the polymorphic hash of the names, kind and
+   role, exactly the bits of the record before ops carried an id, and
+   never the id (ids follow creation order). *)
+module Var_tbl = Hashtbl.Make (struct
+  type t = Opid.t * role
+
+  let equal ((a : Opid.t), r) ((b : Opid.t), s) = Opid.equal a b && r = s
+  let hash ((op : Opid.t), role) = Hashtbl.hash ((op.cls, op.member, op.kind), role)
+end)
+
 type vars = {
   problem : Problem.t;
-  table : (Opid.t * role, cand) Hashtbl.t;
+  table : cand Var_tbl.t;
 }
 
 let find_var table op role =
-  match Hashtbl.find_opt table (op, role) with
+  match Var_tbl.find_opt table (op, role) with
   | Some c -> Some c.var
   | None -> None
 
 let var_of vars op role =
-  match Hashtbl.find_opt vars.table (op, role) with
+  match Var_tbl.find_opt vars.table (op, role) with
   | Some c -> c.var
   | None ->
     let var =
       Problem.add_var vars.problem ~ub:1.0 (Opid.to_string op ^ role_suffix role)
     in
-    Hashtbl.add vars.table (op, role) { var; tie = tie_cost op role };
+    Var_tbl.add vars.table (op, role) { var; tie = tie_cost op role };
     var
 
 (* Sum of role variables over the distinct ops of a window side (each op
@@ -148,7 +161,7 @@ let side_key config vars side role =
    variable ids or hash-table iteration order. *)
 let pick_pin (config : Config.t) table assignment =
   let cands = ref [] in
-  Hashtbl.iter
+  Var_tbl.iter
     (fun (op, role) { var = v; _ } ->
       let p = assignment v in
       if p > 0.15 && p < config.threshold then
@@ -168,7 +181,7 @@ let pick_pin (config : Config.t) table assignment =
     Some (v, p)
 
 let extract_verdicts (config : Config.t) table assignment =
-  Hashtbl.fold
+  Var_tbl.fold
     (fun (op, role) { var = v; _ } acc ->
       let p = assignment v in
       if p >= config.threshold then { Verdict.op; role; probability = p } :: acc
@@ -409,7 +422,7 @@ let add_data_costs (config : Config.t) obs table add =
       Durations.cv_percentiles (Observations.durations obs)
     else fun _ -> 0.0
   in
-  Hashtbl.iter
+  Var_tbl.iter
     (fun ((op : Opid.t), role) { var; tie } ->
       add var tie;
       if config.use_rare then begin
@@ -465,7 +478,7 @@ type state = {
 let create_state () =
   {
     s_obs = None;
-    s_vars = { problem = Problem.create (); table = Hashtbl.create 64 };
+    s_vars = { problem = Problem.create (); table = Var_tbl.create 64 };
     s_hinges = Hashtbl.create 64;
     s_whinges = [||];
     s_nwin = 0;
@@ -478,7 +491,7 @@ let create_state () =
 let problem st = st.s_vars.problem
 
 let reset_state st =
-  st.s_vars <- { problem = Problem.create (); table = Hashtbl.create 64 };
+  st.s_vars <- { problem = Problem.create (); table = Var_tbl.create 64 };
   st.s_hinges <- Hashtbl.create 64;
   st.s_whinges <- [||];
   st.s_nwin <- 0;
@@ -580,7 +593,7 @@ let sync_paired st =
   let by_class : (string, (Problem.var * float) list ref) Hashtbl.t =
     Hashtbl.create 16
   in
-  Hashtbl.iter
+  Var_tbl.iter
     (fun ((op : Opid.t), role) { var = v; _ } ->
       if Opid.is_frame op then begin
         let signed = (v, match role with Acquire -> 1.0 | Release -> -1.0) in
@@ -594,14 +607,13 @@ let sync_paired st =
     by_class;
   (* Per-field read-acquire / write-release balance. *)
   let fields = ref Opid.Set.empty in
-  Hashtbl.iter
+  Var_tbl.iter
     (fun ((op : Opid.t), _) _ ->
-      if Opid.is_access op then
-        fields := Opid.Set.add { op with kind = Opid.Read } !fields)
+      if Opid.is_access op then fields := Opid.Set.add (Opid.with_kind op Opid.Read) !fields)
     table;
   Opid.Set.iter
     (fun read_op ->
-      let write_op = { read_op with kind = Opid.Write } in
+      let write_op = Opid.with_kind read_op Opid.Write in
       let term op role sign acc =
         match find_var table op role with
         | Some v -> (v, sign) :: acc
@@ -616,16 +628,16 @@ let sync_paired st =
 let sync_single st (config : Config.t) =
   let { problem; table } = st.s_vars in
   let methods = ref Opid.Set.empty in
-  Hashtbl.iter
+  Var_tbl.iter
     (fun ((op : Opid.t), _) _ ->
       if Opid.is_frame op && Opid.is_system op then
-        methods := Opid.Set.add { op with kind = Opid.Begin } !methods)
+        methods := Opid.Set.add (Opid.with_kind op Opid.Begin) !methods)
     table;
   Opid.Set.iter
     (fun begin_op ->
       let key = Opid.method_key begin_op in
       if not (Hashtbl.mem st.s_single key) then begin
-        let end_op = { begin_op with kind = Opid.End } in
+        let end_op = Opid.with_kind begin_op Opid.End in
         match (find_var table begin_op Acquire, find_var table end_op Release) with
         | Some b, Some e ->
           let sum = Linexpr.add (Linexpr.var b) (Linexpr.var e) in

@@ -13,18 +13,30 @@ type merged_window = {
 
 let max_coords = 8
 
-(* Merge identity: the pair and both sides themselves.  Sides are
-   canonical sorted arrays, so structural equality and [Hashtbl.hash] on
-   them are multiset equality and a consistent hash — no per-window copy
-   into binding lists. *)
-module Key = struct
-  type t = (Opid.t * Opid.t) * Windows.side * Windows.side
+(* Merge identity: the pair and both sides themselves, compared and
+   hashed by op id (see [Windows.Side]).  These tables are only probed,
+   never iterated into an output, so id-dependent buckets decide
+   nothing. *)
+module Pair = struct
+  type t = Opid.t * Opid.t
 
-  let of_window (w : Windows.t) = (w.pair, w.rel, w.acq)
+  let equal (a, b) (c, d) = Opid.equal a c && Opid.equal b d
+  let hash (a, b) = ((Opid.hash a * 65599) + Opid.hash b) land max_int
 end
 
+module Pairs = Hashtbl.Make (Pair)
+
+module Merged = Hashtbl.Make (struct
+  type t = Pair.t * Windows.side * Windows.side
+
+  let equal (p, r, a) (q, s, b) = Pair.equal p q && Windows.Side.equal r s && Windows.Side.equal a b
+
+  let hash (p, r, a) =
+    ((((Pair.hash p * 65599) + Windows.Side.hash r) * 65599) + Windows.Side.hash a) land max_int
+end)
+
 type t = {
-  merged : (Key.t, merged_window ref) Hashtbl.t;
+  merged : merged_window ref Merged.t;
   mutable order : merged_window ref array;
       (* merged windows in arrival order; [0, nmerged) live.  Gives the
          encoder a stable id per merged window, so an incremental round
@@ -32,7 +44,7 @@ type t = {
          mutate existing cells in place and need no re-encoding). *)
   mutable nmerged : int;
   mutable races : (Opid.t * Opid.t) list;
-  races_seen : (Opid.t * Opid.t, unit) Hashtbl.t;
+  races_seen : unit Pairs.t;
       (* membership index over [races]: dedup used to be a [List.exists]
          per incoming race — quadratic across a large corpus *)
   durs : Durations.t;
@@ -49,30 +61,19 @@ type extraction = {
 
 let create () =
   {
-    merged = Hashtbl.create 64;
-    order =
-      (let z = Opid.read ~cls:"" "" in
-       Array.make 64
-         (ref
-            {
-              pair = (z, z);
-              field = "";
-              rel = Windows.Side.empty;
-              acq = Windows.Side.empty;
-              weight = 0;
-              coords = [];
-            }));
+    merged = Merged.create 64;
+    order = [||];
     nmerged = 0;
     races = [];
-    races_seen = Hashtbl.create 64;
+    races_seen = Pairs.create 64;
     durs = Durations.create ();
     nruns = 0;
     metrics = Metrics.create ();
   }
 
 let add_window t (w : Windows.t) =
-  let key = Key.of_window w in
-  match Hashtbl.find_opt t.merged key with
+  let key = (w.pair, w.rel, w.acq) in
+  match Merged.find_opt t.merged key with
   | Some r ->
     let coords =
       if List.length !r.coords < max_coords then !r.coords @ [ w.coord ]
@@ -91,9 +92,9 @@ let add_window t (w : Windows.t) =
           coords = [ w.coord ];
         }
     in
-    Hashtbl.add t.merged key cell;
+    Merged.add t.merged key cell;
     if t.nmerged >= Array.length t.order then begin
-      let order = Array.make (2 * Array.length t.order) cell in
+      let order = Array.make (max 64 (2 * Array.length t.order)) cell in
       Array.blit t.order 0 order 0 t.nmerged;
       t.order <- order
     end;
@@ -118,8 +119,8 @@ let add_extraction t x =
   List.iter (add_window t) x.x_windows;
   List.iter
     (fun (r : Windows.race) ->
-      if not (Hashtbl.mem t.races_seen r.race_pair) then begin
-        Hashtbl.add t.races_seen r.race_pair ();
+      if not (Pairs.mem t.races_seen r.race_pair) then begin
+        Pairs.add t.races_seen r.race_pair ();
         t.races <- r.race_pair :: t.races
       end)
     x.x_races;
@@ -143,11 +144,11 @@ let window_at t i =
   if i < 0 || i >= t.nmerged then invalid_arg "Observations.window_at";
   !(t.order.(i))
 
-let race_count t = Hashtbl.length t.races_seen
+let race_count t = Pairs.length t.races_seen
 
 let racy_pairs t = t.races
 
-let is_racy_pair t pair = Hashtbl.mem t.races_seen pair
+let is_racy_pair t pair = Pairs.mem t.races_seen pair
 
 let durations t = t.durs
 
@@ -165,30 +166,29 @@ type tally = {
    instead of one full fold per candidate op.  Integer sums, so the
    averages do not depend on visiting order. *)
 let avg_occurrences t =
-  let tallies : (Opid.t, tally) Hashtbl.t = Hashtbl.create 64 in
+  let tallies : tally Opid.Tbl.t = Opid.Tbl.create 64 in
   for i = 0 to t.nmerged - 1 do
     let w = !(t.order.(i)) in
     let bump op n =
-      match Hashtbl.find_opt tallies op with
+      match Opid.Tbl.find_opt tallies op with
       | Some c ->
         c.total <- c.total + (n * w.weight);
         c.count <- c.count + w.weight
-      | None -> Hashtbl.add tallies op { total = n * w.weight; count = w.weight }
+      | None -> Opid.Tbl.add tallies op { total = n * w.weight; count = w.weight }
     in
     Windows.Side.iter bump w.rel;
     Windows.Side.iter bump w.acq
   done;
   fun op ->
-    match Hashtbl.find_opt tallies op with
+    match Opid.Tbl.find_opt tallies op with
     | Some c when c.count > 0 -> float_of_int c.total /. float_of_int c.count
     | _ -> 0.0
 
 let candidate_count t =
   let ops = ref Opid.Set.empty in
-  Hashtbl.iter
-    (fun _ r ->
-      let w = !r in
-      Windows.Side.iter (fun op _ -> ops := Opid.Set.add op !ops) w.rel;
-      Windows.Side.iter (fun op _ -> ops := Opid.Set.add op !ops) w.acq)
-    t.merged;
+  for i = 0 to t.nmerged - 1 do
+    let w = !(t.order.(i)) in
+    Windows.Side.iter (fun op _ -> ops := Opid.Set.add op !ops) w.rel;
+    Windows.Side.iter (fun op _ -> ops := Opid.Set.add op !ops) w.acq
+  done;
   Opid.Set.cardinal !ops

@@ -75,15 +75,16 @@ let run_one ?(hooks = Runtime.no_hooks) (config : Config.t) ~round ~test_index
      injected fault reproduces while an unlucky organic interleaving gets
      a fresh chance. *)
   let seed = if attempt = 0 then seed else seed lxor (attempt * 0x9e3779b9) in
+  let planned = Perturber.delay_before plan in
   let delay_before =
-    if config.delay_probability >= 1.0 then Perturber.delay_before plan
+    if config.delay_probability >= 1.0 then planned
     else begin
       (* Probabilistic injection (paper footnote 1): each dynamic
          instance is delayed with probability p, deterministically per
          seed. *)
       let rng = Sherlock_util.Rng.create (seed lxor 0x5eed) in
       fun op ->
-        let d = Perturber.delay_before plan op in
+        let d = planned op in
         if d > 0 && Sherlock_util.Rng.float rng 1.0 <= config.delay_probability
         then d
         else 0

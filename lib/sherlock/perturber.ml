@@ -15,7 +15,7 @@ let of_verdicts ~delay_us verdicts =
           let target =
             match v.op.kind with
             | Opid.Write | Opid.Read | Opid.Begin -> v.op
-            | Opid.End -> { v.op with kind = Opid.Begin }
+            | Opid.End -> Opid.with_kind v.op Opid.Begin
           in
           Opid.Map.add target delay_us plan)
       empty verdicts
@@ -26,8 +26,13 @@ let of_verdicts ~delay_us verdicts =
     (Sherlock_telemetry.Span.Int delay_us);
   plan
 
-let delay_before plan op =
-  match Opid.Map.find_opt op plan with Some d -> d | None -> 0
+(* The plan numbered by op id, once per call: an event's lookup reads
+   ints only, and its tables are as small as the plan. *)
+let delay_before plan =
+  let numbering = Opid.Numbering.create () in
+  Opid.Map.iter (fun op _ -> ignore (Opid.Numbering.number numbering op)) plan;
+  let delays = Array.of_list (List.map snd (Opid.Map.bindings plan)) in
+  fun op -> match Opid.Numbering.find numbering op with -1 -> 0 | k -> delays.(k)
 
 let bindings plan = Opid.Map.bindings plan
 

@@ -17,8 +17,11 @@ val of_verdicts : delay_us:int -> Verdict.t list -> plan
 (** Build the plan from the current round's release verdicts. *)
 
 val delay_before : plan -> Opid.t -> int
-(** The delay to inject before one dynamic instance of [op]; 0 if none.
-    This is plugged directly into {!Sherlock_sim.Runtime.instrument}. *)
+(** [delay_before plan] numbers the plan's ops by id once and returns
+    the lookup: the delay to inject before one dynamic instance of an
+    op, 0 if none (also for an op created after the call).  Apply it to
+    the plan once and keep the closure for every event; it is plugged
+    directly into {!Sherlock_sim.Runtime.instrument}. *)
 
 val size : plan -> int
 (** Number of distinct delayed operations. *)

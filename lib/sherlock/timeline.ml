@@ -53,6 +53,7 @@ let frame_events ~pid (t : test_timeline) =
    marker on the frame track and a slice covering the injected interval on
    the scheduler track, annotated with what the plan asked for. *)
 let delay_events ~pid ~plan (t : test_timeline) =
+  let planned = Perturber.delay_before plan in
   let events = ref [] in
   Log.iter
     (fun (e : Event.t) ->
@@ -61,7 +62,7 @@ let delay_events ~pid ~plan (t : test_timeline) =
           [
             ("op", P.Str (Opid.to_string e.op));
             ("delayed_us", P.Int e.delayed_by);
-            ("planned_us", P.Int (Perturber.delay_before plan e.op));
+            ("planned_us", P.Int (planned e.op));
           ]
         in
         events :=

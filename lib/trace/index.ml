@@ -12,8 +12,17 @@ type per_thread = {
   begins : int;
 }
 
+(* Tids are keys of several per-extraction tables; an int hash and
+   [Int.equal] skip the polymorphic primitives on every lookup. *)
+module Tid_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash x = x land max_int
+end)
+
 type t = {
-  threads : (int, per_thread) Hashtbl.t;
+  threads : per_thread Tid_tbl.t;
   addrs_in_order : int array;
   accesses : int array array;  (* accesses.(k): positions of address addrs_in_order.(k) *)
 }
@@ -182,12 +191,12 @@ let build (events : Event.t array) =
       Array.unsafe_set acur k (c + 1)
     end
   done;
-  let threads = Hashtbl.create (max 16 (Ids.length tids)) in
-  Array.iteri (fun k pt -> Hashtbl.add threads (Ids.id tids k) { pt with begins = bcount.(k) }) pts;
+  let threads = Tid_tbl.create (max 16 (Ids.length tids)) in
+  Array.iteri (fun k pt -> Tid_tbl.add threads (Ids.id tids k) { pt with begins = bcount.(k) }) pts;
   { threads; addrs_in_order = Array.init (Ids.length addrs) (Ids.id addrs); accesses }
 
 let thread t tid =
-  match Hashtbl.find t.threads tid with
+  match Tid_tbl.find t.threads tid with
   | pt -> pt
   | exception Not_found -> empty_thread
 

@@ -11,8 +11,7 @@
       number of [Begin] events, which sizes the extraction's frame table;
     - a per-address access index: the offsets of each traced address's
       [Read]/[Write] events in time order, in address first-seen order
-      (offsets, like every other view, so an extraction can key an
-      access on its per-event tables, such as its op rank, by offset);
+      (offsets, like every other view);
     - a per-thread delayed-event index: offsets of events carrying an
       injected delay, so "first delayed event in a window" is a binary
       search instead of a scan. *)
@@ -29,6 +28,9 @@ type per_thread = {
 }
 
 type t
+
+module Tid_tbl : Hashtbl.S with type key = int
+(** A table keyed on thread ids, hashed and compared as ints. *)
 
 val build : Event.t array -> t
 (** [build events] indexes a time-sorted event array in two passes: the

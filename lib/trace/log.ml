@@ -185,13 +185,13 @@ type stack = {
    handed to [on_close] as they close rather than collected, so a long
    log's frames are never all live at once. *)
 let fold_frames t ~init ~f:on_close =
-  let stacks : (int, stack) Hashtbl.t = Hashtbl.create 8 in
+  let stacks : stack Index.Tid_tbl.t = Index.Tid_tbl.create 8 in
   let slot tid =
-    match Hashtbl.find_opt stacks tid with
-    | Some s -> s
-    | None ->
+    match Index.Tid_tbl.find stacks tid with
+    | s -> s
+    | exception Not_found ->
       let s = { frames = []; pushed = 0 } in
-      Hashtbl.add stacks tid s;
+      Index.Tid_tbl.add stacks tid s;
       s
   in
   let acc = ref init in
@@ -221,7 +221,7 @@ let fold_frames t ~init ~f:on_close =
       | Opid.Read | Opid.Write -> ())
     t.events;
   let still_open = ref [] in
-  Hashtbl.iter (fun _ s -> still_open := List.rev_append s.frames !still_open) stacks;
+  Index.Tid_tbl.iter (fun _ s -> still_open := List.rev_append s.frames !still_open) stacks;
   (!acc, List.rev !still_open)
 
 let distinct_addrs (t : t) = Index.distinct_addrs t.index

@@ -4,10 +4,12 @@ type kind =
   | Begin
   | End
 
+(* [id] last, so that polymorphic comparison still orders by name. *)
 type t = {
   cls : string;
   member : string;
   kind : kind;
+  id : int;
 }
 
 (* Operation names flow into both trace formats — space-delimited text
@@ -23,31 +25,71 @@ let check_name s =
           (Printf.sprintf "Opid: invalid character %C in operation name %S" c s))
     s
 
+let kind_rank = function Read -> 0 | Write -> 1 | Begin -> 2 | End -> 3
+
+(* The intern table: one record per distinct (cls, member, kind), keyed
+   on the names; a new record's id is the table's size.  The lock guards
+   concurrent creators: tests run under [Sherlock_util.Pool]'s
+   [parallel_map] create ops lazily, through [Heap.cell] and
+   [Runtime.frame], on several domains.  It can go with the pool. *)
+module Names = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal a b = a.kind = b.kind && String.equal a.member b.member && String.equal a.cls b.cls
+  let hash t = (((Hashtbl.hash t.cls * 31) + Hashtbl.hash t.member) * 4) + kind_rank t.kind
+end)
+
+let table = Names.create 256
+
+let lock = Mutex.create ()
+
+(* A hit takes the lock once and allocates only the probe.  A miss
+   checks the names outside the lock, so a rejected name never enters,
+   and looks again before adding, in case another domain added the op
+   meanwhile.  The counter is looked up per new op (rare), so a registry
+   reset cannot orphan it. *)
 let make cls member kind =
-  check_name cls;
-  check_name member;
-  { cls; member; kind }
+  let key = { cls; member; kind; id = -1 } in
+  Mutex.lock lock;
+  match Names.find table key with
+  | op ->
+    Mutex.unlock lock;
+    op
+  | exception Not_found ->
+    Mutex.unlock lock;
+    check_name cls;
+    check_name member;
+    Mutex.protect lock (fun () ->
+        match Names.find table key with
+        | op -> op
+        | exception Not_found ->
+          let op = { key with id = Names.length table } in
+          Names.add table op op;
+          Sherlock_telemetry.Metrics.(Counter.incr (counter "opid.interned"));
+          op)
+
+let interned () = Mutex.protect lock (fun () -> Names.length table)
 
 let read ~cls member = make cls member Read
 let write ~cls member = make cls member Write
 let enter ~cls member = make cls member Begin
 let exit ~cls member = make cls member End
 
-let kind_rank = function Read -> 0 | Write -> 1 | Begin -> 2 | End -> 3
+let with_kind t kind = if t.kind = kind then t else make t.cls t.member kind
 
 let compare a b =
-  match String.compare a.cls b.cls with
-  | 0 -> (
-    match String.compare a.member b.member with
-    | 0 -> Int.compare (kind_rank a.kind) (kind_rank b.kind)
-    | c -> c)
-  | c -> c
+  if a == b then 0
+  else
+    match String.compare a.cls b.cls with
+    | 0 -> (
+      match String.compare a.member b.member with
+      | 0 -> Int.compare (kind_rank a.kind) (kind_rank b.kind)
+      | c -> c)
+    | c -> c
 
-(* Physically shared names (every op of one call site) compare equal
-   without reading their bytes. *)
-let equal a b = a.kind = b.kind && String.equal a.member b.member && String.equal a.cls b.cls
+let equal a b = a.id = b.id
 
-let hash t = (((Hashtbl.hash t.cls * 31) + Hashtbl.hash t.member) * 4) + kind_rank t.kind
+let hash t = t.id
 
 let is_access t = match t.kind with Read | Write -> true | Begin | End -> false
 
@@ -75,16 +117,7 @@ let method_key t = t.cls ^ "::" ^ t.member
 let field_key = method_key
 
 let counterpart t =
-  let kind =
-    match t.kind with Read -> Write | Write -> Read | Begin -> End | End -> Begin
-  in
-  { t with kind }
-
-let kind_name = function
-  | Read -> "Read"
-  | Write -> "Write"
-  | Begin -> "Begin"
-  | End -> "End"
+  with_kind t (match t.kind with Read -> Write | Write -> Read | Begin -> End | End -> Begin)
 
 let to_string t =
   match t.kind with
@@ -110,3 +143,64 @@ module Tbl = Hashtbl.Make (struct
   let equal = equal
   let hash = hash
 end)
+
+(* Open addressing on the id ([-1] marks a free key), at most half full,
+   so a probe is an int mask and one or two compares. *)
+module Numbering = struct
+  type op = t
+
+  type nonrec t = {
+    mutable keys : int array;  (* op ids *)
+    mutable nums : int array;  (* the number of the op in [keys] *)
+    mutable ops : op array;  (* ops.(k): the op numbered [k] *)
+    mutable length : int;
+  }
+
+  let create () = { keys = Array.make 64 (-1); nums = Array.make 64 0; ops = [||]; length = 0 }
+
+  let rec slot keys mask id i =
+    let k = Array.unsafe_get keys i in
+    if k = id || k < 0 then i else slot keys mask id ((i + 1) land mask)
+
+  let slot_of t id =
+    let mask = Array.length t.keys - 1 in
+    slot t.keys mask id (id land mask)
+
+  let find t (op : op) =
+    let i = slot_of t op.id in
+    if Array.unsafe_get t.keys i = op.id then Array.unsafe_get t.nums i else -1
+
+  let grow t =
+    let keys = t.keys and nums = t.nums in
+    t.keys <- Array.make (2 * Array.length keys) (-1);
+    t.nums <- Array.make (2 * Array.length keys) 0;
+    Array.iteri
+      (fun j id ->
+        if id >= 0 then begin
+          let i = slot_of t id in
+          t.keys.(i) <- id;
+          t.nums.(i) <- nums.(j)
+        end)
+      keys
+
+  let number t (op : op) =
+    match find t op with
+    | k when k >= 0 -> k
+    | _ ->
+      if 2 * (t.length + 1) > Array.length t.keys then grow t;
+      let i = slot_of t op.id and k = t.length in
+      t.keys.(i) <- op.id;
+      t.nums.(i) <- k;
+      if k = Array.length t.ops then begin
+        let ops = Array.make (max 16 (2 * k)) op in
+        Array.blit t.ops 0 ops 0 k;
+        t.ops <- ops
+      end;
+      t.ops.(k) <- op;
+      t.length <- k + 1;
+      k
+
+  let length t = t.length
+
+  let op t k = t.ops.(k)
+end

@@ -41,6 +41,7 @@ let log ?(seed = 1) ~addrs ~threads ~events () =
     Array.init 32 (fun m ->
         Opid.enter ~cls:(Printf.sprintf "C%d" (m / 4)) (Printf.sprintf "m%d" (m mod 4)))
   in
+  let end_ops = Array.map Opid.counterpart frame_ops in
   let hot = max 1 (addrs / 16) in
   let builder = Log.Builder.create () in
   let time = ref 0 in
@@ -54,17 +55,17 @@ let log ?(seed = 1) ~addrs ~threads ~events () =
     let tid = rint threads in
     let r = rint 100 in
     if r < 3 && List.length stacks.(tid) < 4 then begin
-      let op = frame_ops.(rint (Array.length frame_ops)) in
-      stacks.(tid) <- op :: stacks.(tid);
+      let m = rint (Array.length frame_ops) in
+      stacks.(tid) <- m :: stacks.(tid);
       Log.Builder.add builder
-        (Event.make ~time:!time ~tid ~op ~target:(1 + tid) ())
+        (Event.make ~time:!time ~tid ~op:frame_ops.(m) ~target:(1 + tid) ())
     end
     else
       match (r < 6, stacks.(tid)) with
-      | true, op :: rest ->
+      | true, m :: rest ->
         stacks.(tid) <- rest;
         Log.Builder.add builder
-          (Event.make ~time:!time ~tid ~op:(Opid.counterpart op) ~target:(1 + tid) ())
+          (Event.make ~time:!time ~tid ~op:end_ops.(m) ~target:(1 + tid) ())
       | _ ->
         (* Contended bursts: half the accesses revisit the previous
            address, so several threads touch one location inside a single

@@ -53,27 +53,13 @@ let kind_char = function
 (* ------------------------------------------------------------------ *)
 (* Writer *)
 
-(* One table entry per distinct [Opid.t], numbered in first-appearance
-   order; events store the 32-bit index.  Returns the op column with
-   the table, both built in one pass of one lookup per event. *)
+(* One table entry per distinct op, numbered in first-appearance order;
+   events store the 32-bit index.  Returns the op column with the table,
+   both built in one pass of one numbering lookup per event. *)
 let intern (log : Log.t) =
-  let tbl : (Opid.t, int) Hashtbl.t = Hashtbl.create 64 in
-  let rev = ref [] in
-  let count = ref 0 in
-  let column =
-    Array.map
-      (fun (e : Event.t) ->
-        match Hashtbl.find tbl e.op with
-        | k -> k
-        | exception Not_found ->
-          let k = !count in
-          Hashtbl.add tbl e.op k;
-          rev := e.op :: !rev;
-          incr count;
-          k)
-      log.events
-  in
-  (column, Array.of_list (List.rev !rev))
+  let numbering = Opid.Numbering.create () in
+  let column = Array.map (fun (e : Event.t) -> Opid.Numbering.number numbering e.op) log.events in
+  (column, Array.init (Opid.Numbering.length numbering) (Opid.Numbering.op numbering))
 
 let op_entry_bytes (o : Opid.t) = 5 + String.length o.cls + String.length o.member
 
@@ -111,8 +97,6 @@ let write_with (log : Log.t) ~buf ~flush =
   add_i64 buf footer_offset;
   Array.iter
     (fun (o : Opid.t) ->
-      Opid.check_name o.cls;
-      Opid.check_name o.member;
       if String.length o.cls > 0xffff || String.length o.member > 0xffff then
         invalid_arg "Trace_bin: operation name longer than 65535 bytes";
       Buffer.add_char buf (kind_char o.kind);

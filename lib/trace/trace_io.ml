@@ -30,32 +30,8 @@ let add_int buf n =
   end
   else add_digits buf (-n)
 
-(* [Opid.t] is a concrete record, so hand-built values can bypass the
-   constructors' name check, and a name with a space would shear an
-   event line into extra fields: the writer re-checks every name it
-   emits.  A direct-mapped cache of names already checked in this write
-   makes that once per distinct name; a slot compares by [String.equal],
-   which is O(1) on the physically shared names logs carry, and a
-   collision only costs a re-check. *)
-let name_checker () =
-  let checked = Array.make 256 "" in
-  fun name ->
-    let n = String.length name in
-    let slot =
-      if n = 0 then 0
-      else
-        ((n * 31) + Char.code (String.unsafe_get name (n - 1))
-        + (7 * Char.code (String.unsafe_get name (n / 2))))
-        land 255
-    in
-    if not (String.equal (Array.unsafe_get checked slot) name) then begin
-      Opid.check_name name;
-      Array.unsafe_set checked slot name
-    end
-
 let to_buffer (log : Log.t) =
   let buf = Buffer.create (256 + (Array.length log.events * 48)) in
-  let check = name_checker () in
   Buffer.add_string buf magic;
   Buffer.add_char buf '\n';
   Buffer.add_string buf "duration ";
@@ -72,8 +48,6 @@ let to_buffer (log : Log.t) =
     (Log.volatile_list log);
   Array.iter
     (fun (e : Event.t) ->
-      check e.op.cls;
-      check e.op.member;
       Buffer.add_string buf "e ";
       add_int buf e.time;
       Buffer.add_char buf ' ';
@@ -101,22 +75,20 @@ exception Malformed
 
 exception Bad_name of string
 
-(* Per-load op interning: one [Opid.t] per distinct (kind, cls, member),
-   as the binary decoder shares its op table.  The key is never built:
-   an open-addressed table hashes the kind and the line's "cls member"
+(* Per-load op cache in front of the constructors, which share one
+   record per name process-wide.  The key is never built: an
+   open-addressed table hashes the kind and the line's "cls member"
    bytes in place and compares candidates against those bytes, so a
    repeated op costs one hash and one comparison, and only a new op
    allocates its two names. *)
 type interner = {
-  mutable slots : Opid.t array;  (* [none] marks an empty slot *)
-  mutable hashes : int array;
+  mutable slots : Opid.t array;
+  mutable hashes : int array;  (* -1 marks an empty slot *)
   mutable count : int;
 }
 
-let none = { Opid.cls = ""; member = ""; kind = Opid.Read }
-
 let interner () =
-  { slots = Array.make 64 none; hashes = Array.make 64 0; count = 0 }
+  { slots = Array.make 64 (Opid.read ~cls:"" ""); hashes = Array.make 64 (-1); count = 0 }
 
 (* [s.[a, b)] is "cls member": the two names and the one space between. *)
 let span_hash s kind a b =
@@ -134,10 +106,11 @@ let same_bytes name s a =
   go 0
 
 let rec probe t h mask i kind s c0 c1 m0 m1 =
-  let op = Array.unsafe_get t.slots i in
-  if op == none then -1 - i
+  let hi = Array.unsafe_get t.hashes i in
+  if hi < 0 then -1 - i
   else if
-    Array.unsafe_get t.hashes i = h
+    let op = Array.unsafe_get t.slots i in
+    hi = h
     && op.kind = kind
     && String.length op.cls = c1 - c0
     && String.length op.member = m1 - m0
@@ -148,13 +121,13 @@ let rec probe t h mask i kind s c0 c1 m0 m1 =
 
 let grow t =
   let cap = 2 * Array.length t.slots in
-  let slots = Array.make cap none and hashes = Array.make cap 0 in
+  let slots = Array.make cap t.slots.(0) and hashes = Array.make cap (-1) in
   Array.iteri
     (fun i op ->
-      if op != none then begin
-        let h = t.hashes.(i) in
+      let h = t.hashes.(i) in
+      if h >= 0 then begin
         let j = ref (h land (cap - 1)) in
-        while slots.(!j) != none do
+        while hashes.(!j) >= 0 do
           j := (!j + 1) land (cap - 1)
         done;
         slots.(!j) <- op;

@@ -4,9 +4,23 @@ module Tspan = Sherlock_telemetry.Span
 module Side = struct
   (* Two parallel immutable arrays: the distinct ops in [Opid.compare]
      order and their occurrence counts (all >= 1).  The representation is
-     canonical — equal multisets give structurally equal values — so
-     sides can key a polymorphic hash table directly. *)
+     canonical: equal multisets give structurally equal values. *)
   type t = { ops : Opid.t array; counts : int array }
+
+  let equal a b =
+    Array.length a.ops = Array.length b.ops
+    && Array.for_all2 Opid.equal a.ops b.ops
+    && a.counts = b.counts
+
+  (* Bounded work: the length, the first four entries and the last op.
+     A hash over every entry cost more than the collisions it saves. *)
+  let hash s =
+    let n = Array.length s.ops in
+    let h = ref n in
+    for i = 0 to min n 4 - 1 do
+      h := (!h * 65599) + (Opid.hash s.ops.(i) * 31) + s.counts.(i)
+    done;
+    if n = 0 then !h else (!h * 65599) + Opid.hash s.ops.(n - 1)
 
   let empty = { ops = [||]; counts = [||] }
 
@@ -106,34 +120,26 @@ let default_cap = 15
 (* Per-extraction op ranks: the log's distinct ops sorted by
    [Opid.compare], and every event's rank in that order.  A span then
    folds to small ints — a counter bump per event — and a side comes out
-   already in [Side] order once its touched ranks are sorted.  Built at
-   the start of each [extract] and owned by its span cache; it dies with
-   the call, so no log outlives its extraction. *)
+   already in [Side] order once its touched ranks are sorted.  The ops
+   are numbered in one pass over the events through an id-keyed
+   [Opid.Numbering]; only the distinct ops are sorted, by name, so ids
+   decide nothing.  Built at the start of each [extract] and owned by
+   its span cache; it dies with the call, so no log outlives its
+   extraction. *)
 type ranks = {
   rank : int array;       (* event position -> rank *)
   op_of_rank : Opid.t array;
 }
 
 let rank_ops (log : Log.t) =
-  let ids = Opid.Tbl.create 256 in
-  let distinct = ref [] in
-  let id_of (op : Opid.t) =
-    match Opid.Tbl.find_opt ids op with
-    | Some i -> i
-    | None ->
-      let i = Opid.Tbl.length ids in
-      Opid.Tbl.add ids op i;
-      distinct := op :: !distinct;
-      i
-  in
-  let rank = Array.map (fun (e : Event.t) -> id_of e.op) log.events in
-  let by_id = Array.of_list (List.rev !distinct) in
-  let order = Array.init (Array.length by_id) Fun.id in
-  Array.sort (fun a b -> Opid.compare by_id.(a) by_id.(b)) order;
-  let rank_of_id = Array.make (Array.length by_id) 0 in
-  Array.iteri (fun r id -> rank_of_id.(id) <- r) order;
-  Array.iteri (fun k id -> rank.(k) <- rank_of_id.(id)) rank;
-  { rank; op_of_rank = Array.map (fun id -> by_id.(id)) order }
+  let numbering = Opid.Numbering.create () in
+  let rank = Array.map (fun (e : Event.t) -> Opid.Numbering.number numbering e.op) log.events in
+  let op_of_rank = Array.init (Opid.Numbering.length numbering) (Opid.Numbering.op numbering) in
+  Array.sort Opid.compare op_of_rank;
+  let rank_of_number = Array.make (Array.length op_of_rank) 0 in
+  Array.iteri (fun r op -> rank_of_number.(Opid.Numbering.find numbering op) <- r) op_of_rank;
+  Array.iteri (fun k n -> rank.(k) <- rank_of_number.(n)) rank;
+  { rank; op_of_rank }
 
 (* Ascending in-place sort of the distinct ints [a.(lo .. hi-1)]:
    insertion sort for short runs, median-of-three quicksort above.  Most
@@ -244,14 +250,14 @@ type thread_frames = {
    every closed frame to [on_close], in End order, so the one fold
    serves the duration samples too. *)
 type frames = {
-  by_tid : (int, thread_frames) Hashtbl.t;
+  by_tid : thread_frames Index.Tid_tbl.t;
   mutable visited : int;
 }
 
 let frame_table ~on_close (log : Log.t) =
-  let by_tid = Hashtbl.create 16 in
+  let by_tid = Index.Tid_tbl.create 16 in
   let table (f : Log.frame) =
-    match Hashtbl.find by_tid f.tid with
+    match Index.Tid_tbl.find by_tid f.tid with
     | t -> t
     | exception Not_found ->
       let n = (Index.thread (Log.index log) f.tid).begins in
@@ -263,7 +269,7 @@ let frame_table ~on_close (log : Log.t) =
           parents = Array.make n 0;
         }
       in
-      Hashtbl.add by_tid f.tid t;
+      Index.Tid_tbl.add by_tid f.tid t;
       t
   in
   let put (f : Log.frame) =
@@ -302,7 +308,7 @@ let progressed log ~tid ~lo ~hi =
    chain holds every open frame, and the filter drops exactly the ones
    closed before [lo]. *)
 let add_open_frames log frames side ~tid ~lo =
-  match Hashtbl.find_opt frames.by_tid tid with
+  match Index.Tid_tbl.find_opt frames.by_tid tid with
   | None -> side
   | Some t ->
     let acc = ref side in

@@ -24,10 +24,16 @@
     dynamic occurrences inside this window: a finite map from op to a
     positive count, iterated in {!Opid.compare} order.  Backed by two
     parallel sorted arrays; the representation is canonical, so two sides
-    holding the same multiset are structurally equal (and hash equally
-    under [Hashtbl.hash]). *)
+    holding the same multiset are structurally equal. *)
 module Side : sig
   type t
+
+  val equal : t -> t -> bool
+  (** Same ops (by id) with the same counts. *)
+
+  val hash : t -> int
+  (** Of the length, the first four entries and the last op's id:
+      bounded work, consistent with {!equal}, and id-dependent. *)
 
   val empty : t
 
@@ -111,10 +117,12 @@ val extract :
     examined) are bumped once per extraction.
 
     Sides are built by counting per-extraction op ranks: the log's
-    distinct ops are sorted once per call, each event's rank is recorded,
-    and a span folds into a per-rank count array whose touched ranks,
-    sorted as ints, give the side in {!Side} order.  This state is local
-    to the call.
+    distinct ops are numbered by op id ({!Opid.Numbering}) and sorted by
+    {!Opid.compare} once per call, each event's rank is recorded, and a
+    span folds into a per-rank count array whose touched ranks, sorted
+    as ints, give the side in {!Side} order.  Ids only key the
+    numbering; no order comes from them.  This state is local to the
+    call.
 
     Cost.  Per call: one rank pass and one frame fold
     ({!Log.fold_frames}) over the events, each O(events).  All span,

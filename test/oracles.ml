@@ -98,9 +98,10 @@ let time_sort arr =
   Array.map snd stable
 
 (* Text trace codec: every field through [string_of_int], every line
-   split on spaces into fresh strings.  The reader builds each op record
-   from its fields as they are, unchecked, and takes only the first
-   character of the kind field. *)
+   split on spaces into fresh strings.  The reader builds each op through
+   its constructor, whose [Invalid_argument] on a bad name it lets
+   escape unpositioned, and takes only the first character of the kind
+   field. *)
 let text_magic = "sherlock-trace 1"
 
 let text_kind_char = function
@@ -135,8 +136,6 @@ let text_of_log (log : Log.t) =
     (Log.volatile_list log);
   Array.iter
     (fun (e : Event.t) ->
-      Opid.check_name e.op.cls;
-      Opid.check_name e.op.member;
       Buffer.add_string buf "e ";
       add_int e.time;
       Buffer.add_char buf ' ';
@@ -173,7 +172,14 @@ let log_of_text ?(path = "<string>") s =
       | [ "threads"; n ] -> threads := int_of_string n
       | [ "volatile"; a ] -> Hashtbl.replace volatile_addrs (int_of_string a) ()
       | [ "e"; time; tid; kind; target; delayed_by; cls; member ] ->
-        let op = { Opid.cls; member; kind = text_kind_of_char kind.[0] } in
+        let make =
+          match text_kind_of_char kind.[0] with
+          | Opid.Read -> Opid.read
+          | Write -> Opid.write
+          | Begin -> Opid.enter
+          | End -> Opid.exit
+        in
+        let op = make ~cls member in
         events :=
           Event.make ~time:(int_of_string time) ~tid:(int_of_string tid) ~op
             ~target:(int_of_string target)

@@ -200,6 +200,19 @@ let test_perturber_plan () =
   check Alcotest.int "end itself not delayed" 0
     (Perturber.delay_before plan (Opid.exit ~cls:"C" "m"))
 
+(* The plan is numbered by op id when [delay_before] is applied: an op
+   created afterwards has an id the plan never saw and gets no delay. *)
+let test_perturber_later_op () =
+  let plan =
+    Perturber.of_verdicts ~delay_us:100_000
+      [ { Verdict.op = wf; role = Verdict.Release; probability = 1.0 } ]
+  in
+  let delay_before = Perturber.delay_before plan in
+  let later = Opid.write ~cls:"Perturber.Later" (string_of_int (Opid.interned ())) in
+  check Alcotest.bool "created after the plan's ops" true (later.id > wf.id);
+  check Alcotest.int "later op not delayed" 0 (delay_before later);
+  check Alcotest.int "planned op still delayed" 100_000 (delay_before wf)
+
 let test_perturber_empty () =
   check Alcotest.int "empty" 0 (Perturber.size Perturber.empty);
   check Alcotest.int "no delay" 0 (Perturber.delay_before Perturber.empty wf)
@@ -772,6 +785,7 @@ let () =
         [
           Alcotest.test_case "plan" `Quick test_perturber_plan;
           Alcotest.test_case "empty" `Quick test_perturber_empty;
+          Alcotest.test_case "op created after the plan" `Quick test_perturber_later_op;
         ] );
       ( "orchestrator",
         [

@@ -82,6 +82,104 @@ let test_opid_counterpart () =
   check Alcotest.bool "begin<->end" true
     (Opid.equal (Opid.counterpart (Opid.enter ~cls:"C" "m")) (Opid.exit ~cls:"C" "m"))
 
+(* Ops are hash-consed: equal names give the physically same record
+   through every constructor and loader. *)
+let test_opid_interning () =
+  let same what a b = check Alcotest.bool what true (a == b) in
+  let r = Opid.read ~cls:"I.C" "f" and w = Opid.write ~cls:"I.C" "f" in
+  let b = Opid.enter ~cls:"I.C" "m" and e = Opid.exit ~cls:"I.C" "m" in
+  same "read twice" r (Opid.read ~cls:"I.C" "f");
+  same "fresh name strings" r (Opid.read ~cls:("I." ^ "C") (String.make 1 'f'));
+  same "counterpart" w (Opid.counterpart r);
+  same "counterpart of counterpart" r (Opid.counterpart (Opid.counterpart r));
+  same "with_kind" e (Opid.with_kind b Opid.End);
+  same "with_kind, same kind" b (Opid.with_kind b Opid.Begin);
+  let log = mklog [ ev 10 0 r; ev 20 1 w; ev 30 0 b; ev 40 0 e ] in
+  List.iter
+    (fun format ->
+      let log' = Trace_io.of_string (Trace_io.to_string ~format log) in
+      Array.iter2
+        (fun (x : Event.t) (y : Event.t) ->
+          same (Trace_io.format_name format ^ " load") x.op y.op)
+        log.events log'.events)
+    [ Trace_io.Text; Trace_io.Binary ];
+  let synth = Synth.log ~seed:3 ~addrs:16 ~threads:2 ~events:500 () in
+  Array.iter
+    (fun (x : Event.t) ->
+      same "synth" x.op
+        (Opid.with_kind (Opid.read ~cls:x.op.cls x.op.member) x.op.kind))
+    synth.events
+
+(* equal a b <=> compare a b = 0 <=> a == b, and [compare] orders by
+   name whatever the creation order. *)
+let prop_opid_equal_compare_physical =
+  let name = QCheck.Gen.oneofl [ ""; "a"; "b"; "A"; "a.b"; "Z9"; "<x>b__0" ] in
+  QCheck.Test.make ~name:"opid: equal iff compare = 0 iff physically equal" ~count:300
+    (QCheck.make
+       QCheck.Gen.(
+         pair (triple name name (int_bound 3)) (triple name name (int_bound 3))))
+    (fun ((c1, m1, k1), (c2, m2, k2)) ->
+      let mk c m k = Opid.with_kind (Opid.read ~cls:c m) [| Opid.Read; Write; Begin; End |].(k) in
+      let a = mk c1 m1 k1 and b = mk c2 m2 k2 in
+      let by_name = compare (c1, m1, k1) (c2, m2, k2) in
+      Opid.equal a b = (Opid.compare a b = 0)
+      && Opid.equal a b = (a == b)
+      && Int.compare (Opid.compare a b) 0 = Int.compare by_name 0
+      && (Opid.equal a b = (Opid.hash a = Opid.hash b)))
+
+(* A numbering gives first-appearance numbers 0, 1, ... whatever the
+   ids, keeps them through its growth past its first table, and answers
+   -1 for an op it never numbered. *)
+let test_opid_numbering () =
+  let ops = List.init 300 (fun i -> Opid.write ~cls:"Num.C" (Printf.sprintf "f%d" (299 - i))) in
+  let n = Opid.Numbering.create () in
+  List.iteri
+    (fun k op -> check Alcotest.int "first appearance" k (Opid.Numbering.number n op))
+    (List.rev ops);
+  List.iteri
+    (fun k op -> check Alcotest.int "stable" k (Opid.Numbering.number n op))
+    (List.rev ops);
+  check Alcotest.int "length" 300 (Opid.Numbering.length n);
+  List.iteri
+    (fun k op ->
+      check Alcotest.int "find" k (Opid.Numbering.find n op);
+      check Alcotest.bool "op" true (Opid.Numbering.op n k == op))
+    (List.rev ops);
+  check Alcotest.int "never numbered" (-1) (Opid.Numbering.find n (Opid.read ~cls:"Num.C" "f0"))
+
+(* A rejected name never enters the table, and a load of ops already
+   interned adds none: the [opid.interned] counter moves only on a new
+   op, and [Opid.interned] counts the table. *)
+let test_opid_interned_count () =
+  let counter () =
+    Sherlock_telemetry.Metrics.Counter.value
+      (Sherlock_telemetry.Metrics.counter "opid.interned")
+  in
+  let n0 = Opid.interned () and c0 = counter () in
+  List.iter
+    (fun (cls, m) ->
+      match Opid.write ~cls m with
+      | _ -> Alcotest.failf "accepted %S %S" cls m
+      | exception Invalid_argument _ -> ())
+    [ ("Never Interned", "f"); ("Never.Interned", "f g"); ("N", "tab\tx") ];
+  check Alcotest.int "rejected names leave the table" n0 (Opid.interned ());
+  check Alcotest.int "rejected names leave the counter" c0 (counter ());
+  let log =
+    mklog [ ev 10 0 (Opid.read ~cls:"Count.C" "f"); ev 20 1 (Opid.write ~cls:"Count.C" "f") ]
+  in
+  let n1 = Opid.interned () and c1 = counter () in
+  check Alcotest.int "two new ops" (n0 + 2) n1;
+  check Alcotest.int "counted" (c0 + 2) c1;
+  List.iter
+    (fun format ->
+      let s = Trace_io.to_string ~format log in
+      ignore (Trace_io.of_string s);
+      let n2 = Opid.interned () and c2 = counter () in
+      ignore (Trace_io.of_string s);
+      check Alcotest.int "second load adds no op" n2 (Opid.interned ());
+      check Alcotest.int "second load leaves the counter" c2 (counter ()))
+    [ Trace_io.Text; Trace_io.Binary ]
+
 (* --- Log --- *)
 
 let test_log_sorting () =
@@ -732,19 +830,6 @@ let test_trace_io_malformed_line_position () =
     (List.hd lines ^ "\nthreads 2\ne 1 0  5 0 A B\n")
 
 let test_trace_io_rejects_spaces () =
-  (* The constructors reject bad names up front ([test_opid_name_validation]);
-     [Opid.t] is a concrete record, though, so a value built by hand can
-     slip past them — both writers must re-check before emitting. *)
-  let bad = { Opid.cls = "Bad Name"; member = "f"; kind = Opid.Read } in
-  let log = mklog [ ev 10 0 bad ] in
-  List.iter
-    (fun format ->
-      Alcotest.check_raises
-        (Printf.sprintf "whitespace name (%s)" (Trace_io.format_name format))
-        (Invalid_argument
-           "Opid: invalid character ' ' in operation name \"Bad Name\"")
-        (fun () -> ignore (Trace_io.to_string ~format log)))
-    [ Trace_io.Text; Trace_io.Binary ];
   (* Regression: the text loader built op records as they came, so a
      name no writer accepts loaded and only failed, unpositioned, on the
      next save.  It is rejected on load, at its line. *)
@@ -791,7 +876,7 @@ let gen_wide_log =
          let* cls = name and* member = name in
          let* target = gen_wide_int and* delayed_by = gen_wide_int in
          let kind = [| Opid.Read; Write; Begin; End |].(kind) in
-         let op = { Opid.cls; member; kind } in
+         let op = Opid.with_kind (Opid.read ~cls member) kind in
          return (Event.make ~time ~tid ~op ~target ~delayed_by ()))
     in
     let* volatiles = list_size (int_range 0 3) gen_wide_int in
@@ -860,8 +945,8 @@ let mutate_text text mutations =
   String.concat "\n" (Array.to_list lines)
 
 (* The two inputs the oracle mishandles: an event line with an empty
-   kind (it raises [Invalid_argument]) or with a name no writer accepts
-   (it loads it).  The first such line, if any. *)
+   kind or with a name no writer accepts (either raises
+   [Invalid_argument], unpositioned).  The first such line, if any. *)
 let first_bug_line lines =
   let bad name =
     match Opid.check_name name with () -> false | exception Invalid_argument _ -> true
@@ -1712,6 +1797,10 @@ let () =
           Alcotest.test_case "name validation" `Quick test_opid_name_validation;
           Alcotest.test_case "rendering" `Quick test_opid_strings;
           Alcotest.test_case "counterpart" `Quick test_opid_counterpart;
+          Alcotest.test_case "interning" `Quick test_opid_interning;
+          QCheck_alcotest.to_alcotest prop_opid_equal_compare_physical;
+          Alcotest.test_case "interned count" `Quick test_opid_interned_count;
+          Alcotest.test_case "numbering" `Quick test_opid_numbering;
         ] );
       ( "log",
         [

@@ -79,6 +79,10 @@ grep -q "pipeline" "$d/stats-live.out" || {
   echo "smoke_stats: live stats rendered no pipeline section" >&2
   exit 1
 }
+grep -Eq "interned +[0-9]+ distinct ops" "$d/stats-live.out" || {
+  echo "smoke_stats: live stats rendered no interned-op count" >&2
+  exit 1
+}
 
 lines=$(wc -l <"$d/run.jsonl" | tr -d ' ')
 families=$(grep -c '^# TYPE ' "$d/metrics.om" | tr -d ' ')
