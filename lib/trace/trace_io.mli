@@ -16,7 +16,9 @@
       v}
       where [kind] is one of [r w b e].  Class and member names must not
       contain whitespace or control characters (C# qualified names never
-      do); the writer checks them and the reader rejects them.
+      do).  No op can carry such a name: {!Opid.check_name} rejects it
+      when the op is created, so the writer copies names as they are,
+      and the reader rejects a bad name at its line.
     - {b Binary} — the framed, interned, mmap-backed format of
       {!Trace_bin}, for large logs.
 
@@ -37,9 +39,9 @@ val save : ?format:format -> Log.t -> string -> unit
 (** Write the log to a file ([format] defaults to [Text]), through a
     temporary file renamed over [path] ({!Sherlock_util.Atomic_file}):
     a save that fails leaves [path] as it was.  Raises [Sys_error] on IO
-    failure and [Invalid_argument] if an operation name contains
-    whitespace or control characters, or (binary) a value does not fit
-    its 32-bit column. *)
+    failure and, for [Binary], [Invalid_argument] if a value does not
+    fit its 32-bit column.  Names are not checked here: every op's were
+    checked by {!Opid.check_name} when it was created. *)
 
 val load : string -> Log.t
 (** Read a log back, auto-detecting the format.  Raises [Failure] on

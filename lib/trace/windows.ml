@@ -472,10 +472,14 @@ let scan_create ranks =
    count of its conflicting pairs still under the cap: an access whose
    row is at zero cannot start an accepted candidate, so it is skipped,
    and its inner loop ends once its row reaches zero; the whole address
-   ends once every row has.  Enumeration order and cap decisions are
-   identical to testing each candidate directly.  [emit a b] fires for
-   each accepted candidate; [on_capped] fires when a pair's count
-   reaches the cap. *)
+   ends once every row has.  The inner loop starts at the end of the
+   access's run of same-thread accesses, found once per run, so the
+   polling reads of a spinning thread are not each walked again from
+   every earlier one.  A same-thread pair is never a candidate, and
+   times never decrease, so the [near] cutoff ends the loop where it
+   would have.  Enumeration order and cap decisions are identical to
+   testing each candidate directly.  [emit a b] fires for each accepted
+   candidate; [on_capped] fires when a pair's count reaches the cap. *)
 let scan_address ~near ~cap ~on_capped ~emit (events : Event.t array) ranks sc
     positions =
   let n = Array.length positions in
@@ -519,11 +523,19 @@ let scan_address ~near ~cap ~on_capped ~emit (events : Event.t array) ranks sc
   let live = ref (Array.fold_left ( + ) 0 row) in
   (try
      if !live = 0 then raise Exit;
+     (* The end of the run of same-thread accesses holding [i]. *)
+     let run_end = ref 0 in
      for i = 0 to n - 1 do
        let ia = local positions.(i) in
        if row.(ia) > 0 then begin
          let a = events.(positions.(i)) in
-         let j = ref (i + 1) in
+         if !run_end <= i then begin
+           run_end := i + 1;
+           while !run_end < n && events.(positions.(!run_end)).tid = a.tid do
+             incr run_end
+           done
+         end;
+         let j = ref !run_end in
          while
            !j < n && row.(ia) > 0 && events.(positions.(!j)).time - a.time <= near
          do

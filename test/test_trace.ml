@@ -528,6 +528,25 @@ let test_window_scan_counters () =
      and a2 is skipped, so five steps and two candidates. *)
   check quad "cap 1" ((1, 1), (5, 3)) (flat (counts ~cap:1))
 
+(* A spin flag: t0 polls the flag 100 times, t1 sets it, t0 reads it
+   three more times.  The first 15 polls each pair with the write, and
+   the 15th caps the read/write pair, which ends the read row; the write
+   pairs with the three reads after it.  Each poll's inner loop starts
+   at the write, past the polls after it: 14 x 4 + 1 + 3 = 60 steps,
+   where walking every later poll from each of the 15 took 1,440. *)
+let test_window_spin_flag_steps () =
+  let log =
+    mklog
+      (List.init 100 (fun k -> ev (k + 1) 0 rf)
+      @ [ ev 101 1 wf ]
+      @ List.init 3 (fun k -> ev (102 + k) 0 rf))
+  in
+  let value () = Sherlock_telemetry.Metrics.(Counter.value (counter "windows.scan.steps")) in
+  let steps0 = value () in
+  let windows, races = Windows.extract ~cap:15 log in
+  check Alcotest.int "steps" 60 (value () - steps0);
+  check Alcotest.int "candidates" 18 (List.length windows + List.length races)
+
 let test_window_near_filter () =
   let log = mklog [ ev 10 0 wf; ev 5_000_000 1 rf ] in
   let windows, races = Windows.extract ~near:1_000_000 log in
@@ -853,8 +872,52 @@ let test_trace_io_shares_ops () =
   in
   check Alcotest.int "one record per distinct op" 2 (List.length distinct)
 
+(* The loader hashes and compares "cls member" a word at a time: names
+   that differ only in their last byte stay apart, and so do the four
+   kinds of one name.  The comparison reads words from the class's first
+   byte, the hash each name's words from that name's first byte; the
+   first pair's last byte falls in a whole word of the comparison (32
+   bytes) and in the hash's bytewise tail, the second pair's the other
+   way round (37 bytes). *)
+let test_trace_io_close_names () =
+  let cls = "Some.Namespace.Klass" in
+  let members =
+    [ "LongMember1"; "LongMember2"; "LongMemberName_1"; "LongMemberName_2" ]
+  in
+  let ops =
+    List.concat_map
+      (fun m -> [ Opid.read ~cls m; Opid.write ~cls m; Opid.enter ~cls m; Opid.exit ~cls m ])
+      members
+  in
+  let log = mklog (List.mapi (fun i op -> ev (10 * (i + 1)) (i mod 3) op) (ops @ List.rev ops)) in
+  let log' = Trace_io.of_string (Trace_io.to_string log) in
+  Array.iter2
+    (fun (a : Event.t) (b : Event.t) ->
+      check Alcotest.string "op" (Opid.to_string a.op) (Opid.to_string b.op);
+      check Alcotest.bool "same record" true (a.op == b.op))
+    log.events log'.events
+
+(* A last line with no newline ends the string at the member's last
+   byte: every length of that member puts the end at another offset in
+   the loader's last word, and no read may pass it. *)
+let test_trace_io_member_ends_string () =
+  for k = 1 to 24 do
+    let member = String.init k (fun i -> Char.chr (Char.code 'a' + (i mod 26))) in
+    let line = "e 1 0 r 5 0 Stress.Data " ^ member in
+    let log = Trace_io.of_string ("sherlock-trace 1\n" ^ line) in
+    check Alcotest.string "op"
+      (Opid.to_string (Opid.read ~cls:"Stress.Data" member))
+      (Opid.to_string log.events.(0).op);
+    check Alcotest.bool "resaved" true
+      (String.ends_with ~suffix:("\n" ^ line ^ "\n") (Trace_io.to_string log))
+  done
+
 (* Logs for the oracle comparisons: integers across the whole range
-   (negative, near [max_int] and [min_int]), odd but valid names. *)
+   (negative, near [max_int] and [min_int]), odd but valid names.  The
+   names run from 0 to 27 bytes, so a line's "cls member" ends before,
+   on and after the loader's 8- and 16-byte word boundaries; one log in
+   two has 40-80 events, most of them distinct ops, which grows the
+   loader's op cache past its first 32 entries. *)
 let gen_wide_int =
   QCheck.Gen.(
     oneof
@@ -868,10 +931,13 @@ let gen_wide_int =
 let gen_wide_log =
   QCheck.Gen.(
     let name =
-      oneofl [ ""; "f"; "P.C"; "A::b"; "get_x"; "\xc3\xa9t\xc3\xa9"; "x~!" ]
+      oneofl
+        [ ""; "f"; "P.C"; "A::b"; "get_x"; "\xc3\xa9t\xc3\xa9"; "x~!"; "Stress.Data";
+          "get_Value"; "N.Sp.Cls"; "System.Threading"; "<Main>b__0_1"; "Monitor.Enter.X";
+          "Microsoft.Build.Y"; "A.Very.Long.Namespace.Klass" ]
     in
     let* events =
-      list_size (int_range 0 12)
+      list_size (oneof [ int_range 0 12; int_range 40 80 ])
         (let* time = gen_wide_int and* tid = gen_wide_int and* kind = int_bound 3 in
          let* cls = name and* member = name in
          let* target = gen_wide_int and* delayed_by = gen_wide_int in
@@ -1840,6 +1906,7 @@ let () =
           Alcotest.test_case "basic" `Quick test_window_basic;
           Alcotest.test_case "fold counters" `Quick test_window_fold_counters;
           Alcotest.test_case "scan and frame counters" `Quick test_window_scan_counters;
+          Alcotest.test_case "spin flag scan steps" `Quick test_window_spin_flag_steps;
           Alcotest.test_case "stress log matches the naive reference" `Quick
             test_extract_stress_matches_reference;
           Alcotest.test_case "near filter" `Quick test_window_near_filter;
@@ -1870,6 +1937,9 @@ let () =
             test_trace_io_malformed_line_position;
           Alcotest.test_case "rejects spaces" `Quick test_trace_io_rejects_spaces;
           Alcotest.test_case "shares ops" `Quick test_trace_io_shares_ops;
+          Alcotest.test_case "names apart in the last byte" `Quick test_trace_io_close_names;
+          Alcotest.test_case "member ends the string" `Quick
+            test_trace_io_member_ends_string;
           Alcotest.test_case "failed save keeps the file" `Quick
             test_trace_io_failed_save_keeps_file;
           QCheck_alcotest.to_alcotest prop_text_codec_matches_oracle;
