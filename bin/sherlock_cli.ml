@@ -36,16 +36,6 @@ let seed_arg =
   let doc = "Base seed for the simulated schedules." in
   Arg.(value & opt int Config.default.seed & info [ "seed" ] ~docv:"SEED" ~doc)
 
-let parallelism_arg =
-  let doc =
-    "Domains running each round's unit tests concurrently (1 = sequential). \
-     Verdicts are identical either way."
-  in
-  Arg.(
-    value
-    & opt int Config.default.parallelism
-    & info [ "j"; "parallelism" ] ~docv:"N" ~doc)
-
 let fault_arg =
   let doc =
     "Inject a deterministic fault into every simulated run (repeatable). \
@@ -66,7 +56,7 @@ let retries_arg =
   Arg.(value & opt int Config.default.retries & info [ "retries" ] ~docv:"N" ~doc)
 
 let config_term =
-  let make rounds lambda near seed parallelism fault_specs max_steps retries =
+  let make rounds lambda near seed fault_specs max_steps retries =
     let fault_plan =
       match Sherlock_sim.Fault.of_specs fault_specs with
       | Ok plan -> plan
@@ -80,15 +70,14 @@ let config_term =
       lambda;
       near;
       seed;
-      parallelism;
       fault_plan;
       max_steps;
       retries;
     }
   in
   Term.(
-    const make $ rounds_arg $ lambda_arg $ near_arg $ seed_arg $ parallelism_arg
-    $ fault_arg $ max_steps_arg $ retries_arg)
+    const make $ rounds_arg $ lambda_arg $ near_arg $ seed_arg $ fault_arg
+    $ max_steps_arg $ retries_arg)
 
 let list_cmd =
   let run () =
@@ -157,9 +146,9 @@ let with_telemetry out f =
 (* ------------------------------------------------------------------ *)
 (* The always-on metrics plane: --metrics-out installs a snapshot ring
    whose every snapshot atomically rewrites an OpenMetrics file, plus
-   runtime gauges (GC, pool occupancy) and a SIGUSR1
-   on-demand dump; --log-out / SHERLOCK_LOG install the structured JSONL
-   log sink.  Orthogonal to --telemetry-out (span traces). *)
+   runtime GC gauges and a SIGUSR1 on-demand dump; --log-out /
+   SHERLOCK_LOG install the structured JSONL log sink.  Orthogonal to
+   --telemetry-out (span traces). *)
 
 let metrics_out_arg =
   let doc =
@@ -886,16 +875,6 @@ let render_stats ppf (p : Telemetry.Snapshot.point) =
       (c "windows.scan.steps")
       (c "windows.open_frames.visited")
   end;
-  (* Worker-pool occupancy (live-run snapshots; zero after exit). *)
-  let live = g "pool.domains.live" in
-  if live > 0 then begin
-    let busy = g "pool.domains.busy" in
-    pr "  pool@.";
-    pr "    domains        %d busy / %d live (host recommends %d)  %s@.@." busy
-      live
-      (g "domains.recommended")
-      (utilization_bar ~width:10 (float_of_int busy /. float_of_int live))
-  end;
   (* LP health. *)
   if c "lp.solves" > 0 then begin
     pr "  lp@.";
@@ -1003,7 +982,7 @@ let stats_cmd =
     (Cmd.info "stats"
        ~doc:
          "Render a console summary of SherLock's metrics — per-stage \
-          throughput, cache hit rates, pool utilization, LP health, and \
+          throughput, cache hit rates, LP health, and \
           the busiest histograms — from a live inference run or a saved \
           $(b,--metrics-out) file.")
     Term.(const run $ config_term $ app_opt $ from_file)

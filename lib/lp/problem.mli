@@ -190,8 +190,8 @@ val set_fault : status option -> unit
     graceful-degradation path (an organically infeasible program cannot
     arise from the SherLock encoding, whose constraints are all
     satisfiable at zero).
-    [set_fault None] restores normal solving.  Global, not domain-local:
-    install only around single-domain runs. *)
+    [set_fault None] restores normal solving.  Global: it applies to
+    every solve until removed. *)
 
 val pp_stats : Format.formatter -> t -> unit
 (** One-line size summary (variables / constraints), for logs. *)

@@ -117,8 +117,8 @@ type t = {
   stats : mstats;
 }
 
-(* Both knobs are set only from (sequential) tests; solver domains treat
-   them as read-only configuration. *)
+(* Both knobs are set only from tests; the solver treats them as
+   read-only configuration. *)
 let default_pivot_limit = 500_000
 
 let pivot_limit = ref default_pivot_limit

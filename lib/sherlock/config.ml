@@ -35,7 +35,7 @@ let default =
     window_cap = 15;
     delay_us = 100_000;
     rounds = 3;
-    parallelism = Domain.recommended_domain_count ();
+    parallelism = 1;
     extract_jobs = 1;
     threshold = 0.9;
     rare_coeff = 0.1;
@@ -62,9 +62,9 @@ let default =
 let pp ppf t =
   Format.fprintf ppf
     "lambda=%g near=%dus cap=%d delay=%dus rounds=%d threshold=%g seed=%d \
-     par=%d max-steps=%d retries=%d"
+     max-steps=%d retries=%d"
     t.lambda t.near t.window_cap t.delay_us t.rounds t.threshold t.seed
-    t.parallelism t.max_steps t.retries;
+    t.max_steps t.retries;
   if t.provenance then Format.fprintf ppf " provenance=on";
   if t.metrics_interval_ms > 0 then
     Format.fprintf ppf " metrics-interval=%dms" t.metrics_interval_ms;

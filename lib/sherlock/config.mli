@@ -12,9 +12,9 @@ type t = {
   delay_us : int;       (** injected delay; 100 ms *)
   rounds : int;         (** runs per test input; 3 *)
   parallelism : int;
-      (** domains running a round's independent unit tests concurrently;
-          [1] forces the sequential path.  The simulator is deterministic
-          per (round, test) seed, so verdicts are identical either way. *)
+      (** Ignored: a round runs its tests one after another.  Kept only
+          because perfbench sets it.  The benchmark change that moves
+          perfbench onto {!Orchestrator.infer} deletes it; default 1. *)
   extract_jobs : int;
       (** Ignored: extraction is sequential.  Kept only because perfbench
           sets it.  The benchmark change that moves perfbench onto
@@ -67,7 +67,6 @@ type t = {
 
 val default : t
 (** The paper's defaults: lambda 0.2, near 1 s, cap 15, delay 100 ms,
-    3 rounds, everything enabled; [parallelism] is
-    [Domain.recommended_domain_count ()]. *)
+    3 rounds, everything enabled. *)
 
 val pp : Format.formatter -> t -> unit

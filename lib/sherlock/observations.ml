@@ -101,7 +101,7 @@ let add_window t (w : Windows.t) =
     t.order.(t.nmerged) <- cell;
     t.nmerged <- t.nmerged + 1
 
-(* Pure log -> observation delta, safe to evaluate in a worker domain.
+(* Pure log -> observation delta.
    NOTE: window caps are per static pair *within one extraction*; the
    cross-run cap state lives in [Windows.extract]'s own counters seeded
    fresh per call, so extraction commutes with other logs and folding the

@@ -29,14 +29,13 @@ type t
 type extraction
 (** Everything derived from one run's trace: its windows, races,
     method-duration samples, and extraction metrics.  Extraction is pure
-    in the log, so it can run in a worker domain; folding the results in
-    with {!add_extraction} in test order is equivalent to calling
-    {!add_log} sequentially. *)
+    in the log; folding the results in with {!add_extraction} in test
+    order is equivalent to calling {!add_log} on each log in turn. *)
 
 val create : unit -> t
 
 val extract_log : near:int -> cap:int -> refine:bool -> Log.t -> extraction
-(** Pure per-log analysis — the domain-parallel half of {!add_log}. *)
+(** Pure per-log analysis — the stateless half of {!add_log}. *)
 
 val add_extraction : t -> extraction -> unit
 (** Sequential merge — the stateful half of {!add_log}. *)

@@ -94,21 +94,13 @@ let run_one ?(hooks = Runtime.no_hooks) (config : Config.t) ~round ~test_index
     ~instrument:(Runtime.tracing ~delay_before ())
     ~fault:config.fault_plan ~max_steps:config.max_steps body
 
-(* The worker-domain pool: spawned once per inference, parked between
-   rounds. *)
-module Pool = Sherlock_util.Pool
-
-let parallel_map = Pool.parallel_map
-
-(* Run one test and extract its observations — the per-domain unit of
-   work.  Returns the extraction (with the run's wall-clock) when some
-   attempt completed, plus a report of every failed attempt.  A failing
-   run — injected crash, deadlock, watchdog stall, or a workload
-   exception — never escapes: it is recorded and retried up to
-   [config.retries] times with a reseeded schedule, and a test whose
-   every attempt fails simply contributes no observations.  The run and
-   extract spans open on whichever worker domain executes the test, so a
-   parallel round renders as one telemetry track per domain. *)
+(* Run one test and extract its observations.  Returns the extraction
+   (with the run's wall-clock) when some attempt completed, plus a
+   report of every failed attempt.  A failing run — injected crash,
+   deadlock, watchdog stall, or a workload exception — never escapes: it
+   is recorded and retried up to [config.retries] times with a reseeded
+   schedule, and a test whose every attempt fails simply contributes no
+   observations. *)
 let run_and_extract (config : Config.t) ~round ~plan test_index (name, body) =
   (* Total plan sites fired across all attempts of this test: an app whose
      count stays 0 everywhere was provably untouched by the plan (the
@@ -209,7 +201,6 @@ let infer ?(config = Config.default) subject =
         ("subject", Tspan.Str subject.subject_name);
         ("tests", Tspan.Int (List.length subject.tests));
         ("rounds", Tspan.Int config.rounds);
-        ("parallelism", Tspan.Int config.parallelism);
       ]
   @@ fun () ->
   let obs = ref (Observations.create ()) in
@@ -223,46 +214,23 @@ let infer ?(config = Config.default) subject =
      warm-starts from round k's basis and re-encodes only new windows. *)
   let state = Encoder.create_state () in
   let tests = Array.of_list subject.tests in
-  (* Never oversubscribe the host: on OCaml 5 every live domain takes
-     part in each stop-the-world minor collection, so running more
-     domains than cores makes the whole round strictly slower (measured
-     ~2x on a single-core container) without any concurrency in
-     return. *)
-  let domains =
-    max 1 (min config.parallelism (Domain.recommended_domain_count ()))
-  in
-  (* Workers live for the whole inference (spawned lazily by the first
-     parallel round, reused by the rest) and are joined in the [finally]
-     below: a finished inference must leave no parked domain behind to
-     slow the caller's subsequent sequential work. *)
-  let pool = Pool.create () in
   (* The snapshot ticker runs only while inference does: started here
      (no-op when the interval is 0 or no ring is installed) and stopped
-     in the same [finally] that retires the pool, so a finished
-     inference leaves neither parked domains nor a live systhread. *)
+     in the [finally], so a finished inference leaves no live
+     systhread. *)
   if config.metrics_interval_ms > 0 then
     Tsnap.start_ticker ~interval_ms:config.metrics_interval_ms ();
   Fun.protect
     ~finally:(fun () ->
-      if config.metrics_interval_ms > 0 then Tsnap.stop_ticker ();
-      Pool.retire pool)
+      if config.metrics_interval_ms > 0 then Tsnap.stop_ticker ())
   @@ fun () ->
   for round = 1 to config.rounds do
     Tspan.with_span ~name:"round" ~attrs:[ ("round", Tspan.Int round) ]
     @@ fun () ->
     if not config.accumulate then obs := Observations.create ();
-    let results =
-      if domains = 1 || Array.length tests <= 1 then
-        Array.mapi (run_and_extract config ~round ~plan:!plan) tests
-      else
-        parallel_map ~pool ~domains
-          (run_and_extract config ~round ~plan:!plan)
-          tests
-    in
-    (* Merge sequentially in test order: the observation state — and hence
-       the LP and its verdicts — is bitwise-identical to the sequential
-       path regardless of which domain ran which test.  Tests whose every
-       attempt failed contribute nothing but their report. *)
+    let results = Array.mapi (run_and_extract config ~round ~plan:!plan) tests in
+    (* Merge in test order.  Tests whose every attempt failed contribute
+       nothing but their report. *)
     Array.iter
       (fun (extraction, _report) ->
         match extraction with

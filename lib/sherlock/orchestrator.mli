@@ -75,11 +75,9 @@ val injected_faults : run_report list -> int
 (** Total fault-plan sites fired across the reports. *)
 
 val infer : ?config:Config.t -> subject -> result
-(** Run [config.rounds] rounds over all tests.  When
-    [config.parallelism > 1] each round's tests execute concurrently on
-    that many domains (each test is a self-contained simulator world);
-    their observations are merged sequentially in test order, so the
-    verdicts are identical to [parallelism = 1].
+(** Run [config.rounds] rounds over all tests.  Each round runs its
+    tests one after another, each in a fresh simulator world, and merges
+    their observations in test order.
 
     Per-test failures are supervised as described above; [infer] itself
     only lets resource-exhaustion exceptions ([Out_of_memory],

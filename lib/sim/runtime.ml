@@ -140,12 +140,12 @@ type _ Effect.t +=
 let outside_run name =
   failwith (name ^ ": must be called from inside Runtime.run")
 
-(* The world of the run executing on this domain; [run] sets it and
-   restores the previous one when it returns. *)
-let current : world option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+(* The world of the executing run; [run] sets it and restores the
+   previous one when it returns or raises. *)
+let current : world option ref = ref None
 
 let world name =
-  match Domain.DLS.get current with Some w -> w | None -> outside_run name
+  match !current with Some w -> w | None -> outside_run name
 
 let perform name eff =
   try Effect.perform eff with Effect.Unhandled _ -> outside_run name
@@ -507,13 +507,13 @@ let run ?(seed = 0) ?(instrument = no_instrument) ?(noise = 40)
   in
   (* A queue can outlive the run (it is created by the caller), so the
      next run must see it unregistered. *)
-  let previous = Domain.DLS.get current in
+  let previous = !current in
   let finally () =
-    Domain.DLS.set current previous;
+    current := previous;
     publish ();
     List.iter (fun (q : Waitq.t) -> q.registered <- false) w.waitqs
   in
-  Domain.DLS.set current (Some w);
+  current := Some w;
   Fun.protect ~finally loop;
   Log.Builder.finish w.events ~duration:w.max_clock ~threads:w.next_tid
     ~volatile_addrs:w.volatile_addrs

@@ -124,8 +124,7 @@ val run :
     (events recorded), [sim.picks] (scheduler picks), [sim.picks.inline]
     (those the running thread won in place), [sim.suspends] (effects that
     suspended a thread: a lost pick, a spawn, a block or a hang) and
-    [sim.minor_words] (the [Gc.minor_words] allocated on the run's own
-    domain while it ran). *)
+    [sim.minor_words] (the [Gc.minor_words] allocated while it ran). *)
 
 (** {1 Thread operations} *)
 

@@ -4,11 +4,10 @@
    emit through here so operational events are grep-able and
    machine-parseable instead of ad-hoc [eprintf] lines.
 
-   Emission is a no-op (one atomic load) until a sink is installed, so
+   Emission is a no-op (one load) until a sink is installed, so
    instrumented code logs unconditionally; the CLI installs a sink only
-   when the user asks ([--log-out] or [SHERLOCK_LOG]).  All sink state
-   sits behind one mutex: events from worker domains interleave as whole
-   lines, never as interleaved bytes. *)
+   when the user asks ([--log-out] or [SHERLOCK_LOG]).  Only the main
+   thread logs: the snapshot ticker never does. *)
 
 type level = Debug | Info | Warn | Error
 
@@ -36,28 +35,19 @@ type sink =
   | Writer of (string -> unit)
 
 type state = {
-  mutex : Mutex.t;
   mutable sink : sink;
   mutable min_level : level;
   mutable t0 : float;  (* installation time; elapsed_s is relative to it *)
 }
 
-let state =
-  { mutex = Mutex.create (); sink = Null; min_level = Debug; t0 = 0.0 }
-
-(* The fast path ([emit] with no sink) must not take the mutex, so the
-   "a sink is installed" bit is mirrored into an atomic. *)
-let active = Atomic.make false
+let state = { sink = Null; min_level = Debug; t0 = 0.0 }
 
 let enabled level =
-  Atomic.get active && level_priority level >= level_priority state.min_level
+  (match state.sink with Null -> false | Chan _ | Writer _ -> true)
+  && level_priority level >= level_priority state.min_level
 
-let set_level l =
-  Mutex.lock state.mutex;
-  state.min_level <- l;
-  Mutex.unlock state.mutex
+let set_level l = state.min_level <- l
 
-(* With the mutex held. *)
 let close_current_sink () =
   match state.sink with
   | Chan { oc; close } ->
@@ -66,12 +56,9 @@ let close_current_sink () =
   | Null | Writer _ -> ()
 
 let install sink =
-  Mutex.lock state.mutex;
   close_current_sink ();
   state.sink <- sink;
-  state.t0 <- Unix.gettimeofday ();
-  Atomic.set active (sink <> Null);
-  Mutex.unlock state.mutex
+  state.t0 <- Unix.gettimeofday ()
 
 let set_writer = function
   | None -> install Null
@@ -108,14 +95,13 @@ let buf_add_value b = function
   | Bool bo -> Buffer.add_string b (if bo then "true" else "false")
   | Str s -> Sherlock_util.Json_string.add b s
 
-let render level event fields ~ts ~elapsed ~domain =
+let render level event fields ~ts ~elapsed =
   let b = Buffer.create 160 in
   Buffer.add_string b (Printf.sprintf {|{"ts":%.6f,"elapsed_s":%.6f,|} ts elapsed);
   Buffer.add_string b {|"level":|};
   Sherlock_util.Json_string.add b (level_name level);
   Buffer.add_string b {|,"event":|};
   Sherlock_util.Json_string.add b event;
-  Buffer.add_string b (Printf.sprintf {|,"domain":%d|} domain);
   List.iter
     (fun (k, v) ->
       Buffer.add_char b ',';
@@ -129,26 +115,16 @@ let render level event fields ~ts ~elapsed ~domain =
 let emit level event fields =
   if enabled level then begin
     let ts = Unix.gettimeofday () in
-    let domain = (Domain.self () :> int) in
-    Mutex.lock state.mutex;
-    (* Re-check under the mutex: the sink may have been closed between
-       the fast-path test and here. *)
-    (match state.sink with
+    let line = render level event fields ~ts ~elapsed:(ts -. state.t0) in
+    match state.sink with
     | Null -> ()
-    | sink ->
-      let line =
-        render level event fields ~ts ~elapsed:(ts -. state.t0) ~domain
-      in
-      (match sink with
-      | Null -> ()
-      | Chan { oc; _ } ->
-        output_string oc line;
-        output_char oc '\n';
-        (* Flushed per event so an external `tail -f` sees fault events
-           as they happen; every emitting path is cold. *)
-        flush oc
-      | Writer w -> w line));
-    Mutex.unlock state.mutex
+    | Chan { oc; _ } ->
+      output_string oc line;
+      output_char oc '\n';
+      (* Flushed per event so an external `tail -f` sees fault events
+         as they happen; every emitting path is cold. *)
+      flush oc
+    | Writer w -> w line
   end
 
 let debug event fields = emit Debug event fields

@@ -6,15 +6,13 @@
     here, so operational events are grep-able ([jq 'select(.event ==
     "orch.run.retry")'] and the like) instead of ad-hoc [eprintf]
     lines.  Instrumented code calls {!warn}/{!info} unconditionally:
-    emission is a no-op costing one atomic load until a sink is
+    emission is a no-op costing one load until a sink is
     installed ([--log-out], [SHERLOCK_LOG], or {!set_writer} in tests).
 
     Each line carries ["ts"] (wall-clock seconds since the epoch),
     ["elapsed_s"] (seconds since the sink was installed — monotone
     within a run and immune to the absolute clock's magnitude),
-    ["level"], ["event"], ["domain"] (the emitting domain's id), then
-    the event's own fields in order.  Lines are written whole under one
-    mutex, so multi-domain emission never interleaves bytes. *)
+    ["level"], ["event"], then the event's own fields in order. *)
 
 type level = Debug | Info | Warn | Error
 

@@ -1,19 +1,21 @@
-let enabled_flag = Atomic.make false
+let enabled_flag = ref false
 
-let set_enabled b = Atomic.set enabled_flag b
+let set_enabled b = enabled_flag := b
 
-let enabled () = Atomic.get enabled_flag
+let enabled () = !enabled_flag
 
+(* Counter and gauge cells are plain ints: only the main thread writes
+   them, and the snapshot ticker's systhread reads whole words. *)
 module Counter = struct
-  type t = { name : string; v : int Atomic.t }
+  type t = { name : string; mutable v : int }
 
-  let make name = { name; v = Atomic.make 0 }
+  let make name = { name; v = 0 }
 
   let name t = t.name
 
-  let incr ?(by = 1) t = ignore (Atomic.fetch_and_add t.v by)
+  let incr ?(by = 1) t = t.v <- t.v + by
 
-  let value t = Atomic.get t.v
+  let value t = t.v
 end
 
 module Histogram = struct
@@ -24,6 +26,9 @@ module Histogram = struct
   type t = {
     name : string;
     mutex : Mutex.t;
+        (* [observe] on the main thread against [export] on the snapshot
+           ticker's systhread: [observe] allocates (the boxed [sum]), so
+           the ticker can run in the middle of it *)
     mutable count : int;
     mutable sum : float;
     mutable min_v : float;
@@ -119,31 +124,27 @@ module Histogram = struct
 end
 
 module Gauge = struct
-  (* A gauge is a point-in-time level, not an accumulation: pool
-     occupancy, eta-file length, heap words.  Two sources: a [Cell] the
-     instrumented code sets/adds to, and a [Fn] callback evaluated at
-     read time (GC statistics, pool introspection) so the producer never
-     has to push updates. *)
-  type source = Cell of int Atomic.t | Fn of (unit -> int)
+  (* A gauge is a point-in-time level, not an accumulation: eta-file
+     length, heap words.  Two sources: a [Cell] the instrumented code
+     sets/adds to, and a [Fn] callback evaluated at read time (GC
+     statistics) so the producer never has to push updates. *)
+  type source = Cell of int ref | Fn of (unit -> int)
 
   type t = { name : string; source : source }
 
-  let make name = { name; source = Cell (Atomic.make 0) }
+  let make name = { name; source = Cell (ref 0) }
 
   let make_fn name f = { name; source = Fn f }
 
   let name t = t.name
 
-  let set t v = match t.source with Cell c -> Atomic.set c v | Fn _ -> ()
+  let set t v = match t.source with Cell c -> c := v | Fn _ -> ()
 
-  let add t d =
-    match t.source with
-    | Cell c -> ignore (Atomic.fetch_and_add c d)
-    | Fn _ -> ()
+  let add t d = match t.source with Cell c -> c := !c + d | Fn _ -> ()
 
   let value t =
     match t.source with
-    | Cell c -> Atomic.get c
+    | Cell c -> !c
     | Fn f -> ( try f () with _ -> 0)
 end
 
@@ -155,6 +156,9 @@ type sample = {
 
 type registry = {
   mutex : Mutex.t;
+      (* registration on the main thread against listing and sampling on
+         the snapshot ticker's systhread: a [Hashtbl.add] that resizes
+         allocates, so the ticker can run in the middle of it *)
   counters : (string, Counter.t) Hashtbl.t;
   histograms : (string, Histogram.t) Hashtbl.t;
   gauges : (string, Gauge.t) Hashtbl.t;

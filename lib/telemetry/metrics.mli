@@ -2,12 +2,13 @@
     {!Sherlock_trace.Metrics} record (which stays as a thin bridge; see
     [Sherlock_trace.Metrics.to_registry]).
 
-    Primitives are unconditional and safe from any domain: counters are
-    atomic, histograms take a per-histogram mutex.  Hot paths (window
+    Primitives are unconditional.  The main thread writes them; the
+    snapshot ticker's systhread reads them: counters and gauges are
+    plain ints, histograms take a per-histogram mutex.  Hot paths (window
     extraction, the simplex, the simulator's scheduler) additionally gate
     their observations on {!enabled}, a process-wide flag an entry point
     flips on when the user asks for telemetry, so the instrumented code
-    costs one atomic load when telemetry is off. *)
+    costs one load when telemetry is off. *)
 
 val set_enabled : bool -> unit
 
@@ -66,8 +67,7 @@ module Histogram : sig
 end
 
 module Gauge : sig
-  (** A point-in-time level (pool occupancy, heap words, eta-file
-      length), as opposed to a {!Counter}'s monotone accumulation.
+  (** A point-in-time level (heap words, eta-file length), as opposed to a {!Counter}'s monotone accumulation.
       Cell gauges ({!val-gauge}) are set by the instrumented code;
       callback gauges ({!gauge_fn}) are evaluated at read time, so
       sources like [Gc.quick_stat] need no pushing. *)

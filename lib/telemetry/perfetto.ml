@@ -159,29 +159,21 @@ let write path events =
 let of_spans collector =
   let epoch = Span.epoch collector in
   let us t = int_of_float ((t -. epoch) *. 1e6) in
-  let spans = Span.closed_spans collector in
-  let tracks = Hashtbl.create 8 in
   let events =
     List.map
       (fun (s : Span.closed) ->
-        Hashtbl.replace tracks s.track ();
         let args =
           ("span_id", Int s.id)
           :: (match s.parent with Some p -> [ ("parent", Int p) ] | None -> [])
           @ s.attrs
         in
         complete ~cat:"span" ~args ~name:s.name ~ts:(us s.start_s)
-          ~dur:(us s.end_s - us s.start_s) ~pid:0 ~tid:s.track ())
-      spans
+          ~dur:(us s.end_s - us s.start_s) ~pid:0 ~tid:0 ())
+      (Span.closed_spans collector)
   in
-  let meta =
-    process_name ~pid:0 "sherlock (wall clock)"
-    :: Hashtbl.fold
-         (fun track () acc ->
-           thread_name ~pid:0 ~tid:track (Printf.sprintf "domain %d" track) :: acc)
-         tracks []
-  in
-  meta @ events
+  process_name ~pid:0 "sherlock (wall clock)"
+  :: thread_name ~pid:0 ~tid:0 "pipeline"
+  :: events
 
 let of_samples ~epoch samples =
   let us t = int_of_float ((t -. epoch) *. 1e6) in

@@ -2,7 +2,7 @@
     load natively.
 
     Two producers feed it: {!of_spans} turns a span collector's wall-clock
-    tree into one [X] (complete) event per span, one track per domain; the
+    tree into one [X] (complete) event per span, all on one track; the
     virtual-time exporter ([Sherlock_core.Timeline]) builds events
     directly — per-thread tracks of method frames, running/blocked
     intervals, delay-injection markers, and flow arrows between
@@ -76,7 +76,7 @@ val write : string -> event list -> unit
 val of_spans : Span.collector -> event list
 (** Wall-clock export of every closed span (plus process/track naming
     metadata): timestamps are microseconds since the collector's epoch,
-    one [tid] per domain. *)
+    every span on [tid] 0. *)
 
 val of_samples : epoch:float -> Metrics.sample list -> event list
 (** Counter tracks from {!Metrics.sample} snapshots: one [C] point per

@@ -32,6 +32,8 @@ type ring = {
   capacity : int;
   on_snapshot : (point -> unit) option;
   mutex : Mutex.t;
+      (* the slots and counters below: the ticker systhread's [take]
+         against the main thread's [take], [points] and [latest] *)
   export : Mutex.t;
       (* held around [on_snapshot]: the ticker and an event-driven
          [take] may snapshot at once, and two overlapping exporter
@@ -182,6 +184,7 @@ let rates ~older ~newer =
 (* The installed plane: one process-wide ring the orchestrator / ticker
    / SIGUSR1 paths snapshot into, mirroring [Span.set_collector]. *)
 
+(* Set on the main thread, read by the ticker systhread. *)
 let current : ring option Atomic.t = Atomic.make None
 
 let install r = Atomic.set current (Some r)
@@ -199,7 +202,7 @@ let take_installed ?label () =
    throttle on wall-clock age: a sub-millisecond round must not produce
    a point — and an exporter rewrite — per round, or the plane's cost
    scales with round rate instead of with time.  Racing callers can at
-   worst take one extra point. *)
+   worst take one extra point (the ticker and the main thread). *)
 let take_installed_if_due ?(min_age_s = 0.1) ?label () =
   match Atomic.get current with
   | None -> None
@@ -221,7 +224,7 @@ let take_installed_if_due ?(min_age_s = 0.1) ?label () =
 
 type ticker = {
   thread : Thread.t;
-  stop_flag : bool Atomic.t;
+  stop_flag : bool Atomic.t;  (* set by [stop_ticker], read by the ticker *)
   (* Self-pipe: stop wakes the nap instantly.  Both ends stay open
      until after the join — closing the read side from the ticker
      thread would race the stopper's wake-up write into a SIGPIPE. *)
@@ -229,16 +232,16 @@ type ticker = {
   wake_w : Unix.file_descr;
 }
 
-let ticker_mutex = Mutex.create ()
-
+(* Started and stopped on the main thread only. *)
 let ticker_state : ticker option ref = ref None
 
+(* Set by the SIGUSR1 handler, read and cleared by the ticker systhread. *)
 let dump_requested = Atomic.make false
 
 (* Async-signal-safe by construction: the SIGUSR1 handler only flips
-   this atomic; the ticker thread performs the actual dump, so the
-   handler can never deadlock against a registry mutex the interrupted
-   code holds. *)
+   this atomic, which the ticker systhread reads and clears; the ticker
+   performs the actual dump, so the handler can never deadlock against a
+   registry mutex the interrupted code holds. *)
 let request_dump () = Atomic.set dump_requested true
 
 let service_dump () =
@@ -277,10 +280,8 @@ let ticker_loop stop_flag wake_r interval_ms () =
   done
 
 let stop_ticker () =
-  Mutex.lock ticker_mutex;
   let t = !ticker_state in
   ticker_state := None;
-  Mutex.unlock ticker_mutex;
   match t with
   | None -> ()
   | Some { thread; stop_flag; wake_r; wake_w } ->
@@ -296,9 +297,7 @@ let start_ticker ?(interval_ms = 100) () =
   let wake_r, wake_w = Unix.pipe ~cloexec:true () in
   let stop_flag = Atomic.make false in
   let thread = Thread.create (ticker_loop stop_flag wake_r interval_ms) () in
-  Mutex.lock ticker_mutex;
-  ticker_state := Some { thread; stop_flag; wake_r; wake_w };
-  Mutex.unlock ticker_mutex
+  ticker_state := Some { thread; stop_flag; wake_r; wake_w }
 
 let install_sigusr1 () =
   (* Windows has no SIGUSR1; degrade to "no signal dumps" silently. *)
@@ -308,8 +307,7 @@ let install_sigusr1 () =
 
 (* ------------------------------------------------------------------ *)
 (* Runtime gauges: process-level levels sampled at read time.  GC
-   figures come from [Gc.quick_stat] (no major-heap walk); pool
-   occupancy from [Sherlock_util.Pool]'s process-wide atomics.
+   figures come from [Gc.quick_stat] (no major-heap walk).
    Installed as callbacks so producers push nothing; re-installation
    (e.g. after a registry reset) simply rebinds. *)
 let install_runtime_gauges ?registry () =
@@ -319,7 +317,4 @@ let install_runtime_gauges ?registry () =
   g "gc.compactions" (fun () -> (Gc.quick_stat ()).Gc.compactions);
   g "gc.heap_words" (fun () -> (Gc.quick_stat ()).Gc.heap_words);
   g "gc.top_heap_words" (fun () -> (Gc.quick_stat ()).Gc.top_heap_words);
-  g "gc.minor_words" (fun () -> int_of_float (Gc.minor_words ()));
-  g "pool.domains.live" Sherlock_util.Pool.live_domains;
-  g "pool.domains.busy" Sherlock_util.Pool.busy_domains;
-  g "domains.recommended" Domain.recommended_domain_count
+  g "gc.minor_words" (fun () -> int_of_float (Gc.minor_words ()))

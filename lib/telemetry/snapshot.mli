@@ -48,7 +48,7 @@ val length : ring -> int
 val take : ?label:string -> ring -> point
 (** Capture every registry primitive now, append (evicting the oldest
     past capacity), run [on_snapshot], and return the point.  Safe from
-    any domain or thread. *)
+    the main thread and the ticker systhread at once. *)
 
 val points : ring -> point list
 (** Retained points, oldest first. *)
@@ -116,7 +116,5 @@ val install_sigusr1 : unit -> unit
 val install_runtime_gauges : ?registry:Metrics.registry -> unit -> unit
 (** Register callback gauges for GC statistics ([gc.minor_collections],
     [gc.major_collections], [gc.compactions], [gc.heap_words],
-    [gc.top_heap_words], [gc.minor_words]), worker-pool occupancy
-    ([pool.domains.live], [pool.domains.busy]), and
-    [domains.recommended].  Idempotent; call again after
-    {!Metrics.reset}. *)
+    [gc.top_heap_words], [gc.minor_words]).  Idempotent; call again
+    after {!Metrics.reset}. *)

@@ -8,7 +8,6 @@ type closed = {
   id : int;
   parent : int option;
   name : string;
-  track : int;
   start_s : float;
   end_s : float;
   attrs : (string * value) list;
@@ -16,103 +15,77 @@ type closed = {
 
 type collector = {
   epoch : float;
-  mutex : Mutex.t;
   mutable spans : closed list;  (* reverse close order *)
-  next_id : int Atomic.t;
+  mutable next_id : int;
 }
 
 type open_span = {
   oid : int;
   oparent : int option;
   oname : string;
-  otrack : int;
   ostart : float;
   mutable oattrs : (string * value) list;  (* reverse attachment order *)
 }
 
 let create_collector () =
-  {
-    epoch = Unix.gettimeofday ();
-    mutex = Mutex.create ();
-    spans = [];
-    next_id = Atomic.make 0;
-  }
+  { epoch = Unix.gettimeofday (); spans = []; next_id = 0 }
 
 let epoch c = c.epoch
 
-let closed_spans c =
-  Mutex.lock c.mutex;
-  let spans = c.spans in
-  Mutex.unlock c.mutex;
-  List.rev spans
+let closed_spans c = List.rev c.spans
 
-let span_count c =
-  Mutex.lock c.mutex;
-  let n = List.length c.spans in
-  Mutex.unlock c.mutex;
-  n
+let span_count c = List.length c.spans
 
-(* The installed collector is read on every [with_span], possibly from
-   several domains; an [Atomic.t] keeps the load well defined. *)
-let installed : collector option Atomic.t = Atomic.make None
+let installed : collector option ref = ref None
 
-let set_collector c = Atomic.set installed c
+let set_collector c = installed := c
 
-let current_collector () = Atomic.get installed
+let current_collector () = !installed
 
-(* Per-domain stack of open spans: nesting never crosses domains, so each
-   worker gets an independent, well-nested track. *)
-let stack_key : open_span list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
+(* The open spans, innermost first. *)
+let stack : open_span list ref = ref []
 
-let open_depth () = List.length !(Domain.DLS.get stack_key)
+let open_depth () = List.length !stack
 
 let add_attr k v =
-  match Atomic.get installed with
-  | None -> ()
-  | Some _ -> (
-    match !(Domain.DLS.get stack_key) with
-    | [] -> ()
-    | sp :: _ -> sp.oattrs <- (k, v) :: sp.oattrs)
+  match (!installed, !stack) with
+  | None, _ | _, [] -> ()
+  | Some _, sp :: _ -> sp.oattrs <- (k, v) :: sp.oattrs
 
-let close c stack sp =
+let close c sp =
   (stack := match !stack with _ :: tl -> tl | [] -> []);
   let span =
     {
       id = sp.oid;
       parent = sp.oparent;
       name = sp.oname;
-      track = sp.otrack;
       start_s = sp.ostart;
       end_s = Unix.gettimeofday ();
       attrs = List.rev sp.oattrs;
     }
   in
-  Mutex.lock c.mutex;
-  c.spans <- span :: c.spans;
-  Mutex.unlock c.mutex
+  c.spans <- span :: c.spans
 
 let with_span ?(attrs = []) ~name f =
-  match Atomic.get installed with
+  match !installed with
   | None -> f ()
   | Some c ->
-    let stack = Domain.DLS.get stack_key in
     let parent = match !stack with [] -> None | p :: _ -> Some p.oid in
     let sp =
       {
-        oid = Atomic.fetch_and_add c.next_id 1;
+        oid = c.next_id;
         oparent = parent;
         oname = name;
-        otrack = (Domain.self () :> int);
         ostart = Unix.gettimeofday ();
         oattrs = List.rev attrs;
       }
     in
+    c.next_id <- c.next_id + 1;
     stack := sp :: !stack;
     (match f () with
     | v ->
-      close c stack sp;
+      close c sp;
       v
     | exception e ->
-      close c stack sp;
+      close c sp;
       raise e)

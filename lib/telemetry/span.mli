@@ -4,13 +4,9 @@
     its body, and closes even when the body raises — the tree of closed
     spans is therefore always well nested.  Spans record into a
     {!collector} installed with {!set_collector}; with no collector
-    installed, {!with_span} is a tail call into the body (a single atomic
-    load of overhead), so instrumented code paths cost nothing in normal
-    runs.
-
-    Nesting is tracked per domain (domain-local open-span stacks), so the
-    orchestrator's worker domains each get their own well-nested track:
-    the Perfetto export renders one timeline row per domain. *)
+    installed, {!with_span} is a tail call into the body (a single load
+    of overhead), so instrumented code paths cost nothing in normal
+    runs.  Spans are opened and closed on the main thread only. *)
 
 type value =
   | Int of int
@@ -20,9 +16,8 @@ type value =
 
 type closed = {
   id : int;             (** unique within the collector *)
-  parent : int option;  (** innermost enclosing span on the same domain *)
+  parent : int option;  (** innermost enclosing span *)
   name : string;
-  track : int;          (** domain id the span ran on *)
   start_s : float;      (** absolute host time, [Unix.gettimeofday] *)
   end_s : float;
   attrs : (string * value) list;  (** in attachment order *)
@@ -41,8 +36,7 @@ val closed_spans : collector -> closed list
 val span_count : collector -> int
 
 val set_collector : collector option -> unit
-(** Install (or remove) the process-wide collector.  Not meant to change
-    while worker domains are running. *)
+(** Install (or remove) the process-wide collector. *)
 
 val current_collector : unit -> collector option
 
@@ -51,8 +45,8 @@ val with_span : ?attrs:(string * value) list -> name:string -> (unit -> 'a) -> '
     {e or raises}; the exception is re-raised after the close. *)
 
 val add_attr : string -> value -> unit
-(** Attach an attribute to the innermost open span of the calling domain;
+(** Attach an attribute to the innermost open span;
     a no-op when no span is open or no collector is installed. *)
 
 val open_depth : unit -> int
-(** Number of open spans on the calling domain (0 outside any span). *)
+(** Number of open spans (0 outside any span). *)

@@ -18,9 +18,8 @@ val record_log : t -> Log.t -> unit
 val samples_of_log : Log.t -> (string * float array) list
 (** The per-method duration samples of one trace, grouped by method key:
     groups in the order of their first sample, each group's samples in
-    completion ([End]) order.  Pure with respect to the accumulator, so
-    sample recovery can run on a worker domain while the merge into [t]
-    stays sequential.  Equivalent to folding {!collect} over the log's
+    completion ([End]) order.  Pure with respect to the accumulator.
+    Equivalent to folding {!collect} over the log's
     closed frames ({!Log.fold_frames}) and taking {!collected}. *)
 
 val add_samples : t -> (string * float array) list -> unit

@@ -28,10 +28,7 @@ let check_name s =
 let kind_rank = function Read -> 0 | Write -> 1 | Begin -> 2 | End -> 3
 
 (* The intern table: one record per distinct (cls, member, kind), keyed
-   on the names; a new record's id is the table's size.  The lock guards
-   concurrent creators: tests run under [Sherlock_util.Pool]'s
-   [parallel_map] create ops lazily, through [Heap.cell] and
-   [Runtime.frame], on several domains.  It can go with the pool. *)
+   on the names; a new record's id is the table's size. *)
 module Names = Hashtbl.Make (struct
   type nonrec t = t
 
@@ -41,34 +38,22 @@ end)
 
 let table = Names.create 256
 
-let lock = Mutex.create ()
-
-(* A hit takes the lock once and allocates only the probe.  A miss
-   checks the names outside the lock, so a rejected name never enters,
-   and looks again before adding, in case another domain added the op
-   meanwhile.  The counter is looked up per new op (rare), so a registry
-   reset cannot orphan it. *)
+(* A hit allocates only the probe.  A miss checks the names first, so a
+   rejected name never enters.  The counter is looked up per new op
+   (rare), so a registry reset cannot orphan it. *)
 let make cls member kind =
   let key = { cls; member; kind; id = -1 } in
-  Mutex.lock lock;
   match Names.find table key with
-  | op ->
-    Mutex.unlock lock;
-    op
+  | op -> op
   | exception Not_found ->
-    Mutex.unlock lock;
     check_name cls;
     check_name member;
-    Mutex.protect lock (fun () ->
-        match Names.find table key with
-        | op -> op
-        | exception Not_found ->
-          let op = { key with id = Names.length table } in
-          Names.add table op op;
-          Sherlock_telemetry.Metrics.(Counter.incr (counter "opid.interned"));
-          op)
+    let op = { key with id = Names.length table } in
+    Names.add table op op;
+    Sherlock_telemetry.Metrics.(Counter.incr (counter "opid.interned"));
+    op
 
-let interned () = Mutex.protect lock (fun () -> Names.length table)
+let interned () = Names.length table
 
 let read ~cls member = make cls member Read
 let write ~cls member = make cls member Write

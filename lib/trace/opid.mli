@@ -22,8 +22,7 @@ type t = private {
 (** Ops are hash-consed: every constructor returns the one record of its
     names and kind, so {!equal} and {!hash} read only [id], and a table
     keyed on ops hashes no name ({!Tbl}, {!Numbering}).  Ids follow creation
-    order, which depends on what ran first (and, while tests run on
-    several domains, on scheduling), so an id must never decide an
+    order, which depends on what ran first, so an id must never decide an
     order, a tie-break or an output.  {!compare} orders by name, and so
     does polymorphic comparison ([id] is the last field).  Records live
     as long as the process. *)

@@ -159,4 +159,4 @@ val span_sides : Log.t -> tid:int -> lo:int -> hi:int -> Side.t
 (** [span_sides log] ranks [log]'s ops once and returns the side query
     {!extract} answers spans with, uncached and without the open-frame
     and refinement rules: the events of [tid] with [lo <= time <= hi].
-    The query owns scratch arrays, so keep it on one domain. *)
+    The query owns scratch arrays, so it is not reentrant. *)

@@ -58,8 +58,7 @@ let test_observations_avg_occurrence () =
 let test_tables_match_oracles_corpus () =
   List.iter
     (fun (app : Sherlock_corpus.App.t) ->
-      let config = { Config.default with parallelism = 1 } in
-      let r = Orchestrator.infer ~config (Sherlock_corpus.App.subject app) in
+      let r = Orchestrator.infer (Sherlock_corpus.App.subject app) in
       let bad, compared = Oracles.table_mismatches r.observations in
       check Alcotest.(list string) (app.id ^ ": mismatches") [] bad;
       check Alcotest.bool (app.id ^ ": compared some") true (compared > 2))
@@ -279,35 +278,6 @@ let test_orchestrator_test_seed () =
   check Alcotest.bool "distinct seeds" true
     (Orchestrator.test_seed ~base:1 ~round:1 ~test_index:0
     <> Orchestrator.test_seed ~base:1 ~round:2 ~test_index:0)
-
-let test_orchestrator_parallel_matches_sequential () =
-  (* Worker domains run the tests, but the merge is sequential in test
-     order, so every verdict — per round and final — must be identical to
-     the single-domain path, probabilities included. *)
-  List.iter
-    (fun app_id ->
-      let app = Sherlock_corpus.Registry.find app_id in
-      let subject = Sherlock_corpus.App.subject app in
-      let base = { Config.default with rounds = 2 } in
-      let seq = Orchestrator.infer ~config:{ base with parallelism = 1 } subject in
-      let par = Orchestrator.infer ~config:{ base with parallelism = 4 } subject in
-      let same_verdicts label a b =
-        check Alcotest.int (label ^ ": count") (List.length a) (List.length b);
-        List.iter2
-          (fun (x : Verdict.t) (y : Verdict.t) ->
-            check Alcotest.bool (label ^ ": verdict") true (Verdict.compare x y = 0);
-            check (Alcotest.float 0.0) (label ^ ": probability") x.probability
-              y.probability)
-          a b
-      in
-      same_verdicts (app_id ^ " final") seq.final par.final;
-      List.iter2
-        (fun (r1 : Orchestrator.round_result) (r2 : Orchestrator.round_result) ->
-          same_verdicts
-            (Printf.sprintf "%s round %d" app_id r1.round)
-            r1.verdicts r2.verdicts)
-        seq.rounds par.rounds)
-    [ "App-1"; "App-2" ]
 
 (* --- Supervised orchestration (fault plans, degraded LP) --- *)
 
@@ -584,7 +554,7 @@ let test_round_table_lp_column () =
       (fun (a : Sherlock_corpus.App.t) -> a.id = "App-2")
       (Sherlock_corpus.Registry.all ())
   in
-  let config = { Config.default with rounds = 2; parallelism = 1 } in
+  let config = { Config.default with rounds = 2 } in
   let result = Orchestrator.infer ~config (Sherlock_corpus.App.subject app) in
   let r1 = List.hd result.rounds in
   check Alcotest.bool "round 1 re-solved a pin warm" true
@@ -794,8 +764,6 @@ let () =
           Alcotest.test_case "accumulate off" `Quick test_orchestrator_accumulate_off;
           Alcotest.test_case "run_test_logs" `Quick test_orchestrator_run_test_logs;
           Alcotest.test_case "test seeds" `Quick test_orchestrator_test_seed;
-          Alcotest.test_case "parallel matches sequential" `Quick
-            test_orchestrator_parallel_matches_sequential;
           Alcotest.test_case "probabilistic delays" `Quick test_probabilistic_delays;
         ] );
       ( "resilience",

@@ -103,9 +103,21 @@ let test_fresh_ids_unique () =
          assert (List.length (List.sort_uniq compare ids) = 100);
          assert (List.for_all (fun i -> i > 0) ids)))
 
+let outside = Failure "now: must be called from inside Runtime.run"
+
 let test_outside_run_fails () =
-  Alcotest.check_raises "outside" (Failure "now: must be called from inside Runtime.run")
-    (fun () -> ignore (Runtime.now ()))
+  Alcotest.check_raises "outside" outside (fun () -> ignore (Runtime.now ()))
+
+(* [run] restores the world it found, none here, on both exit paths. *)
+let test_outside_after_run_fails () =
+  ignore (Runtime.run (fun () -> ignore (Runtime.now ())));
+  Alcotest.check_raises "after a run that returned" outside (fun () ->
+      ignore (Runtime.now ()));
+  (match Runtime.run (fun () -> Runtime.block (Runtime.Waitq.create ())) with
+  | _ -> Alcotest.fail "expected Deadlock"
+  | exception Runtime.Deadlock _ -> ());
+  Alcotest.check_raises "after a run that raised Deadlock" outside (fun () ->
+      ignore (Runtime.now ()))
 
 let test_frame_emits_balanced_events () =
   let log =
@@ -1078,6 +1090,8 @@ let () =
           Alcotest.test_case "sleep advances clock" `Quick test_sleep_advances_clock;
           Alcotest.test_case "fresh ids unique" `Quick test_fresh_ids_unique;
           Alcotest.test_case "outside run fails" `Quick test_outside_run_fails;
+          Alcotest.test_case "outside run fails after a run" `Quick
+            test_outside_after_run_fails;
           Alcotest.test_case "frame events balanced" `Quick test_frame_emits_balanced_events;
           Alcotest.test_case "frame end on exception" `Quick test_frame_end_on_exception;
           Alcotest.test_case "delay injection" `Quick test_delay_injection;

@@ -292,38 +292,41 @@ let test_runtime_gauges () =
     | None -> Alcotest.failf "gauge %s not installed" name
   in
   check Alcotest.bool "minor collections move" true (value "gc.minor_collections" >= 0);
-  check Alcotest.bool "heap words positive" true (value "gc.heap_words" > 0);
-  check Alcotest.bool "recommended domains" true (value "domains.recommended" >= 1);
-  check Alcotest.bool "pool idle" true (value "pool.domains.busy" >= 0)
+  check Alcotest.bool "heap words positive" true (value "gc.heap_words" > 0)
 
-(* Satellite: counters sampled while worker domains hammer them.  Every
-   snapshot-to-snapshot delta must be non-negative (counters are
-   monotone) and the final capture must equal exactly what the domains
-   added. *)
+(* Counters written on the main thread while a systhread samples the
+   ring, the snapshot ticker's shape.  Every snapshot-to-snapshot delta
+   must be non-negative (counters are monotone) and the final capture
+   must equal exactly what the main thread added. *)
 let prop_snapshot_concurrent_monotone =
   QCheck.Test.make ~name:"snapshots under concurrent counter updates"
     ~count:20
     QCheck.(pair (int_range 1 3) (int_range 50 400))
-    (fun (ndomains, increments) ->
+    (fun (batches, increments) ->
       let r = Tm.create () in
       let names = [| "a"; "b"; "c" |] in
       let ring = Snapshot.create ~capacity:64 ~registry:r () in
       Array.iter (fun n -> ignore (Tm.counter ~registry:r n)) names;
       let p0 = Snapshot.take ring in
-      let workers =
-        Array.init ndomains (fun d ->
-            Domain.spawn (fun () ->
-                for i = 1 to increments do
-                  Tm.Counter.incr
-                    (Tm.counter ~registry:r names.((d + i) mod Array.length names))
-                done))
+      let stop = Atomic.make false in
+      let sampler =
+        Thread.create
+          (fun () ->
+            while not (Atomic.get stop) do
+              ignore (Snapshot.take ring);
+              Thread.yield ()
+            done)
+          ()
       in
-      (* sample concurrently with the writers *)
-      for _ = 1 to 10 do
-        ignore (Snapshot.take ring);
-        Domain.cpu_relax ()
+      for b = 1 to batches do
+        for i = 1 to increments do
+          Tm.Counter.incr
+            (Tm.counter ~registry:r names.((b + i) mod Array.length names))
+        done;
+        Thread.yield ()
       done;
-      Array.iter Domain.join workers;
+      Atomic.set stop true;
+      Thread.join sampler;
       let final = Snapshot.take ring in
       let points = Snapshot.points ring in
       let rec consecutive_ok = function
@@ -336,7 +339,7 @@ let prop_snapshot_concurrent_monotone =
         List.fold_left (fun acc (_, v) -> acc + v) 0 final.Snapshot.p_counters
       in
       consecutive_ok points
-      && total = ndomains * increments
+      && total = batches * increments
       && List.for_all (fun (_, d) -> d >= 0)
            (Snapshot.counter_delta ~older:p0 ~newer:final))
 
@@ -346,7 +349,7 @@ let test_openmetrics_roundtrip () =
   let r = Tm.create () in
   Tm.Counter.incr ~by:42 (Tm.counter ~registry:r "windows.span_cache.hit");
   Tm.Counter.incr ~by:9 (Tm.counter ~registry:r "lp.pivots.total");
-  Tm.Gauge.set (Tm.gauge ~registry:r "pool.domains.live") 4;
+  Tm.Gauge.set (Tm.gauge ~registry:r "lp.eta_len") 4;
   let h = Tm.histogram ~registry:r "lp.pivots" in
   List.iter (Tm.Histogram.observe_int h) [ 1; 3; 3; 100 ];
   let text = Openmetrics.to_string ~registry:r () in
@@ -384,8 +387,8 @@ let test_openmetrics_roundtrip () =
     (match pivots_total.f_samples with
     | [ s ] -> check (Alcotest.float 1e-9) "total counter value" 9.0 s.s_value
     | _ -> Alcotest.fail "pivots.total sample count");
-    let live = find "sherlock_pool_domains_live" in
-    check Alcotest.bool "gauge typed" true (live.f_type = Openmetrics.MGauge);
+    let eta = find "sherlock_lp_eta_len" in
+    check Alcotest.bool "gauge typed" true (eta.f_type = Openmetrics.MGauge);
     let ph = find "sherlock_lp_pivots" in
     check Alcotest.bool "histogram typed" true (ph.f_type = Openmetrics.MHistogram);
     let series suffix =
@@ -475,8 +478,7 @@ let test_log_jsonl () =
     check Alcotest.bool "escapes quotes" true (contains line {|quote\"and\nnewline|});
     check Alcotest.bool "int field" true (contains line {|"attempt":2|});
     check Alcotest.bool "nan is null" true (contains line {|"bad":null|});
-    check Alcotest.bool "bool field" true (contains line {|"flag":true|});
-    check Alcotest.bool "domain field" true (contains line {|"domain":|})
+    check Alcotest.bool "bool field" true (contains line {|"flag":true|})
   | l -> Alcotest.failf "expected one line, got %d" (List.length l));
   (* threshold filters *)
   lines := [];

@@ -198,65 +198,6 @@ let test_json_string_roundtrip () =
   | Ok _ -> Alcotest.fail "not a string"
   | Error e -> Alcotest.fail e
 
-(* --- worker pool --- *)
-
-module Pool = Sherlock_util.Pool
-
-(* A poisoned item must cancel everything not yet started: the failing
-   map drains the shared counter, so with [domains:1] (the caller is the
-   only participant, items claimed strictly in order) exactly one item
-   executes before the exception re-raises. *)
-let test_pool_poisoned_item_cancels () =
-  let p = Pool.create () in
-  Fun.protect ~finally:(fun () -> Pool.retire p) @@ fun () ->
-  let n = 1000 in
-  let executed = Atomic.make 0 in
-  (match
-     Pool.parallel_map ~pool:p ~domains:1
-       (fun _ v ->
-         ignore (Atomic.fetch_and_add executed 1);
-         if v = 0 then failwith "poisoned";
-         v)
-       (Array.init n Fun.id)
-   with
-  | _ -> Alcotest.fail "poisoned map returned"
-  | exception Failure msg -> check Alcotest.string "exception re-raised" "poisoned" msg);
-  check Alcotest.int "outstanding items cancelled" 1 (Atomic.get executed)
-
-(* Same poison under real parallelism: each in-flight domain may finish
-   the item it already claimed, but the drain must stop the sweep well
-   short of the full array. *)
-let test_pool_poisoned_item_parallel () =
-  let p = Pool.create () in
-  Fun.protect ~finally:(fun () -> Pool.retire p) @@ fun () ->
-  let n = 100_000 in
-  let executed = Atomic.make 0 in
-  (match
-     Pool.parallel_map ~pool:p ~domains:4
-       (fun _ v ->
-         ignore (Atomic.fetch_and_add executed 1);
-         if v = 0 then failwith "poisoned";
-         v)
-       (Array.init n Fun.id)
-   with
-  | _ -> Alcotest.fail "poisoned map returned"
-  | exception Failure _ -> ());
-  check Alcotest.bool "most items cancelled" true (Atomic.get executed < n)
-
-let test_pool_occupancy_gauges () =
-  let before_live = Pool.live_domains () in
-  let p = Pool.create () in
-  let seen_live = Atomic.make 0 and seen_busy = Atomic.make 0 in
-  let bump a v = if v > Atomic.get a then Atomic.set a v in
-  Pool.run p ~workers:1 (fun () ->
-      bump seen_live (Pool.live_domains ());
-      bump seen_busy (Pool.busy_domains ()));
-  Pool.retire p;
-  check Alcotest.bool "worker counted live" true
-    (Atomic.get seen_live >= before_live + 1);
-  check Alcotest.bool "participants counted busy" true (Atomic.get seen_busy >= 1);
-  check Alcotest.int "retire returns to baseline" before_live (Pool.live_domains ())
-
 let qcheck = List.map QCheck_alcotest.to_alcotest
 
 (* The splitmix64 stream, hard-coded: every schedule and every synthetic
@@ -362,14 +303,6 @@ let () =
         ] );
       ( "json_string",
         [ Alcotest.test_case "ascii round trip" `Quick test_json_string_roundtrip ] );
-      ( "pool",
-        [
-          Alcotest.test_case "poisoned item cancels rest" `Quick
-            test_pool_poisoned_item_cancels;
-          Alcotest.test_case "poison cancels under parallelism" `Quick
-            test_pool_poisoned_item_parallel;
-          Alcotest.test_case "occupancy gauges" `Quick test_pool_occupancy_gauges;
-        ] );
       ( "properties",
         qcheck
           [ prop_rng_int_uniformish; prop_mean_bounds; prop_stddev_nonneg;

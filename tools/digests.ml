@@ -309,7 +309,7 @@ let main () =
     ]
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
     "verdict_digest [--seeds N] [--dump FILE] [--against FILE]";
-  let base = { Config.default with parallelism = 1 } in
+  let base = Config.default in
   let cold = Buffer.create (1 lsl 16) in
   let d = Buffer.create (1 lsl 16) in
   let warm = digest ~seeds:!seeds ~section:"warm" d ~cold base in

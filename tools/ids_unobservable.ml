@@ -41,7 +41,7 @@ let () =
   ignore
     (Runtime.run ~seed:1 ~instrument:(Runtime.tracing ())
        (Sherlock_corpus.Workload.stress ~workers:6 ~iters:20));
-  let config = { Config.default with parallelism = 1; seed = 1 } in
+  let config = { Config.default with seed = 1 } in
   List.iter
     (fun app ->
       let subject = Sherlock_corpus.App.subject app in

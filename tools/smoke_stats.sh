@@ -7,10 +7,13 @@
 #   (b) the structured log is one JSON object per line and contains the
 #       per-round orchestrator events, and
 #   (c) `sherlock stats` renders a console summary both from the file
-#       and live.
+#       and live, and
+#   (d) the section headers of README's `stats --from` example equal
+#       those `stats --from` prints for the command README documents.
 set -eu
 
 cli=$1
+readme=$2
 # Dune passes the executable relative to the rule's directory; qualify a
 # bare name so the shell does not search PATH for it.
 case "$cli" in
@@ -83,6 +86,23 @@ grep -Eq "interned +[0-9]+ distinct ops" "$d/stats-live.out" || {
   echo "smoke_stats: live stats rendered no interned-op count" >&2
   exit 1
 }
+
+# --- README example ---
+# Section headers are the lines indented by exactly two spaces.
+headers() { grep -E '^  [^ ]' | sed 's/^  //'; }
+awk '/^\$ sherlock stats --from \/tmp\/m.om$/ { on = 1; next }
+     on && /^```/ { exit }
+     on' "$readme" | headers >"$d/readme-headers"
+test -s "$d/readme-headers" || {
+  echo "smoke_stats: no stats --from example found in $readme" >&2
+  exit 1
+}
+"$cli" run -a App-2 --metrics-out "$d/readme.om" >/dev/null
+"$cli" stats --from "$d/readme.om" | headers >"$d/actual-headers"
+if ! diff "$d/readme-headers" "$d/actual-headers" >&2; then
+  echo "smoke_stats: README's stats example has other sections than stats --from prints (< README, > actual)" >&2
+  exit 1
+fi
 
 lines=$(wc -l <"$d/run.jsonl" | tr -d ' ')
 families=$(grep -c '^# TYPE ' "$d/metrics.om" | tr -d ' ')
