@@ -108,40 +108,59 @@ let infer_run config app_name =
 
 let telemetry_out_arg =
   let doc =
-    "Write wall-clock telemetry spans of the run (Chrome trace-event / \
-     Perfetto JSON) to $(docv); also enables the metrics registry."
+    "Write telemetry spans of the run (Chrome trace-event / Perfetto \
+     JSON, each span with its CPU time) and one counter point per round \
+     to $(docv); also enables the metrics registry."
   in
   Arg.(value & opt (some string) None & info [ "telemetry-out" ] ~docv:"FILE" ~doc)
 
-(* Wrap a command body in a span collector + enabled metrics registry when
-   the user asked for telemetry; export the spans afterwards. *)
-let with_telemetry out f =
-  match out with
-  | None -> f ()
-  | Some path ->
+(* Run a command body under a span collector when spans are wanted
+   ([out], or [keep] for the -v stage table), returning it with the
+   body's result.  With [out], the metrics registry is on and a snapshot
+   ring is installed unless --metrics-out installed one; the spans and
+   the ring's points (one per round, plus any ticks) are exported to
+   [out] afterwards. *)
+let with_telemetry ~keep out f =
+  if out = None && not keep then (f (), None)
+  else begin
     let collector = Telemetry.Span.create_collector () in
+    let was_enabled = Telemetry.Metrics.enabled () in
+    let own_ring =
+      match (out, Telemetry.Snapshot.installed ()) with
+      | Some _, None ->
+        (* Capacity enough to keep one point per round of any
+           practical run. *)
+        let ring = Telemetry.Snapshot.create ~capacity:1024 () in
+        Telemetry.Snapshot.install ring;
+        true
+      | _ -> false
+    in
     Telemetry.Span.set_collector (Some collector);
-    Telemetry.Metrics.set_enabled true;
+    if out <> None then Telemetry.Metrics.set_enabled true;
     Fun.protect
       ~finally:(fun () ->
         Telemetry.Span.set_collector None;
-        Telemetry.Metrics.set_enabled false)
+        if own_ring then Telemetry.Snapshot.uninstall ();
+        Telemetry.Metrics.set_enabled was_enabled)
       (fun () ->
         let r = f () in
-        (* Spans plus the per-round counter samples: without the samples a
-           counter appears in Perfetto as a single end-of-run value instead
-           of a track progressing round by round. *)
-        let events =
-          Telemetry.Perfetto.of_spans collector
-          @ Telemetry.Perfetto.of_samples
-              ~epoch:(Telemetry.Span.epoch collector)
-              (Telemetry.Metrics.samples ())
-        in
-        Telemetry.Perfetto.write path events;
-        Printf.printf "wrote %d telemetry spans to %s\n"
-          (Telemetry.Span.span_count collector)
-          path;
-        r)
+        Option.iter
+          (fun path ->
+            let points =
+              Option.fold ~none:[] ~some:Telemetry.Snapshot.points
+                (Telemetry.Snapshot.installed ())
+            in
+            Telemetry.Perfetto.write path
+              (Telemetry.Perfetto.of_spans collector
+              @ Telemetry.Perfetto.of_points
+                  ~epoch:(Telemetry.Span.epoch collector)
+                  points);
+            Printf.printf "wrote %d telemetry spans to %s\n"
+              (Telemetry.Span.span_count collector)
+              path)
+          out;
+        (r, Some collector))
+  end
 
 (* ------------------------------------------------------------------ *)
 (* The always-on metrics plane: --metrics-out installs a snapshot ring
@@ -185,13 +204,22 @@ let with_metrics_plane ~metrics_out ~log_out f =
   | Some path ->
     Telemetry.Metrics.set_enabled true;
     Telemetry.Snapshot.install_runtime_gauges ();
+    (* Points come once per round, unthrottled, and from the ticker:
+       the file is rewritten at most every 100 ms, and always for the
+       final point. *)
+    let last_write = ref neg_infinity in
     let ring =
       Telemetry.Snapshot.create
         ~on_snapshot:(fun p ->
-          (* A full disk or unwritable path must not kill the run the
-             plane is observing. *)
-          try Telemetry.Openmetrics.write_atomic path (Telemetry.Openmetrics.of_point p)
-          with Sys_error _ -> ())
+          if p.p_label = "final" || p.p_ts -. !last_write >= 0.1 then begin
+            last_write := p.p_ts;
+            (* A full disk or unwritable path must not kill the run the
+               plane is observing. *)
+            try
+              Telemetry.Openmetrics.write_atomic path
+                (Telemetry.Openmetrics.of_point p)
+            with Sys_error _ -> ()
+          end)
         ()
     in
     Telemetry.Snapshot.install ring;
@@ -205,13 +233,6 @@ let with_metrics_plane ~metrics_out ~log_out f =
         Telemetry.Metrics.set_enabled false;
         close_log ())
       f
-
-(* Fold the flat per-run trace metrics into the registry (as trace.*
-   counters/histograms) so exports and the stats console cover the
-   pipeline stages too. *)
-let bridge_trace_metrics (result : Orchestrator.result) =
-  Sherlock_trace.Metrics.to_registry Telemetry.Metrics.default
-    (Observations.metrics result.Orchestrator.observations)
 
 let trace_format_enum =
   Arg.enum
@@ -241,12 +262,10 @@ let run_cmd =
         { config with Config.metrics_interval_ms = metrics_interval }
       else config
     in
-    let app, result =
+    let (app, result), collector =
       with_metrics_plane ~metrics_out ~log_out (fun () ->
-          with_telemetry telemetry_out (fun () ->
-              let r = infer_run config app_name in
-              if metrics_out <> None then bridge_trace_metrics (snd r);
-              r))
+          with_telemetry ~keep:verbose telemetry_out (fun () ->
+              infer_run config app_name))
     in
     (match (provenance_out, result.Orchestrator.provenance) with
     | Some path, Some prov ->
@@ -283,14 +302,13 @@ let run_cmd =
         (fun (r : Orchestrator.round_result) ->
           Printf.printf
             "round %d: %d windows, %d variables, %d delayed ops, %d verdicts, \
-             %d LP solves / %d pivots%s, encode %.1f ms + lp %.1f ms%s%s\n"
+             %d LP solves / %d pivots%s%s%s\n"
             r.round r.stats.num_windows r.stats.num_vars r.delayed_ops
             (List.length r.verdicts) r.stats.lp.lp_solves r.stats.lp.lp_pivots
             (if r.stats.lp.lp_pivots_saved > 0 then
                Printf.sprintf " (%d saved by warm start)"
                  r.stats.lp.lp_pivots_saved
              else "")
-            (1e3 *. r.stats.encode_s) (1e3 *. r.stats.lp_s)
             (let failed = Orchestrator.failed_runs r.run_reports in
              if failed > 0 then Printf.sprintf ", %d failed runs" failed else "")
             (if r.stats.degraded then
@@ -299,6 +317,11 @@ let run_cmd =
              else ""))
         result.rounds;
       Report.print_round_metrics Format.std_formatter result.rounds;
+      Option.iter
+        (fun c ->
+          Report.print_stage_times Format.std_formatter
+            (Telemetry.Span.closed_spans c))
+        collector;
       Report.print_simulator_summary Format.std_formatter ();
       Report.print_extraction_summary Format.std_formatter ();
       if telemetry_out <> None then
@@ -819,32 +842,30 @@ let render_stats ppf (p : Telemetry.Snapshot.point) =
     (if p.p_label = "" then "unlabelled" else p.p_label)
     (tm.Unix.tm_year + 1900) (tm.Unix.tm_mon + 1) tm.Unix.tm_mday
     tm.Unix.tm_hour tm.Unix.tm_min tm.Unix.tm_sec;
-  (* Pipeline stages: the trace.* bridge counters plus stage wall-clocks
-     (observed as histograms, one observation per inference). *)
-  let events = c "trace.events" in
+  (* Pipeline stages: extraction counts from the windows.* counters,
+     stage CPU from the span.<stage>.cpu_s histograms (one observation
+     per closed span). *)
+  let events = c "windows.events" in
   if events > 0 then begin
-    let run_s = hist_sum "trace.run_s" in
-    let extract_s = hist_sum "trace.extract_s" in
-    let solve_s = hist_sum "trace.solve_s" in
+    let cpu stage = hist_sum ("span." ^ stage ^ ".cpu_s") in
+    let per_cpu n stage =
+      if cpu stage > 0.0 then
+        Printf.sprintf "  (%.0f per CPU s of %s)" (float_of_int n /. cpu stage) stage
+      else ""
+    in
     pr "  pipeline@.";
-    pr "    trace events   %d%s@." events
-      (if run_s > 0.0 then
-         Printf.sprintf "  (%.0f events/s of simulated run)"
-           (float_of_int events /. run_s)
-       else "");
-    pr "    windows        %d%s@." (c "trace.windows")
-      (if extract_s > 0.0 then
-         Printf.sprintf "  (%.0f windows/s of extraction)"
-           (float_of_int (c "trace.windows") /. extract_s)
-       else "");
-    if c "trace.races" > 0 then pr "    races          %d@." (c "trace.races");
-    pr "    run / extract / solve   %.3fs / %.3fs / %.3fs@." run_s extract_s
-      solve_s;
-    (* The solve stage split into LP assembly and simplex time. *)
-    if h "encoder.lp_s" <> None then
-      pr "    solve: encode / lp      %.3fs / %.3fs@." (hist_sum "encoder.encode_s")
-        (hist_sum "encoder.lp_s");
-    pr "@."
+    pr "    events         %d simulated, %d extracted%s@." (c "sim.events") events
+      (per_cpu (c "sim.events") "run");
+    pr "    pairs          %d considered, %d capped@." (c "windows.pairs_considered")
+      (c "windows.pairs_capped");
+    pr "    windows        %d%s@." (c "windows.emitted")
+      (per_cpu (c "windows.emitted") "extract");
+    if c "windows.races" > 0 then pr "    races          %d@." (c "windows.races");
+    pr "    CPU ms         %s@.@."
+      (String.concat " / "
+         (List.map
+            (fun stage -> Printf.sprintf "%s %.1f" stage (1e3 *. cpu stage))
+            Report.stages))
   end;
   (* Simulator totals (published by every run). *)
   let runs = c "sim.runs" and sim_events = c "sim.events" in
@@ -912,9 +933,12 @@ let render_stats ppf (p : Telemetry.Snapshot.point) =
       (float_of_int (g "gc.top_heap_words") /. 1e6)
       (g "gc.minor_collections") (g "gc.major_collections")
   end;
-  (* Top histograms by observation count. *)
+  (* Top histograms by observation count; the span.* CPU histograms are
+     the pipeline section's. *)
   let top =
-    List.filter (fun (_, (s : Telemetry.Snapshot.hist_summary)) -> s.h_count > 0)
+    List.filter
+      (fun (name, (s : Telemetry.Snapshot.hist_summary)) ->
+        s.h_count > 0 && not (String.starts_with ~prefix:"span." name))
       p.p_hists
     |> List.sort (fun (_, (a : Telemetry.Snapshot.hist_summary)) (_, b) ->
            compare b.h_count a.h_count)
@@ -958,8 +982,7 @@ let stats_cmd =
            the end-of-run snapshot. *)
         Telemetry.Metrics.set_enabled true;
         Telemetry.Snapshot.install_runtime_gauges ();
-        let _app, result = infer_run config app_name in
-        bridge_trace_metrics result;
+        ignore (infer_run config app_name);
         let ring = Telemetry.Snapshot.create ~capacity:1 () in
         render_stats Format.std_formatter
           (Telemetry.Snapshot.take ~label:"live" ring))

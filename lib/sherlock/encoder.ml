@@ -52,9 +52,6 @@ type solve_stats = {
   num_vars : int;
   num_windows : int;
   objective : float;
-  solve_s : float;
-  encode_s : float;
-  lp_s : float;
   degraded : bool;
   status : Problem.status;
   lp : lp_stats;
@@ -353,12 +350,9 @@ let solve_rounded config problem table ~pin =
   Tspan.add_attr "pivots" (Tspan.Int !lp.lp_pivots);
   (status, assignment, !lp)
 
-(* Verdicts, stats and telemetry of one solve.  The round's wall-clock
-   splits at [t_encoded] (LP built) and [t_solved] (rounded solve
-   done). *)
+(* Verdicts, stats and telemetry of one solve. *)
 let finish (config : Config.t) obs problem table ~num_windows ~lp ~previous
-    ~t_start ~t_encoded ~t_solved status assignment =
-  let module Tm = Sherlock_telemetry.Metrics in
+    status assignment =
   let objective = match status with Problem.Solved obj -> obj | _ -> nan in
   let degraded = match status with Problem.Solved _ -> false | _ -> true in
   let verdicts =
@@ -375,14 +369,6 @@ let finish (config : Config.t) obs problem table ~num_windows ~lp ~previous
       capture_evidence config obs problem table verdicts assignment
     else []
   in
-  let solve_s = Unix.gettimeofday () -. t_start in
-  let encode_s = t_encoded -. t_start and lp_s = t_solved -. t_encoded in
-  let acc = Observations.metrics obs in
-  acc.solve_s <- acc.solve_s +. solve_s;
-  if Tm.enabled () then begin
-    Tm.Histogram.observe (Tm.histogram "encoder.encode_s") encode_s;
-    Tm.Histogram.observe (Tm.histogram "encoder.lp_s") lp_s
-  end;
   Tspan.add_attr "vars" (Tspan.Int (Problem.num_vars problem));
   Tspan.add_attr "windows" (Tspan.Int num_windows);
   Tspan.add_attr "verdicts" (Tspan.Int (List.length verdicts));
@@ -394,13 +380,10 @@ let finish (config : Config.t) obs problem table ~num_windows ~lp ~previous
       num_vars = Problem.num_vars problem;
       num_windows;
       objective;
-      solve_s;
-      encode_s;
-      lp_s;
       degraded;
       status;
       lp;
-      trace = Metrics.copy acc;
+      trace = Metrics.copy (Observations.metrics obs);
       evidence;
     } )
 
@@ -699,12 +682,10 @@ let encode st (config : Config.t) obs =
 
 let solve ?(state = create_state ()) ?(previous = []) (config : Config.t) obs =
   Tspan.with_span ~name:"solve" @@ fun () ->
-  let t_start = Unix.gettimeofday () in
   let num_windows =
     Tspan.with_span ~name:"encode" (fun () -> encode state config obs)
   in
   let { problem; table } = state.s_vars in
-  let t_encoded = Unix.gettimeofday () in
   let pins = ref [] in
   let status, assignment, lp =
     solve_rounded config problem table
@@ -716,5 +697,4 @@ let solve ?(state = create_state ()) ?(previous = []) (config : Config.t) obs =
   List.iter (fun row -> Problem.set_row_rhs problem row 0.0) !pins;
   finish config obs problem table ~num_windows
     ~lp:{ lp with lp_merged_sides = state.s_merged }
-    ~previous ~t_start ~t_encoded ~t_solved:(Unix.gettimeofday ()) status
-    assignment
+    ~previous status assignment

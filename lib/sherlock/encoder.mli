@@ -31,9 +31,9 @@
 
     Telemetry: each call is a [solve] span with two children, [encode]
     (carrying [objective_terms]) and [lp] (carrying [solves] and
-    [pivots]); with the metrics registry enabled, their wall-clocks are
-    also observed as the [encoder.encode_s] and [encoder.lp_s]
-    histograms. *)
+    [pivots]); with the metrics registry enabled, their CPU times are
+    observed as the [span.encode.cpu_s] and [span.lp.cpu_s] histograms
+    (see {!Sherlock_telemetry.Span}). *)
 
 (** LP-engine counters aggregated over one round's simplex calls (the
     base solve plus each rounding-pin re-solve). *)
@@ -69,13 +69,6 @@ type solve_stats = {
   num_vars : int;
   num_windows : int;
   objective : float;  (** [nan] when degraded *)
-  solve_s : float;  (** wall-clock of this LP build + solve *)
-  encode_s : float;
-      (** the part of [solve_s] spent building or updating the LP and
-          its objective *)
-  lp_s : float;
-      (** the part of [solve_s] spent in the simplex, rounding re-solves
-          included *)
   degraded : bool;
       (** the LP came back infeasible, unbounded, aborted at the pivot
           cap, or numerically failed, and the returned verdicts are the
@@ -85,8 +78,8 @@ type solve_stats = {
           otherwise the cause *)
   lp : lp_stats;
   trace : Sherlock_trace.Metrics.t;
-      (** snapshot of the cumulative trace metrics (runs, extraction,
-          solving) at the time of this solve *)
+      (** snapshot of the observations' extraction counts at the time
+          of this solve *)
   evidence : Sherlock_provenance.Provenance.verdict_evidence list;
       (** per-verdict evidence (windows, LP rows with duals and
           activities, confidence margins), one entry per returned

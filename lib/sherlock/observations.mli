@@ -73,7 +73,7 @@ val durations : t -> Durations.t
 val runs : t -> int
 
 val metrics : t -> Metrics.t
-(** Accumulated trace/extraction counters over every log folded in.
+(** Accumulated extraction counts over every log folded in.
     Mutable: callers wanting a snapshot should {!Metrics.copy} it. *)
 
 val avg_occurrences : t -> Opid.t -> float

@@ -95,8 +95,7 @@ let run_one ?(hooks = Runtime.no_hooks) (config : Config.t) ~round ~test_index
     ~fault:config.fault_plan ~max_steps:config.max_steps body
 
 (* Run one test and extract its observations.  Returns the extraction
-   (with the run's wall-clock) when some attempt completed, plus a
-   report of every failed attempt.  A failing run — injected crash,
+   when some attempt completed, plus a report of every failed attempt.  A failing run — injected crash,
    deadlock, watchdog stall, or a workload exception — never escapes: it
    is recorded and retried up to [config.retries] times with a reseeded
    schedule, and a test whose every attempt fails simply contributes no
@@ -114,7 +113,6 @@ let run_and_extract (config : Config.t) ~round ~plan test_index (name, body) =
     }
   in
   let rec attempt_run attempt failures =
-    let t0 = Unix.gettimeofday () in
     let outcome =
       Tspan.with_span ~name:"run"
         ~attrs:
@@ -137,7 +135,6 @@ let run_and_extract (config : Config.t) ~round ~plan test_index (name, body) =
     in
     match outcome with
     | Ok log ->
-      let run_s = Unix.gettimeofday () -. t0 in
       let x =
         Tspan.with_span ~name:"extract"
           ~attrs:[ ("test", Tspan.Str name); ("round", Tspan.Int round) ]
@@ -145,7 +142,7 @@ let run_and_extract (config : Config.t) ~round ~plan test_index (name, body) =
             Observations.extract_log ~near:config.near ~cap:config.window_cap
               ~refine:config.use_refinement log)
       in
-      ( Some (x, run_s),
+      ( Some x,
         {
           test_name = name;
           attempts = attempt + 1;
@@ -231,15 +228,11 @@ let infer ?(config = Config.default) subject =
     let results = Array.mapi (run_and_extract config ~round ~plan:!plan) tests in
     (* Merge in test order.  Tests whose every attempt failed contribute
        nothing but their report. *)
-    Array.iter
-      (fun (extraction, _report) ->
-        match extraction with
-        | None -> ()
-        | Some (x, run_s) ->
-          Observations.add_extraction !obs x;
-          let m = Observations.metrics !obs in
-          m.run_s <- m.run_s +. run_s)
-      results;
+    Tspan.with_span ~name:"merge" (fun () ->
+        Array.iter
+          (fun (extraction, _report) ->
+            Option.iter (Observations.add_extraction !obs) extraction)
+          results);
     let run_reports = Array.to_list (Array.map snd results) in
     let previous =
       match !rounds with r :: _ -> r.verdicts | [] -> []
@@ -287,9 +280,7 @@ let infer ?(config = Config.default) subject =
         ("failed_runs", Tlog.Int (failed_runs run_reports));
         ("degraded", Tlog.Bool stats.degraded);
       ];
-    ignore (Tsnap.take_installed_if_due ~label:(Printf.sprintf "round %d" round) ());
-    if Tm.enabled () then
-      Tm.sample ~label:(Printf.sprintf "round %d" round) ();
+    ignore (Tsnap.take_installed ~label:(Printf.sprintf "round %d" round) ());
     plan :=
       (if config.use_delays then Perturber.of_verdicts ~delay_us:config.delay_us verdicts
        else Perturber.empty);

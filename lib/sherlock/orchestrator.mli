@@ -81,7 +81,12 @@ val infer : ?config:Config.t -> subject -> result
 
     Per-test failures are supervised as described above; [infer] itself
     only lets resource-exhaustion exceptions ([Out_of_memory],
-    [Stack_overflow]) escape. *)
+    [Stack_overflow]) escape.
+
+    Telemetry: each round is a [round] span holding a [run] and an
+    [extract] span per test, then [merge], [solve] (with [encode] and
+    [lp]) and [plan-delays]; with a snapshot ring installed, each round
+    ends with one point labelled ["round N"]. *)
 
 val run_test_logs : ?config:Config.t -> subject -> Log.t list
 (** One uninstrumented-delay (round-1 style) traced run per test, with the

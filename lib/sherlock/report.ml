@@ -82,12 +82,10 @@ let print_round_metrics ppf (rounds : Orchestrator.round_result list) =
       ~header:
         [
           "Round"; "Events"; "Pairs"; "Capped"; "Windows"; "Races"; "Inj";
-          "Failed"; "Lost"; "LP"; "Pivots"; "Bound rows"; "Run s"; "Extract s";
-          "Solve s";
+          "Failed"; "Lost"; "LP"; "Pivots"; "Bound rows";
         ]
   in
   let int_cell cum prev = Printf.sprintf "%d (+%d)" cum (cum - prev) in
-  let sec_cell cum prev = Printf.sprintf "%.3f (+%.3f)" cum (cum -. prev) in
   (* The LP cells are per-round, not cumulative: each round's
      [stats.lp] already covers just that round's solve sequence. *)
   let lp_cell (s : Encoder.solve_stats) =
@@ -123,12 +121,41 @@ let print_round_metrics ppf (rounds : Orchestrator.round_result list) =
           lp_cell r.stats;
           pivots_cell r.stats.lp;
           string_of_int r.stats.lp.lp_bound_rows_saved;
-          sec_cell m.run_s p.run_s;
-          sec_cell m.extract_s p.extract_s;
-          sec_cell m.solve_s p.solve_s;
         ];
       prev := m)
     rounds;
+  Format.fprintf ppf "%s@." (Sherlock_util.Table.render table)
+
+(* The stages of one round, in pipeline order; perfbench's layers carry
+   the same names. *)
+let stages = [ "run"; "extract"; "merge"; "encode"; "lp"; "plan-delays" ]
+
+(* Stage time comes from spans only.  Spans close in order and rounds do
+   not nest, so a round's stage spans are those closed since the
+   previous round closed ([encode] and [lp] sit under [solve]). *)
+let print_stage_times ppf (spans : Sherlock_telemetry.Span.closed list) =
+  let module Span = Sherlock_telemetry.Span in
+  let cpu_ms (s : Span.closed) = 1e3 *. (s.cpu_end_s -. s.cpu_start_s) in
+  let table =
+    Sherlock_util.Table.create ~title:"Per-round stage CPU ms (from spans)"
+      ~header:(("Round" :: stages) @ [ "Total" ])
+  in
+  let sums = Hashtbl.create 8 in
+  let sum stage = Option.value ~default:0.0 (Hashtbl.find_opt sums stage) in
+  List.iter
+    (fun (s : Span.closed) ->
+      if s.name = "round" then begin
+        Sherlock_util.Table.add_row table
+          ((match List.assoc_opt "round" s.attrs with
+           | Some (Span.Int n) -> string_of_int n
+           | _ -> "?")
+           :: List.map (fun stage -> Printf.sprintf "%.1f" (sum stage)) stages
+          @ [ Printf.sprintf "%.1f" (cpu_ms s) ]);
+        Hashtbl.reset sums
+      end
+      else if List.mem s.name stages then
+        Hashtbl.replace sums s.name (sum s.name +. cpu_ms s))
+    spans;
   Format.fprintf ppf "%s@." (Sherlock_util.Table.render table)
 
 (* Extraction-cache telemetry for the -v report.  The span-cache and

@@ -38,14 +38,24 @@ val false_positive_cause : Ground_truth.t -> Verdict.t -> Ground_truth.cause
     else Others. *)
 
 val print_round_metrics : Format.formatter -> Orchestrator.round_result list -> unit
-(** Render one row per round from the cumulative trace-metrics snapshot
-    taken at that round's solve (events, pairs, windows, races, wall
-    clocks), each cell annotated with its delta against the previous
-    round.  Also shows the round's injected fault-plan sites ("Inj"),
+(** Render one row per round from the cumulative extraction counts
+    taken at that round's solve (events, pairs, windows, races), each
+    cell annotated with its delta against the previous round.  Also
+    shows the round's injected fault-plan sites ("Inj"),
     failed run attempts ("Failed"), tests dropped after exhausting
     retries ("Lost"), whether the round's base LP solve started warm
     or cold, or degraded ("LP"), its pivots, and the cap rows its column bounds kept out of
     the matrix ("Bound rows"). *)
+
+val stages : string list
+(** The span names of one round's stages, in pipeline order: [run],
+    [extract], [merge], [encode], [lp], [plan-delays] (perfbench's
+    layers carry the same names). *)
+
+val print_stage_times : Format.formatter -> Sherlock_telemetry.Span.closed list -> unit
+(** Render one row per [round] span: the CPU milliseconds of the [run],
+    [extract], [merge], [encode], [lp] and [plan-delays] spans under it,
+    and the round span's own CPU ("Total"). *)
 
 val print_simulator_summary : Format.formatter -> unit -> unit
 (** Simulator totals from the default metrics registry: runs, events

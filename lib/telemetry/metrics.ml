@@ -148,21 +148,14 @@ module Gauge = struct
     | Fn f -> ( try f () with _ -> 0)
 end
 
-type sample = {
-  sample_s : float;
-  sample_label : string;
-  sample_counters : (string * int) list;
-}
-
 type registry = {
   mutex : Mutex.t;
-      (* registration on the main thread against listing and sampling on
-         the snapshot ticker's systhread: a [Hashtbl.add] that resizes
+      (* registration on the main thread against listing on the
+         snapshot ticker's systhread: a [Hashtbl.add] that resizes
          allocates, so the ticker can run in the middle of it *)
   counters : (string, Counter.t) Hashtbl.t;
   histograms : (string, Histogram.t) Hashtbl.t;
   gauges : (string, Gauge.t) Hashtbl.t;
-  mutable samples : sample list; (* reversed *)
 }
 
 let create () =
@@ -171,7 +164,6 @@ let create () =
     counters = Hashtbl.create 32;
     histograms = Hashtbl.create 32;
     gauges = Hashtbl.create 32;
-    samples = [];
   }
 
 let default = create ()
@@ -218,28 +210,11 @@ let histograms reg = sorted_values reg.histograms Histogram.name
 
 let gauges reg = sorted_values reg.gauges Gauge.name
 
-let sample ?(registry = default) ~label () =
-  let now = Unix.gettimeofday () in
-  Mutex.lock registry.mutex;
-  let sample_counters =
-    Hashtbl.fold
-      (fun name c acc -> (name, Counter.value c) :: acc)
-      registry.counters []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
-  registry.samples <-
-    { sample_s = now; sample_label = label; sample_counters }
-    :: registry.samples;
-  Mutex.unlock registry.mutex
-
-let samples ?(registry = default) () = List.rev registry.samples
-
 let reset reg =
   Mutex.lock reg.mutex;
   Hashtbl.reset reg.counters;
   Hashtbl.reset reg.histograms;
   Hashtbl.reset reg.gauges;
-  reg.samples <- [];
   Mutex.unlock reg.mutex
 
 let pp_summary ppf reg =

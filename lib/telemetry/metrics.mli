@@ -1,6 +1,7 @@
-(** Named counters and histograms — the registry generalizing the flat
-    {!Sherlock_trace.Metrics} record (which stays as a thin bridge; see
-    [Sherlock_trace.Metrics.to_registry]).
+(** Named counters, gauges and histograms: the one source of counters.
+    Stage CPU time is recorded here as the [span.<name>.cpu_s]
+    histograms {!Span.with_span} observes; round history is the
+    {!Snapshot} points taken of a registry.
 
     Primitives are unconditional.  The main thread writes them; the
     snapshot ticker's systhread reads them: counters and gauges are
@@ -115,25 +116,9 @@ val histograms : registry -> Histogram.t list
 
 val gauges : registry -> Gauge.t list
 
-type sample = {
-  sample_s : float;  (** [Unix.gettimeofday] at the snapshot *)
-  sample_label : string;  (** e.g. ["round 2"] *)
-  sample_counters : (string * int) list;  (** all counters, name-sorted *)
-}
-(** A timestamped snapshot of every counter value — what lets the
-    Perfetto export render counter tracks that progress over the run
-    instead of a single end-of-run value. *)
-
-val sample : ?registry:registry -> label:string -> unit -> unit
-(** Snapshot all counters now.  The orchestrator calls this once per
-    inference round when telemetry is enabled. *)
-
-val samples : ?registry:registry -> unit -> sample list
-(** All snapshots in chronological order. *)
-
 val reset : registry -> unit
-(** Drop every counter, gauge, histogram, and sample (between runs in
-    one process). *)
+(** Drop every counter, gauge and histogram (between runs in one
+    process). *)
 
 val pp_summary : Format.formatter -> registry -> unit
 (** Text summary: one line per counter, one per histogram with

@@ -152,9 +152,7 @@ let to_string events =
   Buffer.contents buf
 
 let write path events =
-  let oc = open_out path in
-  output_string oc (to_string events);
-  close_out oc
+  Sherlock_util.Atomic_file.write path (fun oc -> output_string oc (to_string events))
 
 let of_spans collector =
   let epoch = Span.epoch collector in
@@ -165,7 +163,7 @@ let of_spans collector =
         let args =
           ("span_id", Int s.id)
           :: (match s.parent with Some p -> [ ("parent", Int p) ] | None -> [])
-          @ s.attrs
+          @ (("cpu_ms", Float ((s.cpu_end_s -. s.cpu_start_s) *. 1e3)) :: s.attrs)
         in
         complete ~cat:"span" ~args ~name:s.name ~ts:(us s.start_s)
           ~dur:(us s.end_s - us s.start_s) ~pid:0 ~tid:0 ())
@@ -175,13 +173,11 @@ let of_spans collector =
   :: thread_name ~pid:0 ~tid:0 "pipeline"
   :: events
 
-let of_samples ~epoch samples =
+let of_points ~epoch points =
   let us t = int_of_float ((t -. epoch) *. 1e6) in
   List.concat_map
-    (fun (s : Metrics.sample) ->
-      let ts = max 0 (us s.Metrics.sample_s) in
-      instant ~cat:"sample" ~name:s.Metrics.sample_label ~ts ~pid:0 ~tid:0 ()
-      :: List.map
-           (fun (name, v) -> counter ~name ~ts ~pid:0 ~value:v ())
-           s.Metrics.sample_counters)
-    samples
+    (fun (p : Snapshot.point) ->
+      let ts = max 0 (us p.p_ts) in
+      instant ~cat:"snapshot" ~name:p.p_label ~ts ~pid:0 ~tid:0 ()
+      :: List.map (fun (name, v) -> counter ~name ~ts ~pid:0 ~value:v ()) p.p_counters)
+    points

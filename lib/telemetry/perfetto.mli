@@ -1,8 +1,10 @@
 (** Chrome trace-event JSON, the format Perfetto and [chrome://tracing]
     load natively.
 
-    Two producers feed it: {!of_spans} turns a span collector's wall-clock
-    tree into one [X] (complete) event per span, all on one track; the
+    Three producers feed it: {!of_spans} turns a span collector's
+    wall-clock tree into one [X] (complete) event per span, all on one
+    track, with each span's CPU milliseconds in its args; {!of_points} turns
+    snapshot points into counter tracks; the
     virtual-time exporter ([Sherlock_core.Timeline]) builds events
     directly — per-thread tracks of method frames, running/blocked
     intervals, delay-injection markers, and flow arrows between
@@ -71,16 +73,19 @@ val to_string : event list -> string
 (** The full JSON document, [{"traceEvents": [...]}]. *)
 
 val write : string -> event list -> unit
-(** Write the JSON document to a file. *)
+(** Write the JSON document to a file with
+    {!Sherlock_util.Atomic_file.write}: a failed export leaves the file
+    as it was. *)
 
 val of_spans : Span.collector -> event list
 (** Wall-clock export of every closed span (plus process/track naming
     metadata): timestamps are microseconds since the collector's epoch,
-    every span on [tid] 0. *)
+    every span on [tid] 0, its CPU milliseconds in the [cpu_ms] arg. *)
 
-val of_samples : epoch:float -> Metrics.sample list -> event list
-(** Counter tracks from {!Metrics.sample} snapshots: one [C] point per
-    counter per sample (so Perfetto renders each counter progressing
-    round by round rather than as a single end-of-run value), plus one
-    instant marker per sample carrying its label.  [epoch] should be the
-    span collector's so the tracks align with {!of_spans}. *)
+val of_points : epoch:float -> Snapshot.point list -> event list
+(** Counter tracks from snapshot points ({!Snapshot.points}): one [C]
+    point per counter per snapshot (so Perfetto renders each counter
+    progressing round by round rather than as a single end-of-run
+    value), plus one instant marker per snapshot carrying its label.
+    [epoch] should be the span collector's so the tracks align with
+    {!of_spans}. *)

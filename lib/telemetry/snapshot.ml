@@ -33,7 +33,7 @@ type ring = {
   on_snapshot : (point -> unit) option;
   mutex : Mutex.t;
       (* the slots and counters below: the ticker systhread's [take]
-         against the main thread's [take], [points] and [latest] *)
+         against the main thread's [take] and [points] *)
   export : Mutex.t;
       (* held around [on_snapshot]: the ticker and an event-driven
          [take] may snapshot at once, and two overlapping exporter
@@ -140,15 +140,6 @@ let points r =
   Mutex.unlock r.mutex;
   !acc
 
-let latest r =
-  Mutex.lock r.mutex;
-  let p =
-    if r.len = 0 then None
-    else r.slots.((r.head - 1 + r.capacity) mod r.capacity)
-  in
-  Mutex.unlock r.mutex;
-  p
-
 (* Per-counter difference newer - older, over the union of names: a
    counter born between the two snapshots delta-s from zero.  Counters
    are monotone, so deltas are non-negative whenever [older] precedes
@@ -197,22 +188,6 @@ let take_installed ?label () =
   match Atomic.get current with
   | None -> None
   | Some r -> Some (take ?label r)
-
-(* Event-driven snapshot sites (the orchestrator's per-round sample)
-   throttle on wall-clock age: a sub-millisecond round must not produce
-   a point — and an exporter rewrite — per round, or the plane's cost
-   scales with round rate instead of with time.  Racing callers can at
-   worst take one extra point (the ticker and the main thread). *)
-let take_installed_if_due ?(min_age_s = 0.1) ?label () =
-  match Atomic.get current with
-  | None -> None
-  | Some r ->
-    let due =
-      match latest r with
-      | None -> true
-      | Some p -> Unix.gettimeofday () -. p.p_ts >= min_age_s
-    in
-    if due then Some (take ?label r) else None
 
 (* ------------------------------------------------------------------ *)
 (* Ticker: a single systhread (not a domain — an idle parked domain

@@ -4,12 +4,14 @@
     A {!ring} retains the last N {!point}s (full captures of every
     counter, gauge, and histogram summary), with {!counter_delta} and
     {!rates} deriving change between any two points.  One ring can be
-    {!install}ed process-wide; the orchestrator snapshots it per round,
-    a {!start_ticker} systhread snapshots it on a fixed interval, and a
+    {!install}ed process-wide; the orchestrator snapshots it once per
+    round (the only per-round history the process keeps), a
+    {!start_ticker} systhread snapshots it on a fixed interval, and a
     SIGUSR1 handler ({!install_sigusr1}) requests an on-demand dump
     without stopping the run.  Each snapshot optionally invokes the
     ring's [on_snapshot] callback — the seam the CLI uses to atomically
-    rewrite an OpenMetrics file for external scrapers. *)
+    rewrite an OpenMetrics file for external scrapers (throttling the
+    rewrites itself, since per-round points are not throttled). *)
 
 type hist_summary = {
   h_count : int;
@@ -58,8 +60,6 @@ val busy_seconds : ring -> float
     registry capture plus the [on_snapshot] callback.  The plane's
     direct cost, as a share of run wall-clock when divided by it. *)
 
-val latest : ring -> point option
-
 val counter_delta : older:point -> newer:point -> (string * int) list
 (** Per-counter [newer - older] over the union of names (a counter born
     between the two deltas from 0; one that vanished — registry reset —
@@ -74,21 +74,15 @@ val rates : older:point -> newer:point -> (string * float) list
 
 val install : ring -> unit
 (** Make [ring] the process-wide snapshot target (ticker, SIGUSR1,
-    per-round orchestrator samples). *)
+    per-round orchestrator points). *)
 
 val uninstall : unit -> unit
 
 val installed : unit -> ring option
 
 val take_installed : ?label:string -> unit -> point option
-(** {!take} on the installed ring; [None] when no plane is installed. *)
-
-val take_installed_if_due : ?min_age_s:float -> ?label:string -> unit -> point option
-(** {!take_installed}, throttled: snapshots only when the installed
-    ring's newest point is at least [min_age_s] (default 0.1) old, so
-    event-driven sample sites (one per orchestrator round) cost
-    wall-clock-bounded work even when rounds are sub-millisecond.
-    [None] when no plane is installed or nothing was due. *)
+(** {!take} on the installed ring; [None] when no plane is installed.
+    Not throttled: the orchestrator calls it once per round. *)
 
 (** {1 Ticker and signal dumps} *)
 

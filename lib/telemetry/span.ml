@@ -10,6 +10,8 @@ type closed = {
   name : string;
   start_s : float;
   end_s : float;
+  cpu_start_s : float;
+  cpu_end_s : float;
   attrs : (string * value) list;
 }
 
@@ -52,7 +54,22 @@ let add_attr k v =
   | None, _ | _, [] -> ()
   | Some _, sp :: _ -> sp.oattrs <- (k, v) :: sp.oattrs
 
-let close c sp =
+let open_span c ~name ~attrs =
+  let parent = match !stack with [] -> None | p :: _ -> Some p.oid in
+  let sp =
+    {
+      oid = c.next_id;
+      oparent = parent;
+      oname = name;
+      ostart = Unix.gettimeofday ();
+      oattrs = List.rev attrs;
+    }
+  in
+  c.next_id <- c.next_id + 1;
+  stack := sp :: !stack;
+  sp
+
+let close c sp ~cpu_start_s ~cpu_end_s =
   (stack := match !stack with _ :: tl -> tl | [] -> []);
   let span =
     {
@@ -61,31 +78,33 @@ let close c sp =
       name = sp.oname;
       start_s = sp.ostart;
       end_s = Unix.gettimeofday ();
+      cpu_start_s;
+      cpu_end_s;
       attrs = List.rev sp.oattrs;
     }
   in
   c.spans <- span :: c.spans
 
+(* With the registry on and no collector, the body is only timed: no
+   span is opened, so [add_attr] stays a no-op. *)
 let with_span ?(attrs = []) ~name f =
   match !installed with
-  | None -> f ()
-  | Some c ->
-    let parent = match !stack with [] -> None | p :: _ -> Some p.oid in
-    let sp =
-      {
-        oid = c.next_id;
-        oparent = parent;
-        oname = name;
-        ostart = Unix.gettimeofday ();
-        oattrs = List.rev attrs;
-      }
+  | None when not (Metrics.enabled ()) -> f ()
+  | collector ->
+    let cpu_start_s = Sys.time () in
+    let opened = Option.map (fun c -> (c, open_span c ~name ~attrs)) collector in
+    let finish () =
+      let cpu_end_s = Sys.time () in
+      if Metrics.enabled () then
+        Metrics.Histogram.observe
+          (Metrics.histogram ("span." ^ name ^ ".cpu_s"))
+          (cpu_end_s -. cpu_start_s);
+      Option.iter (fun (c, sp) -> close c sp ~cpu_start_s ~cpu_end_s) opened
     in
-    c.next_id <- c.next_id + 1;
-    stack := sp :: !stack;
     (match f () with
     | v ->
-      close c sp;
+      finish ();
       v
     | exception e ->
-      close c sp;
+      finish ();
       raise e)

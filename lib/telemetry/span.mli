@@ -1,12 +1,16 @@
-(** Hierarchical wall-clock spans over the inference pipeline.
+(** Hierarchical spans over the inference pipeline: the one source of
+    stage time.
 
-    A span is opened with {!with_span}, covers the host wall-clock time of
-    its body, and closes even when the body raises — the tree of closed
-    spans is therefore always well nested.  Spans record into a
-    {!collector} installed with {!set_collector}; with no collector
-    installed, {!with_span} is a tail call into the body (a single load
-    of overhead), so instrumented code paths cost nothing in normal
-    runs.  Spans are opened and closed on the main thread only. *)
+    A span is opened with {!with_span}, covers the host wall-clock and
+    process CPU time of its body, and closes even when the body raises —
+    the tree of closed spans is therefore always well nested.  Spans
+    record into a {!collector} installed with {!set_collector}.  When
+    the metrics registry is enabled ({!Metrics.enabled}), every closed
+    span of name [n] is also one observation of the histogram
+    [span.n.cpu_s], collector or not.  With neither, {!with_span} is a
+    tail call into the body (two loads of overhead), so instrumented
+    code paths cost nothing in normal runs.  Spans are opened and closed
+    on the main thread only. *)
 
 type value =
   | Int of int
@@ -20,6 +24,10 @@ type closed = {
   name : string;
   start_s : float;      (** absolute host time, [Unix.gettimeofday] *)
   end_s : float;
+  cpu_start_s : float;
+      (** process CPU seconds, [Sys.time]; every run is single-domain,
+          so the difference is this span's own CPU *)
+  cpu_end_s : float;
   attrs : (string * value) list;  (** in attachment order *)
 }
 
@@ -42,7 +50,9 @@ val current_collector : unit -> collector option
 
 val with_span : ?attrs:(string * value) list -> name:string -> (unit -> 'a) -> 'a
 (** Run the body inside a span.  The span closes when the body returns
-    {e or raises}; the exception is re-raised after the close. *)
+    {e or raises}; the exception is re-raised after the close.  With no
+    collector installed and the registry enabled, only the
+    [span.<name>.cpu_s] observation is made. *)
 
 val add_attr : string -> value -> unit
 (** Attach an attribute to the innermost open span;

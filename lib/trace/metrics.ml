@@ -4,22 +4,10 @@ type t = {
   mutable pairs_capped : int;
   mutable windows : int;
   mutable races : int;
-  mutable run_s : float;
-  mutable extract_s : float;
-  mutable solve_s : float;
 }
 
 let create () =
-  {
-    events = 0;
-    pairs_considered = 0;
-    pairs_capped = 0;
-    windows = 0;
-    races = 0;
-    run_s = 0.0;
-    extract_s = 0.0;
-    solve_s = 0.0;
-  }
+  { events = 0; pairs_considered = 0; pairs_capped = 0; windows = 0; races = 0 }
 
 let copy t = { t with events = t.events }
 
@@ -28,26 +16,4 @@ let merge ~into t =
   into.pairs_considered <- into.pairs_considered + t.pairs_considered;
   into.pairs_capped <- into.pairs_capped + t.pairs_capped;
   into.windows <- into.windows + t.windows;
-  into.races <- into.races + t.races;
-  into.run_s <- into.run_s +. t.run_s;
-  into.extract_s <- into.extract_s +. t.extract_s;
-  into.solve_s <- into.solve_s +. t.solve_s
-
-let to_registry ?(prefix = "trace.") registry t =
-  let module Tm = Sherlock_telemetry.Metrics in
-  let count name v = Tm.Counter.incr ~by:v (Tm.counter ~registry (prefix ^ name)) in
-  count "events" t.events;
-  count "pairs_considered" t.pairs_considered;
-  count "pairs_capped" t.pairs_capped;
-  count "windows" t.windows;
-  count "races" t.races;
-  let seconds name v = Tm.Histogram.observe (Tm.histogram ~registry (prefix ^ name)) v in
-  seconds "run_s" t.run_s;
-  seconds "extract_s" t.extract_s;
-  seconds "solve_s" t.solve_s
-
-let pp ppf t =
-  Format.fprintf ppf
-    "%d events, %d pairs (%d capped), %d windows, %d races, run %.3fs, extract %.3fs, solve %.3fs"
-    t.events t.pairs_considered t.pairs_capped t.windows t.races t.run_s
-    t.extract_s t.solve_s
+  into.races <- into.races + t.races

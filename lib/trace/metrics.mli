@@ -1,10 +1,10 @@
-(** Lightweight pipeline counters and wall-clock accounting, threaded from
-    window extraction through the solver into reports and the CLI.
+(** An observation set's own extraction counts.
 
-    A single mutable record is accumulated in place: extraction bumps the
-    event/pair/window/race counters and [extract_s]; the orchestrator adds
-    the simulated runs' host time to [run_s]; the encoder adds LP time to
-    [solve_s]. *)
+    Window extraction adds one log's counts into the record it is given,
+    and merging an extraction into observations adds them up, so the
+    record always describes exactly the observations it belongs to.  The
+    process-wide view of the same counts is the registry's [windows.*]
+    counters, which extraction bumps directly. *)
 
 type t = {
   mutable events : int;            (** events traced across the merged runs *)
@@ -13,9 +13,6 @@ type t = {
       (** static location pairs that hit the per-pair window cap *)
   mutable windows : int;           (** windows emitted *)
   mutable races : int;             (** observed data races emitted *)
-  mutable run_s : float;           (** host seconds executing simulated tests *)
-  mutable extract_s : float;       (** host seconds in window extraction *)
-  mutable solve_s : float;         (** host seconds in the LP solver *)
 }
 
 val create : unit -> t
@@ -26,13 +23,3 @@ val copy : t -> t
 
 val merge : into:t -> t -> unit
 (** Add every counter of the second argument into [into]. *)
-
-val to_registry :
-  ?prefix:string -> Sherlock_telemetry.Metrics.registry -> t -> unit
-(** Bridge into the telemetry metrics registry: the integer fields are
-    added to counters named [prefix ^ field] (default prefix ["trace."]),
-    the wall-clock fields observed into same-named histograms.  This
-    record stays the pipeline's in-band accumulator; the registry is the
-    generalized, exportable view. *)
-
-val pp : Format.formatter -> t -> unit

@@ -444,11 +444,26 @@ let save ?(format = Text) log path =
         let w = to_bytes log in
         output oc w.buf 0 w.pos)
 
+(* The whole file as one string, read with [Unix.read] into a buffer of
+   the file's [fstat] size: no channel buffer in between.  Errors surface
+   as [Sys_error], as a channel's would. *)
+let read_file path =
+  try
+    let fd = Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 in
+    Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+    let buf = Bytes.create (Unix.fstat fd).Unix.st_size in
+    let rec fill pos =
+      if pos = Bytes.length buf then buf
+      else
+        match Unix.read fd buf pos (Bytes.length buf - pos) with
+        | 0 -> Bytes.sub buf 0 pos
+        | n -> fill (pos + n)
+    in
+    Bytes.unsafe_to_string (fill 0)
+  with Unix.Unix_error (e, _, _) ->
+    raise (Sys_error (Printf.sprintf "%s: %s" path (Unix.error_message e)))
+
 let load path =
   match format_of_file path with
   | Binary -> Trace_bin.load path
-  | Text ->
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> of_string_text ~path (really_input_string ic (in_channel_length ic)))
+  | Text -> of_string_text ~path (read_file path)

@@ -339,6 +339,16 @@ let c_scan_steps = Tm.counter "windows.scan.steps"
 
 let c_frames_visited = Tm.counter "windows.open_frames.visited"
 
+let c_events = Tm.counter "windows.events"
+
+let c_pairs_considered = Tm.counter "windows.pairs_considered"
+
+let c_pairs_capped = Tm.counter "windows.pairs_capped"
+
+let c_emitted = Tm.counter "windows.emitted"
+
+let c_races = Tm.counter "windows.races"
+
 (* Memoized [side_of_span].  Candidate pairs share span endpoints
    whenever several accesses to one address carry the same timestamp
    (contended bursts under a coarse clock): every pair [(a_i, b)] with
@@ -567,7 +577,6 @@ let scan_address ~near ~cap ~on_capped ~emit (events : Event.t array) ranks sc
 let extract_with_samples ?(near = default_near) ?(cap = default_cap) ?(refine = true)
     ?metrics (log : Log.t) =
  Tspan.with_span ~name:"windows.extract" @@ fun () ->
-  let t_start = Unix.gettimeofday () in
   (* Telemetry histograms are resolved once per extraction and only when
      telemetry is on, so the per-pair hot path pays a single branch. *)
   let tm_on = Tm.enabled () in
@@ -613,6 +622,11 @@ let extract_with_samples ?(near = default_near) ?(cap = default_cap) ?(refine = 
   publish_cache_counts cache;
   Tm.Counter.incr ~by:sc.steps c_scan_steps;
   Tm.Counter.incr ~by:frames.visited c_frames_visited;
+  Tm.Counter.incr ~by:(Log.length log) c_events;
+  Tm.Counter.incr ~by:!considered c_pairs_considered;
+  Tm.Counter.incr ~by:!capped c_pairs_capped;
+  Tm.Counter.incr ~by:!nwindows c_emitted;
+  Tm.Counter.incr ~by:!nraces c_races;
   (match metrics with
   | None -> ()
   | Some (m : Metrics.t) ->
@@ -620,8 +634,7 @@ let extract_with_samples ?(near = default_near) ?(cap = default_cap) ?(refine = 
     m.pairs_considered <- m.pairs_considered + !considered;
     m.pairs_capped <- m.pairs_capped + !capped;
     m.windows <- m.windows + !nwindows;
-    m.races <- m.races + !nraces;
-    m.extract_s <- m.extract_s +. (Unix.gettimeofday () -. t_start));
+    m.races <- m.races + !nraces);
   Tspan.add_attr "events" (Tspan.Int (Log.length log));
   Tspan.add_attr "windows" (Tspan.Int !nwindows);
   Tspan.add_attr "races" (Tspan.Int !nraces);

@@ -108,8 +108,10 @@ val extract :
 (** [extract log] returns the windows and the observed races of one run.
     [refine] (default true) applies delay-based window refinement.
     [metrics], when given, is bumped in place with the events/pairs/
-    windows/races counters and the extraction wall-clock.  The registry
-    counters [windows.span_cache.{hit,miss}],
+    windows/races counts.  The registry counters [windows.events],
+    [windows.pairs_considered], [windows.pairs_capped],
+    [windows.emitted] and [windows.races] (the same counts),
+    [windows.span_cache.{hit,miss}],
     [windows.span.{folded,entries}] (events folded into computed sides,
     and side entries those folds produced), [windows.scan.steps]
     (candidate tests of the address scans) and

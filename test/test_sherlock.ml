@@ -246,6 +246,20 @@ let test_orchestrator_rounds () =
   check Alcotest.bool "flag read inferred" true
     (Verdict.mem (Opid.read ~cls:"O.Flag" "ready") Verdict.Acquire result.final)
 
+(* Round history is the installed snapshot ring's points, one per round
+   and unthrottled, however fast the rounds are. *)
+let test_orchestrator_round_points () =
+  let module Tsnap = Sherlock_telemetry.Snapshot in
+  let ring = Tsnap.create () in
+  Tsnap.install ring;
+  Fun.protect ~finally:Tsnap.uninstall @@ fun () ->
+  ignore (Orchestrator.infer ~config:{ Config.default with rounds = 3 } (flag_subject ()));
+  check
+    Alcotest.(list string)
+    "one point per round"
+    [ "round 1"; "round 2"; "round 3" ]
+    (List.map (fun (p : Tsnap.point) -> p.p_label) (Tsnap.points ring))
+
 let test_orchestrator_deterministic () =
   let r1 = Orchestrator.infer (flag_subject ()) in
   let r2 = Orchestrator.infer (flag_subject ()) in
@@ -761,6 +775,8 @@ let () =
         [
           Alcotest.test_case "rounds" `Quick test_orchestrator_rounds;
           Alcotest.test_case "deterministic" `Quick test_orchestrator_deterministic;
+          Alcotest.test_case "one snapshot point per round" `Quick
+            test_orchestrator_round_points;
           Alcotest.test_case "accumulate off" `Quick test_orchestrator_accumulate_off;
           Alcotest.test_case "run_test_logs" `Quick test_orchestrator_run_test_logs;
           Alcotest.test_case "test seeds" `Quick test_orchestrator_test_seed;

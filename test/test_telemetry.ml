@@ -1,6 +1,7 @@
 (* The telemetry subsystem: span trees (well-nestedness, exception
-   safety), the metrics registry (counters, power-of-two histograms, the
-   Trace.Metrics bridge), and the Perfetto exporters (ordering and
+   safety, CPU times), the metrics registry (counters, power-of-two
+   histograms, the windows.* counters extraction bumps beside the
+   observation set's own counts), and the Perfetto exporters (ordering and
    duration invariants as a qcheck property, plus a virtual-time
    Timeline smoke test). *)
 
@@ -91,6 +92,51 @@ let test_span_no_collector () =
   (try Span.with_span ~name:"x" (fun () -> raise Boom) with Boom -> ());
   check Alcotest.int "no open spans" 0 (Span.open_depth ())
 
+(* Spans carry process CPU, and with the registry on every closed span
+   is one [span.<name>.cpu_s] observation; with neither a collector nor
+   the registry nothing is recorded. *)
+let test_span_cpu () =
+  let burn () =
+    let x = ref 0 in
+    for i = 1 to 200_000 do
+      x := !x + (i land 7)
+    done;
+    ignore (Sys.opaque_identity !x)
+  in
+  let hist name = Tm.Histogram.count (Tm.histogram ("span." ^ name ^ ".cpu_s")) in
+  let counts () = (hist "cpu-outer", hist "cpu-inner") in
+  let before = counts () in
+  Tm.set_enabled true;
+  Fun.protect ~finally:(fun () -> Tm.set_enabled false) (fun () ->
+      with_collector @@ fun c ->
+      Span.with_span ~name:"cpu-outer" (fun () ->
+          burn ();
+          Span.with_span ~name:"cpu-inner" burn;
+          Span.with_span ~name:"cpu-inner" burn);
+      let spans = Span.closed_spans c in
+      List.iter
+        (fun (s : Span.closed) ->
+          check Alcotest.bool (s.name ^ " cpu_end >= cpu_start") true
+            (s.cpu_end_s >= s.cpu_start_s))
+        spans;
+      let outer = find "cpu-outer" spans in
+      List.iter
+        (fun (s : Span.closed) ->
+          if s.name = "cpu-inner" then
+            check Alcotest.bool "child CPU within parent's" true
+              (s.cpu_start_s >= outer.cpu_start_s && s.cpu_end_s <= outer.cpu_end_s))
+        spans;
+      (* without a collector the registry still gets its observation *)
+      Span.set_collector None;
+      Span.with_span ~name:"cpu-inner" burn);
+  let o0, i0 = before and o1, i1 = counts () in
+  check Alcotest.int "one observation per outer span" 1 (o1 - o0);
+  check Alcotest.int "one observation per inner span" 3 (i1 - i0);
+  (* neither a collector nor the registry: no span, no observation *)
+  Span.with_span ~name:"cpu-inner" burn;
+  check Alcotest.int "nothing observed when off" i1 (hist "cpu-inner");
+  check Alcotest.int "nothing open" 0 (Span.open_depth ())
+
 (* --- metrics --- *)
 
 let test_counter () =
@@ -134,24 +180,29 @@ let test_registry_listing () =
   check Alcotest.bool "summary non-empty" true
     (String.length (Format.asprintf "%a" Tm.pp_summary r) > 0)
 
+(* The observation set's own counts and the registry's windows.*
+   counters come from the same extraction: one extract + merge raises
+   each counter by exactly the record's count. *)
 let test_trace_metrics_bridge () =
-  let m = Sherlock_trace.Metrics.create () in
-  m.events <- 10;
-  m.pairs_considered <- 4;
-  m.pairs_capped <- 1;
-  m.windows <- 3;
-  m.races <- 2;
-  m.run_s <- 0.5;
-  let r = Tm.create () in
-  Sherlock_trace.Metrics.to_registry r m;
-  let counter name = Tm.Counter.value (Tm.counter ~registry:r name) in
-  check Alcotest.int "events" 10 (counter "trace.events");
-  check Alcotest.int "pairs" 4 (counter "trace.pairs_considered");
-  check Alcotest.int "capped" 1 (counter "trace.pairs_capped");
-  check Alcotest.int "windows" 3 (counter "trace.windows");
-  check Alcotest.int "races" 2 (counter "trace.races");
-  let h = Tm.histogram ~registry:r "trace.run_s" in
-  check Alcotest.int "run_s observed" 1 (Tm.Histogram.count h)
+  let module Obs = Sherlock_core.Observations in
+  let log =
+    Sherlock_trace.Synth.log ~seed:7 ~events:2_000 ~addrs:32 ~threads:4 ()
+  in
+  let names =
+    [ "windows.events"; "windows.pairs_considered"; "windows.pairs_capped";
+      "windows.emitted"; "windows.races" ]
+  in
+  let values () = List.map (fun n -> Tm.Counter.value (Tm.counter n)) names in
+  let before = values () in
+  let obs = Obs.create () in
+  Obs.add_extraction obs (Obs.extract_log ~near:20_000 ~cap:15 ~refine:true log);
+  let m = Obs.metrics obs in
+  check Alcotest.bool "something extracted" true (m.windows > 0 && m.pairs_considered > 0);
+  check
+    Alcotest.(list int)
+    "registry deltas equal the record"
+    [ m.events; m.pairs_considered; m.pairs_capped; m.windows; m.races ]
+    (List.map2 ( - ) (values ()) before)
 
 (* --- gauges --- *)
 
@@ -211,11 +262,9 @@ let test_snapshot_ring () =
   (match Snapshot.points ring with
   | [ a; b ] ->
     check Alcotest.int "oldest retained is #1" 1 a.Snapshot.p_seq;
-    check Alcotest.int "newest is #2" 2 b.Snapshot.p_seq
+    check Alcotest.int "newest is #2" 2 b.Snapshot.p_seq;
+    check Alcotest.string "newest label" "last" b.Snapshot.p_label
   | _ -> Alcotest.fail "two points expected");
-  (match Snapshot.latest ring with
-  | Some p -> check Alcotest.string "latest label" "last" p.Snapshot.p_label
-  | None -> Alcotest.fail "latest missing");
   let deltas = Snapshot.counter_delta ~older:p0 ~newer:p2 in
   check Alcotest.(option int) "existing counter delta" (Some 7)
     (List.assoc_opt "c" deltas);
@@ -650,6 +699,7 @@ let () =
           Alcotest.test_case "closes on exception" `Quick test_span_closes_on_exception;
           Alcotest.test_case "attributes" `Quick test_span_attrs;
           Alcotest.test_case "no collector" `Quick test_span_no_collector;
+          Alcotest.test_case "cpu times and histograms" `Quick test_span_cpu;
         ] );
       ( "metrics",
         [

@@ -9,7 +9,9 @@
 #   (c) `sherlock stats` renders a console summary both from the file
 #       and live, and
 #   (d) the section headers of README's `stats --from` example equal
-#       those `stats --from` prints for the command README documents.
+#       those `stats --from` prints for the command README documents, and
+#   (e) a 2-round `run --telemetry-out` file holds one counter-snapshot
+#       instant per round, labelled "round 1" and "round 2".
 set -eu
 
 cli=$1
@@ -38,9 +40,9 @@ grep -q '^# EOF$' "$d/metrics.om" || {
 for family in \
   sherlock_snapshot_timestamp_seconds \
   sherlock_gc_heap_words \
-  sherlock_trace_events_total \
+  sherlock_windows_events_total \
   sherlock_lp_solves_total \
-  sherlock_trace_run_s_count; do
+  sherlock_span_run_cpu_s_count; do
   grep -q "^$family " "$d/metrics.om" || {
     echo "smoke_stats: expected family $family missing from exposition" >&2
     exit 1
@@ -103,6 +105,16 @@ if ! diff "$d/readme-headers" "$d/actual-headers" >&2; then
   echo "smoke_stats: README's stats example has other sections than stats --from prints (< README, > actual)" >&2
   exit 1
 fi
+
+# --- per-round snapshot points in the span export ---
+# One event per line, name first; a run export's only instants are the
+# snapshot points.
+"$cli" run -a App-2 --rounds 2 --telemetry-out "$d/spans.json" >/dev/null
+points=$(grep '"ph":"i"' "$d/spans.json" | sed 's/^{"name":"\([^"]*\)".*/\1/' | tr '\n' ,)
+[ "$points" = "round 1,round 2," ] || {
+  echo "smoke_stats: --telemetry-out holds snapshot points '$points', not one per round" >&2
+  exit 1
+}
 
 lines=$(wc -l <"$d/run.jsonl" | tr -d ' ')
 families=$(grep -c '^# TYPE ' "$d/metrics.om" | tr -d ' ')
