@@ -757,13 +757,13 @@ let point_of_families (families : Telemetry.Openmetrics.family list) =
           hists :=
             ( raw,
               {
-                Telemetry.Snapshot.h_count = !count;
-                h_sum = !sum;
+                Telemetry.Metrics.Histogram.e_count = !count;
+                e_sum = !sum;
                 (* The exposition carries no exact min/max; the renderer
                    treats these as unknown. *)
-                h_min = infinity;
-                h_max = neg_infinity;
-                h_buckets = buckets;
+                e_min = infinity;
+                e_max = neg_infinity;
+                e_buckets = buckets;
               } )
             :: !hists
         | MUnknown -> ()))
@@ -777,24 +777,6 @@ let point_of_families (families : Telemetry.Openmetrics.family list) =
     p_gauges = sorted !gauges;
     p_hists = sorted !hists;
   }
-
-let hist_percentile (h : Telemetry.Snapshot.hist_summary) q =
-  if h.h_count = 0 then nan
-  else begin
-    let target = q *. float_of_int h.h_count in
-    let cum = ref 0 and res = ref nan in
-    (try
-       Array.iteri
-         (fun i n ->
-           cum := !cum + n;
-           if !res <> !res && float_of_int !cum >= target then begin
-             res := (if i = 0 then 1.0 else Float.pow 2.0 (float_of_int i));
-             raise Exit
-           end)
-         h.h_buckets
-     with Exit -> ());
-    !res
-  end
 
 let utilization_bar ~width frac =
   let frac = Float.max 0.0 (Float.min 1.0 frac) in
@@ -811,18 +793,18 @@ let hist_spark (h : Telemetry.Snapshot.hist_summary) =
         if !first < 0 then first := i;
         last := i
       end)
-    h.h_buckets;
+    h.e_buckets;
   if !first < 0 then ""
   else begin
     let blocks = [| "\xe2\x96\x81"; "\xe2\x96\x82"; "\xe2\x96\x83";
                     "\xe2\x96\x84"; "\xe2\x96\x85"; "\xe2\x96\x86";
                     "\xe2\x96\x87"; "\xe2\x96\x88" |] in
     let peak =
-      Array.fold_left max 1 (Array.sub h.h_buckets !first (!last - !first + 1))
+      Array.fold_left max 1 (Array.sub h.e_buckets !first (!last - !first + 1))
     in
     let b = Buffer.create 32 in
     for i = !first to !last do
-      let n = h.h_buckets.(i) in
+      let n = h.e_buckets.(i) in
       if n = 0 then Buffer.add_char b ' '
       else
         Buffer.add_string b blocks.(min 7 (n * 8 / peak))
@@ -834,7 +816,7 @@ let render_stats ppf (p : Telemetry.Snapshot.point) =
   let c name = Option.value ~default:0 (List.assoc_opt name p.p_counters) in
   let g name = Option.value ~default:0 (List.assoc_opt name p.p_gauges) in
   let h name = List.assoc_opt name p.p_hists in
-  let hist_sum name = match h name with Some s -> s.h_sum | None -> 0.0 in
+  let hist_sum name = match h name with Some s -> s.e_sum | None -> 0.0 in
   let pr fmt = Format.fprintf ppf fmt in
   let tm = Unix.localtime p.p_ts in
   pr "sherlock stats — snapshot #%d (%s) at %04d-%02d-%02d %02d:%02d:%02d@.@."
@@ -843,11 +825,11 @@ let render_stats ppf (p : Telemetry.Snapshot.point) =
     (tm.Unix.tm_year + 1900) (tm.Unix.tm_mon + 1) tm.Unix.tm_mday
     tm.Unix.tm_hour tm.Unix.tm_min tm.Unix.tm_sec;
   (* Pipeline stages: extraction counts from the windows.* counters,
-     stage CPU from the span.<stage>.cpu_s histograms (one observation
-     per closed span). *)
+     stage CPU seconds from the span.<stage>.cpu_us histograms (one
+     observation in microseconds per closed span). *)
   let events = c "windows.events" in
   if events > 0 then begin
-    let cpu stage = hist_sum ("span." ^ stage ^ ".cpu_s") in
+    let cpu stage = hist_sum ("span." ^ stage ^ ".cpu_us") /. 1e6 in
     let per_cpu n stage =
       if cpu stage > 0.0 then
         Printf.sprintf "  (%.0f per CPU s of %s)" (float_of_int n /. cpu stage) stage
@@ -910,9 +892,11 @@ let render_stats ppf (p : Telemetry.Snapshot.point) =
       (c "lp.cold_restart.dual_repair")
       (c "lp.cold_restart.pivot_cap");
     (match h "lp.pivots" with
-    | Some ph when ph.h_count > 0 ->
+    | Some ph when ph.e_count > 0 ->
       pr "    pivots         %d total, per solve p50<=%.0f p95<=%.0f@."
-        (c "lp.pivots.total") (hist_percentile ph 0.5) (hist_percentile ph 0.95)
+        (c "lp.pivots.total")
+        (Telemetry.Metrics.Histogram.percentile ph 0.5)
+        (Telemetry.Metrics.Histogram.percentile ph 0.95)
     | _ -> ());
     pr "    factorization  %d refactors, eta file now %d@.@." (c "lp.refactors")
       (g "lp.eta_len")
@@ -938,10 +922,10 @@ let render_stats ppf (p : Telemetry.Snapshot.point) =
   let top =
     List.filter
       (fun (name, (s : Telemetry.Snapshot.hist_summary)) ->
-        s.h_count > 0 && not (String.starts_with ~prefix:"span." name))
+        s.e_count > 0 && not (String.starts_with ~prefix:"span." name))
       p.p_hists
     |> List.sort (fun (_, (a : Telemetry.Snapshot.hist_summary)) (_, b) ->
-           compare b.h_count a.h_count)
+           compare b.e_count a.e_count)
   in
   let rec take n = function
     | [] -> []
@@ -953,9 +937,9 @@ let render_stats ppf (p : Telemetry.Snapshot.point) =
     pr "  top histograms@.";
     List.iter
       (fun (name, (s : Telemetry.Snapshot.hist_summary)) ->
-        pr "    %-28s n=%-8d mean %-10.1f %s%s@." name s.h_count
-          (s.h_sum /. float_of_int s.h_count)
-          (if s.h_max > neg_infinity then Printf.sprintf "max %-8.0f " s.h_max
+        pr "    %-28s n=%-8d mean %-10.1f %s%s@." name s.e_count
+          (s.e_sum /. float_of_int s.e_count)
+          (if s.e_max > neg_infinity then Printf.sprintf "max %-8.0f " s.e_max
            else "")
           (hist_spark s))
       top

@@ -32,7 +32,7 @@
     Telemetry: each call is a [solve] span with two children, [encode]
     (carrying [objective_terms]) and [lp] (carrying [solves] and
     [pivots]); with the metrics registry enabled, their CPU times are
-    observed as the [span.encode.cpu_s] and [span.lp.cpu_s] histograms
+    observed as the [span.encode.cpu_us] and [span.lp.cpu_us] histograms
     (see {!Sherlock_telemetry.Span}). *)
 
 (** LP-engine counters aggregated over one round's simplex calls (the

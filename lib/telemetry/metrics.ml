@@ -102,24 +102,20 @@ module Histogram = struct
     Mutex.unlock t.mutex;
     e
 
-  let percentile t p =
-    if t.count = 0 then nan
+  let percentile e p =
+    if e.e_count = 0 then nan
     else begin
-      let rank = p *. float_of_int t.count in
-      let seen = ref 0 in
-      let result = ref t.max_v in
-      (try
-         for i = 0 to num_buckets - 1 do
-           seen := !seen + t.buckets.(i);
-           if float_of_int !seen >= rank then begin
-             (* Upper bound of the bucket, clamped into the observed range. *)
-             let upper = if i = 0 then 1.0 else Float.pow 2.0 (float_of_int i) in
-             result := Float.min t.max_v (Float.max t.min_v upper);
-             raise Exit
-           end
-         done
-       with Exit -> ());
-      !result
+      let rank = p *. float_of_int e.e_count in
+      let rec go i seen =
+        let seen = seen + e.e_buckets.(i) in
+        if float_of_int seen >= rank || i = Array.length e.e_buckets - 1 then i
+        else go (i + 1) seen
+      in
+      let i = go 0 0 in
+      let upper = if i = 0 then 1.0 else Float.pow 2.0 (float_of_int i) in
+      (* Clamped into the observed range when it is known (a histogram
+         read back from an exposition has no exact min/max). *)
+      if e.e_min <= e.e_max then Float.min e.e_max (Float.max e.e_min upper) else upper
     end
 end
 
@@ -232,13 +228,15 @@ let pp_summary ppf reg =
   Format.fprintf ppf "telemetry histograms:@,";
   List.iter
     (fun h ->
+      let e = Histogram.export h in
       Format.fprintf ppf
         "  %-42s n=%d mean=%.1f min=%.1f max=%.1f p50<=%.0f p95<=%.0f \
          p99<=%.0f@,"
-        (Histogram.name h) (Histogram.count h) (Histogram.mean h)
-        (Histogram.min_value h) (Histogram.max_value h)
-        (Histogram.percentile h 0.5)
-        (Histogram.percentile h 0.95)
-        (Histogram.percentile h 0.99))
+        (Histogram.name h) e.e_count
+        (if e.e_count = 0 then nan else e.e_sum /. float_of_int e.e_count)
+        e.e_min e.e_max
+        (Histogram.percentile e 0.5)
+        (Histogram.percentile e 0.95)
+        (Histogram.percentile e 0.99))
     (histograms reg);
   Format.fprintf ppf "@]"

@@ -1,6 +1,7 @@
 (** Named counters, gauges and histograms: the one source of counters.
-    Stage CPU time is recorded here as the [span.<name>.cpu_s]
-    histograms {!Span.with_span} observes; round history is the
+    Stage CPU time is recorded here as the [span.<name>.cpu_us]
+    histograms {!Span.with_span} observes, in microseconds so that the
+    power-of-two buckets resolve it; round history is the
     {!Snapshot} points taken of a registry.
 
     Primitives are unconditional.  The main thread writes them; the
@@ -47,11 +48,6 @@ module Histogram : sig
 
   val max_value : t -> float
 
-  val percentile : t -> float -> float
-  (** [percentile h p] with [p] in [0, 1]: the upper bound of the bucket
-      holding the p-quantile (an over-approximation within 2x); [nan]
-      when empty. *)
-
   type export = {
     e_count : int;
     e_sum : float;
@@ -65,6 +61,13 @@ module Histogram : sig
   val export : t -> export
   (** A coherent copy taken under the histogram's mutex — what the
       snapshot ring and the OpenMetrics exporter read. *)
+
+  val percentile : export -> float -> float
+  (** [percentile e p] with [p] in [0, 1]: the upper bound of the bucket
+      holding the p-quantile (an over-approximation within 2x), clamped
+      into [[e_min, e_max]] when that range is known; [nan] when empty.
+      The one percentile of the registry's summaries, the console's
+      ([pp_summary], [sherlock stats]) included. *)
 end
 
 module Gauge : sig

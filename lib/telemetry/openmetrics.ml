@@ -104,18 +104,18 @@ let of_point (p : Snapshot.point) =
          upper bound is 2^i (bucket 0 covers everything <= 1).  The
          final +Inf bucket always equals the count. *)
       let last = ref (-1) in
-      Array.iteri (fun i n -> if n > 0 then last := i) h.h_buckets;
+      Array.iteri (fun i n -> if n > 0 then last := i) h.e_buckets;
       let cum = ref 0 in
       for i = 0 to !last do
-        cum := !cum + h.h_buckets.(i);
+        cum := !cum + h.e_buckets.(i);
         let le =
           if i = 0 then 1.0 else Float.pow 2.0 (float_of_int i)
         in
         Printf.bprintf b "%s_bucket{le=\"%s\"} %d\n" name (float_str le) !cum
       done;
-      Printf.bprintf b "%s_bucket{le=\"+Inf\"} %d\n" name h.h_count;
-      Printf.bprintf b "%s_sum %s\n" name (float_str h.h_sum);
-      Printf.bprintf b "%s_count %d\n" name h.h_count)
+      Printf.bprintf b "%s_bucket{le=\"+Inf\"} %d\n" name h.e_count;
+      Printf.bprintf b "%s_sum %s\n" name (float_str h.e_sum);
+      Printf.bprintf b "%s_count %d\n" name h.e_count)
     p.p_hists;
   Buffer.add_string b "# EOF\n";
   Buffer.contents b

@@ -10,13 +10,7 @@
 
 module Tm = Metrics
 
-type hist_summary = {
-  h_count : int;
-  h_sum : float;
-  h_min : float;
-  h_max : float;
-  h_buckets : int array;
-}
+type hist_summary = Tm.Histogram.export
 
 type point = {
   p_seq : int;
@@ -85,16 +79,7 @@ let capture ~seq ~label registry =
   let p_hists =
     name_sorted
       (List.map
-         (fun h ->
-           let e = Tm.Histogram.export h in
-           ( Tm.Histogram.name h,
-             {
-               h_count = e.Tm.Histogram.e_count;
-               h_sum = e.Tm.Histogram.e_sum;
-               h_min = e.Tm.Histogram.e_min;
-               h_max = e.Tm.Histogram.e_max;
-               h_buckets = e.Tm.Histogram.e_buckets;
-             } ))
+         (fun h -> (Tm.Histogram.name h, Tm.Histogram.export h))
          (Tm.histograms registry))
   in
   { p_seq = seq; p_ts = Unix.gettimeofday (); p_label = label; p_counters;

@@ -13,13 +13,9 @@
     rewrite an OpenMetrics file for external scrapers (throttling the
     rewrites itself, since per-round points are not throttled). *)
 
-type hist_summary = {
-  h_count : int;
-  h_sum : float;
-  h_min : float;  (** [infinity] when empty *)
-  h_max : float;  (** [neg_infinity] when empty *)
-  h_buckets : int array;  (** power-of-two buckets, see {!Metrics.Histogram} *)
-}
+type hist_summary = Metrics.Histogram.export
+(** A histogram's exported summary: count, sum, min, max and the
+    power-of-two buckets (see {!Metrics.Histogram}). *)
 
 type point = {
   p_seq : int;  (** 0-based index of this snapshot since ring creation *)

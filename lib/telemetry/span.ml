@@ -97,8 +97,8 @@ let with_span ?(attrs = []) ~name f =
       let cpu_end_s = Sys.time () in
       if Metrics.enabled () then
         Metrics.Histogram.observe
-          (Metrics.histogram ("span." ^ name ^ ".cpu_s"))
-          (cpu_end_s -. cpu_start_s);
+          (Metrics.histogram ("span." ^ name ^ ".cpu_us"))
+          ((cpu_end_s -. cpu_start_s) *. 1e6);
       Option.iter (fun (c, sp) -> close c sp ~cpu_start_s ~cpu_end_s) opened
     in
     (match f () with

@@ -7,7 +7,7 @@
     record into a {!collector} installed with {!set_collector}.  When
     the metrics registry is enabled ({!Metrics.enabled}), every closed
     span of name [n] is also one observation of the histogram
-    [span.n.cpu_s], collector or not.  With neither, {!with_span} is a
+    [span.n.cpu_us] (its CPU time in microseconds), collector or not.  With neither, {!with_span} is a
     tail call into the body (two loads of overhead), so instrumented
     code paths cost nothing in normal runs.  Spans are opened and closed
     on the main thread only. *)
@@ -52,7 +52,7 @@ val with_span : ?attrs:(string * value) list -> name:string -> (unit -> 'a) -> '
 (** Run the body inside a span.  The span closes when the body returns
     {e or raises}; the exception is re-raised after the close.  With no
     collector installed and the registry enabled, only the
-    [span.<name>.cpu_s] observation is made. *)
+    [span.<name>.cpu_us] observation is made. *)
 
 val add_attr : string -> value -> unit
 (** Attach an attribute to the innermost open span;

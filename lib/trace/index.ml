@@ -207,6 +207,22 @@ let progress_count t ~tid ~lo ~hi =
   let j = upper_bound pt.times hi in
   if j <= i then 0 else pt.progress.(j) - pt.progress.(i)
 
+(* Time of the first non-Read event of [tid] with [time > after], or
+   [max_int]: the first prefix count above the one at [after]. *)
+let first_progress_after t ~tid after =
+  let pt = thread t tid in
+  let i = upper_bound pt.times after in
+  let base = pt.progress.(i) and n = Array.length pt.times in
+  if pt.progress.(n) = base then max_int
+  else
+    let rec go lo hi =
+      if lo >= hi then lo
+      else
+        let mid = (lo + hi) / 2 in
+        if pt.progress.(mid) > base then go lo mid else go (mid + 1) hi
+    in
+    pt.times.(go (i + 1) n - 1)
+
 (* First (in time, ties by emission order) delayed event of [tid] with
    [lo <= time <= hi]. *)
 let first_delayed_in t (events : Event.t array) ~tid ~lo ~hi =

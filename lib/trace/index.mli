@@ -52,6 +52,12 @@ val progress_count : t -> tid:int -> lo:int -> hi:int -> int
     "did the thread make progress" primitive of window refinement.
     Strict bounds are expressed by the caller as [lo+1] / [hi-1]. *)
 
+val first_progress_after : t -> tid:int -> int -> int
+(** [first_progress_after t ~tid after] is the time of [tid]'s first
+    non-[Read] event with [time > after], or [max_int] if there is none:
+    [tid] made no progress strictly inside [(after, lo)] iff it is
+    [>= lo]. *)
+
 val first_delayed_in :
   t -> Event.t array -> tid:int -> lo:int -> hi:int -> Event.t option
 (** First-in-time delayed event of [tid] with [lo <= time <= hi]. *)

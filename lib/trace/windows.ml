@@ -120,7 +120,7 @@ let default_cap = 15
 (* Per-extraction op ranks: the log's distinct ops sorted by
    [Opid.compare], and every event's rank in that order.  A span then
    folds to small ints — a counter bump per event — and a side comes out
-   already in [Side] order once its touched ranks are sorted.  The ops
+   already in [Side] order by walking its touched ranks upwards.  The ops
    are numbered in one pass over the events through an id-keyed
    [Opid.Numbering]; only the distinct ops are sorted, by name, so ids
    decide nothing.  Built at the start of each [extract] and owned by
@@ -129,6 +129,8 @@ let default_cap = 15
 type ranks = {
   rank : int array;       (* event position -> rank *)
   op_of_rank : Opid.t array;
+  numbering : Opid.Numbering.t;
+  rank_of_number : int array;
 }
 
 let rank_ops (log : Log.t) =
@@ -139,110 +141,135 @@ let rank_ops (log : Log.t) =
   let rank_of_number = Array.make (Array.length op_of_rank) 0 in
   Array.iteri (fun r op -> rank_of_number.(Opid.Numbering.find numbering op) <- r) op_of_rank;
   Array.iteri (fun k n -> rank.(k) <- rank_of_number.(n)) rank;
-  { rank; op_of_rank }
+  { rank; op_of_rank; numbering; rank_of_number }
 
-(* Ascending in-place sort of the distinct ints [a.(lo .. hi-1)]:
-   insertion sort for short runs, median-of-three quicksort above.  Most
-   sides touch a dozen ranks, but a long span touches a couple of
-   hundred; a closure-free sort keeps either case cheap. *)
-let rec sort_ranks (a : int array) lo hi =
-  if hi - lo <= 16 then
-    for i = lo + 1 to hi - 1 do
-      let x = a.(i) in
-      let j = ref (i - 1) in
-      while !j >= lo && a.(!j) > x do
-        a.(!j + 1) <- a.(!j);
-        decr j
-      done;
-      a.(!j + 1) <- x
-    done
-  else begin
-    let x = a.(lo) and y = a.(lo + ((hi - lo) / 2)) and z = a.(hi - 1) in
-    let pivot =
-      if x < y then if y < z then y else if x < z then z else x
-      else if x < z then x
-      else if y < z then z
-      else y
-    in
-    let i = ref lo and j = ref (hi - 1) in
-    while !i <= !j do
-      while a.(!i) < pivot do incr i done;
-      while a.(!j) > pivot do decr j done;
-      if !i <= !j then begin
-        let t = a.(!i) in
-        a.(!i) <- a.(!j);
-        a.(!j) <- t;
-        incr i;
-        decr j
-      end
-    done;
-    sort_ranks a lo (!j + 1);
-    sort_ranks a !i hi
-  end
+(* The rank of an op of the log. *)
+let rank_of_op ranks op = ranks.rank_of_number.(Opid.Numbering.find ranks.numbering op)
 
-(* Scratch for [side_of_span]: a count per rank (all zero
-   between calls) and the ranks the current span touched, plus the
-   work counters behind [windows.span.{folded,entries}]. *)
+(* Scratch for building sides: a count per rank (all zero between
+   sides), the touched ranks as a two-level bitset, and the work
+   counters behind [windows.span.{folded,entries}].  Bit [b] of
+   [words.(w)] marks rank [62w + b]; bit [b] of [summary.(s)] marks a
+   nonzero [words.(62s + b)].  Bit 62 (the sign) stays clear, so a
+   word's lowest set bit [x land (-x)] is a positive power of two. *)
 type scratch = {
   counts : int array;
-  touched : int array;
+  words : int array;
+  summary : int array;
+  mutable marked : int;  (* distinct ranks marked since the last [emit] *)
   mutable folded : int;
   mutable entries : int;
 }
 
+let word_bits = 62
+
+(* [bit_index.(x mod 67)] is [b] for [x = 1 lsl b]: 2 has order 66
+   modulo the prime 67, so 2^0 .. 2^61 have distinct residues. *)
+let bit_index =
+  let t = Array.make 67 0 in
+  for b = 0 to word_bits - 1 do
+    t.((1 lsl b) mod 67) <- b
+  done;
+  t
+
 let scratch_create ranks =
   let d = Array.length ranks.op_of_rank in
-  { counts = Array.make d 0; touched = Array.make d 0; folded = 0; entries = 0 }
+  let nwords = (d + word_bits - 1) / word_bits in
+  {
+    counts = Array.make d 0;
+    words = Array.make nwords 0;
+    summary = Array.make ((nwords + word_bits - 1) / word_bits) 0;
+    marked = 0;
+    folded = 0;
+    entries = 0;
+  }
 
-(* Candidate ops of thread [tid] with lo <= time <= hi, resolved over the
-   per-thread index and counted by rank. *)
-let side_of_span (log : Log.t) ranks sc ~tid ~lo ~hi =
-  let pt = Index.thread (Log.index log) tid in
-  let i = Index.lower_bound pt.times lo and j = Index.upper_bound pt.times hi in
-  let k = ref 0 in
-  for p = i to j - 1 do
-    let r = ranks.rank.(pt.positions.(p)) in
-    let c = sc.counts.(r) in
-    if c = 0 then begin
-      sc.touched.(!k) <- r;
-      incr k
+(* [n] more occurrences of rank [r]; its first occurrence marks it. *)
+let[@inline] bump sc r n =
+  let c = sc.counts.(r) in
+  if c = 0 then begin
+    let w = r / word_bits in
+    let word = sc.words.(w) in
+    if word = 0 then begin
+      let s = w / word_bits in
+      sc.summary.(s) <- sc.summary.(s) lor (1 lsl (w - (s * word_bits)))
     end;
-    sc.counts.(r) <- c + 1
-  done;
-  let k = !k in
-  sc.folded <- sc.folded + max 0 (j - i);
-  sc.entries <- sc.entries + k;
-  sort_ranks sc.touched 0 k;
+    sc.words.(w) <- word lor (1 lsl (r - (w * word_bits)));
+    sc.marked <- sc.marked + 1
+  end;
+  sc.counts.(r) <- c + n
+
+(* The marked ranks as a side: the set bits walked upwards, which is
+   [Side] order.  With [~clear:true] each bit and count is cleared as it
+   is read, so the scratch is clean again afterwards; with
+   [~clear:false] the scratch keeps them, for more bumps and a second
+   emission. *)
+let emit ~clear ranks sc =
+  let k = sc.marked in
   if k = 0 then Side.empty
   else begin
     let ops = Array.make k ranks.op_of_rank.(0) and counts = Array.make k 0 in
-    for x = 0 to k - 1 do
-      let r = sc.touched.(x) in
-      ops.(x) <- ranks.op_of_rank.(r);
-      counts.(x) <- sc.counts.(r);
-      sc.counts.(r) <- 0
+    let x = ref 0 in
+    for s = 0 to Array.length sc.summary - 1 do
+      let sw = ref sc.summary.(s) in
+      if clear then sc.summary.(s) <- 0;
+      while !sw <> 0 do
+        let low = !sw land - !sw in
+        sw := !sw lxor low;
+        let w = (s * word_bits) + bit_index.(low mod 67) in
+        let ww = ref sc.words.(w) in
+        if clear then sc.words.(w) <- 0;
+        while !ww <> 0 do
+          let low = !ww land - !ww in
+          ww := !ww lxor low;
+          let r = (w * word_bits) + bit_index.(low mod 67) in
+          ops.(!x) <- ranks.op_of_rank.(r);
+          counts.(!x) <- sc.counts.(r);
+          if clear then sc.counts.(r) <- 0;
+          incr x
+        done
+      done
     done;
+    if clear then sc.marked <- 0;
     { Side.ops; counts }
   end
+
+(* Count the ops of thread [tid] with lo <= time <= hi into the clean
+   scratch, resolved over the per-thread index. *)
+let fold_span (log : Log.t) ranks sc ~tid ~lo ~hi =
+  let pt = Index.thread (Log.index log) tid in
+  let i = Index.lower_bound pt.times lo and j = Index.upper_bound pt.times hi in
+  for p = i to j - 1 do
+    bump sc ranks.rank.(pt.positions.(p)) 1
+  done;
+  sc.folded <- sc.folded + max 0 (j - i);
+  sc.entries <- sc.entries + sc.marked
 
 let span_sides log =
   let ranks = rank_ops log in
   let sc = scratch_create ranks in
-  fun ~tid ~lo ~hi -> side_of_span log ranks sc ~tid ~lo ~hi
+  fun ~tid ~lo ~hi ->
+    fold_span log ranks sc ~tid ~lo ~hi;
+    emit ~clear:true ranks sc
 
 let all_kinds_are side kind =
   Side.for_all (fun (op : Opid.t) _ -> op.kind = kind) side
 
 (* Every method frame of one thread by push index (see
-   {!Log.fold_frames}): its op, begin time (ascending), end time
-   ([max_int] while open) and parent.  Each array is sized from the
-   thread's [Begin] count ({!Index.per_thread}), so building the table
-   allocates nothing beyond it; the fold's frame records die young. *)
+   {!Log.fold_frames}): its op, begin time (ascending), parent, and the
+   last window start [lo] it is an acquire candidate for.  That is its
+   end time ([max_int] while open), lowered on the frame's first
+   open-frame test to the time of the thread's first progress event
+   after its begin, if earlier; [tested] marks the frames lowered.  Each
+   array is sized from the thread's [Begin] count
+   ({!Index.per_thread}), so building the table allocates nothing
+   beyond it; the fold's frame records die young. *)
 type thread_frames = {
   ops : Opid.t array;
   begins : int array;
-  ends : int array;
+  until : int array;
   parents : int array;
+  tested : Bytes.t;
 }
 
 (* The frame tables by tid, and the work counter behind
@@ -265,8 +292,9 @@ let frame_table ~on_close (log : Log.t) =
         {
           ops = Array.make n f.op;
           begins = Array.make n 0;
-          ends = Array.make n 0;
+          until = Array.make n 0;
           parents = Array.make n 0;
+          tested = Bytes.make n '\000';
         }
       in
       Index.Tid_tbl.add by_tid f.tid t;
@@ -276,7 +304,7 @@ let frame_table ~on_close (log : Log.t) =
     let t = table f in
     t.ops.(f.index) <- f.op;
     t.begins.(f.index) <- f.t_begin;
-    t.ends.(f.index) <- f.t_end;
+    t.until.(f.index) <- f.t_end;
     t.parents.(f.index) <- f.parent
   in
   let (), still_open =
@@ -287,16 +315,15 @@ let frame_table ~on_close (log : Log.t) =
   List.iter put still_open;
   { by_tid; visited = 0 }
 
-(* Any progress event of [tid] strictly inside (lo, hi)? *)
-let progressed log ~tid ~lo ~hi =
-  hi - 1 >= lo + 1 && Log.progress_count log ~tid ~lo:(lo + 1) ~hi:(hi - 1) > 0
-
 (* A blocking acquire (Monitor.Enter, Task.Wait, ...) is *invoked* before
    the release it waits for, so its Begin event precedes the window.  The
    invocation is still in progress during the window and is a legitimate
    acquire candidate — but only if the thread has made no progress since
    the invocation (it is plausibly blocked inside it): a frame that kept
    executing cannot be waiting for a release that has not happened yet.
+   It made none strictly inside (t_begin, lo) iff its first progress
+   event after t_begin comes at or after [lo], so the frame qualifies
+   iff [lo] is at most both that time and its end.
 
    The frames of [tid] open at [lo] are those with [t_begin < lo <=
    t_end]: the last frame pushed before [lo] and its parent chain,
@@ -306,18 +333,25 @@ let progressed log ~tid ~lo ~hi =
    push's chain: pushing sets the parent to the top, and closes only
    remove frames, from the top or (out of order) from the middle.  So the
    chain holds every open frame, and the filter drops exactly the ones
-   closed before [lo]. *)
-let add_open_frames log frames side ~tid ~lo =
+   closed before [lo].  The ranks of the open frames' ops, innermost
+   first. *)
+let open_frames log ranks frames ~tid ~lo =
   match Index.Tid_tbl.find_opt frames.by_tid tid with
-  | None -> side
+  | None -> []
   | Some t ->
-    let acc = ref side in
+    let acc = ref [] in
     let i = ref (Index.lower_bound t.begins lo - 1) in
     while !i >= 0 do
       let f = !i in
       frames.visited <- frames.visited + 1;
-      if t.ends.(f) >= lo && not (progressed log ~tid ~lo:t.begins.(f) ~hi:lo) then
-        acc := Side.add_one t.ops.(f) !acc;
+      if t.until.(f) >= lo then begin
+        if Bytes.get t.tested f = '\000' then begin
+          Bytes.set t.tested f '\001';
+          t.until.(f) <-
+            min t.until.(f) (Index.first_progress_after (Log.index log) ~tid t.begins.(f))
+        end;
+        if t.until.(f) >= lo then acc := rank_of_op ranks t.ops.(f) :: !acc
+      end;
       i := t.parents.(f)
     done;
     !acc
@@ -349,44 +383,72 @@ let c_emitted = Tm.counter "windows.emitted"
 
 let c_races = Tm.counter "windows.races"
 
-(* Memoized [side_of_span].  Candidate pairs share span endpoints
+(* Memoized sides.  Candidate pairs share span endpoints
    whenever several accesses to one address carry the same timestamp
    (contended bursts under a coarse clock): every pair [(a_i, b)] with
    [a_i.time] equal recomputes the same acquire span [(b.tid, t, b.time)],
    and the refine path recomputes the same [(b.tid, r.time, b.time)] span
    across pairs hitting one delay — so hot logs rebuild the same
-   [(tid, lo, hi)] span many times per extraction.  The function is pure
-   and the resulting sides are immutable, so a cache is observationally
-   invisible.  One cache per extraction, owning the rank table and the
-   [side_of_span] scratch. *)
+   [(tid, lo, hi)] span many times per extraction.  The cache holds each
+   span's own side, which is also its acquire side when no frame is open
+   at [lo].  The function is pure and the sides are immutable, so the
+   cache is observationally invisible.  One cache per extraction, owning
+   the rank table, the frame table and the scratch. *)
+module Span_tbl = Hashtbl.Make (struct
+  type t = int * int * int
+
+  let equal ((a, b, c) : t) (x, y, z) = a = x && b = y && c = z
+
+  let hash ((a, b, c) : t) =
+    let h = (((a * 65599) + b) * 65599) + c in
+    h lxor (h lsr 23)
+end)
+
 type span_cache = {
   ranks : ranks;
+  frames : frames;
   scratch : scratch;
-  tbl : (int * int * int, side) Hashtbl.t;
+  tbl : side Span_tbl.t;
   mutable hits : int;
   mutable misses : int;
 }
 
-let cache_create ranks =
+let cache_create ranks frames =
   {
     ranks;
+    frames;
     scratch = scratch_create ranks;
-    tbl = Hashtbl.create 256;
+    tbl = Span_tbl.create 256;
     hits = 0;
     misses = 0;
   }
 
-let cached_side log cache ~tid ~lo ~hi =
+(* [raw] plus one occurrence per open frame, in one emission.  With
+   [~in_scratch] the scratch still holds [raw]'s counts; otherwise they
+   are bumped back from the side. *)
+let with_frames cache ~in_scratch raw frames =
+  let sc = cache.scratch in
+  if not in_scratch then
+    Side.iter (fun op n -> bump sc (rank_of_op cache.ranks op) n) raw;
+  List.iter (fun r -> bump sc r 1) frames;
+  emit ~clear:true cache.ranks sc
+
+(* The release side ([acquire = false]) or the acquire side of thread
+   [tid] over [lo, hi]. *)
+let cached_side log cache ~acquire ~tid ~lo ~hi =
+  let frames = if acquire then open_frames log cache.ranks cache.frames ~tid ~lo else [] in
   let key = (tid, lo, hi) in
-  match Hashtbl.find_opt cache.tbl key with
-  | Some s ->
+  match Span_tbl.find cache.tbl key with
+  | raw ->
     cache.hits <- cache.hits + 1;
-    s
-  | None ->
+    if frames = [] then raw else with_frames cache ~in_scratch:false raw frames
+  | exception Not_found ->
     cache.misses <- cache.misses + 1;
-    let s = side_of_span log cache.ranks cache.scratch ~tid ~lo ~hi in
-    Hashtbl.add cache.tbl key s;
-    s
+    let sc = cache.scratch in
+    fold_span log cache.ranks sc ~tid ~lo ~hi;
+    let raw = emit ~clear:(frames = []) cache.ranks sc in
+    Span_tbl.add cache.tbl key raw;
+    if frames = [] then raw else with_frames cache ~in_scratch:true raw frames
 
 (* A cache's work counts, added to the registry once the extraction is
    done. *)
@@ -396,16 +458,22 @@ let publish_cache_counts cache =
   Tm.Counter.incr ~by:cache.scratch.folded c_span_folded;
   Tm.Counter.incr ~by:cache.scratch.entries c_span_entries
 
+(* Each op's field key by rank, rendered on first use: one string per
+   distinct op of the extraction, shared by all its windows and races. *)
+let field_keys ranks =
+  let keys = Array.make (Array.length ranks.op_of_rank) "" in
+  fun r ->
+    if String.length keys.(r) = 0 then keys.(r) <- Opid.field_key ranks.op_of_rank.(r);
+    keys.(r)
+
 (* How one conflicting-access candidate classifies. *)
 type outcome = Window of t | Race_out of race
 
 (* Analyze one candidate pair: compute both sides, refine from injected
    delays, and classify as window or observed race. *)
-let consider_one log frames cache ~refine (a : Event.t) (b : Event.t) =
-  let acq_side ~lo ~hi =
-    add_open_frames log frames (cached_side log cache ~tid:b.tid ~lo ~hi) ~tid:b.tid ~lo
-  in
-  let rel = ref (cached_side log cache ~tid:a.tid ~lo:a.time ~hi:b.time) in
+let consider_one log cache ~refine ~field (a : Event.t) (b : Event.t) =
+  let acq_side ~lo ~hi = cached_side log cache ~acquire:true ~tid:b.tid ~lo ~hi in
+  let rel = ref (cached_side log cache ~acquire:false ~tid:a.tid ~lo:a.time ~hi:b.time) in
   let acq = ref (acq_side ~lo:a.time ~hi:b.time) in
   if refine then begin
     match first_delay log ~tid:a.tid ~lo:a.time ~hi:b.time with
@@ -432,7 +500,6 @@ let consider_one log frames cache ~refine (a : Event.t) (b : Event.t) =
     | None -> ()
   end;
   let rel = !rel and acq = !acq in
-  let field = Opid.field_key a.op in
   let rel_impossible = Side.is_empty rel || all_kinds_are rel Opid.Read in
   let acq_impossible = Side.is_empty acq || all_kinds_are acq Opid.Write in
   if rel_impossible || acq_impossible then
@@ -488,8 +555,9 @@ let scan_create ranks =
    every earlier one.  A same-thread pair is never a candidate, and
    times never decrease, so the [near] cutoff ends the loop where it
    would have.  Enumeration order and cap decisions are identical to
-   testing each candidate directly.  [emit a b] fires for each accepted
-   candidate; [on_capped] fires when a pair's count reaches the cap. *)
+   testing each candidate directly.  [emit ra a b] fires for each
+   accepted candidate, [ra] the rank of [a]'s op; [on_capped] fires when
+   a pair's count reaches the cap. *)
 let scan_address ~near ~cap ~on_capped ~emit (events : Event.t array) ranks sc
     positions =
   let n = Array.length positions in
@@ -561,7 +629,7 @@ let scan_address ~near ~cap ~on_capped ~emit (events : Event.t array) ranks sc
                  row.(ia) <- row.(ia) - 1;
                  decr live
                end;
-               emit a b;
+               emit sc.rank_of_local.(ia) a b;
                if !live = 0 then raise Exit
              end
            end;
@@ -585,9 +653,10 @@ let extract_with_samples ?(near = default_near) ?(cap = default_cap) ?(refine = 
     if tm_on then Some (Tm.histogram "windows.pairs_per_location") else None
   in
   let durations = Durations.collector log in
-  let frames = frame_table ~on_close:(Durations.collect durations) log in
   let ranks = rank_ops log in
-  let cache = cache_create ranks in
+  let frames = frame_table ~on_close:(Durations.collect durations) log in
+  let cache = cache_create ranks frames in
+  let field = field_keys ranks in
   let sc = scan_create ranks in
   let windows = ref [] in
   let races = ref [] in
@@ -613,7 +682,7 @@ let extract_with_samples ?(near = default_near) ?(cap = default_cap) ?(refine = 
         let before = !considered in
         scan_address ~near ~cap
           ~on_capped:(fun () -> incr capped)
-          ~emit:(fun a b -> dispatch a b (consider_one log frames cache ~refine a b))
+          ~emit:(fun ra a b -> dispatch a b (consider_one log cache ~refine ~field:(field ra) a b))
           log.events ranks sc positions;
         match h_pairs_per_loc with
         | Some h -> Tm.Histogram.observe_int h (!considered - before)

@@ -121,10 +121,13 @@ val extract :
     Sides are built by counting per-extraction op ranks: the log's
     distinct ops are numbered by op id ({!Opid.Numbering}) and sorted by
     {!Opid.compare} once per call, each event's rank is recorded, and a
-    span folds into a per-rank count array whose touched ranks, sorted
-    as ints, give the side in {!Side} order.  Ids only key the
-    numbering; no order comes from them.  This state is local to the
-    call.
+    span folds into a per-rank count array whose touched ranks are
+    marked in a two-level bitset; walking its set bits upwards gives the
+    side in {!Side} order, with no sort.  An acquire side's open frames
+    are bumped into the same counts before that one walk, so a frame
+    whose op also occurs in the span merges into its entry.  Ids only
+    key the numbering; no order comes from them.  This state is local
+    to the call.
 
     Cost.  Per call: one rank pass and one frame fold
     ({!Log.fold_frames}) over the events, each O(events).  All span,
@@ -139,7 +142,12 @@ val extract :
     zero, so once every pair is capped the scan is one array read per
     access.  The open-frame query walks the enclosing-frame chain of the
     last frame pushed before the window (see {!Log.frame}): the frames
-    enclosing it, not every frame that ends after it starts.  In all,
+    enclosing it, not every frame that ends after it starts.  A frame
+    qualifies by one comparison: on its first visit its end time is
+    lowered to its thread's first progress event after its [Begin]
+    ({!Index.first_progress_after}) when that comes earlier.
+    A span costs O(e + k + d/3844) for e events, k entries and d
+    distinct ops.  In all,
     O(events + accesses + candidate tests + pairs x window size), where
     the naive algorithm is O(pairs x events); on the 126k-event stress
     log the candidate tests are 810 and the frames visited 660.
@@ -148,7 +156,8 @@ val extract :
     each static pair's [cap] counts across addresses: a pair stops
     yielding candidates once [cap] of them were accepted anywhere in the
     log.  Repeated [(tid, lo, hi)] spans are answered from a cache that
-    lives for one call. *)
+    lives for one call; an acquire side with open frames merges them
+    into the cached span side in one allocation. *)
 
 val extract_with_samples :
   ?near:int -> ?cap:int -> ?refine:bool -> ?metrics:Metrics.t -> Log.t ->

@@ -93,7 +93,7 @@ let test_span_no_collector () =
   check Alcotest.int "no open spans" 0 (Span.open_depth ())
 
 (* Spans carry process CPU, and with the registry on every closed span
-   is one [span.<name>.cpu_s] observation; with neither a collector nor
+   is one [span.<name>.cpu_us] observation; with neither a collector nor
    the registry nothing is recorded. *)
 let test_span_cpu () =
   let burn () =
@@ -103,7 +103,7 @@ let test_span_cpu () =
     done;
     ignore (Sys.opaque_identity !x)
   in
-  let hist name = Tm.Histogram.count (Tm.histogram ("span." ^ name ^ ".cpu_s")) in
+  let hist name = Tm.Histogram.count (Tm.histogram ("span." ^ name ^ ".cpu_us")) in
   let counts () = (hist "cpu-outer", hist "cpu-inner") in
   let before = counts () in
   Tm.set_enabled true;
@@ -137,6 +137,27 @@ let test_span_cpu () =
   check Alcotest.int "nothing observed when off" i1 (hist "cpu-inner");
   check Alcotest.int "nothing open" 0 (Span.open_depth ())
 
+(* A span's CPU time is observed in microseconds, so a span of a few
+   milliseconds lands in bucket ceil(log2 us), not in bucket 0 with
+   every other value below one. *)
+let test_span_cpu_bucket () =
+  let h = Tm.histogram "span.cpu-bucket.cpu_us" in
+  Tm.set_enabled true;
+  Fun.protect ~finally:(fun () -> Tm.set_enabled false) (fun () ->
+      Span.with_span ~name:"cpu-bucket" (fun () ->
+          let x = ref 0 in
+          for i = 1 to 2_000_000 do
+            x := !x + (i land 7)
+          done;
+          ignore (Sys.opaque_identity !x)));
+  let e = Tm.Histogram.export h in
+  check Alcotest.int "one observation" 1 e.e_count;
+  check Alcotest.bool "above one microsecond" true (e.e_sum > 1.0);
+  let bucket = int_of_float (ceil (Float.log2 e.e_sum)) in
+  check Alcotest.int
+    (Printf.sprintf "bucket ceil(log2 %.0f us)" e.e_sum)
+    1 e.e_buckets.(bucket)
+
 (* --- metrics --- *)
 
 let test_counter () =
@@ -161,10 +182,11 @@ let test_histogram () =
   check (Alcotest.float 1e-9) "sum" 1107.0 (Tm.Histogram.sum h);
   check (Alcotest.float 1e-9) "min" 1.0 (Tm.Histogram.min_value h);
   check (Alcotest.float 1e-9) "max" 1000.0 (Tm.Histogram.max_value h);
-  let p50 = Tm.Histogram.percentile h 0.5 in
+  let e = Tm.Histogram.export h in
+  let p50 = Tm.Histogram.percentile e 0.5 in
   check Alcotest.bool "p50 within range" true (p50 >= 1.0 && p50 <= 1000.0);
   check Alcotest.bool "p100 clamps to max" true
-    (Tm.Histogram.percentile h 1.0 <= 1000.0)
+    (Tm.Histogram.percentile e 1.0 <= 1000.0)
 
 let test_registry_listing () =
   let r = Tm.create () in
@@ -250,8 +272,8 @@ let test_snapshot_ring () =
     "gauges captured" [ ("g", 3) ] p0.Snapshot.p_gauges;
   (match p0.Snapshot.p_hists with
   | [ ("h", s) ] ->
-    check Alcotest.int "hist count" 1 s.Snapshot.h_count;
-    check (Alcotest.float 1e-9) "hist sum" 10.0 s.Snapshot.h_sum
+    check Alcotest.int "hist count" 1 s.Tm.Histogram.e_count;
+    check (Alcotest.float 1e-9) "hist sum" 10.0 s.Tm.Histogram.e_sum
   | _ -> Alcotest.fail "one histogram expected");
   Tm.Counter.incr ~by:7 c;
   ignore (Snapshot.take ring);
@@ -700,6 +722,7 @@ let () =
           Alcotest.test_case "attributes" `Quick test_span_attrs;
           Alcotest.test_case "no collector" `Quick test_span_no_collector;
           Alcotest.test_case "cpu times and histograms" `Quick test_span_cpu;
+          Alcotest.test_case "cpu observed in microseconds" `Quick test_span_cpu_bucket;
         ] );
       ( "metrics",
         [

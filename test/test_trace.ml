@@ -1850,6 +1850,86 @@ let prop_synth_sides_match_map_fold =
       let spans = List.map (fun (tid, a, b) -> (tid, at a, at b)) fracs in
       Oracles.side_mismatches log spans = [])
 
+(* The side kernel's bitset at its edges.  Ranks are the log's distinct
+   ops in [Opid.compare] order; a word marks 62 ranks and a summary word
+   62 words (3,844 ranks), so a log of more than 3,844 distinct ops uses
+   a second summary word.  Whole-thread spans, and spans around every
+   event whose rank is next to the word boundary 61/62 or the summary
+   boundary 3,843/3,844, must match the map fold; some span must hold
+   both ranks of each boundary. *)
+let test_side_bitset_edges () =
+  let log = Synth.log ~seed:5 ~addrs:4096 ~threads:2 ~events:60_000 () in
+  let ops =
+    Array.of_list
+      (List.sort_uniq Opid.compare
+         (Array.to_list (Array.map (fun (e : Event.t) -> e.op) log.events)))
+  in
+  check Alcotest.bool "a second summary word" true (Array.length ops > 3_844 + 62);
+  let boundaries = [ (61, 62); (3_843, 3_844) ] in
+  let around (e : Event.t) = [ (e.tid, e.time, e.time); (e.tid, e.time - 40, e.time + 40) ] in
+  let spans =
+    List.init log.threads (fun tid -> (tid, 0, log.duration))
+    @ List.concat_map
+        (fun (r, r') ->
+          Array.to_list log.events
+          |> List.filter (fun (e : Event.t) -> e.op == ops.(r) || e.op == ops.(r'))
+          |> List.concat_map around)
+        boundaries
+  in
+  check
+    Alcotest.(list (triple int int int))
+    "sides match the map fold" [] (Oracles.side_mismatches log spans);
+  let query = Windows.span_sides log in
+  List.iter
+    (fun (r, r') ->
+      check Alcotest.bool
+        (Printf.sprintf "a span holds ranks %d and %d" r r')
+        true
+        (List.exists
+           (fun (tid, lo, hi) ->
+             let s = query ~tid ~lo ~hi in
+             Windows.Side.mem ops.(r) s && Windows.Side.mem ops.(r') s)
+           spans))
+    boundaries
+
+(* An open frame whose [Begin] op also occurs inside the acquire span
+   merges into one entry: the span's two occurrences of M-Begin plus the
+   frame.  Thread 1 opens M at 5 and makes no progress before 10; inside
+   [10, 20] it writes x, calls M twice and reads y.  Thread 3's write of
+   y at 10 and thread 1's read at 20 make (1, 10, 20) an acquire span,
+   and thread 1's x pair makes the same span a release side.  With x
+   scanned first, the acquire side is built from the cached release
+   side; with y first, from the fold itself. *)
+let test_open_frame_merges_with_span () =
+  let cls = "P.C" in
+  let m = Opid.enter ~cls "M" and m_end = Opid.exit ~cls "M" in
+  let x = [ ev ~target:100 10 1 (Opid.write ~cls "x") ]
+  and y = [ ev ~target:200 10 3 (Opid.write ~cls "y") ] in
+  List.iter
+    (fun (name, first) ->
+      let log =
+        mklog
+          ((ev 5 1 m :: first)
+          @ [
+              ev 15 1 m; ev 16 1 m_end; ev 17 1 m; ev 18 1 m_end;
+              ev ~target:100 20 2 (Opid.read ~cls "x");
+              ev ~target:200 20 1 (Opid.read ~cls "y");
+              ev 30 1 m_end;
+            ])
+      in
+      let w1, r1 = Windows.extract ~near:1_000 ~cap:15 ~refine:true log in
+      let w2, r2 = Naive.extract ~near:1_000 ~cap:15 ~refine:true log in
+      check Alcotest.int (name ^ ": windows") (List.length w2) (List.length w1);
+      check Alcotest.bool (name ^ ": same windows") true (List.for_all2 window_eq w1 w2);
+      check Alcotest.bool (name ^ ": same races") true (List.for_all2 race_eq r1 r2);
+      let acq_y = (List.find (fun (w : Windows.t) -> w.field = "P.C::y") w1).acq in
+      check
+        Alcotest.(list (pair string int))
+        (name ^ ": one M-Begin entry")
+        [ ("P.C::M-Begin", 3); ("P.C::M-End", 2); ("Write-P.C::x", 1); ("Read-P.C::y", 1) ]
+        (side_bindings acq_y))
+    [ ("x first", x @ y); ("y first", y @ x) ]
+
 let qcheck = List.map QCheck_alcotest.to_alcotest
 
 let () =
@@ -1909,6 +1989,9 @@ let () =
           Alcotest.test_case "spin flag scan steps" `Quick test_window_spin_flag_steps;
           Alcotest.test_case "stress log matches the naive reference" `Quick
             test_extract_stress_matches_reference;
+          Alcotest.test_case "side bitset edges" `Quick test_side_bitset_edges;
+          Alcotest.test_case "open frame merges with the span" `Quick
+            test_open_frame_merges_with_span;
           Alcotest.test_case "near filter" `Quick test_window_near_filter;
           Alcotest.test_case "same thread" `Quick test_window_same_thread_excluded;
           Alcotest.test_case "read/read" `Quick test_window_read_read_excluded;

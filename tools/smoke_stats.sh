@@ -11,7 +11,9 @@
 #   (d) the section headers of README's `stats --from` example equal
 #       those `stats --from` prints for the command README documents, and
 #   (e) a 2-round `run --telemetry-out` file holds one counter-snapshot
-#       instant per round, labelled "round 1" and "round 2".
+#       instant per round, labelled "round 1" and "round 2", and
+#   (f) that run's registry summary (`run -v`) and live `stats` of the
+#       same inference print the same lp.pivots p50/p95.
 set -eu
 
 cli=$1
@@ -42,7 +44,7 @@ for family in \
   sherlock_gc_heap_words \
   sherlock_windows_events_total \
   sherlock_lp_solves_total \
-  sherlock_span_run_cpu_s_count; do
+  sherlock_span_run_cpu_us_count; do
   grep -q "^$family " "$d/metrics.om" || {
     echo "smoke_stats: expected family $family missing from exposition" >&2
     exit 1
@@ -115,6 +117,20 @@ points=$(grep '"ph":"i"' "$d/spans.json" | sed 's/^{"name":"\([^"]*\)".*/\1/' | 
   echo "smoke_stats: --telemetry-out holds snapshot points '$points', not one per round" >&2
   exit 1
 }
+
+# --- one percentile for the registry summary and the stats console ---
+"$cli" run -a App-2 --rounds 2 -v --telemetry-out "$d/spans-v.json" |
+  sed -n 's/^ *lp\.pivots  *n=.* \(p50<=[0-9]*\) \(p95<=[0-9]*\) .*$/\1 \2/p' >"$d/pct-summary"
+sed -n 's/^ *pivots .* per solve \(p50<=[0-9]*\) \(p95<=[0-9]*\)$/\1 \2/p' \
+  "$d/stats-live.out" >"$d/pct-stats"
+test -s "$d/pct-summary" && test -s "$d/pct-stats" || {
+  echo "smoke_stats: no lp.pivots percentiles in run -v or live stats" >&2
+  exit 1
+}
+if ! diff "$d/pct-summary" "$d/pct-stats" >&2; then
+  echo "smoke_stats: run -v and stats print different lp.pivots percentiles (< run -v, > stats)" >&2
+  exit 1
+fi
 
 lines=$(wc -l <"$d/run.jsonl" | tr -d ' ')
 families=$(grep -c '^# TYPE ' "$d/metrics.om" | tr -d ' ')
